@@ -8,143 +8,147 @@ type block = {
 }
 
 type t = {
-  by_addr : (int, block) Hashtbl.t;
+  blocks : block array;  (* ascending by address *)
   ordered : block list;
-  containing : (int, block) Hashtbl.t;  (* insn addr -> block *)
-  predecessors : (int, int list) Hashtbl.t;
+  index : Slots.t;  (* insn addr -> position in address order *)
+  block_of : int array;  (* insn position -> block *)
+  predecessors : int list array;  (* per block *)
 }
 
+let transfers = function
+  | Disasm.Fallthrough | Disasm.Syscall -> false
+  | Disasm.Branch _ | Disasm.Jump _ | Disasm.Call _ | Disasm.Indirect_jump
+  | Disasm.Indirect_call | Disasm.Ret | Disasm.Halt ->
+      true
+
+(* Whether some insn before position [k] ends exactly where insn [k]
+   starts; such an insn starts at most 4 bytes earlier. *)
+let rec preceded addrs ends k j =
+  j >= 0
+  && addrs.(j) >= addrs.(k) - 4
+  && (ends.(j) = addrs.(k) || preceded addrs ends k (j - 1))
+
 let of_disasm dis =
-  let insns = Disasm.to_list dis in
-  (* Pass 1: leaders = first insn, control-transfer targets, and insns
-     following a control transfer. *)
-  let leaders = Hashtbl.create 1024 in
-  let mark a = Hashtbl.replace leaders a () in
-  (match insns with [] -> () | i :: _ -> mark i.Disasm.addr);
-  List.iter
-    (fun (i : Disasm.insn) ->
-      let after () = mark (i.addr + i.size) in
-      match Disasm.flow_of i with
-      | Disasm.Fallthrough -> ()
-      | Disasm.Syscall -> ()
-      | Disasm.Branch t ->
-          mark t;
-          after ()
-      | Disasm.Jump t ->
-          mark t;
-          after ()
-      | Disasm.Call t ->
-          mark t;
-          after ()
-      | Disasm.Indirect_call -> after ()
-      | Disasm.Indirect_jump | Disasm.Ret | Disasm.Halt -> after ())
-    insns;
-  (* Also: any insn with no immediate predecessor insn is a leader (function
-     entries reached only via symbols, code after gaps). *)
-  let insn_ends = Hashtbl.create 1024 in
-  List.iter (fun (i : Disasm.insn) -> Hashtbl.replace insn_ends (i.addr + i.size) ())
-    insns;
-  List.iter
-    (fun (i : Disasm.insn) ->
-      if not (Hashtbl.mem insn_ends i.addr) then mark i.addr)
-    insns;
-  (* Pass 2: group into blocks. *)
-  let by_addr = Hashtbl.create 1024 in
-  let containing = Hashtbl.create 4096 in
-  let rec build acc cur cur_addr = function
-    | [] -> finish acc cur cur_addr
-    | (i : Disasm.insn) :: rest -> (
-        match cur with
-        | [] -> build acc [ i ] i.addr rest
-        | last :: _ ->
-            let transfer =
-              match Disasm.flow_of last with
-              | Disasm.Fallthrough | Disasm.Syscall -> false
-              | Disasm.Branch _ | Disasm.Jump _ | Disasm.Call _
-              | Disasm.Indirect_jump | Disasm.Indirect_call | Disasm.Ret
-              | Disasm.Halt ->
-                  true
-            in
-            let contiguous = last.Disasm.addr + last.Disasm.size = i.addr in
-            if Hashtbl.mem leaders i.addr || transfer || not contiguous then
-              build (finish acc cur cur_addr) [ i ] i.addr rest
-            else build acc (i :: cur) cur_addr rest)
-  and finish acc cur cur_addr =
-    match cur with
-    | [] -> acc
-    | last :: _ ->
-        let b_insns = List.rev cur in
-        let fall = last.Disasm.addr + last.Disasm.size in
-        let succs, call =
-          match Disasm.flow_of last with
-          | Disasm.Fallthrough | Disasm.Syscall -> ([ Sblock fall ], None)
-          | Disasm.Branch t -> ([ Sblock t; Sblock fall ], None)
-          | Disasm.Jump t -> ([ Sblock t ], None)
-          | Disasm.Call t -> ([ Sblock fall ], Some t)
-          | Disasm.Indirect_call -> ([ Sblock fall ], None)
-          | Disasm.Indirect_jump -> ([ Sunknown ], None)
-          | Disasm.Ret -> ([ Sreturn ], None)
-          | Disasm.Halt -> ([], None)
-        in
-        let b = { b_addr = cur_addr; b_insns; b_succs = succs; b_call = call } in
-        b :: acc
+  let n = Disasm.count dis in
+  let addrs = Array.make n 0 and ends = Array.make n 0 in
+  let flows = Array.make n Disasm.Fallthrough in
+  let k = ref 0 in
+  Disasm.iter dis (fun i ->
+      addrs.(!k) <- i.addr;
+      ends.(!k) <- i.addr + i.size;
+      flows.(!k) <- Disasm.flow_of i;
+      incr k);
+  let index = Slots.of_sorted addrs in
+  (* Leaders: the first insn, control-transfer targets, insns following a
+     control transfer, and any insn no other insn ends at (function entries
+     reached only via symbols, code after gaps). *)
+  let leader = Bytes.make n '\000' in
+  let mark a =
+    let k = Slots.find index a in
+    if k >= 0 then Bytes.set leader k '\001'
   in
-  let blocks_rev = build [] [] 0 insns in
-  let ordered = List.rev blocks_rev in
-  (* Validate successors: a direct successor that is not a known block start
-     becomes unknown (decode gap) — except the fallthrough of a syscall at
-     the end of the text, which is a program-exit boundary, not an unknown
-     continuation (treating it as unknown would make every register live at
-     the end of the program). *)
-  List.iter (fun b -> Hashtbl.replace by_addr b.b_addr b) ordered;
-  let ordered =
-    List.map
-      (fun b ->
-        let ends_in_syscall =
-          match List.rev b.b_insns with
-          | last :: _ -> (match Disasm.flow_of last with Disasm.Syscall -> true | _ -> false)
-          | [] -> false
-        in
-        let b_succs =
-          List.filter_map
-            (function
-              | Sblock a when not (Hashtbl.mem by_addr a) ->
-                  if ends_in_syscall then None else Some Sunknown
-              | (Sblock _ | Sunknown | Sreturn) as s -> Some s)
-            b.b_succs
-        in
-        { b with b_succs })
-      ordered
+  for k = 0 to n - 1 do
+    (match flows.(k) with
+    | Disasm.Branch t | Disasm.Jump t | Disasm.Call t -> mark t
+    | _ -> ());
+    if transfers flows.(k) then mark ends.(k);
+    if not (preceded addrs ends k (k - 1)) then Bytes.set leader k '\001'
+  done;
+  (* Blocks: maximal runs of contiguous insns, cut before a leader and
+     after a control transfer. *)
+  let starts = Array.make (n + 1) n and block_of = Array.make n 0 in
+  let nb = ref 0 in
+  for k = 0 to n - 1 do
+    if k = 0 || Bytes.get leader k = '\001' || transfers flows.(k - 1)
+       || ends.(k - 1) <> addrs.(k)
+    then begin
+      starts.(!nb) <- k;
+      incr nb
+    end;
+    block_of.(k) <- !nb - 1
+  done;
+  let nb = !nb in
+  starts.(nb) <- n;
+  let is_start a =
+    let k = Slots.find index a in
+    k >= 0 && starts.(block_of.(k)) = k
   in
-  Hashtbl.reset by_addr;
-  List.iter (fun b -> Hashtbl.replace by_addr b.b_addr b) ordered;
-  List.iter
-    (fun b ->
-      List.iter (fun (i : Disasm.insn) -> Hashtbl.replace containing i.addr b) b.b_insns)
-    ordered;
-  let predecessors = Hashtbl.create 1024 in
-  List.iter
+  (* A direct successor that is not a known block start becomes unknown
+     (decode gap) — except the fallthrough of a syscall at the end of the
+     text, which is a program-exit boundary, not an unknown continuation
+     (treating it as unknown would make every register live at the end of
+     the program). *)
+  let block b b_insns =
+    let last = starts.(b + 1) - 1 in
+    let fall = ends.(last) in
+    let direct a rest =
+      if is_start a then Sblock a :: rest
+      else match flows.(last) with Disasm.Syscall -> rest | _ -> Sunknown :: rest
+    in
+    let b_succs, b_call =
+      match flows.(last) with
+      | Disasm.Fallthrough | Disasm.Syscall | Disasm.Indirect_call -> (direct fall [], None)
+      | Disasm.Branch t -> (direct t (direct fall []), None)
+      | Disasm.Jump t -> (direct t [], None)
+      | Disasm.Call t -> (direct fall [], Some t)
+      | Disasm.Indirect_jump -> ([ Sunknown ], None)
+      | Disasm.Ret -> ([ Sreturn ], None)
+      | Disasm.Halt -> ([], None)
+    in
+    { b_addr = addrs.(starts.(b)); b_insns; b_succs; b_call }
+  in
+  let blocks = Array.make nb { b_addr = 0; b_insns = []; b_succs = []; b_call = None } in
+  let b = ref 0 and k = ref 0 and cur = ref [] in
+  Disasm.iter dis (fun i ->
+      cur := i :: !cur;
+      incr k;
+      if !k = starts.(!b + 1) then begin
+        blocks.(!b) <- block !b (List.rev !cur);
+        cur := [];
+        incr b
+      end);
+  let predecessors = Array.make nb [] in
+  Array.iter
     (fun b ->
       List.iter
         (function
           | Sblock a ->
-              let cur = Option.value ~default:[] (Hashtbl.find_opt predecessors a) in
-              Hashtbl.replace predecessors a (b.b_addr :: cur)
+              let s = block_of.(Slots.find index a) in
+              predecessors.(s) <- b.b_addr :: predecessors.(s)
           | Sunknown | Sreturn -> ())
         b.b_succs)
-    ordered;
-  { by_addr; ordered; containing; predecessors }
+    blocks;
+  { blocks; ordered = Array.to_list blocks; index; block_of; predecessors }
 
 let blocks t = t.ordered
-let block_at t addr = Hashtbl.find_opt t.by_addr addr
-let block_containing t addr = Hashtbl.find_opt t.containing addr
+
+(* Block index of the block starting exactly at [addr], or -1. *)
+let block_index t addr =
+  let k = Slots.find t.index addr in
+  if k < 0 then -1
+  else
+    let b = t.block_of.(k) in
+    if t.blocks.(b).b_addr = addr then b else -1
+
+let block_at t addr =
+  let b = block_index t addr in
+  if b < 0 then None else Some t.blocks.(b)
+
+let block_containing t addr =
+  let k = Slots.find t.index addr in
+  if k < 0 then None else Some t.blocks.(t.block_of.(k))
 
 let block_end b =
-  match List.rev b.b_insns with
-  | last :: _ -> last.Disasm.addr + last.Disasm.size
-  | [] -> b.b_addr
+  let rec last = function
+    | [ (i : Disasm.insn) ] -> i.addr + i.size
+    | _ :: rest -> last rest
+    | [] -> b.b_addr
+  in
+  last b.b_insns
 
-let preds t addr = Option.value ~default:[] (Hashtbl.find_opt t.predecessors addr)
+let preds t addr =
+  let b = block_index t addr in
+  if b < 0 then [] else t.predecessors.(b)
 
 let pp_dot fmt t =
   Format.fprintf fmt "digraph cfg {@.  node [shape=box, fontname=monospace];@.";

@@ -38,56 +38,103 @@ let flow_of { addr; inst; _ } =
   | Inst.Vmv_x_s _ | Inst.Vredsum _ | Inst.P_add16 _ | Inst.P_smaqa _ ->
       Fallthrough
 
-type t = {
-  insns : (int, insn) Hashtbl.t;
-  mutable sorted : insn list option;  (* memoized ascending order *)
+(* One slot per halfword of each code section: instructions are 2-byte
+   aligned, so a jump target that lands inside another instruction still
+   has a slot of its own and decodes independently. *)
+type section = {
+  base : int;
+  data : bytes;
+  slots : insn array;  (* [none] where nothing was discovered *)
 }
 
-let in_code (bin : Binfile.t) addr =
-  List.exists (fun s -> Binfile.in_section s addr) (Binfile.code_sections bin)
+type t = {
+  secs : section array;  (* ascending by address *)
+  mutable count : int;
+  mutable bytes : int;
+}
 
-let decode_at (bin : Binfile.t) addr =
-  let sec =
-    List.find_opt (fun s -> Binfile.in_section s addr) (Binfile.code_sections bin)
+(* The empty slot. Tested by its size, not physically, so a marshaled
+   copy of a [t] still reads correctly. *)
+let none = { addr = -1; inst = Inst.C_nop; size = 0 }
+let empty i = i.size = 0
+
+(* Index of the section holding [addr], or -1. Code sections are few, so a
+   scan beats anything cleverer. *)
+let section_of secs addr =
+  let rec go k =
+    if k = Array.length secs then -1
+    else
+      let s = secs.(k) in
+      if addr >= s.base && addr < s.base + Bytes.length s.data then k else go (k + 1)
   in
-  match sec with
-  | None -> None
-  | Some s ->
-      let off = addr - s.Binfile.sec_addr in
-      let len = Bytes.length s.Binfile.sec_data in
-      if off + 2 > len then None
-      else
-        let lo = Bytes.get_uint16_le s.Binfile.sec_data off in
-        let hi = if off + 4 <= len then Bytes.get_uint16_le s.Binfile.sec_data (off + 2) else 0 in
-        (match Decode.decode ~lo ~hi with
-        | Decode.Ok (inst, size) -> Some { addr; inst; size }
-        | Decode.Illegal _ -> None)
+  go 0
+
+(* The instruction starting at [addr], or [none]. Odd section offsets hold
+   no instruction. *)
+let slot t addr =
+  let k = section_of t.secs addr in
+  if k < 0 then none
+  else
+    let s = t.secs.(k) in
+    let off = addr - s.base in
+    if off land 1 <> 0 then none else s.slots.(off lsr 1)
+
+(* The instruction at offset [off] of the section, or [none]. *)
+let decode_at s off =
+  let len = Bytes.length s.data in
+  if off + 2 > len then none
+  else
+    let lo = Bytes.get_uint16_le s.data off in
+    let hi = if off + 4 <= len then Bytes.get_uint16_le s.data (off + 2) else 0 in
+    match Decode.decode ~lo ~hi with
+    | Decode.Ok (inst, size) -> { addr = s.base + off; inst; size }
+    | Decode.Illegal _ -> none
 
 let of_binfile_at (bin : Binfile.t) ~roots =
-  let t = { insns = Hashtbl.create 4096; sorted = None } in
-  let work = Queue.create () in
-  List.iter (fun r -> Queue.add r work) roots;
-  while not (Queue.is_empty work) do
-    let addr = Queue.pop work in
-    if (not (Hashtbl.mem t.insns addr)) && in_code bin addr then
-      match decode_at bin addr with
-      | None -> ()  (* unrecognized bytes: left to lazy runtime rewriting *)
-      | Some ins ->
-          Hashtbl.replace t.insns addr ins;
-          (match flow_of ins with
-          | Fallthrough | Syscall ->
-              Queue.add (addr + ins.size) work
-          | Branch target ->
-              Queue.add (addr + ins.size) work;
-              Queue.add target work
-          | Jump target -> Queue.add target work
-          | Call target ->
-              Queue.add (addr + ins.size) work;
-              Queue.add target work
-          | Indirect_call ->
-              (* the callee is unknown, but execution resumes here *)
-              Queue.add (addr + ins.size) work
-          | Indirect_jump | Ret | Halt -> ())
+  let secs =
+    Binfile.code_sections bin
+    |> List.map (fun (s : Binfile.section) ->
+           { base = s.sec_addr;
+             data = s.sec_data;
+             slots = Array.make ((Bytes.length s.sec_data + 1) / 2) none })
+    |> Array.of_list
+  in
+  let t = { secs; count = 0; bytes = 0 } in
+  let stack = ref (Array.make 256 0) and depth = ref 0 in
+  let push a =
+    if !depth = Array.length !stack then begin
+      let bigger = Array.make (2 * !depth) 0 in
+      Array.blit !stack 0 bigger 0 !depth;
+      stack := bigger
+    end;
+    !stack.(!depth) <- a;
+    incr depth
+  in
+  List.iter push roots;
+  while !depth > 0 do
+    decr depth;
+    let addr = !stack.(!depth) in
+    let k = section_of secs addr in
+    if k >= 0 then begin
+      let s = secs.(k) in
+      let off = addr - s.base in
+      if off land 1 = 0 && empty s.slots.(off lsr 1) then
+        let ins = decode_at s off in
+        (* unrecognized bytes are left to lazy runtime rewriting *)
+        if not (empty ins) then begin
+          s.slots.(off lsr 1) <- ins;
+          t.count <- t.count + 1;
+          t.bytes <- t.bytes + ins.size;
+          let next = addr + ins.size in
+          match flow_of ins with
+          | Fallthrough | Syscall | Indirect_call -> push next
+          | Branch target | Call target ->
+              push next;
+              push target
+          | Jump target -> push target
+          | Indirect_jump | Ret | Halt -> ()
+        end
+    end
   done;
   t
 
@@ -97,33 +144,32 @@ let of_binfile (bin : Binfile.t) =
   in
   of_binfile_at bin ~roots
 
-let find t addr = Hashtbl.find_opt t.insns addr
+let find t addr =
+  let i = slot t addr in
+  if empty i then None else Some i
 
+let iter t f =
+  Array.iter (fun s -> Array.iter (fun i -> if not (empty i) then f i) s.slots) t.secs
+
+(* built back to front, so no sort and no reversal *)
 let to_list t =
-  match t.sorted with
-  | Some l -> l
-  | None ->
-      let l =
-        Hashtbl.fold (fun _ i acc -> i :: acc) t.insns []
-        |> List.sort (fun a b -> compare a.addr b.addr)
-      in
-      t.sorted <- Some l;
-      l
+  let l = ref [] in
+  for k = Array.length t.secs - 1 downto 0 do
+    let slots = t.secs.(k).slots in
+    for j = Array.length slots - 1 downto 0 do
+      if not (empty slots.(j)) then l := slots.(j) :: !l
+    done
+  done;
+  !l
 
-let iter t f = List.iter f (to_list t)
-let count t = Hashtbl.length t.insns
-
-let covered_bytes t =
-  Hashtbl.fold (fun _ i acc -> acc + i.size) t.insns 0
+let count t = t.count
+let covered_bytes t = t.bytes
 
 let is_covered t addr =
-  Hashtbl.mem t.insns addr
-  || Hashtbl.mem t.insns (addr - 2)
-     && (match Hashtbl.find_opt t.insns (addr - 2) with
-        | Some i -> i.size = 4
-        | None -> false)
+  (not (empty (slot t addr))) || (slot t (addr - 2)).size = 4
 
 let next_insn t addr =
-  match find t addr with None -> None | Some i -> find t (addr + i.size)
+  let i = slot t addr in
+  if empty i then None else find t (addr + i.size)
 
 let pp_insn fmt i = Format.fprintf fmt "%08x: %a" i.addr Inst.pp i.inst

@@ -16,6 +16,8 @@ type fixup =
 
 type t = {
   buf : Buffer.t;
+  scratch : bytes;  (* one instruction's encoding; per buffer, so that
+                       buffers on different domains never share it *)
   labels : (string, int) Hashtbl.t;
   mutable fixups : (int * fixup) list;  (* offset, pending patch *)
   mutable exts : Ext.t;
@@ -23,6 +25,7 @@ type t = {
 
 let create () =
   { buf = Buffer.create 256;
+    scratch = Bytes.create 4;
     labels = Hashtbl.create 16;
     fixups = [];
     exts = Ext.base }
@@ -34,12 +37,10 @@ let note_ext t i =
   | Some e -> t.exts <- Ext.union t.exts (Ext.of_list [ e ])
   | None -> ()
 
-let scratch = Bytes.create 4
-
 let inst t i =
   note_ext t i;
-  let n = Encode.write scratch 0 i in
-  Buffer.add_subbytes t.buf scratch 0 n
+  let n = Encode.write t.scratch 0 i in
+  Buffer.add_subbytes t.buf t.scratch 0 n
 
 let insts t is = List.iter (inst t) is
 

@@ -32,9 +32,14 @@ let write ~path ~magic ~version v =
     Digest.bytes ctx
   in
   (* write to a temp file in the same directory and rename into place, so a
-     crash mid-write never leaves a half-written container under [path] *)
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
+     crash mid-write never leaves a half-written container under [path].
+     The temp name is unique to this writer: concurrent writers of one path
+     (two domains or processes storing the same cache key) each rename
+     their own complete file, and the last rename wins. *)
+  let tmp, oc =
+    Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o666
+      ~temp_dir:(Filename.dirname path) (Filename.basename path ^ ".") ".tmp"
+  in
   (try
      output_bytes oc head;
      output_bytes oc payload;

@@ -11,8 +11,10 @@
     corrupt binary file can be reported with a clear message. *)
 
 val write : path:string -> magic:string -> version:int -> 'a -> unit
-(** Marshal [v] and write the container atomically ([path ^ ".tmp"] then
-    rename). @raise Invalid_argument if [magic] is not exactly 8 bytes;
+(** Marshal [v] and write the container atomically: to a temp file unique
+    to this call, next to [path], then renamed over it. Concurrent writers
+    of one [path] never collide; the last rename wins.
+    @raise Invalid_argument if [magic] is not exactly 8 bytes;
     I/O errors propagate as [Sys_error]. *)
 
 val read : path:string -> magic:string -> version:int -> ('a, string) result

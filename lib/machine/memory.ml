@@ -325,12 +325,20 @@ let poke_u64 t addr v =
   poke_u32 t addr (Int64.to_int (Int64.logand v 0xFFFFFFFFL));
   poke_u32 t (addr + 4) (Int64.to_int (Int64.shift_right_logical v 32))
 
+(* Page-wise blits rather than byte loops: the per-byte path pays one page
+   lookup per byte, which whole-image consumers (loaders, patch
+   application, content digests, snapshot dumps) cannot afford. *)
 let poke_bytes t addr b =
-  Bytes.iteri (fun i c -> poke_u8 t (addr + i) (Char.code c)) b
+  let len = Bytes.length b in
+  let i = ref 0 in
+  while !i < len do
+    let a = addr + !i in
+    let off = page_offset a in
+    let n = min (len - !i) (page_size - off) in
+    Bytes.blit b !i (unchecked_page t a).data off n;
+    i := !i + n
+  done
 
-(* Page-wise blit rather than a byte loop: the per-byte path pays one page
-   lookup per byte, which whole-image consumers (content digests, snapshot
-   dumps) cannot afford. *)
 let peek_bytes t addr len =
   let out = Bytes.create len in
   let i = ref 0 in

@@ -207,6 +207,30 @@ if [ "$replicas" != "2" ] || [ "$retired_set" != "1" ]; then
 fi
 echo "ci: serve smoke passed ($admitted requests pooled, replicas identical, watchdog healthy)"
 
+# Deploy smoke: one traced pass of the benchmark's deploy workload (a cold
+# disassembly, CFG, liveness and CHBP rewrite, then a first run, for each
+# of the 26 Specgen profiles). The seed fixes the work, so the counts are
+# exact: a change to what the analysis discovers, what CHBP patches or
+# what the guests retire moves them.
+deploy_out=$(python3 perfbench/run.py --workload deploy --seed 1 --seconds 4 --trace 1 | tail -1)
+python3 - "$deploy_out" <<'PY'
+import json
+import sys
+
+result = json.loads(sys.argv[1])
+metrics = result["metrics"]
+want = {"analysis.insns": 891429, "rewriter.sites": 4211, "machine.retired": 4509070}
+bad = [f"{k} = {metrics[k]['value']} (want {v})"
+       for k, v in want.items() if metrics[k]["value"] != v]
+if result["correct"] is not True or result["failed"] != 0:
+    bad.append(f"correct = {result['correct']}, failed = {result['failed']}")
+if bad:
+    print("ci: deploy smoke failed: " + "; ".join(bad), file=sys.stderr)
+    sys.exit(1)
+print(f"ci: deploy smoke passed (analysis {metrics['analysis.busy_ms']['value']:.0f} ms, "
+      f"load {metrics['load.busy_ms']['value']:.0f} ms, counts exact)")
+PY
+
 # Perf-regression gate: diff a fresh full fig13 against the committed
 # reference run — with metrics enabled, so the gate also proves the
 # always-on registry costs no measurable wall time. retired must match

@@ -289,6 +289,200 @@ let test_regmask () =
   Alcotest.(check (list string)) "to_list" [ "t0"; "a0" ]
     (List.map Reg.name (Regmask.to_list m))
 
+(* --- golden equivalence ---------------------------------------------------
+
+   Digests of everything the analysis layer exposes — and of what CHBP
+   builds from it — for every Specgen profile at its fixed seed. Each
+   profile is analysed twice: from the disassembly roots the rewriter uses
+   (entry + symbols), and from those roots plus every 32-byte-aligned
+   address of every code section, which reaches the hidden functions and
+   starts decoding inside instructions. Any change to discovered
+   instructions, block boundaries, successor or predecessor order, or a
+   single liveness bit changes a digest. *)
+
+let sweep_roots (bin : Binfile.t) =
+  List.concat_map
+    (fun (s : Binfile.section) ->
+      List.init (Bytes.length s.sec_data / 32) (fun k -> s.sec_addr + (32 * k)))
+    (Binfile.code_sections bin)
+
+let hex_digest s = Digest.to_hex (Digest.string s)
+
+(* Digests of the disassembly, the CFG and the liveness, in that order. *)
+let analysis_digests buf dis =
+  let add fmt = Printf.bprintf buf fmt in
+  let take () =
+    let d = hex_digest (Buffer.contents buf) in
+    Buffer.clear buf;
+    d
+  in
+  let cfg = Cfg.of_disasm dis in
+  let live = Liveness.compute cfg in
+  add "insns %d bytes %d\n" (Disasm.count dis) (Disasm.covered_bytes dis);
+  Disasm.iter dis (fun (i : Disasm.insn) ->
+      add "%x %d %s\n" i.addr i.size (Inst.to_string i.inst));
+  let dis_d = take () in
+  let succ = function
+    | Cfg.Sblock a -> Printf.sprintf "b%x" a
+    | Cfg.Sunknown -> "?"
+    | Cfg.Sreturn -> "ret"
+  in
+  List.iter
+    (fun (b : Cfg.block) ->
+      add "%x-%x n%d [%s] call=%s preds=[%s]\n" b.b_addr (Cfg.block_end b)
+        (List.length b.b_insns)
+        (String.concat " " (List.map succ b.b_succs))
+        (match b.b_call with Some c -> Printf.sprintf "%x" c | None -> "-")
+        (String.concat " " (List.map (Printf.sprintf "%x") (Cfg.preds cfg b.b_addr)));
+      List.iter
+        (fun (i : Disasm.insn) ->
+          match Cfg.block_containing cfg i.addr with
+          | Some c when c.b_addr = b.b_addr -> ()
+          | _ -> add "containing %x wrong\n" i.addr)
+        b.b_insns)
+    (Cfg.blocks cfg);
+  let cfg_d = take () in
+  let regs rs = String.concat "," (List.map Reg.name rs) in
+  List.iter
+    (fun (b : Cfg.block) ->
+      add "out %x %x\n" b.b_addr (Liveness.live_out live b.b_addr);
+      List.iter
+        (fun (i : Disasm.insn) ->
+          add "%x in=%s dead=%s regs=[%s]\n" i.addr
+            (match Liveness.live_in_at live i.addr with
+            | Some m -> Printf.sprintf "%x" m
+            | None -> "-")
+            (match Liveness.dead_at live i.addr with Some r -> Reg.name r | None -> "-")
+            (regs (Liveness.dead_regs_at live i.addr)))
+        b.b_insns)
+    (Cfg.blocks cfg);
+  let live_d = take () in
+  (dis_d, cfg_d, live_d)
+
+let chbp_digest (bin : Binfile.t) =
+  let r = Chbp.rewrite bin in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (s : Binfile.section) ->
+      Printf.bprintf buf "%s %x %s\n" s.sec_name s.sec_addr
+        (Digest.to_hex (Digest.bytes s.sec_data)))
+    (Chbp.result r).Binfile.sections;
+  let s = Chbp.stats r in
+  Printf.bprintf buf "%d %d %d %d %d %d %d %d %d %d %d %d %d %d\n" s.source_insts
+    s.sites s.trap_entries s.odd_entry_traps s.batches s.exits s.exit_liveness
+    s.exit_shift s.exit_terminator s.exit_trap s.table_entries s.target_bytes
+    s.lazy_sites (Chbp.gp_value r);
+  hex_digest (Buffer.contents buf)
+
+(* [disasm; cfg; liveness; chbp] *)
+let profile_digests (pr : Specgen.profile) =
+  let bin = Specgen.build pr in
+  let buf = Buffer.create (1 lsl 20) in
+  let d1, c1, l1 = analysis_digests buf (Disasm.of_binfile bin) in
+  let roots =
+    (bin.Binfile.entry :: List.map (fun s -> s.Binfile.sym_addr) bin.Binfile.symbols)
+    @ sweep_roots bin
+  in
+  let d2, c2, l2 = analysis_digests buf (Disasm.of_binfile_at bin ~roots) in
+  [ hex_digest (d1 ^ d2); hex_digest (c1 ^ c2); hex_digest (l1 ^ l2); chbp_digest bin ]
+
+(* name, [disasm; cfg; liveness; chbp]. Captured from the hash-table
+   analysis that the dense one replaced, so a pass shows the two agree. *)
+let golden : (string * string list) list =
+  [ ("perlbench_r",
+     [ "ded1978138888dfa2db3f8446027348f"; "09327338287024cc6e83fcc42c5820d2";
+       "4fba517e4b8f888819cf7aefcc66e2b1"; "0ad3c1a354ae5d2ed381989c6d94b050" ]);
+    ("perlbench_s",
+     [ "55d1d1f8ad71c928a37ef2af3010dabf"; "a6b59944d7f3d445e01dd624bf923de6";
+       "de50505b32f9a420b2b76a9d00bbc4dc"; "55d9a916ba8e88f86c436ce620552c59" ]);
+    ("gcc_r",
+     [ "75c591094e2a02049c02e3bde6473b22"; "ac398a8b94a1aea4924b6b9450f97e28";
+       "4451100a0f0640f7a5a12218cc3331ea"; "4451caf7a3cd1bc119b70add5c82064b" ]);
+    ("gcc_s",
+     [ "bb7eb705021c817362c07107fb9dc5c0"; "569f0031df208b969d726e6ae3067434";
+       "4a005ace78a94512e5466a6f7a0a129f"; "dcb0e49e2fd7889d5ff7cdcf35556e6e" ]);
+    ("omnetpp_r",
+     [ "6220efbf6c38a5d32c61c3bd6bcc033d"; "0d4586c19653d372aa7b8936549e84a3";
+       "fddb285de9a3030a6e5ca04fdc57d211"; "70a2b530712407e89f9b82c7e1c7c7a8" ]);
+    ("omnetpp_s",
+     [ "ebe1d95ed8906c137e5b2c9722256ad1"; "fb48e03bd0fe7440ef780dc6f95177a0";
+       "07e60f92c902976105bd78cdd3e07fe3"; "bb09f6bde4e5f009edc80c851441a43e" ]);
+    ("xalancbmk_r",
+     [ "97f2e61e73e2eeafed0ee239b61323a2"; "adf3b7cd2b0acdff62bc92678ad3ba75";
+       "6d20fd94563bd310b4656860d059383a"; "a3bb5ade57b3a9e78201a0334bb3a6e6" ]);
+    ("xalancbmk_s",
+     [ "2cccda652e03351dedee2882a0d80202"; "7bb5af0424f494194d69bf9a36320c14";
+       "ce2f5e94a42bbba9d26276379ce27a91"; "04f99fe9a45f7a1b5affffc1497db926" ]);
+    ("cactuBSSN_r",
+     [ "e9a801e3228970ac5e7f178f7808a322"; "3f44f99f623d1f73ad48a44a6c42c62e";
+       "c2ab547f69e17cb72b632976dbddcefd"; "ad80c75180b38148d7d6359033e19439" ]);
+    ("cactuBSSN_s",
+     [ "2914fb8e10e3bf7a34a6ad9bb6560c18"; "7665a386d463ce00bdc3aebd54d1f273";
+       "a6ceb04ea486b7d7106965e6b0da01e6"; "1771d17d5b173aca1468d0ae50b8971e" ]);
+    ("parest_r",
+     [ "fb12c505bf367f21f86283a21abc9752"; "0d9a6c5812eeb883c032edede64d84df";
+       "4dce7493f830c88b82678b13b7a32e39"; "240d08f5d07b60df2293282e7f18966a" ]);
+    ("wrf_r",
+     [ "8904a88abe6a175d99231bb1d7321914"; "11015fca3064cc5faf3d8c581c54baab";
+       "17e8c036fd16782543244177951eb7ce"; "aacd36c01827edcfc9aae7e6c3127104" ]);
+    ("wrf_s",
+     [ "da34e7c86c4aac6056203f1d3960e3ff"; "71f7a82919535ada95483d46628f47e5";
+       "0500bea18f4e630a4c6cb722c305402a"; "7299791ff3337cd8c8efed01f384ca08" ]);
+    ("blender_r",
+     [ "6a5d0f58ebb6645fe1d3b932dff1bf5a"; "34dd31ba9aee38a806dc426f0f591074";
+       "d4005a20e653cc999c61595731734ac0"; "95de6bbce9c9dd76db08c5b9b9deecd3" ]);
+    ("cam4_r",
+     [ "47b8aba13f331b7f99484863ae3a96b6"; "4ccf4a70a11ebc96e6a2a230a5870623";
+       "6e99a24d8a5e81e0c73f48f596b7a3db"; "644d9a93878fc12c9474ce379362e788" ]);
+    ("cam4_s",
+     [ "80f27fda2362013cbae36d27a8398d96"; "ccba25ce610fad39a772f786205207fb";
+       "2d0899b2d7d0ddb06e2192422f41db43"; "d0d5af809c774d2e283926a447d418e0" ]);
+    ("imagick_r",
+     [ "c432fa8088201c1b1aab8c319c71fdd5"; "7524b81cc92c9e7cd8ddecfc2b9f495a";
+       "08f6e0d263334719a86f70e99251f2eb"; "bcf5c4be33649881bd2cf29252e71497" ]);
+    ("imagick_s",
+     [ "1dcb7adf9fc4a4b3c38d8dca3401b617"; "1b327fa6c3906478c98357b36b665673";
+       "67f269c3ddcc1915d6fcce99cf557c6c"; "71176a93e541652b00fdb1533a82cb53" ]);
+    ("pop2_s",
+     [ "3c79ce7ff0a4eb5373184d3bed6c9ea5"; "bb5ffaa48c88afdb13f7659eebfd319f";
+       "2bc756e8ef642121cb03a4e0bdb8f8f1"; "01440207920db1b020b13ed76aaf88d1" ]);
+    ("Git",
+     [ "bcfc3e33d7711967f884fd34f9edda17"; "d33ac2ef29f7be43a6f968b10bcd003c";
+       "ac205fab5bc1741a1cc602d57b2a4b9d"; "b665863b5da50faff8c4254b48269180" ]);
+    ("Vim",
+     [ "78c17ca60bb2ec0a3849ffc6f83b2efa"; "9ac38d2ce4707fb8955fd3728e9d99a2";
+       "46f0e26bdcb20f13be31098b65c996c6"; "f60ad9d46804f9e59215059991602d61" ]);
+    ("GIMP",
+     [ "d5faebecdcf1b59613be421b4fde8387"; "1aa32f18394df20f513a8d0f484a6d05";
+       "059c6c585a9dde4dff46df5deb918d44"; "609adf785cfc912fda7f912959fd7df7" ]);
+    ("CMake",
+     [ "0faa4b57a3e0cd38a0f4f6f27ec1a9a7"; "ae1312d72ceac30cb152f856b46087d7";
+       "624d7879f0983892d74845bb6a74b4b6"; "24045441b32b2bd166726d5057b78ca3" ]);
+    ("CTest",
+     [ "530674db41750b7102d25e1891ceb5af"; "e0879be3521955cfa579045cd1426f1f";
+       "e0f4d96fe3b09457f352abb684070084"; "6df6dcebcb98d2e3d02ddc08856f8ae8" ]);
+    ("Python",
+     [ "31192a5c76d8e95277e0fe7163965e7e"; "3f6ef4819128168328c0f70b87bb0029";
+       "c1ac6d99bcd50c9783c9765908866f53"; "1ddfc7be0c4a987019430a8392d98dc3" ]);
+    ("Libopenblas",
+     [ "2807e1d721e9663576f54f4fe7b75417"; "b4dea45802b0b605a33ef56ce7f19845";
+       "10615a198fe122404a8133218c9ebd5c"; "d42816fb08a1850e68b59fbf6c35ebdb" ]) ]
+
+let test_golden_equivalence () =
+  let mismatches =
+    List.concat_map
+      (fun (pr : Specgen.profile) ->
+        let got = profile_digests pr in
+        if Some got = List.assoc_opt pr.sp_name golden then []
+        else
+          [ Printf.sprintf "    (%S, [ %s ]);" pr.sp_name
+              (String.concat "; " (List.map (Printf.sprintf "%S") got)) ])
+      (Specgen.spec_profiles @ Specgen.realworld_profiles)
+  in
+  if mismatches <> [] then
+    Alcotest.failf "analysis digests differ from the golden table; got:\n%s"
+      (String.concat "\n" mismatches)
+
 let () =
   Alcotest.run "riscv_analysis"
     [ ("disasm",
@@ -312,4 +506,7 @@ let () =
       ("cfg-extra",
        [ Alcotest.test_case "splits at branch target" `Quick
            test_cfg_splits_at_branch_target;
-         Alcotest.test_case "dot rendering" `Quick test_cfg_dot_render ]) ]
+         Alcotest.test_case "dot rendering" `Quick test_cfg_dot_render ]);
+      ("golden",
+       [ Alcotest.test_case "every profile matches its digests" `Quick
+           test_golden_equivalence ]) ]

@@ -118,14 +118,47 @@ let prop_memory_roundtrip =
           Memory.store_u16 mem addr (Int64.to_int v land 0xFFFF);
           Memory.load_u16 mem addr = Int64.to_int v land 0xFFFF
       | 2 ->
-          Memory.store_u32 mem addr (Int64.to_int v land 0xFFFFFFFF);
-          Memory.load_u32 mem addr = Int64.to_int v land 0xFFFFFFFF
+          if off > 8188 then true
+          else begin
+            Memory.store_u32 mem addr (Int64.to_int v land 0xFFFFFFFF);
+            Memory.load_u32 mem addr = Int64.to_int v land 0xFFFFFFFF
+          end
       | _ ->
           if off > 8184 then true
           else begin
             Memory.store_u64 mem addr v;
             Int64.equal (Memory.load_u64 mem addr) v
           end)
+
+(* Page-wise [poke_bytes] must leave memory exactly as a byte-at-a-time
+   [poke_u8] loop does: same bytes around and inside the write, and the
+   same on-demand pages (unmapped ones appear with no access). The write
+   starts anywhere in five pages of which only the second is mapped, and
+   runs for up to three pages. *)
+let prop_poke_bytes_pagewise =
+  QCheck.Test.make ~name:"memory: poke_bytes = per-byte poke_u8 reference" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (off, s) -> Printf.sprintf "offset %d, %d bytes" off (String.length s))
+        Gen.(pair (int_range 0 (5 * 4096)) (string_size ~gen:char (int_range 0 (3 * 4096)))))
+    (fun (off, s) ->
+      let base = 0x10000 and span = 8 * 4096 in
+      let fresh () =
+        let mem = Memory.create () in
+        Memory.map mem ~addr:(base + 4096) ~len:4096 Memory.perm_rw;
+        for i = 0 to 4095 do
+          Memory.poke_u8 mem (base + 4096 + i) (i * 7)
+        done;
+        mem
+      in
+      let blit = fresh () and bytewise = fresh () in
+      let b = Bytes.of_string s in
+      Memory.poke_bytes blit (base + off) b;
+      Bytes.iteri (fun i c -> Memory.poke_u8 bytewise (base + off + i) (Char.code c)) b;
+      let perms mem = List.init (span / 4096) (fun k -> Memory.perm_at mem (base + (k * 4096))) in
+      Memory.mapped_ranges blit = Memory.mapped_ranges bytewise
+      && perms blit = perms bytewise
+      && Bytes.equal (Memory.peek_bytes blit base span) (Memory.peek_bytes bytewise base span))
 
 (* --- packed SIMD semantics vs reference model ------------------------------ *)
 
@@ -398,62 +431,140 @@ let prop_sched_work_conservation =
       && r.Sched.latency * (nb + ne) >= r.Sched.cpu_time
       && r.Sched.latency <= r.Sched.cpu_time)
 
+(* --- dense address index ------------------------------------------------------ *)
+
+(* [Slots] maps every indexed address to its position and everything else
+   to -1, whatever the gaps: small and large, even and odd. *)
+let prop_slots_index =
+  QCheck.Test.make ~name:"slots: find = position in the sorted array" ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 200) (oneofl [ 1; 2; 4; 6; 100; 5000; 70_000 ]))
+    (fun gaps ->
+      let next = ref 0x10000 in
+      (* List.map applies its function in order, so [addrs] ascends *)
+      let addrs =
+        Array.of_list
+          (List.map
+             (fun g ->
+               next := !next + g;
+               !next)
+             gaps)
+      in
+      let index = Slots.of_sorted addrs in
+      let is_member a = Array.exists (( = ) a) addrs in
+      let misses a = is_member a || Slots.find index a = -1 in
+      Array.for_all Fun.id (Array.mapi (fun k a -> Slots.find index a = k) addrs)
+      && Array.for_all (fun a -> misses (a - 1) && misses (a + 1) && misses (a + 2)) addrs
+      && misses 0)
+
 (* --- liveness soundness ------------------------------------------------------ *)
 
 (* Clobbering a register that liveness reports dead at a dynamically reached
    point must not change the program result. This validates both the
-   dataflow itself and the ABI conventions it assumes. *)
+   dataflow itself and the ABI conventions it assumes.
+
+   The oracle covers what liveness.mli promises: deadness under the ABI.
+   One Specgen block breaks the ABI on purpose — the driver block that
+   enters victim_fn mid-strip. It sets t0 to the scratch area, loads
+   victim_jt and calls through it ([jalr ra, 0(t6)]), passing t0 outside
+   the argument registers; that entry is what CHBP's fault recovery exists
+   for. Probes in that block are skipped. *)
+let enters_victim_mid_strip (b : Cfg.block) =
+  let rec last = function [ i ] -> Some i | _ :: rest -> last rest | [] -> None in
+  (match last b.b_insns with
+  | Some { Disasm.inst = Inst.Jalr (rd, rs1, 0); _ } ->
+      Reg.equal rd Reg.ra && Reg.equal rs1 Reg.t6
+  | _ -> false)
+  && List.exists
+       (fun (i : Disasm.insn) -> List.exists (Reg.equal Reg.t0) (Inst.defs i.inst))
+       b.b_insns
+
+type liveness_probe = {
+  probe : int;
+  clobbered : Reg.t list;
+  exit : int option;  (** [None]: never reached dynamically *)
+  block : Cfg.block option;
+}
+
+(* The baseline exit code and four probes drawn from the profile seed. *)
+let liveness_trial seed =
+  let bin = Specgen.build (small_profile seed) in
+  let dis = Disasm.of_binfile bin in
+  let cfg = Cfg.of_disasm dis in
+  let live = Liveness.compute cfg in
+  let run_with_clobber probe clobbered =
+    let mem = Loader.load bin in
+    let m = Machine.create ~mem ~isa:ext_isa () in
+    Loader.init_machine m bin;
+    (* step to the probe's first dynamic occurrence, then clobber *)
+    let steps = ref 0 in
+    let hit = ref false in
+    while (not !hit) && !steps < 300_000 do
+      if Machine.pc m = probe then hit := true
+      else begin
+        (match Machine.step m with Some _ -> steps := 300_000 | None -> ());
+        incr steps
+      end
+    done;
+    if not !hit then None
+    else begin
+      List.iter (fun r -> Machine.set_reg m r 0x5151515151515151L) clobbered;
+      match Machine.run ~fuel:50_000_000 m with
+      | Machine.Exited c -> Some c
+      | _ -> Some (-1)
+    end
+  in
+  let baseline =
+    let mem = Loader.load bin in
+    let m = Machine.create ~mem ~isa:ext_isa () in
+    Loader.init_machine m bin;
+    match Machine.run ~fuel:50_000_000 m with
+    | Machine.Exited c -> c
+    | _ -> -2
+  in
+  (* probe a handful of statically known instruction addresses *)
+  let rng = Random.State.make [| seed |] in
+  let insns = Array.of_list (Disasm.to_list dis) in
+  let probes =
+    List.init 4 (fun _ ->
+        let probe = insns.(Random.State.int rng (Array.length insns)).Disasm.addr in
+        let clobbered = Liveness.dead_regs_at live probe in
+        { probe; clobbered; exit = run_with_clobber probe clobbered;
+          block = Cfg.block_containing cfg probe })
+  in
+  (baseline, probes)
+
+let probe_holds baseline p =
+  match (p.exit, p.block) with
+  | None, _ -> true
+  | Some _, Some b when enters_victim_mid_strip b -> true
+  | Some c, _ -> c = baseline
+
+let print_liveness_trial seed =
+  let baseline, probes = liveness_trial seed in
+  let buf = Buffer.create 1024 in
+  Printf.bprintf buf "profile seed %d, baseline exit %d" seed baseline;
+  List.iter
+    (fun p ->
+      let holds = probe_holds baseline p in
+      Printf.bprintf buf "\n  probe 0x%x: clobbered [%s], exit %s%s" p.probe
+        (String.concat " " (List.map Reg.name p.clobbered))
+        (match p.exit with Some c -> string_of_int c | None -> "unreached")
+        (if holds then "" else ", FAILS in block:");
+      match p.block with
+      | Some b when not holds ->
+          List.iter
+            (fun i -> Buffer.add_string buf (Format.asprintf "\n      %a" Disasm.pp_insn i))
+            b.b_insns
+      | _ -> ())
+    probes;
+  Buffer.contents buf
+
 let prop_liveness_soundness =
   QCheck.Test.make ~name:"liveness: dead registers are really dead" ~count:12
-    QCheck.(make Gen.(int_bound 10_000))
+    QCheck.(make ~print:print_liveness_trial Gen.(int_bound 10_000))
     (fun seed ->
-      let bin = Specgen.build (small_profile seed) in
-      let dis = Disasm.of_binfile bin in
-      let cfg = Cfg.of_disasm dis in
-      let live = Liveness.compute cfg in
-      let run_with_clobber probe =
-        let mem = Loader.load bin in
-        let m = Machine.create ~mem ~isa:ext_isa () in
-        Loader.init_machine m bin;
-        (* step to the probe's first dynamic occurrence, then clobber *)
-        let steps = ref 0 in
-        let hit = ref false in
-        while (not !hit) && !steps < 300_000 do
-          if Machine.pc m = probe then hit := true
-          else begin
-            (match Machine.step m with Some _ -> steps := 300_000 | None -> ());
-            incr steps
-          end
-        done;
-        if not !hit then None
-        else begin
-          List.iter
-            (fun r -> Machine.set_reg m r 0x5151515151515151L)
-            (Liveness.dead_regs_at live probe);
-          match Machine.run ~fuel:50_000_000 m with
-          | Machine.Exited c -> Some c
-          | _ -> Some (-1)
-        end
-      in
-      let baseline =
-        let mem = Loader.load bin in
-        let m = Machine.create ~mem ~isa:ext_isa () in
-        Loader.init_machine m bin;
-        match Machine.run ~fuel:50_000_000 m with
-        | Machine.Exited c -> c
-        | _ -> -2
-      in
-      (* probe a handful of statically known instruction addresses *)
-      let rng = Random.State.make [| seed |] in
-      let insns = Array.of_list (Disasm.to_list dis) in
-      let ok = ref true in
-      for _ = 1 to 4 do
-        let probe = insns.(Random.State.int rng (Array.length insns)).Disasm.addr in
-        match run_with_clobber probe with
-        | None -> ()  (* never reached dynamically *)
-        | Some c -> if c <> baseline then ok := false
-      done;
-      !ok)
+      let baseline, probes = liveness_trial seed in
+      List.for_all (probe_holds baseline) probes)
 
 (* --- differential fuzzing ----------------------------------------------------- *)
 
@@ -786,12 +897,15 @@ let () =
        List.map QCheck_alcotest.to_alcotest
          [ prop_smile_next_target; prop_smile_write_decodes ]);
       ("codebuf", [ QCheck_alcotest.to_alcotest prop_codebuf_branch_web ]);
-      ("memory", [ QCheck_alcotest.to_alcotest prop_memory_roundtrip ]);
+      ("memory",
+       List.map QCheck_alcotest.to_alcotest
+         [ prop_memory_roundtrip; prop_poke_bytes_pagewise ]);
       ("packed-simd", [ QCheck_alcotest.to_alcotest prop_p_semantics ]);
       ("upgrade", [ QCheck_alcotest.to_alcotest prop_upgrade_equivalence ]);
       ("redirects",
        [ QCheck_alcotest.to_alcotest prop_redirects_land_in_executable_code ]);
       ("sched", [ QCheck_alcotest.to_alcotest prop_sched_work_conservation ]);
+      ("slots", [ QCheck_alcotest.to_alcotest prop_slots_index ]);
       ("liveness", [ QCheck_alcotest.to_alcotest prop_liveness_soundness ]);
       ("differential",
        List.map QCheck_alcotest.to_alcotest

@@ -747,6 +747,29 @@ let test_stats_shape () =
    + st.Chbp.exit_trap);
   Alcotest.(check bool) "target bytes recorded" true (st.Chbp.target_bytes > 0)
 
+(* --- concurrency ---------------------------------------------------------- *)
+
+(* Two rewrites running on two domains at once must produce exactly the
+   bytes the same rewrites produce one after the other: nothing the
+   assembler or CHBP encodes through may be shared between domains. *)
+let result_bytes ctx =
+  List.map
+    (fun (s : Binfile.section) -> (s.sec_name, s.sec_addr, Bytes.to_string s.sec_data))
+    (Chbp.result ctx).Binfile.sections
+
+let test_concurrent_rewrites_match_sequential () =
+  let bins = List.map (fun n -> Specgen.build (Specgen.find n)) [ "omnetpp_r"; "imagick_r" ] in
+  let rewrite bin = result_bytes (Chbp.rewrite bin) in
+  let expected = List.map rewrite bins in
+  for round = 1 to 20 do
+    let doms = List.map (fun bin -> Domain.spawn (fun () -> rewrite bin)) bins in
+    List.iter2
+      (fun d want ->
+        if Domain.join d <> want then
+          Alcotest.failf "round %d: a concurrent rewrite differs from the sequential one" round)
+      doms expected
+  done
+
 let () =
   Alcotest.run "chimera_rewriter"
     [ ("smile",
@@ -783,4 +806,7 @@ let () =
          Alcotest.test_case "lazy backward pair discovery" `Quick
            test_greg_lazy_backward_pair;
          Alcotest.test_case "compressed falls back to traps" `Quick
-           test_greg_mode_on_compressed_falls_back_to_traps ]) ]
+           test_greg_mode_on_compressed_falls_back_to_traps ]);
+      ("concurrency",
+       [ Alcotest.test_case "two-domain rewrites match sequential" `Quick
+           test_concurrent_rewrites_match_sequential ]) ]
