@@ -99,32 +99,16 @@ let digest_bin bin ~extra =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* ------------------------------------------------------------------ *)
-(* Hit/miss telemetry                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let g_hits = Atomic.make 0
-let g_misses = Atomic.make 0
-let g_stores = Atomic.make 0
-let g_dedups = Atomic.make 0
-let observed () = (Atomic.get g_hits, Atomic.get g_misses, Atomic.get g_stores)
-let observed_dedup () = Atomic.get g_dedups
-
-let reset_observed () =
-  Atomic.set g_hits 0;
-  Atomic.set g_misses 0;
-  Atomic.set g_stores 0;
-  Atomic.set g_dedups 0
-
-let file_size path = match Unix.stat path with
-  | { Unix.st_size; _ } -> st_size
-  | exception Unix.Unix_error _ -> 0
-
-(* ------------------------------------------------------------------ *)
 (* Generic framed artifacts                                            *)
 (* ------------------------------------------------------------------ *)
 
 let path_of c ~key ~kind = Filename.concat c.dir (key ^ "." ^ kind)
 
+let file_size path = match Unix.stat path with
+  | { Unix.st_size; _ } -> st_size
+  | exception Unix.Unix_error _ -> 0
+
+(* Hit/miss telemetry *)
 let m_loads = Metrics.counter ~help:"Cache loads served" "chimera_cache_loads_total"
 let m_stores = Metrics.counter ~help:"Cache artifacts stored" "chimera_cache_stores_total"
 
@@ -150,12 +134,9 @@ let m_dedups =
 let store_raw c ~key ~kind ~entries v =
   let path = path_of c ~key ~kind in
   match Container.read ~path ~magic ~version:schema_version with
-  | Ok _ ->
-      ignore (Atomic.fetch_and_add g_dedups 1);
-      if !Metrics.enabled then Metrics.incr m_dedups
+  | Ok _ -> if !Metrics.enabled then Metrics.incr m_dedups
   | Error _ ->
       Container.write ~path ~magic ~version:schema_version v;
-      ignore (Atomic.fetch_and_add g_stores 1);
       if !Metrics.enabled then begin
         Metrics.incr m_stores;
         Metrics.gauge_add m_entry_bytes (file_size path)
@@ -164,12 +145,10 @@ let store_raw c ~key ~kind ~entries v =
         Obs.emit (Obs.Cache_store { key; entries; bytes = file_size path })
 
 let hit ~key ~entries ~bytes =
-  ignore (Atomic.fetch_and_add g_hits 1);
   if !Metrics.enabled then Metrics.incr m_loads;
   if !Obs.enabled then Obs.emit (Obs.Cache_load { key; entries; bytes })
 
 let miss ~key ~reason =
-  ignore (Atomic.fetch_and_add g_misses 1);
   if !Metrics.enabled then Metrics.incr m_rejects;
   if !Obs.enabled then Obs.emit (Obs.Cache_reject { key; reason });
   Error reason

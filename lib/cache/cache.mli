@@ -58,20 +58,15 @@ val seed_plan : t -> key:string -> Machine.t -> (int, string) result
     reason (["miss"], ["truncated"], ["magic"], ["version"], ["checksum"],
     ["decode"], ["flags"], ["seed"]) and the caller proceeds cold. *)
 
-(** {1 Telemetry and maintenance} *)
+(** {1 Telemetry and maintenance}
 
-val observed : unit -> int * int * int
-(** Process-wide [(hits, misses, stores)] since the last reset. *)
-
-val observed_dedup : unit -> int
-(** Stores skipped because a valid entry already held the digest — the
-    concurrent-tenant duplicate-store path. Content addressing makes such
-    stores redundant (every writer serializes identical bytes), so the
-    cache validates the existing entry and skips the Marshal + tmp +
-    rename instead of re-writing it; counted here and in the
-    [chimera_cache_dedup_total] metric. Reset by {!reset_observed}. *)
-
-val reset_observed : unit -> unit
+    With {!Metrics.enabled}, hits, misses and stores count in the
+    [chimera_cache_loads_total], [chimera_cache_rejects_total] and
+    [chimera_cache_stores_total] metrics. A store that finds a valid entry
+    already holding its digest — the concurrent-tenant duplicate-store
+    path — is skipped instead of re-written (content addressing makes it
+    redundant: every writer serializes identical bytes) and counts in
+    [chimera_cache_dedup_total]. *)
 
 val stat : t -> int * int
 (** [(entries, bytes)] currently in the cache directory. *)

@@ -129,8 +129,8 @@ and t = {
   mutable ic_mega_d : int;  (** dispatches through megamorphic sites *)
   mutable tier_promotions : int;
   mutable recompiles : int;  (** profile-guided layout recompilations *)
-  (* per-translation IR pass statistics, flushed to process atomics once
-     per [run] like the other counters *)
+  (* per-translation IR pass statistics, flushed to the metrics registry
+     once per [run] like the other counters *)
   mutable ir_blocks : int;  (** translations that produced IR units *)
   mutable ir_units : int;  (** execution units emitted from IR runs *)
   mutable ir_folded : int;  (** ops folded to constants *)
@@ -145,10 +145,9 @@ and t = {
   mutable rec_on : bool;
       (** record translation skeletons into the view's [skels] table so the
           machine's translations can be exported as a persistable plan *)
-  mutable translate_s : float;  (** seconds spent translating (fresh
-                                    translations only, not plan replay),
-                                    flushed per run *)
-  mutable translations : int;  (** translation count behind [translate_s] *)
+  mutable translations : int;
+      (** fresh translations (plan replay excluded); their latency goes
+          straight to the [chimera_translate_ns] histogram *)
   mutable prof : Profile.t option;
       (** attached guest profiler; both engines account through it when set
           (picked up from [Profile.global] at creation) *)
@@ -179,12 +178,13 @@ let default_handlers =
              (Fault.Illegal_instruction { pc; reason = "unhandled check instruction" })))
   }
 
-(* Always-on metrics (lib/metrics). Counters are fed at the same flush
-   points that fold the per-machine mutables into the observed_* atomics
-   — never on the per-instruction path — so when metrics are enabled the
-   snapshot totals equal the machine's own counters by construction (the
-   bench driver cross-checks this at exit). Only the translate-latency
-   histogram records at its source, once per (cold) translation. *)
+(* Always-on metrics (lib/metrics), the process-wide store for every
+   engine count. Counters are fed from the per-machine mutables when
+   [flush_run_stats] folds them, once per [run] — never on the
+   per-instruction path — so snapshot totals equal the machine's own
+   counters by construction. Only the translate-latency histogram records
+   at its source, once per (cold) translation; its sum is the translation
+   time. *)
 let m_retired =
   Metrics.counter "chimera_retired_total"
     ~help:"Guest instructions retired inside Machine.run"
@@ -232,6 +232,35 @@ let m_translations =
 let m_translate_ns =
   Metrics.histogram "chimera_translate_ns"
     ~help:"Latency of one block translation in nanoseconds"
+
+(* IR pass statistics, one counter per [Tir] pass outcome *)
+let m_ir_blocks =
+  Metrics.counter "chimera_ir_blocks_total"
+    ~help:"Translations that produced IR execution units"
+
+let m_ir_units =
+  Metrics.counter "chimera_ir_units_total"
+    ~help:"Execution units emitted from IR runs"
+
+let m_ir_folded =
+  Metrics.counter "chimera_ir_folded_total"
+    ~help:"IR ops folded to translation-time constants"
+
+let m_ir_dead =
+  Metrics.counter "chimera_ir_dead_total"
+    ~help:"IR ops killed by dead-write elimination"
+
+let m_ir_pc_elided =
+  Metrics.counter "chimera_ir_pc_elided_total"
+    ~help:"IR ops emitted without a pc write"
+
+let m_ir_tlb_elided =
+  Metrics.counter "chimera_ir_tlb_elided_total"
+    ~help:"Paired IR accesses sharing one TLB check"
+
+let m_ir_cached =
+  Metrics.counter "chimera_ir_cached_total"
+    ~help:"IR operand reads served from translation-time constants"
 
 let m_faults_raised =
   Metrics.counter "chimera_faults_raised_total"
@@ -354,7 +383,6 @@ let create ?(vlen = 32) ?(costs = Costs.default) ~mem ~isa () =
     ir_cached = 0;
     ir_state = Tir.state_create ();
     rec_on = !record_default;
-    translate_s = 0.;
     translations = 0;
     prof = Profile.global () }
 
@@ -2097,10 +2125,10 @@ let translate_block ?(tier = 3) ?(relayout = []) t entry =
              tlb_elided = !tlb_elided;
              cached = stats.Tir.s_cached })
   end;
-  let dt = Unix.gettimeofday () -. t0 in
-  t.translate_s <- t.translate_s +. dt;
   t.translations <- t.translations + 1;
-  if !Metrics.enabled then Metrics.observe m_translate_ns (int_of_float (dt *. 1e9));
+  if !Metrics.enabled then
+    Metrics.observe m_translate_ns
+      (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
   b
 
 let publish_block t entry b =
@@ -2632,131 +2660,8 @@ let run_blocks ~handlers ~fuel t =
   done;
   match !result with Some s -> s | None -> Fuel_exhausted
 
-(* Process-wide count of instructions retired by completed [run] calls:
-   cheap (one atomic add per run, not per instruction), domain-safe, and
-   enough for the bench harness to report simulated MIPS. *)
-let observed = Atomic.make 0
-let observed_retired () = Atomic.get observed
-let reset_observed_retired () = Atomic.set observed 0
-
-(* Chain and dispatch counters follow the same pattern: plain mutable ints
-   on the hot path, folded into process-wide atomics once per [run]. *)
-let g_chain_hits = Atomic.make 0
-let g_dispatches = Atomic.make 0
-let observed_chain () = (Atomic.get g_chain_hits, Atomic.get g_dispatches)
-
-let reset_observed_chain () =
-  Atomic.set g_chain_hits 0;
-  Atomic.set g_dispatches 0
-
-let g_side_exits = Atomic.make 0
-let g_fused = Atomic.make 0
-let observed_superblock () = (Atomic.get g_side_exits, Atomic.get g_fused)
-
-let reset_observed_superblock () =
-  Atomic.set g_side_exits 0;
-  Atomic.set g_fused 0
-
-let g_ic_hits = Atomic.make 0
-let g_ic_misses = Atomic.make 0
-let g_ic_mega = Atomic.make 0
-
-let observed_ic () =
-  (Atomic.get g_ic_hits, Atomic.get g_ic_misses, Atomic.get g_ic_mega)
-
-let reset_observed_ic () =
-  Atomic.set g_ic_hits 0;
-  Atomic.set g_ic_misses 0;
-  Atomic.set g_ic_mega 0
-
-let g_tier_promotions = Atomic.make 0
-let g_recompiles = Atomic.make 0
-
-let observed_tiering () =
-  (Atomic.get g_tier_promotions, Atomic.get g_recompiles)
-
-let reset_observed_tiering () =
-  Atomic.set g_tier_promotions 0;
-  Atomic.set g_recompiles 0
-
-(* Translation wall time, accumulated per machine as a float and flushed to
-   a process atomic as integer nanoseconds (OCaml has no atomic floats).
-   Covers fresh translations only — plan replay ([seed_plan]) is charged to
-   the caller's cache-preparation accounting — so a bench row's
-   [translate_s] is exactly the translation work the cache did not serve. *)
-let g_translate_ns = Atomic.make 0
-let g_translations = Atomic.make 0
-
-let observed_translate () =
-  (float_of_int (Atomic.get g_translate_ns) *. 1e-9, Atomic.get g_translations)
-
-let reset_observed_translate () =
-  Atomic.set g_translate_ns 0;
-  Atomic.set g_translations 0
-
-(* Instructions retired outside [run] (MMView migration single-steps,
-   harness-driven catch-up): counted separately so the bench can report
-   MIPS over everything the simulator actually executed. *)
-let g_extra = Atomic.make 0
-let add_observed_extra n = ignore (Atomic.fetch_and_add g_extra n)
-let observed_extra () = Atomic.get g_extra
-let reset_observed_extra () = Atomic.set g_extra 0
-
-(* Block dispatches (and their side exits) that happened inside an
-   extra-counter window — MMView migration deferral, the bench's
-   measurement-phase absorption — are recorded here so the per-experiment
-   rate denominators (superblock length, side-exit rate) can be computed
-   over translated mainline code only. *)
-let g_extra_dispatches = Atomic.make 0
-let g_extra_side_exits = Atomic.make 0
-
-let add_observed_extra_window ~dispatches ~side_exits =
-  if dispatches <> 0 then ignore (Atomic.fetch_and_add g_extra_dispatches dispatches);
-  if side_exits <> 0 then ignore (Atomic.fetch_and_add g_extra_side_exits side_exits)
-
-let observed_extra_window () =
-  (Atomic.get g_extra_dispatches, Atomic.get g_extra_side_exits)
-
-let reset_observed_extra_window () =
-  Atomic.set g_extra_dispatches 0;
-  Atomic.set g_extra_side_exits 0
-
-type ir_stats = {
-  irs_blocks : int;
-  irs_units : int;
-  irs_folded : int;
-  irs_dead : int;
-  irs_pc_elided : int;
-  irs_tlb_elided : int;
-  irs_cached : int;
-}
-
-let g_ir_blocks = Atomic.make 0
-let g_ir_units = Atomic.make 0
-let g_ir_folded = Atomic.make 0
-let g_ir_dead = Atomic.make 0
-let g_ir_pc_elided = Atomic.make 0
-let g_ir_tlb_elided = Atomic.make 0
-let g_ir_cached = Atomic.make 0
-
-let observed_ir () =
-  { irs_blocks = Atomic.get g_ir_blocks;
-    irs_units = Atomic.get g_ir_units;
-    irs_folded = Atomic.get g_ir_folded;
-    irs_dead = Atomic.get g_ir_dead;
-    irs_pc_elided = Atomic.get g_ir_pc_elided;
-    irs_tlb_elided = Atomic.get g_ir_tlb_elided;
-    irs_cached = Atomic.get g_ir_cached }
-
-let reset_observed_ir () =
-  Atomic.set g_ir_blocks 0;
-  Atomic.set g_ir_units 0;
-  Atomic.set g_ir_folded 0;
-  Atomic.set g_ir_dead 0;
-  Atomic.set g_ir_pc_elided 0;
-  Atomic.set g_ir_tlb_elided 0;
-  Atomic.set g_ir_cached 0
-
+(* Fold the per-machine cells into the metrics registry and zero them:
+   once per [run], never on the per-instruction path. *)
 let flush_run_stats t =
   if !Metrics.enabled then begin
     Metrics.add m_dispatches t.tb_dispatches;
@@ -2768,68 +2673,32 @@ let flush_run_stats t =
     Metrics.add m_ic_mega t.ic_mega_d;
     Metrics.add m_tier_promotions t.tier_promotions;
     Metrics.add m_recompiles t.recompiles;
-    Metrics.add m_translations t.translations
+    Metrics.add m_translations t.translations;
+    Metrics.add m_ir_blocks t.ir_blocks;
+    Metrics.add m_ir_units t.ir_units;
+    Metrics.add m_ir_folded t.ir_folded;
+    Metrics.add m_ir_dead t.ir_dead;
+    Metrics.add m_ir_pc_elided t.ir_pc_elided;
+    Metrics.add m_ir_tlb_elided t.ir_tlb_elided;
+    Metrics.add m_ir_cached t.ir_cached
   end;
-  if t.chain_hits <> 0 then begin
-    ignore (Atomic.fetch_and_add g_chain_hits t.chain_hits);
-    t.chain_hits <- 0
-  end;
-  if t.tb_dispatches <> 0 then begin
-    ignore (Atomic.fetch_and_add g_dispatches t.tb_dispatches);
-    t.tb_dispatches <- 0
-  end;
-  if t.side_exits <> 0 then begin
-    ignore (Atomic.fetch_and_add g_side_exits t.side_exits);
-    t.side_exits <- 0
-  end;
-  if t.fused_pairs <> 0 then begin
-    ignore (Atomic.fetch_and_add g_fused t.fused_pairs);
-    t.fused_pairs <- 0
-  end;
-  if t.ic_hits <> 0 then begin
-    ignore (Atomic.fetch_and_add g_ic_hits t.ic_hits);
-    t.ic_hits <- 0
-  end;
-  if t.ic_misses <> 0 then begin
-    ignore (Atomic.fetch_and_add g_ic_misses t.ic_misses);
-    t.ic_misses <- 0
-  end;
-  if t.ic_mega_d <> 0 then begin
-    ignore (Atomic.fetch_and_add g_ic_mega t.ic_mega_d);
-    t.ic_mega_d <- 0
-  end;
-  if t.tier_promotions <> 0 then begin
-    ignore (Atomic.fetch_and_add g_tier_promotions t.tier_promotions);
-    t.tier_promotions <- 0
-  end;
-  if t.recompiles <> 0 then begin
-    ignore (Atomic.fetch_and_add g_recompiles t.recompiles);
-    t.recompiles <- 0
-  end;
-  if t.translations <> 0 then begin
-    ignore
-      (Atomic.fetch_and_add g_translate_ns
-         (int_of_float (t.translate_s *. 1e9)));
-    ignore (Atomic.fetch_and_add g_translations t.translations);
-    t.translate_s <- 0.;
-    t.translations <- 0
-  end;
-  if t.ir_blocks <> 0 then begin
-    ignore (Atomic.fetch_and_add g_ir_blocks t.ir_blocks);
-    ignore (Atomic.fetch_and_add g_ir_units t.ir_units);
-    ignore (Atomic.fetch_and_add g_ir_folded t.ir_folded);
-    ignore (Atomic.fetch_and_add g_ir_dead t.ir_dead);
-    ignore (Atomic.fetch_and_add g_ir_pc_elided t.ir_pc_elided);
-    ignore (Atomic.fetch_and_add g_ir_tlb_elided t.ir_tlb_elided);
-    ignore (Atomic.fetch_and_add g_ir_cached t.ir_cached);
-    t.ir_blocks <- 0;
-    t.ir_units <- 0;
-    t.ir_folded <- 0;
-    t.ir_dead <- 0;
-    t.ir_pc_elided <- 0;
-    t.ir_tlb_elided <- 0;
-    t.ir_cached <- 0
-  end;
+  t.tb_dispatches <- 0;
+  t.chain_hits <- 0;
+  t.side_exits <- 0;
+  t.fused_pairs <- 0;
+  t.ic_hits <- 0;
+  t.ic_misses <- 0;
+  t.ic_mega_d <- 0;
+  t.tier_promotions <- 0;
+  t.recompiles <- 0;
+  t.translations <- 0;
+  t.ir_blocks <- 0;
+  t.ir_units <- 0;
+  t.ir_folded <- 0;
+  t.ir_dead <- 0;
+  t.ir_pc_elided <- 0;
+  t.ir_tlb_elided <- 0;
+  t.ir_cached <- 0;
   List.iter (fun v -> Memory.flush_tlb_stats v.vmem) t.views
 
 let run ?(handlers = default_handlers) ~fuel t =
@@ -2838,7 +2707,6 @@ let run ?(handlers = default_handlers) ~fuel t =
     if t.block_engine then run_blocks ~handlers ~fuel t
     else run_step ~handlers ~fuel t
   in
-  ignore (Atomic.fetch_and_add observed (t.retired - r0));
   if !Metrics.enabled then Metrics.add m_retired (t.retired - r0);
   flush_run_stats t;
   s

@@ -127,7 +127,12 @@ val run : ?handlers:handlers -> fuel:int -> t -> stop
     are decoded once into arrays of closures ({!Tblock}) and executed
     whole between handler-visible events. Counters, faults and handler
     interactions are observably identical to the single-step path (the
-    differential property tests assert this). *)
+    differential property tests assert this).
+
+    With {!Metrics.enabled}, each completed run adds what it retired,
+    dispatched, translated and optimized to the process-wide [chimera_*]
+    counters (OBSERVABILITY.md lists them); take {!Metrics.Snapshot}
+    deltas around a workload to count it. *)
 
 val step : ?handlers:handlers -> t -> stop option
 (** Execute one instruction; [None] means it retired normally. Always uses
@@ -236,82 +241,6 @@ val profile : t -> Profile.t option
     [Fault_recovered]/[Trap_taken] to the enclosing block
     ([Profile.note_recovered]/[note_trap]). *)
 
-val observed_retired : unit -> int
-(** Process-wide total of instructions retired by completed {!run} calls
-    (one atomic add per run; domain-safe). The bench harness uses it to
-    report simulated MIPS. *)
-
-val reset_observed_retired : unit -> unit
-
-val observed_chain : unit -> int * int
-(** Process-wide [(chain hits, block dispatches)] accumulated by completed
-    {!run} calls — a chain hit is a dispatch that followed a direct link
-    instead of probing the block table. *)
-
-val reset_observed_chain : unit -> unit
-
-val observed_superblock : unit -> int * int
-(** Process-wide [(side exits, fused instructions)] accumulated by
-    completed {!run} calls — a side exit is a dispatch that left its block
-    through a taken inlined branch; fused instructions count instructions
-    beyond the first in multi-instruction execution units
-    (Σ (unit width − 1) over translated blocks). *)
-
-val reset_observed_superblock : unit -> unit
-
-val add_observed_extra : int -> unit
-(** Credit instructions retired outside {!run} (e.g. {!step} loops driven
-    by MMView migration) to the process-wide extra counter, so harnesses
-    can report throughput over everything the simulator executed. *)
-
-val observed_extra : unit -> int
-val reset_observed_extra : unit -> unit
-
-val add_observed_extra_window : dispatches:int -> side_exits:int -> unit
-(** Record block dispatches (and their side exits) that happened inside an
-    extra-counter window — MMView migration deferral, the bench's
-    measurement-phase absorption — so harnesses can subtract them from the
-    per-experiment rate denominators and report rates over translated
-    workload code only. *)
-
-val observed_extra_window : unit -> int * int
-(** Process-wide [(dispatches, side exits)] recorded via
-    {!add_observed_extra_window}. *)
-
-val reset_observed_extra_window : unit -> unit
-
-val observed_ic : unit -> int * int * int
-(** Process-wide [(hits, misses, megamorphic dispatches)] accumulated by
-    completed {!run} calls on machines with inline caches on: a hit followed
-    a cached epoch-valid link, a miss fell back to the block table and
-    retrained the site, and a megamorphic dispatch went through an
-    overflowed site that no longer caches (neither hit nor miss —
-    [ic_hit_rate] is hits / (hits + misses)). *)
-
-val reset_observed_ic : unit -> unit
-
-val observed_tiering : unit -> int * int
-(** Process-wide [(tier promotions, profile-guided recompiles)] accumulated
-    by completed {!run} calls on tiered machines. *)
-
-val reset_observed_tiering : unit -> unit
-
-type ir_stats = {
-  irs_blocks : int;  (** translations that produced IR units *)
-  irs_units : int;  (** execution units emitted from IR runs *)
-  irs_folded : int;  (** ops folded to translation-time constants *)
-  irs_dead : int;  (** ops killed by dead-write elimination *)
-  irs_pc_elided : int;  (** ops emitted without a pc write *)
-  irs_tlb_elided : int;  (** paired accesses sharing one TLB check *)
-  irs_cached : int;  (** operand reads served from known constants *)
-}
-
-val observed_ir : unit -> ir_stats
-(** Process-wide IR translation statistics accumulated by completed {!run}
-    calls (same flush discipline as the other observed counters). *)
-
-val reset_observed_ir : unit -> unit
-
 (** {1 Tier / inline-cache introspection}
 
     Snapshots of the current view's block table and inline-cache sites, for
@@ -389,12 +318,3 @@ val seed_plan : t -> plan -> (int, string) result
 
 val plan_stats : plan -> int * int
 (** [(blocks, decode entries)] in a plan — for cache telemetry. *)
-
-val observed_translate : unit -> float * int
-(** Process-wide [(seconds, translations)] spent on fresh translations,
-    accumulated by completed {!run} calls. Plan replay is deliberately
-    excluded — it is cache-preparation work, charged by the caller (the
-    bench's [warm_start_s]) — so a warm/cold [translate_s] ratio measures
-    exactly the translation work the cache avoided. *)
-
-val reset_observed_translate : unit -> unit

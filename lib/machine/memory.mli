@@ -121,11 +121,6 @@ val tlb_misses_live : t -> int
     enclosing translation block. *)
 
 val flush_tlb_stats : t -> unit
-(** Add this memory's hit/miss counts to the process-wide totals and zero
+(** Add this memory's hit/miss counts to the [chimera_tlb_hits_total] and
+    [chimera_tlb_misses_total] metrics (when {!Metrics.enabled}) and zero
     them ({!Machine.run} calls this once per run for each of its views). *)
-
-val observed_tlb : unit -> int * int
-(** Process-wide [(hits, misses)] accumulated by {!flush_tlb_stats}
-    (domain-safe; the bench harness reports the hit rate). *)
-
-val reset_observed_tlb : unit -> unit

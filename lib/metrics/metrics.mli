@@ -37,16 +37,16 @@ val enabled : bool ref
     {!enable}/{!disable} rather than setting it directly. *)
 
 val enable : unit -> unit
-(** Turn recording on. Does not clear accumulated values — call {!reset}
-    for a fresh window. *)
+(** Turn recording on. Does not clear accumulated values — count a window
+    as a {!Snapshot.delta} of two snapshots. *)
 
 val disable : unit -> unit
 
 val reset : unit -> unit
 (** Zero every shard of every metric. Call only between parallel sections
-    (no domain may be recording concurrently); the bench driver resets at
-    the same points it resets the machine's observed counters, which keeps
-    the snapshot totals equal to them. *)
+    (no domain may be recording concurrently). Prefer {!Snapshot.delta}
+    for counting a window: it leaves the process totals whole, so another
+    reader's windows and an end-of-run exposition stay correct. *)
 
 (** {1 Metric kinds} *)
 

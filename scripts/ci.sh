@@ -2,7 +2,28 @@
 # Tier-1 gate: build, full test suite, and a quick end-to-end benchmark run.
 cd "$(dirname "$0")/.."
 dune build
-dune runtest
+
+# Tier-1 suite, repeated: cross-domain races show up as intermittent
+# failures on multi-core machines, so one green run proves little. Stop at
+# the first red run and name it and its failing tests.
+runs=5
+runtest_log=$(mktemp /tmp/chimera-runtest-XXXXXX.log)
+run=1
+while [ "$run" -le "$runs" ]; do
+  if ! dune runtest --force >"$runtest_log" 2>&1; then
+    echo "ci: tier-1 run $run of $runs failed; failing tests:" >&2
+    if grep -qF '[FAIL]' "$runtest_log"; then
+      grep -F '[FAIL]' "$runtest_log" | sed 's/^[^[]*//; s/ *│ *$//' | sort -u >&2
+    else
+      tail -n 40 "$runtest_log" >&2
+    fi
+    rm -f "$runtest_log"
+    exit 1
+  fi
+  run=$((run + 1))
+done
+rm -f "$runtest_log"
+echo "ci: tier-1 suite passed $runs consecutive runs"
 
 # Documentation build (odoc is optional in the minimal toolchain image).
 if command -v odoc >/dev/null 2>&1; then
@@ -138,24 +159,24 @@ if ! awk "BEGIN { exit !($hit >= 0.95) }"; then
 fi
 echo "ci: cache gates passed (hit_rate=$hit, translate_s $cold_translate -> $warm_translate)"
 
-# Metrics smoke: a quick fig13 with the always-on metrics registry
-# exporting at exit. The driver already hard-checks the snapshot totals
-# against the machine counters (non-zero exit on divergence); re-assert
-# from the artifacts that the exposition is well-formed Prometheus text,
-# that the Prometheus and JSON views agree on retired, and that the
-# health watchdog found every rule healthy.
+# Metrics smoke: quick fig13 and fig14 with the metrics registry exporting
+# at exit. Every --json row is a snapshot delta over its experiment and the
+# exposition covers the whole run, so check from the artifacts that the
+# exposition is well-formed Prometheus text, that its retired total equals
+# the sum of the JSON rows' retired, and that the health watchdog found
+# every rule healthy.
 metrics_prom=$(mktemp /tmp/chimera-metrics-XXXXXX.prom)
 json_metrics=$(mktemp /tmp/chimera-metrics-XXXXXX.json)
 trap 'rm -rf "$json_super" "$json_untiered" "$json_noic" "$json_noir" "$json_block" "$json_step" "$json_full" "$trace" "$profdir" "$cachedir" "$json_cache" "$metrics_prom" "$json_metrics"' EXIT
-dune exec bench/main.exe -- fig13 -q --json "$json_metrics" --metrics "$metrics_prom"
+dune exec bench/main.exe -- fig13 fig14 -q --json "$json_metrics" --metrics "$metrics_prom"
 grep -q '^# TYPE chimera_retired_total counter$' "$metrics_prom"
 grep -q '^# TYPE chimera_translate_ns histogram$' "$metrics_prom"
 grep -q 'le="+Inf"' "$metrics_prom"
 retired_prom=$(grep '^chimera_retired_total ' "$metrics_prom" | grep -o '[0-9]*$')
-retired_json=$(grep -o '"retired": [0-9]*' "$json_metrics" | grep -o '[0-9]*')
+retired_json=$(grep -o '"retired": [0-9]*' "$json_metrics" | awk '{ s += $2 } END { print s }')
 test -n "$retired_prom" && test -n "$retired_json"
 if [ "$retired_prom" != "$retired_json" ]; then
-  echo "ci: metrics exposition disagrees with json: $retired_prom != $retired_json" >&2
+  echo "ci: metrics exposition disagrees with json: $retired_prom != sum of rows $retired_json" >&2
   exit 1
 fi
 if ! grep -q '^chimera_healthy 1$' "$metrics_prom"; then

@@ -1,6 +1,6 @@
 (* Golden tests for the IR translation passes (lib/machine/tir.ml): small
    deterministic programs whose architectural result AND pass statistics
-   (Machine.observed_ir) are both pinned. The differential property tests
+   (the chimera_ir_*_total metrics) are both pinned. The differential property tests
    prove the passes are invisible to guest semantics; these prove each pass
    actually fires on the pattern it exists for — a silent pass regression
    (e.g. a lowering change that stops runs from forming) would keep every
@@ -16,13 +16,32 @@ let build body =
   Asm.inst a Inst.Ecall;
   Asm.assemble a
 
+type ir_stats = {
+  units : int;
+  folded : int;
+  dead : int;
+  pc_elided : int;
+  tlb_elided : int;
+  cached : int;
+}
+
+(* Run [bin] once and read its IR pass statistics off a metrics delta. *)
 let run_collect bin =
-  Machine.reset_observed_ir ();
+  Metrics.enable ();
+  let snap0 = Metrics.Snapshot.take () in
   let mem = Loader.load bin in
   let m = Machine.create ~mem ~isa:base_isa () in
   Loader.init_machine m bin;
   let stop = Machine.run ~fuel:100_000 m in
-  (stop, Machine.observed_ir ())
+  let d = Metrics.Snapshot.delta ~cur:(Metrics.Snapshot.take ()) ~prev:snap0 in
+  let c what = Metrics.Snapshot.counter_value d ("chimera_ir_" ^ what ^ "_total") in
+  ( stop,
+    { units = c "units";
+      folded = c "folded";
+      dead = c "dead";
+      pc_elided = c "pc_elided";
+      tlb_elided = c "tlb_elided";
+      cached = c "cached" } )
 
 let exit_code = function
   | Machine.Exited c -> c
@@ -46,8 +65,8 @@ let test_const_fold () =
   (* 5 + 7 = 12; 12 xor 5 = 9; 9 + 1 = 10 *)
   Alcotest.(check int) "exit" 10 (exit_code stop);
   Alcotest.(check bool) "folded >= 4 (add, xor, addi, andi)" true
-    (ir.Machine.irs_folded >= 4);
-  Alcotest.(check bool) "cached operand reads" true (ir.Machine.irs_cached >= 4)
+    (ir.folded >= 4);
+  Alcotest.(check bool) "cached operand reads" true (ir.cached >= 4)
 
 (* Dead-write elimination: overwritten register writes inside one straight
    pure run never reach the register file. *)
@@ -62,7 +81,7 @@ let test_dead_writes () =
   let stop, ir = run_collect bin in
   Alcotest.(check int) "exit" 3 (exit_code stop);
   Alcotest.(check bool) "two overwritten writes killed" true
-    (ir.Machine.irs_dead >= 2)
+    (ir.dead >= 2)
 
 (* Pure runs are emitted as merged units with no per-instruction pc writes:
    the pc-elision counter covers the whole chain, and the unit count is far
@@ -79,11 +98,11 @@ let test_pc_elision () =
   let stop, ir = run_collect bin in
   Alcotest.(check int) "exit" 11 (exit_code stop);
   Alcotest.(check bool) "pure ops emitted without pc writes" true
-    (ir.Machine.irs_pc_elided >= 10);
+    (ir.pc_elided >= 10);
   Alcotest.(check bool)
-    (Printf.sprintf "merged into few units (got %d)" ir.Machine.irs_units)
+    (Printf.sprintf "merged into few units (got %d)" ir.units)
     true
-    (ir.Machine.irs_units <= 6)
+    (ir.units <= 6)
 
 (* TLB-check elision: adjacent 8-byte loads (and stores) off one base share
    a single translated check; the RMW triple collapses into one unit. *)
@@ -120,9 +139,9 @@ let test_tlb_elision () =
   (* t1 = 1, t2 = 2, t3 = 10 + 5; exit (1 + 2 + 15) land 255 = 18 *)
   Alcotest.(check int) "exit" 18 (exit_code stop);
   Alcotest.(check bool) "ld_pair + st_pair elide TLB checks" true
-    (ir.Machine.irs_tlb_elided >= 2);
+    (ir.tlb_elided >= 2);
   Alcotest.(check bool) "fusion reduced unit count" true
-    (ir.Machine.irs_units < 10)
+    (ir.units < 10)
 
 (* Cached constants must still be architecturally visible at a side exit: a
    taken inlined branch leaves the block after folded ops, and the folded
@@ -143,7 +162,7 @@ let test_fold_visible_at_side_exit () =
   let bin = Asm.assemble a in
   let stop, ir = run_collect bin in
   Alcotest.(check int) "exit sees folded value" 7 (exit_code stop);
-  Alcotest.(check bool) "the addi folded" true (ir.Machine.irs_folded >= 1)
+  Alcotest.(check bool) "the addi folded" true (ir.folded >= 1)
 
 let () =
   let tc = Alcotest.test_case in

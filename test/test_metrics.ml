@@ -4,6 +4,8 @@
    - recording sharded over 4 domains merges to the same snapshot as the
      same work on 1 domain — counters exactly, histograms bucket-wise
      (mirroring test_obs's counter-merge test);
+   - the engine's counters from real guests are the same whether the
+     guests run on 1 domain or on 2;
    - disabled recording is a no-op;
    - registry identity: same name returns the same metric, kind clashes
      and negative counter increments are rejected;
@@ -157,6 +159,98 @@ let test_parallel_merge () =
     "hist buckets bucket-wise equal"
     (Metrics.Snapshot.buckets hs)
     (Metrics.Snapshot.buckets hp)
+
+(* --- engine counters across domains ------------------------------------------------ *)
+
+(* The engine's own counters, fed at [Machine.run]'s flush point, must be
+   exact under -j N: a fixed set of guests run once sequentially and once
+   split over 2 domains must produce the same totals, and
+   chimera_retired_total must equal the guests' own retired counts. The
+   TLB counters are left out on purpose: the permission epoch is
+   process-global, so a [Memory.map] on one domain flushes the other
+   domain's TLB and the hit/miss split depends on the interleaving (the
+   bench's fig11 tlb_hit_rate reads 0.9994 or 0.9995 from run to run at
+   -j 2, and is stable at -j 1). *)
+let engine_counters =
+  List.map
+    (fun n -> "chimera_" ^ n ^ "_total")
+    [ "retired"; "dispatches"; "chain_hits"; "side_exits"; "fused"; "ic_hits";
+      "ic_misses"; "tier_promotions"; "recompiles"; "translations"; "ir_blocks";
+      "ir_units"; "ir_folded"; "ir_dead"; "ir_pc_elided"; "ir_tlb_elided";
+      "ir_cached" ]
+
+(* Each guest builds a fresh machine, and a runtime when it runs rewritten
+   code: native Programs kernels, and CHBP-downgraded Specgen binaries
+   under the Chimera runtime (trap and fault-recovery handlers, rewritten
+   code's paired accesses). *)
+let engine_guests () =
+  let native bin () =
+    let m = Machine.create ~mem:(Loader.load bin) ~isa:Ext.rv64gcv () in
+    Loader.init_machine m bin;
+    m
+  in
+  let rewritten name =
+    let bin = Specgen.build { (Specgen.find name) with Specgen.sp_rounds = 24 } in
+    fun () ->
+      (* a fresh rewrite per run: lazy rewriting extends the context *)
+      let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in
+      let rt = Chimera_rt.create ctx in
+      (Machine.create ~mem:(Chimera_rt.load rt) ~isa:Ext.rv64gc (), Some rt)
+  in
+  List.map (fun bin () -> (native bin (), None))
+    [ Programs.matmul `Ext ~n:10;
+      Programs.branchy ~rounds:20_000 ();
+      Programs.indirecty ~rounds:10_000 ();
+      Programs.fibonacci ~rounds:300 () ]
+  @ [ rewritten "omnetpp_r"; rewritten "imagick_r" ]
+
+(* Run one guest tiered with inline caches, in several [run] calls so the
+   flush point is crossed more than once; returns what it retired. *)
+let run_guest guest =
+  let m, rt = guest () in
+  Machine.set_tiered m true;
+  Machine.set_inline_caches m true;
+  let run1 () =
+    match rt with
+    | Some rt -> Chimera_rt.run rt ~fuel:200_000 m
+    | None -> Machine.run ~fuel:200_000 m
+  in
+  let rec go k =
+    match run1 () with Machine.Fuel_exhausted when k > 1 -> go (k - 1) | _ -> ()
+  in
+  go 20;
+  Machine.retired m
+
+let test_engine_counters () =
+  let guests = engine_guests () in
+  let measure run =
+    let snap0 = Metrics.Snapshot.take () in
+    let retired = run () in
+    (retired, Metrics.Snapshot.delta ~cur:(Metrics.Snapshot.take ()) ~prev:snap0)
+  in
+  let sum_runs bins = List.fold_left (fun a b -> a + run_guest b) 0 bins in
+  Metrics.enable ();
+  Fun.protect ~finally:Metrics.disable (fun () ->
+      let seq_retired, seq = measure (fun () -> sum_runs guests) in
+      let par_retired, par =
+        measure (fun () ->
+            let half k = List.filteri (fun i _ -> i mod 2 = k) guests in
+            let doms = List.init 2 (fun k -> Domain.spawn (fun () -> sum_runs (half k))) in
+            List.fold_left (fun a d -> a + Domain.join d) 0 doms)
+      in
+      Alcotest.(check int) "guests retire the same" seq_retired par_retired;
+      Alcotest.(check int) "chimera_retired_total = sum of Machine.retired"
+        seq_retired (Metrics.Snapshot.counter_value seq "chimera_retired_total");
+      List.iter
+        (fun name ->
+          let v = Metrics.Snapshot.counter_value seq name in
+          if v = 0 then
+            Alcotest.failf "%s never moved: the guests do not exercise it" name;
+          Alcotest.(check int)
+            (name ^ " equal across domains")
+            v
+            (Metrics.Snapshot.counter_value par name))
+        engine_counters)
 
 (* --- off is a no-op ------------------------------------------------------------- *)
 
@@ -358,7 +452,9 @@ let () =
             [ prop_index_in_own_bucket; prop_quantile_error_bounded ]);
       ("merge",
        [ Alcotest.test_case "-j 1 vs -j 4 snapshots identical" `Quick
-           test_parallel_merge ]);
+           test_parallel_merge;
+         Alcotest.test_case "engine counters exact over 2 domains" `Quick
+           test_engine_counters ]);
       ("registry",
        [ Alcotest.test_case "disabled recording is a no-op" `Quick
            test_disabled_noop;

@@ -265,13 +265,18 @@ let test_dedup () =
     Serve.execute ~cache ~isa:base_isa ~mode:Chbp.Downgrade ~tiered:false ~fuel
       bin
   in
-  let d0 = Cache.observed_dedup () in
+  let dedups () =
+    Metrics.Snapshot.counter_value (Metrics.Snapshot.take ())
+      "chimera_cache_dedup_total"
+  in
+  Metrics.enable ();
+  let d0 = dedups () in
   let _, r1, _, warm1 = run () in
-  let d1 = Cache.observed_dedup () in
+  let d1 = dedups () in
   Alcotest.(check bool) "first run is cold" false warm1;
   Alcotest.(check int) "fresh stores never dedup" d0 d1;
   let _, r2, _, warm2 = run () in
-  let d2 = Cache.observed_dedup () in
+  let d2 = dedups () in
   Alcotest.(check bool) "second run is warm" true warm2;
   Alcotest.(check bool) "identical re-store deduped" true (d2 > d1);
   Alcotest.(check int) "dedup changed nothing about execution" r1 r2
