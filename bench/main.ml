@@ -357,7 +357,7 @@ let write_json ?overhead file (stats : stat list) =
 (* Table 1: qualitative comparison                                     *)
 (* ------------------------------------------------------------------ *)
 
-let table1 _quick =
+let table1 _engine _quick =
   Report.table
     ~title:"Table 1: comparison of Chimera and related works (paper, qualitative)"
     ~header:[ "System"; "NeedSource"; "LowPorting"; "Correctness"; "HighPerf" ]
@@ -378,8 +378,8 @@ let table1 _quick =
 
 let shares quick = if quick then [ 0; 40; 80; 100 ] else [ 0; 20; 40; 60; 80; 100 ]
 
-let fig11_12 quick =
-  let t = timed "measuring task costs" (fun () -> Mixgen.costs ~run_all:Par.run_all ()) in
+let fig11_12 engine quick =
+  let t = timed "measuring task costs" (fun () -> Mixgen.costs ~engine ~run_all:Par.run_all ()) in
   Report.note
     (Printf.sprintf "task ratio ext-on-ext : base = 1 : %.2f (paper setup: 1 : 2)"
        (1. /. Mixgen.task_ratio t));
@@ -451,11 +451,6 @@ let fig11_12 quick =
 
 let cache : Cache.t option ref = ref None
 
-(* Engine-configuration tag baked into every cache key so entries made
-   under one --engine/--no-* combination never collide with another's;
-   the per-cell kind ("chbp", "native", ...) is appended on top. *)
-let cache_tag = ref ""
-
 (* Wall seconds spent preparing from the cache (digest + artifact load +
    plan seed, or rewrite-or-load), accumulated as atomic ns because fig13
    cells run on Par worker domains. This is the "start" cost: on a cold
@@ -475,17 +470,20 @@ let reset_cache_prep () = Atomic.set cache_prep_ns 0
    digest of the freshly loaded memory), export + store after it (store
    key = digest of the memory as the run left it — a self-modifying
    program stores under a key no pristine load ever computes, so its
-   entries are unreachable rather than wrong). *)
-let cache_hooks ~cell ~isa =
+   entries are unreachable rather than wrong). Every key folds in the
+   engine's tag and the cell's kind ("chbp", "native", ...), so entries
+   made under one engine never serve another. *)
+let cache_extra ~engine ~cell = Engine.tag engine ^ "|" ^ cell
+
+let cache_hooks ~engine ~cell ~isa =
   match !cache with
   | None -> (None, None)
   | Some c ->
-      let extra = !cache_tag ^ "|" ^ cell in
+      let extra = cache_extra ~engine ~cell in
       let before m =
         let t0 = Unix.gettimeofday () in
         let key = Cache.digest_mem (Machine.mem m) ~isa ~extra in
         (match Cache.seed_plan c ~key m with Ok _ -> () | Error _ -> ());
-        Machine.set_record m true;
         add_prep t0
       in
       let after m =
@@ -497,12 +495,12 @@ let cache_hooks ~cell ~isa =
 (* Rewrite-or-load: the rewrite context is addressed by the binary's code
    digest, so a cache hit replays every CHBP decision without running the
    rewriter. *)
-let rewrite_cached ~cell ~options bin =
+let rewrite_cached ~engine ~cell ~options bin =
   match !cache with
   | None -> Chbp.rewrite ~options bin
   | Some c ->
       let t0 = Unix.gettimeofday () in
-      let key = Cache.digest_bin bin ~extra:(!cache_tag ^ "|" ^ cell) in
+      let key = Cache.digest_bin bin ~extra:(cache_extra ~engine ~cell) in
       let ctx =
         match Cache.load_rewrite c ~key with
         | Ok ctx -> ctx
@@ -532,45 +530,45 @@ type row13 = {
   r_straw : int;
 }
 
-let empty_run pr =
+let empty_run engine pr =
   let bin = Specgen.build pr in
   (* every cell gets plan hooks under a distinct kind tag: the translation
      timer behind translate_s is process-global, so leaving any cell
      uncached would let its cold translations dominate the warm pass *)
   let native =
-    let before_run, after_run = cache_hooks ~cell:"native" ~isa:ext_isa in
-    Measure.native ?before_run ?after_run bin ~isa:ext_isa
+    let before_run, after_run = cache_hooks ~engine ~cell:"native" ~isa:ext_isa in
+    Measure.native ~engine ?before_run ?after_run bin ~isa:ext_isa
   in
   let expect = native.Measure.exit_code in
   let chbp =
-    let ctx = rewrite_cached ~cell:"chbp" ~options:(Chbp.default_options Chbp.Empty) bin in
-    let before_run, after_run = cache_hooks ~cell:"chbp" ~isa:ext_isa in
+    let ctx = rewrite_cached ~engine ~cell:"chbp" ~options:(Chbp.default_options Chbp.Empty) bin in
+    let before_run, after_run = cache_hooks ~engine ~cell:"chbp" ~isa:ext_isa in
     (Measure.check_exit ~expected:expect
-       (fst (Measure.chimera ?before_run ?after_run ctx ~isa:ext_isa)))
+       (fst (Measure.chimera ~engine ?before_run ?after_run ctx ~isa:ext_isa)))
       .Measure.cycles
   in
   let straw =
     let ctx =
-      rewrite_cached ~cell:"straw"
+      rewrite_cached ~engine ~cell:"straw"
         ~options:{ (Chbp.default_options Chbp.Empty) with style = `Trap } bin
     in
-    let before_run, after_run = cache_hooks ~cell:"straw" ~isa:ext_isa in
+    let before_run, after_run = cache_hooks ~engine ~cell:"straw" ~isa:ext_isa in
     (Measure.check_exit ~expected:expect
-       (fst (Measure.chimera ?before_run ?after_run ctx ~isa:ext_isa)))
+       (fst (Measure.chimera ~engine ?before_run ?after_run ctx ~isa:ext_isa)))
       .Measure.cycles
   in
   let safer =
     let rw = Safer.rewrite ~mode:Chbp.Empty bin in
-    let before_run, after_run = cache_hooks ~cell:"safer" ~isa:ext_isa in
+    let before_run, after_run = cache_hooks ~engine ~cell:"safer" ~isa:ext_isa in
     (Measure.check_exit ~expected:expect
-       (fst (Measure.safer ?before_run ?after_run rw ~isa:ext_isa)))
+       (fst (Measure.safer ~engine ?before_run ?after_run rw ~isa:ext_isa)))
       .Measure.cycles
   in
   let armore =
     let rw = Armore.rewrite ~jal_range:Specgen.armore_jal_range bin in
-    let before_run, after_run = cache_hooks ~cell:"armore" ~isa:ext_isa in
+    let before_run, after_run = cache_hooks ~engine ~cell:"armore" ~isa:ext_isa in
     (Measure.check_exit ~expected:expect
-       (fst (Measure.armore ?before_run ?after_run rw ~isa:ext_isa)))
+       (fst (Measure.armore ~engine ?before_run ?after_run rw ~isa:ext_isa)))
       .Measure.cycles
   in
   { r_name = pr.Specgen.sp_name; r_native = native.Measure.cycles; r_chbp = chbp;
@@ -580,7 +578,7 @@ let pct native v = 100. *. (float_of_int v /. float_of_int native -. 1.)
 
 let quick_names = [ "perlbench_r"; "gcc_r"; "omnetpp_r"; "cam4_r" ]
 
-let fig13 quick =
+let fig13 engine quick =
   let profiles =
     if quick then
       List.filter (fun p -> List.mem p.Specgen.sp_name quick_names) Specgen.spec_profiles
@@ -593,7 +591,7 @@ let fig13 quick =
       ~label:(fun pr -> pr.Specgen.sp_name)
       (fun pr ->
         let t0 = Unix.gettimeofday () in
-        let r = empty_run pr in
+        let r = empty_run engine pr in
         (r, Unix.gettimeofday () -. t0))
       profiles
   in
@@ -623,7 +621,7 @@ let fig13 quick =
   Report.note "paper: CHBP 5.3% avg / 9.6% worst; Safer 15.6% avg / 42.5% worst;";
   Report.note "paper: ARMore 171.5% avg; CHBP beats strawman patching by 60.2%."
 
-let table2 quick =
+let table2 engine quick =
   let profiles =
     (if quick then
        List.filter (fun p -> List.mem p.Specgen.sp_name quick_names) Specgen.spec_profiles
@@ -637,7 +635,7 @@ let table2 quick =
         let t0 = Unix.gettimeofday () in
         let row =
             let bin = Specgen.build pr in
-            let native = Measure.native bin ~isa:ext_isa in
+            let native = Measure.native ~engine bin ~isa:ext_isa in
             let expect = native.Measure.exit_code in
             let name = pr.Specgen.sp_name in
             let cell sys f =
@@ -654,7 +652,7 @@ let table2 quick =
                     let ctx =
                       Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin
                     in
-                    Measure.chimera ctx ~isa:base_isa)
+                    Measure.chimera ~engine ctx ~isa:base_isa)
               in
               c.Counters.faults_recovered + c.Counters.traps
             in
@@ -662,7 +660,7 @@ let table2 quick =
               let _, c =
                 cell "safer" (fun () ->
                     let rw = Safer.rewrite ~mode:Chbp.Downgrade bin in
-                    Measure.safer rw ~isa:base_isa)
+                    Measure.safer ~engine rw ~isa:base_isa)
               in
               c.Counters.checks
             in
@@ -670,7 +668,7 @@ let table2 quick =
               let run, c =
                 cell "armore" (fun () ->
                     let rw = Armore.rewrite ~jal_range:Specgen.armore_jal_range bin in
-                    Measure.armore rw ~isa:ext_isa)
+                    Measure.armore ~engine rw ~isa:ext_isa)
               in
               (* every indirect flow rebounds: cheap jal slots plus traps *)
               c.Counters.traps + run.Measure.indirect_retired
@@ -684,7 +682,7 @@ let table2 quick =
                           { (Chbp.default_options Chbp.Downgrade) with style = `Trap }
                         bin
                     in
-                    Measure.chimera ctx ~isa:base_isa)
+                    Measure.chimera ~engine ctx ~isa:base_isa)
               in
               c.Counters.traps
             in
@@ -737,7 +735,7 @@ let table2 quick =
            chbp_cells)
   end
 
-let table3 quick =
+let table3 _engine quick =
   let profiles =
     if quick then
       List.filter (fun p -> List.mem p.Specgen.sp_name quick_names) Specgen.spec_profiles
@@ -793,14 +791,14 @@ let table3 quick =
 (* Figure 14: real-world applications (OpenBLAS)                       *)
 (* ------------------------------------------------------------------ *)
 
-let fig14 quick =
+let fig14 engine quick =
   let threads = [ 2; 4; 6; 8 ] in
   let kernels = if quick then [ Blas.Dgemm; Blas.Sgemv ] else Blas.kernels in
   List.iter
     (fun k ->
       let s =
         timed (Blas.kernel_name k) (fun () ->
-            Blas.prepare ~run_all:Par.run_all k ~threads)
+            Blas.prepare ~engine ~run_all:Par.run_all k ~threads)
       in
       Report.series
         ~title:
@@ -819,7 +817,7 @@ let fig14 quick =
      let threads = [ 16; 24; 32; 40; 48; 56; 64 ] in
      let s =
        timed "sgemm scalability (SG2042)" (fun () ->
-           Blas.prepare ~n:128 ~run_all:Par.run_all Blas.Sgemm ~threads)
+           Blas.prepare ~engine ~n:128 ~run_all:Par.run_all Blas.Sgemm ~threads)
      in
      Report.series
        ~title:"Figure 14e: sgemm scalability on the 64-core box (vs FAM Ext at 16 threads)"
@@ -838,7 +836,7 @@ let fig14 quick =
 (* Ablations: the design choices DESIGN.md calls out                   *)
 (* ------------------------------------------------------------------ *)
 
-let ablation quick =
+let ablation engine quick =
   Report.heading "Ablations (CHBP design choices)";
   let profiles =
     List.filter
@@ -852,7 +850,7 @@ let ablation quick =
   in
   let run_down opts bin =
     let ctx = Chbp.rewrite ~options:opts bin in
-    let r, _ = Measure.chimera ctx ~isa:base_isa in
+    let r, _ = Measure.chimera ~engine ctx ~isa:base_isa in
     r.Measure.cycles
   in
   let d = Chbp.default_options Chbp.Downgrade in
@@ -889,7 +887,7 @@ let ablation quick =
   let greg_ctx =
     Chbp.rewrite ~options:{ d with use_gp = false; batch = false } nc_bin
   in
-  let greg_cycles = (fst (Measure.chimera greg_ctx ~isa:base_isa)).Measure.cycles in
+  let greg_cycles = (fst (Measure.chimera ~engine greg_ctx ~isa:base_isa)).Measure.cycles in
   let gst = Chbp.stats greg_ctx in
   Report.note
     (Printf.sprintf
@@ -905,7 +903,7 @@ let ablation quick =
      event-cost model alone cannot see. *)
   let icache_native bin =
     let mem = Loader.load bin in
-    let m = Machine.create ~mem ~isa:ext_isa () in
+    let m = Machine.create ~engine ~mem ~isa:ext_isa () in
     Machine.enable_icache m;
     Loader.init_machine m bin;
     match Machine.run ~fuel:50_000_000 m with
@@ -915,7 +913,7 @@ let ablation quick =
   let icache_chbp bin =
     let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Empty) bin in
     let rt = Chimera_rt.create ctx in
-    let m = Machine.create ~mem:(Chimera_rt.load rt) ~isa:ext_isa () in
+    let m = Machine.create ~engine ~mem:(Chimera_rt.load rt) ~isa:ext_isa () in
     Machine.enable_icache m;
     match Chimera_rt.run rt ~fuel:50_000_000 m with
     | Machine.Exited _ -> (Machine.cycles m, Machine.icache_misses m)
@@ -935,12 +933,12 @@ let ablation quick =
   let rows =
     List.map
       (fun (name, bin) ->
-        let native = (Measure.native bin ~isa:ext_isa).Measure.cycles in
+        let native = (Measure.native ~engine bin ~isa:ext_isa).Measure.cycles in
         let rw = Safer.rewrite ~mode:Chbp.Empty bin in
-        let safer = (fst (Measure.safer rw ~isa:ext_isa)).Measure.cycles in
+        let safer = (fst (Measure.safer ~engine rw ~isa:ext_isa)).Measure.cycles in
         let mv_rt = Multiverse.runtime rw in
         let mv =
-          let m = Machine.create ~mem:(Multiverse.load mv_rt) ~isa:Ext.all () in
+          let m = Machine.create ~engine ~mem:(Multiverse.load mv_rt) ~isa:Ext.all () in
           match Multiverse.run mv_rt ~fuel:100_000_000 m with
           | Machine.Exited _ -> Machine.cycles m
           | _ -> failwith "multiverse run failed"
@@ -959,7 +957,7 @@ let ablation quick =
 (* Bechamel micro-benchmarks                                           *)
 (* ------------------------------------------------------------------ *)
 
-let micro _quick =
+let micro engine _quick =
   Report.heading "Micro-benchmarks (Bechamel, monotonic clock)";
   let open Bechamel in
   let mm_bin = Programs.matmul ~name:"mm-micro" `Ext ~n:12 in
@@ -970,7 +968,7 @@ let micro _quick =
   in
   let interp_machine =
     let mem = Loader.load mm_bin in
-    Machine.create ~mem ~isa:ext_isa ()
+    Machine.create ~engine ~mem ~isa:ext_isa ()
   in
   (* branch-dense counterpart to interp-1k-insts: a tight loop with an
      unpredictable branch mix, so superblock dispatch pays its side-exit
@@ -978,7 +976,7 @@ let micro _quick =
   let branchy_bin = Programs.branchy ~name:"branchy-micro" ~rounds:1000 () in
   let branchy_machine =
     let mem = Loader.load branchy_bin in
-    Machine.create ~mem ~isa:ext_isa ()
+    Machine.create ~engine ~mem ~isa:ext_isa ()
   in
   let tests =
     [ Test.make ~name:"chbp-rewrite-matmul"
@@ -1082,7 +1080,7 @@ let micro _quick =
   restart_window ();
   let det bin =
     let mem = Loader.load bin in
-    let m = Machine.create ~mem ~isa:ext_isa () in
+    let m = Machine.create ~engine ~mem ~isa:ext_isa () in
     Loader.init_machine m bin;
     ignore (Machine.run ~fuel:2_000_000 m)
   in
@@ -1117,7 +1115,7 @@ let rec rm_rf path =
    isolation contract — scheduling, co-tenants and cache temperature must
    not leak into execution), and every request must reach a clean guest
    exit. Either failing exits nonzero. *)
-let serve_bench quick =
+let serve_bench _engine quick =
   Report.heading "Serve: multi-tenant rewrite-and-execute server";
   let jobs = max 1 !Par.jobs in
   let ext_workers = jobs / 2 in
@@ -1437,12 +1435,12 @@ let open_out_or_die f =
    empty patching) run unprofiled then profiled, outside every stat window.
    Recorded so the BENCH_PR*.json trajectory tracks the cost of keeping the
    profiler's dispatch-time hook cheap. *)
-let profiler_overhead () =
+let profiler_overhead engine =
   let bin = Specgen.build (Specgen.find "gcc_r") in
   let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Empty) bin in
   let run () =
     let t0 = Unix.gettimeofday () in
-    ignore (Measure.chimera ctx ~isa:ext_isa);
+    ignore (Measure.chimera ~engine ctx ~isa:ext_isa);
     Unix.gettimeofday () -. t0
   in
   (* best-of-5 each way, after a warm-up run: the cell is short enough that
@@ -1489,19 +1487,29 @@ let check_gc_budget ~minor_words0 ~retired =
     end
   end
 
+(* The bench's default engine is the full adaptive pipeline: tiered
+   promotion with profile-guided recompilation plus indirect-jump inline
+   caches. *)
+let full_engine = Engine.Super { ir = true; tiered = true; ic = true; record = false }
+
+(* One [Engine.t] from the command line. The --no-* flags ablate parts of
+   the superblock engine only; with --engine block or step they would
+   change nothing (and there is no IR-less block engine), so they are
+   rejected rather than silently ignored. [record] is on under --cache so
+   every run can export its translations. *)
+let engine_of_flags engine ~no_ir ~no_tier ~no_ic ~record =
+  match engine with
+  | `Super -> Engine.Super { ir = not no_ir; tiered = not no_tier; ic = not no_ic; record }
+  | `Block | `Step when no_ir || no_tier || no_ic ->
+      Printf.eprintf "--no-ir, --no-tier and --no-ic apply to --engine super only\n";
+      exit 2
+  | `Block -> Engine.Block { record }
+  | `Step -> Engine.Step
+
 let main names quick jobs engine no_ir no_tier no_ic json_file trace_file
     chrome_file profile_dir compare_file wall_tol cache_dir metrics_file
     serve_flag =
-  (match engine with
-  | `Super ->
-      (* the full adaptive pipeline is the default engine: tiered
-         promotion with profile-guided recompilation plus indirect-jump
-         inline caches; --no-tier / --no-ic ablate them individually *)
-      Machine.set_tiered_default (not no_tier);
-      Machine.set_inline_caches_default (not no_ic)
-  | `Block -> Machine.set_superblocks_default false
-  | `Step -> Machine.set_block_engine_default false);
-  if no_ir then Machine.set_ir_default false;
+  let engine = engine_of_flags engine ~no_ir ~no_tier ~no_ic ~record:(cache_dir <> None) in
   Par.jobs := (if jobs = 0 then Domain.recommended_domain_count () else max 1 jobs);
   (* fail on unwritable output paths before the run, not after *)
   let check_writable = function
@@ -1536,12 +1544,7 @@ let main names quick jobs engine no_ir no_tier no_ic json_file trace_file
         Printf.eprintf "--cache and --profile are mutually exclusive\n";
         exit 2
       end;
-      cache := Some (Cache.open_dir d);
-      cache_tag :=
-        Printf.sprintf "eng=%s;ir=%b;tier=%b;ic=%b"
-          (match engine with `Super -> "super" | `Block -> "block" | `Step -> "step")
-          (not no_ir) (not no_tier) (not no_ic);
-      Machine.set_record_default true);
+      cache := Some (Cache.open_dir d));
   let trace_oc =
     match trace_file with
     | None -> None
@@ -1605,7 +1608,7 @@ let main names quick jobs engine no_ir no_tier no_ic json_file trace_file
           window := s0;
           window_extra := 0;
           let w0 = Unix.gettimeofday () in
-          traced_phase label (fun () -> (List.assoc n experiments) quick);
+          traced_phase label (fun () -> (List.assoc n experiments) engine quick);
           let wall = Unix.gettimeofday () -. w0 in
           let now = Metrics.Snapshot.take () in
           ( wall,
@@ -1693,7 +1696,7 @@ let main names quick jobs engine no_ir no_tier no_ic json_file trace_file
   let run_snap = Metrics.Snapshot.take () in
   let overhead =
     match (json_file, profile_dir) with
-    | Some _, Some _ -> Some (profiler_overhead ())
+    | Some _, Some _ -> Some (profiler_overhead engine)
     | _ -> None
   in
   Option.iter (fun f -> write_json ?overhead f (List.rev !stats)) json_file;
@@ -1778,10 +1781,10 @@ let main names quick jobs engine no_ir no_tier no_ic json_file trace_file
      design (~32 words/inst), [--no-ir] reintroduces the boxed-Int64
      arithmetic the IR exists to kill, and the tiering/IC ablations sit
      right at the limit (uncached indirect dispatch allocates a little per
-     call), so only the default configuration is checked. *)
+     call), so only the default configuration is checked ([full_engine]
+     does not record, which rules out [--cache]). *)
   if
-    !Par.jobs = 1 && trace_file = None && !cache = None && engine = `Super
-    && (not no_ir) && (not no_tier) && not no_ic
+    !Par.jobs = 1 && trace_file = None && engine = full_engine
     (* serve is excluded like --cache: plan serialization and worker-domain
        retires decouple this domain's allocation from the reported totals *)
     && not (List.exists (fun s -> s.st_serve <> None) !stats)
@@ -1820,10 +1823,12 @@ let engine_arg =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Execution engine for every machine the benchmarks create: \
-           $(b,super) (default; superblock translation with inlined branches \
-           and the linear-IR pipeline), $(b,block) (straight-line translation blocks \
-           with direct chaining) or $(b,step) (reference single-step path). \
-           Simulated counters are identical for all three — CI compares them.")
+           $(b,super) (default; tiered superblock translation with inlined \
+           branches, the linear-IR pipeline and inline caches), $(b,block) \
+           (straight-line translation blocks with direct chaining) or \
+           $(b,step) (reference single-step path). Simulated counters are \
+           identical for all three — CI compares them. The $(b,--no-*) \
+           ablations apply to $(b,super) only and are rejected otherwise.")
 
 let no_ir_arg =
   Arg.(
@@ -1831,7 +1836,7 @@ let no_ir_arg =
     & info [ "no-ir" ]
         ~doc:
           "Disable the linear-IR translation pipeline for every machine the \
-           benchmarks create: each instruction compiles to its direct legacy \
+           benchmarks create ($(b,super) engine only): each instruction compiles to its direct legacy \
            closure with no constant folding, dead-write elimination or \
            memory-pattern fusion. Ablation knob — simulated counters are \
            identical either way, so the wall-clock delta against a default \
@@ -1843,7 +1848,7 @@ let no_tier_arg =
     & info [ "no-tier" ]
         ~doc:
           "Disable tiered execution for every machine the benchmarks create \
-           (only meaningful with the default $(b,super) engine): code is \
+           ($(b,super) engine only): code is \
            translated at the top tier on first execution, with no \
            interpreted warm-up, hotness-driven promotion or profile-guided \
            relayout recompiles. Ablation knob — simulated counters are \
@@ -1855,7 +1860,7 @@ let no_ic_arg =
     & info [ "no-ic" ]
         ~doc:
           "Disable the per-site inline caches for register-indirect jumps \
-           (only meaningful with the default $(b,super) engine): every \
+           ($(b,super) engine only): every \
            $(b,jalr)/$(b,c.jr)/$(b,c.jalr) dispatch probes the per-view \
            block table. Ablation knob — simulated counters are identical \
            either way.")

@@ -134,10 +134,7 @@ let trace_steps m handlers n fuel =
 
 let cmd_run file isa fuel plain show_counters steps trace_file profile_file tiered =
   let bin = Binfile.load_file file in
-  if tiered then begin
-    Machine.set_tiered_default true;
-    Machine.set_inline_caches_default true
-  end;
+  let engine = Serve.engine ~tiered ~record:false in
   let prof =
     match profile_file with
     | None -> None
@@ -162,7 +159,7 @@ let cmd_run file isa fuel plain show_counters steps trace_file profile_file tier
   let stop, m, counters =
     if plain then begin
       let mem = Loader.load bin in
-      let m = Machine.create ~mem ~isa () in
+      let m = Machine.create ~engine ~mem ~isa () in
       Loader.init_machine m bin;
       let stop =
         if steps > 0 then trace_steps m Machine.default_handlers steps fuel
@@ -173,14 +170,14 @@ let cmd_run file isa fuel plain show_counters steps trace_file profile_file tier
     else if steps > 0 then begin
       let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in
       let rt = Chimera_rt.create ctx in
-      let m = Machine.create ~mem:(Chimera_rt.load rt) ~isa () in
+      let m = Machine.create ~engine ~mem:(Chimera_rt.load rt) ~isa () in
       Loader.init_machine m (Chimera_rt.rewritten rt);
       let stop = trace_steps m (Chimera_rt.handlers rt) steps fuel in
       (stop, m, Some (Chimera_rt.counters rt))
     end
     else
       let dep = Chimera_system.deploy bin ~cores:[ isa ] in
-      let stop, m = Chimera_system.run dep ~isa ~fuel in
+      let stop, m = Chimera_system.run ~engine dep ~isa ~fuel in
       (stop, m, Some (Chimera_system.counters dep))
   in
   (* append the profiler's tb_profile rows to the trace so the offline
@@ -300,15 +297,14 @@ let cmd_profile trace bin_file top out =
    what the ring overwrote. *)
 let cmd_metrics file isa fuel tiered fmt out capture =
   let bin = Binfile.load_file file in
-  if tiered then begin
-    Machine.set_tiered_default true;
-    Machine.set_inline_caches_default true
-  end;
   Metrics.enable ();
   if capture > 0 then Obs.enable_memory ~capacity:capture ();
   let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in
   let rt = Chimera_rt.create ctx in
-  let m = Machine.create ~mem:(Chimera_rt.load rt) ~isa () in
+  let m =
+    Machine.create ~engine:(Serve.engine ~tiered ~record:false)
+      ~mem:(Chimera_rt.load rt) ~isa ()
+  in
   let stop = Chimera_rt.run rt ~fuel m in
   let snap = Metrics.Snapshot.take () in
   let health =
@@ -388,12 +384,8 @@ let cmd_cache_prewarm dir file isa fuel mode tiered =
         Printf.eprintf "unknown mode %s (downgrade, upgrade, empty)\n" m;
         exit 2
   in
-  if tiered then begin
-    Machine.set_tiered_default true;
-    Machine.set_inline_caches_default true
-  end;
-  Machine.set_record_default true;
-  let extra = Printf.sprintf "cli;mode=%s;tiered=%b" mode_name tiered in
+  let engine = Serve.engine ~tiered ~record:true in
+  let extra = Printf.sprintf "cli;mode=%s;%s" mode_name (Engine.tag engine) in
   let ctx =
     let key = Cache.digest_bin bin ~extra in
     match Cache.load_rewrite c ~key with
@@ -404,7 +396,7 @@ let cmd_cache_prewarm dir file isa fuel mode tiered =
         ctx
   in
   let rt = Chimera_rt.create ctx in
-  let m = Machine.create ~mem:(Chimera_rt.load rt) ~isa () in
+  let m = Machine.create ~engine ~mem:(Chimera_rt.load rt) ~isa () in
   (match Cache.seed_plan c ~key:(Cache.digest_mem (Machine.mem m) ~isa ~extra) m with
   | Ok n -> Format.printf "already warm: seeded %d blocks@." n
   | Error reason -> Format.printf "cold start (%s)@." reason);

@@ -42,15 +42,17 @@ let binary_for t cls =
   | Native -> t.orig
   | Rewritten rt -> Chimera_rt.rewritten rt
 
-let run t ~isa ~fuel =
+let run ?engine t ~isa ~fuel =
   match prepared_for t isa with
   | Native ->
       let mem = Loader.load t.orig in
-      let m = Machine.create ~costs:t.costs ~mem ~isa () in
+      let m = Machine.create ?engine ~costs:t.costs ~mem ~isa () in
       Loader.init_machine m t.orig;
       (Machine.run ~fuel m, m)
   | Rewritten rt ->
-      let m = Machine.create ~costs:t.costs ~mem:(Chimera_rt.load rt) ~isa () in
+      let m =
+        Machine.create ?engine ~costs:t.costs ~mem:(Chimera_rt.load rt) ~isa ()
+      in
       (Chimera_rt.run rt ~fuel m, m)
 
 let counters t =

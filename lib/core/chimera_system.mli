@@ -33,9 +33,10 @@ val prepared_for : t -> Ext.t -> prepared
 
 val binary_for : t -> Ext.t -> Binfile.t
 
-val run : t -> isa:Ext.t -> fuel:int -> Machine.stop * Machine.t
+val run : ?engine:Engine.t -> t -> isa:Ext.t -> fuel:int -> Machine.stop * Machine.t
 (** Load the class's binary into a fresh address space and execute it on a
-    hart with the given capabilities, under the class's runtime handlers. *)
+    hart with the given capabilities, under the class's runtime handlers,
+    on [engine] (default {!Engine.default}). *)
 
 val counters : t -> Counters.t
 (** Accumulated runtime-mechanism events across all classes. *)

@@ -76,7 +76,7 @@ let build_view ~costs ~share_from dep cls =
           else None)
         bin.Binfile.sections }
 
-let create ?(costs = Costs.default) dep =
+let create ?engine ?(costs = Costs.default) dep =
   match Chimera_system.classes dep with
   | [] -> invalid_arg "Mmview.create: no core classes"
   | first :: rest ->
@@ -90,7 +90,7 @@ let create ?(costs = Costs.default) dep =
                  dep cls)
              rest
       in
-      let m = Machine.create ~costs ~mem:v0.v_mem ~isa:first () in
+      let m = Machine.create ?engine ~costs ~mem:v0.v_mem ~isa:first () in
       { dep; views; m; cur = v0; migrations = 0 }
 
 let machine t = t.m

@@ -20,9 +20,10 @@
 
 type t
 
-val create : ?costs:Costs.t -> Chimera_system.t -> t
+val create : ?engine:Engine.t -> ?costs:Costs.t -> Chimera_system.t -> t
 (** Build one view per deployed class. Data sections (and the stack) of the
-    first view are aliased into the others. *)
+    first view are aliased into the others. The hart runs [engine] (default
+    {!Engine.default}). *)
 
 val machine : t -> Machine.t
 val current_class : t -> Ext.t

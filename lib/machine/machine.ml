@@ -83,47 +83,37 @@ and t = {
      instruction (vector ops, icache misses, runtime events) lands here *)
   mutable cycles_extra : int;
   mutable icache : Icache.t option;
-  mutable block_engine : bool;
-  mutable chain : bool;
+  engine : Engine.t;
+      (** fixed at creation; the flags below are its parts, unpacked once
+          so the dispatch loop and the translator read plain booleans *)
   mutable code_epoch : int;
       (** advanced on every {!invalidate_code} and ISA change; blocks whose
           [echeck] equals it are valid with one compare, and chain links are
           implicitly severed when it moves (Tblock.revalidate) *)
   mutable chain_hits : int;  (** dispatches served by a chain link *)
   mutable tb_dispatches : int;  (** total block dispatches (chained or not) *)
-  mutable superblocks : bool;
-      (** compile inlined jumps/branches and fused pairs; off restricts
-          translation to PR3-style straight-line blocks (the differential
-          harness exercises both) *)
+  superblocks : bool;
+      (** [Super]: the top tier inlines jumps/branches; [Block] keeps every
+          translation a straight-line block *)
   mutable side_exits : int;  (** dispatches that left a block via a taken
                                  inlined branch *)
   mutable fused_pairs : int;
       (** instructions merged into multi-instruction units at translation
           time (Σ (unit width − 1) over translated blocks) *)
-  mutable ir : bool;
-      (** lower straight-line runs through the linear IR ({!Tir}) with
-          constant propagation and dead-write elimination; off falls back
-          to direct per-instruction closure compilation (the bench's
-          [--no-ir] ablation) *)
-  mutable tiered : bool;
-      (** hotness-driven tiered execution: entries are interpreted until
-          warm, then climb block → superblock → IR-optimized, and hot
-          blocks whose observed side-exit profile contradicts the static
-          BTFN layout are recompiled with trace-style layout (the bench's
-          [--no-tier] ablation turns this off and translates everything at
-          the top tier immediately) *)
-  mutable ic_on : bool;
-      (** compile inline caches into indirect terminators (the bench's
-          [--no-ic] ablation) *)
+  ir : bool;
+      (** the top tier lowers straight-line runs through the linear IR
+          ({!Tir}); [Super {ir = false}] compiles per-instruction closures *)
+  tiered : bool;
+      (** [Super {tiered}]: entries are interpreted until warm, then climb
+          block → superblock → IR-optimized, and hot blocks whose observed
+          side-exit profile contradicts the static BTFN layout are
+          recompiled with trace-style layout; untiered machines translate
+          at the top tier on first touch *)
+  ic_on : bool;  (** [Super {ic}]: inline caches in indirect terminators *)
   mutable pending_ic : icsite option;
       (** set by an indirect terminator closure as it completes; the next
           dispatch consumes it to predict the successor block through the
           site's inline cache instead of the single [link_taken] slot *)
-  mutable relayout : (int * bool) list;
-      (** translation-scoped recompile plan: [(branch pc, flip)] pairs from
-          the observed exit profile — [flip = false] cuts the block at the
-          branch (terminator), [flip = true] inverts it and continues
-          decoding at the taken target; empty outside recompilation *)
   mutable ic_hits : int;  (** dispatches predicted by an inline cache *)
   mutable ic_misses : int;  (** IC probes that fell back to the block table *)
   mutable ic_mega_d : int;  (** dispatches through megamorphic sites *)
@@ -142,9 +132,10 @@ and t = {
       (** translation-time known-register state, reset per translation and
           threaded across the block's runs (reusable scratch, no per-block
           allocation) *)
-  mutable rec_on : bool;
-      (** record translation skeletons into the view's [skels] table so the
-          machine's translations can be exported as a persistable plan *)
+  rec_on : bool;
+      (** [Engine.record]: record translation skeletons into the view's
+          [skels] table so the machine's translations can be exported as a
+          persistable plan *)
   mutable translations : int;
       (** fresh translations (plan replay excluded); their latency goes
           straight to the [chimera_translate_ns] histogram *)
@@ -274,40 +265,6 @@ let new_view mem =
     ics = Hashtbl.create 64;
     skels = Hashtbl.create 64 }
 
-(* Process-wide default for newly created machines; the bench driver's
-   --engine flag flips it so whole experiments can run on the single-step
-   reference engine for differential checks. *)
-let block_engine_default = ref true
-let set_block_engine_default on = block_engine_default := on
-
-(* Same pattern for superblock formation: the bench driver's --engine flag
-   can pin whole experiments to plain straight-line blocks so the three
-   engines (step, block, superblock) stay differentially comparable. *)
-let superblocks_default = ref true
-let set_superblocks_default on = superblocks_default := on
-
-(* IR lowering default for new machines; the bench driver's --no-ir flag
-   clears it so the ablation row quantifies the IR passes in isolation. *)
-let ir_default = ref true
-let set_ir_default on = ir_default := on
-
-(* Tiered execution and indirect-branch inline caches default OFF at the
-   library level (a fresh machine behaves exactly like the PR6 engine); the
-   bench driver turns both on for its default runs and clears them for the
-   --no-tier / --no-ic ablations. *)
-let tiered_default = ref false
-let set_tiered_default on = tiered_default := on
-let inline_caches_default = ref false
-let set_inline_caches_default on = inline_caches_default := on
-
-(* Skeleton recording default for new machines; the bench driver's --cache
-   flag and the CLI's cache prewarm turn it on so finished runs can export
-   their translations. Recording costs a few list conses per translation —
-   negligible next to the translation itself — but defaults off to keep
-   non-caching runs allocation-identical with earlier PRs. *)
-let record_default = ref false
-let set_record_default on = record_default := on
-
 (* Tier thresholds. Heat is counted per interpreted instruction at an
    untranslated entry; hot is counted per dispatch of a translated block.
    Low thresholds keep the warm-up window short (hot loops reach the top
@@ -338,8 +295,15 @@ let relayout_min_sample = 16
    megamorphic. *)
 let ic_poly_limit = 8
 
-let create ?(vlen = 32) ?(costs = Costs.default) ~mem ~isa () =
+let create ?(engine = Engine.default) ?(vlen = 32) ?(costs = Costs.default) ~mem
+    ~isa () =
   let view = new_view mem in
+  let superblocks, ir, tiered, ic_on =
+    match engine with
+    | Engine.Step -> (false, false, false, false)
+    | Engine.Block _ -> (false, true, false, false)
+    | Engine.Super { ir; tiered; ic; record = _ } -> (true, ir, tiered, ic)
+  in
   { cur = view;
     views = [ view ];
     gens = Tblock.Gen.create ();
@@ -356,19 +320,17 @@ let create ?(vlen = 32) ?(costs = Costs.default) ~mem ~isa () =
     indirect_retired = 0;
     cycles_extra = 0;
     icache = None;
-    block_engine = !block_engine_default;
-    chain = true;
+    engine;
     code_epoch = 0;
     chain_hits = 0;
     tb_dispatches = 0;
-    superblocks = !superblocks_default;
+    superblocks;
     side_exits = 0;
     fused_pairs = 0;
-    ir = !ir_default;
-    tiered = !tiered_default;
-    ic_on = !inline_caches_default;
+    ir;
+    tiered;
+    ic_on;
     pending_ic = None;
-    relayout = [];
     ic_hits = 0;
     ic_misses = 0;
     ic_mega_d = 0;
@@ -382,10 +344,11 @@ let create ?(vlen = 32) ?(costs = Costs.default) ~mem ~isa () =
     ir_tlb_elided = 0;
     ir_cached = 0;
     ir_state = Tir.state_create ();
-    rec_on = !record_default;
+    rec_on = Engine.record engine;
     translations = 0;
     prof = Profile.global () }
 
+let engine t = t.engine
 let mem t = t.cur.vmem
 let isa t = t.isa
 
@@ -1012,26 +975,29 @@ let ic_for t pc =
 
 (* Recompile-plan lookup for a branch at [pc]; a plan holds at most the
    branches of one block, so a list scan is fine at translation time. *)
-let relayout_of t pc =
-  let rec go = function
-    | [] -> None
-    | (p, flip) :: tl -> if p = pc then Some flip else go tl
-  in
-  match t.relayout with [] -> None | l -> go l
+let rec relayout_of relayout pc =
+  match relayout with
+  | [] -> None
+  | (p, flip) :: tl -> if p = pc then Some flip else relayout_of tl pc
 
 (* Compile one instruction for the fast path. Event instructions and
    indirect/linking control flow terminate the block (they stay decoded and
    run through {!step_decoded}, so handler delivery and fault pcs are
    identical to the slow path). Direct jumps that do not link ra and
-   conditional branches are inlined when superblock formation is on: the
-   jump closure transfers to its static target, the branch closure either
-   falls through or leaves the block through {!Side_exit} — in both cases
-   pc is exact at every block exit, so faults and chaining see the same
-   machine states as the step engine. Anything the current capability set
+   conditional branches are inlined when [sb] (the translation's tier has
+   superblock shape) is set: the jump closure transfers to its static
+   target, the branch closure either falls through or leaves the block
+   through {!Side_exit} — in both cases pc is exact at every block exit,
+   so faults and chaining see the same machine states as the step
+   engine. Anything the current capability set
    cannot execute stops the block so the slow path raises the precise
    illegal-instruction fault. Every compiled closure replicates [exec]
    exactly and then retires, with operands partially evaluated at
-   translation time.
+   translation time. [relayout] is the translation's recompile plan:
+   [(branch pc, flip)] pairs from the observed exit profile — [flip =
+   false] cuts the block at the branch (terminator), [flip = true] inverts
+   it and continues decoding at the taken target; empty outside
+   recompilation.
 
    pc is maintained lazily: straight-line closures that cannot fault do
    not write [t.pc] at all; fault-capable closures (memory accesses, the
@@ -1040,7 +1006,7 @@ let relayout_of t pc =
    [run_blocks] re-synchronizes pc at every dispatch end (terminator pc,
    fall-through, or the fuel-limited resume point), so pc is exact at
    every point the machine state is observable. *)
-let compile_op t ~pc inst size =
+let compile_op t ~sb ~relayout ~pc inst size =
   match inst with
   | Inst.Ecall | Inst.Ebreak | Inst.C_ebreak | Inst.Xcheck_jalr _ ->
       Tblock.Term
@@ -1127,7 +1093,7 @@ let compile_op t ~pc inst size =
          shadow call stack sees it; any other link register is inlined *)
       let target = pc + off in
       if not (target_aligned t target) then Tblock.Term
-      else if (not t.superblocks) || Reg.equal rd Reg.ra then
+      else if (not sb) || Reg.equal rd Reg.ra then
         (* calls (and the block engine's jumps) end the block, but the
            aligned direct transfer itself is event-free: run it as a
            terminator closure *)
@@ -1149,7 +1115,7 @@ let compile_op t ~pc inst size =
       let target = pc + off in
       if not (Ext.supports t.isa inst) || not (target_aligned t target) then
         Tblock.Term
-      else if not t.superblocks then
+      else if not sb then
         Tblock.Term_fn
           (fun t ->
             t.pc <- target;
@@ -1182,8 +1148,8 @@ let compile_op t ~pc inst size =
               else t.pc <- fall;
               retire_scalar t)
         in
-        match relayout_of t pc with
-        | Some true when t.superblocks && off > 0 ->
+        match relayout_of relayout pc with
+        | Some true when sb && off > 0 ->
             (* observed mostly-taken: trace layout — invert the guard so
                the hot taken path falls through into the rest of the block
                (decoding continues at the target); the now-cold
@@ -1202,7 +1168,7 @@ let compile_op t ~pc inst size =
                 target )
         | Some _ -> as_term ()
         | None ->
-            if (not t.superblocks) || off <= 0 then as_term ()
+            if (not sb) || off <= 0 then as_term ()
             else
               Tblock.Brcond
                 (fun t ->
@@ -1226,8 +1192,8 @@ let compile_op t ~pc inst size =
               else t.pc <- fall;
               retire_scalar t)
         in
-        match relayout_of t pc with
-        | Some true when t.superblocks && off > 0 ->
+        match relayout_of relayout pc with
+        | Some true when sb && off > 0 ->
             Tblock.Jump
               ( (fun t ->
                   if Int64.equal (get_reg t rs1) 0L then begin
@@ -1242,7 +1208,7 @@ let compile_op t ~pc inst size =
                 target )
         | Some _ -> as_term ()
         | None ->
-            if (not t.superblocks) || off <= 0 then as_term ()
+            if (not sb) || off <= 0 then as_term ()
             else
               Tblock.Brcond
                 (fun t ->
@@ -1266,8 +1232,8 @@ let compile_op t ~pc inst size =
               else t.pc <- target;
               retire_scalar t)
         in
-        match relayout_of t pc with
-        | Some true when t.superblocks && off > 0 ->
+        match relayout_of relayout pc with
+        | Some true when sb && off > 0 ->
             Tblock.Jump
               ( (fun t ->
                   if Int64.equal (get_reg t rs1) 0L then begin
@@ -1282,7 +1248,7 @@ let compile_op t ~pc inst size =
                 target )
         | Some _ -> as_term ()
         | None ->
-            if (not t.superblocks) || off <= 0 then as_term ()
+            if (not sb) || off <= 0 then as_term ()
             else
               Tblock.Brcond
                 (fun t ->
@@ -2031,14 +1997,40 @@ let emit_run t stats ir_units tlb_elided (ops : Tir.op array) =
   Tir.optimize t.ir_state stats ops;
   emit_units ir_units tlb_elided ops
 
-let use_ir t = t.ir && t.icache = None
+(* The shape of a translation at [tier] on this machine: tier 1 is a
+   straight-line block, tier 2 adds superblock formation, tier 3 adds the
+   IR pipeline — each capped by the machine's engine (and the icache model,
+   whose per-fetch accounting needs per-instruction units). Returns
+   [(superblocks, ir, effective tier)]; a [Block] machine never climbs
+   past its own shape (and never churns retranslating into it). *)
+let shape t ~tier =
+  let sb = t.superblocks && tier >= 2 in
+  let ir = t.ir && tier >= 3 && t.icache = None in
+  (sb, ir, if ir then 3 else if sb then 2 else 1)
 
-(* Map a requested tier to the shape flags this machine can honor: tier 1
-   is a straight-line block, tier 2 adds superblock formation, tier 3 adds
-   the IR pipeline — each capped by the machine's own ablation flags, so a
-   --engine block machine never climbs past tier 1 (and never churns
-   retranslating into the same shape). *)
-let tier_cap t = if use_ir t then 3 else if t.superblocks then 2 else 1
+(* [shape]'s effective tier for tier 3, without the tuple: the promotion
+   driver asks once per dispatch, which must not allocate. *)
+let tier_cap t = if t.ir && t.icache = None then 3 else if t.superblocks then 2 else 1
+
+(* One [Tblock.translate] of [entry] with superblock shape [sb] under the
+   recompile plan [relayout]: decoding goes through the view's decode
+   cache, [lower] picks the IR-lowered instructions, every other one is
+   compiled by [compile_op] (and shown to [on_compile]), and [emit] turns
+   IR runs into execution units. Cold translation and plan replay differ
+   only in those three callbacks. *)
+let translate_with t ~sb ~relayout ~lower ~on_compile ~emit entry =
+  Tblock.translate ~gens:t.gens ~epoch:t.code_epoch ~isa:t.isa
+    ~decode:(fun pc ->
+      match decode_at t pc with
+      | d -> Some d
+      | exception Efault _ -> None
+      | exception Memory.Violation _ -> None)
+    ~lower
+    ~compile:(fun ~pc inst size ->
+      let c = compile_op t ~sb ~relayout ~pc inst size in
+      on_compile ~pc inst size c;
+      c)
+    ~emit entry
 
 let translate_block ?(tier = 3) ?(relayout = []) t entry =
   let t0 = Unix.gettimeofday () in
@@ -2046,35 +2038,17 @@ let translate_block ?(tier = 3) ?(relayout = []) t entry =
   let ir_units = ref 0 and tlb_elided = ref 0 in
   let steps = ref [] in
   Tir.state_reset t.ir_state;
-  (* Scope the block shape to the requested tier by overriding the machine
-     flags for the duration of this translation: [compile_op] and the
-     [lower] gate read them directly. The effective tier (after the
-     machine's own caps) is recorded on the block for the promotion
-     driver and the profile report. *)
-  let sb0 = t.superblocks and ir0 = t.ir in
-  if tier <= 1 then t.superblocks <- false;
-  if tier <= 2 then t.ir <- false;
-  t.relayout <- relayout;
-  let etier = tier_cap t in
+  (* the effective tier (after the engine's caps) is recorded on the block
+     for the promotion driver and the profile report *)
+  let sb, ir, etier = shape t ~tier in
   let b =
-    Fun.protect
-      ~finally:(fun () ->
-        t.superblocks <- sb0;
-        t.ir <- ir0;
-        t.relayout <- [])
-    @@ fun () ->
-    Tblock.translate ~gens:t.gens ~epoch:t.code_epoch ~isa:t.isa
-      ~decode:(fun pc ->
-        match decode_at t pc with
-        | d -> Some d
-        | exception Efault _ -> None
-        | exception Memory.Violation _ -> None)
+    translate_with t ~sb ~relayout
       ~lower:(fun ~pc inst size ->
         (* capability gating here: only instructions this hart can execute
            reach the IR; anything else falls through to [compile], whose
            legacy path stops the block with the precise fault semantics *)
         let r =
-          if use_ir t && Ext.supports t.isa inst then Tir.lower ~pc inst size
+          if ir && Ext.supports t.isa inst then Tir.lower ~pc inst size
           else None
         in
         (* record the lower/compile decision positionally: the op records
@@ -2083,21 +2057,19 @@ let translate_block ?(tier = 3) ?(relayout = []) t entry =
         if t.rec_on then
           steps := (match r with Some op -> Slower op | None -> Scompile) :: !steps;
         r)
-      ~compile:(fun ~pc inst size ->
-        let c = compile_op t ~pc inst size in
+      ~on_compile:(fun ~pc inst size c ->
         (* maintain the translation-time register state across non-IR
            units: an inlined jal writes a known link value, interpreter
            and vector units have unknown register effects, inlined
            branches and jumps write nothing *)
-        (match c with
+        match c with
         | Tblock.Jump _ -> (
             match inst with
             | Inst.Jal (rd, _) ->
                 Tir.state_learn t.ir_state rd (Int64.of_int (pc + size))
             | _ -> ())
         | Tblock.Op _ | Tblock.Op_self _ -> Tir.state_clobber t.ir_state
-        | Tblock.Brcond _ | Tblock.Term | Tblock.Term_fn _ | Tblock.Stop -> ());
-        c)
+        | Tblock.Brcond _ | Tblock.Term | Tblock.Term_fn _ | Tblock.Stop -> ())
       ~emit:(fun ops -> emit_run t stats ir_units tlb_elided ops)
       entry
   in
@@ -2599,7 +2571,7 @@ let run_blocks ~handlers ~fuel t =
             if !Obs.enabled then
               Obs.emit
                 (Obs.Tb_side_exit { entry = b.Tblock.entry; target = t.pc });
-            if t.chain then prev := Some (b, v0)
+            prev := Some (b, v0)
           end
           else if full then (
             (* closures write pc lazily (only fault-capable ones set their
@@ -2614,18 +2586,18 @@ let run_blocks ~handlers ~fuel t =
                        icache on, fall through so fetch charges apply) *)
                     f t;
                     decr remaining;
-                    if t.chain then prev := Some (b, v0)
+                    prev := Some (b, v0)
                 | _ ->
                     t.pc <- b.Tblock.fall - size;
                     term_tried := true;
                     (match step_decoded ~handlers t inst size with
                     | Some s -> result := Some s
-                    | None -> if t.chain then prev := Some (b, v0));
+                    | None -> prev := Some (b, v0));
                     decr remaining)
             | Some (_, size) -> t.pc <- b.Tblock.fall - size
             | None ->
                 t.pc <- b.Tblock.fall;
-                if t.chain then prev := Some (b, v0))
+                prev := Some (b, v0))
           else
             (* fuel-limited prefix: resume at the first unexecuted
                instruction *)
@@ -2704,61 +2676,13 @@ let flush_run_stats t =
 let run ?(handlers = default_handlers) ~fuel t =
   let r0 = t.retired in
   let s =
-    if t.block_engine then run_blocks ~handlers ~fuel t
-    else run_step ~handlers ~fuel t
+    match t.engine with
+    | Engine.Step -> run_step ~handlers ~fuel t
+    | Engine.Block _ | Engine.Super _ -> run_blocks ~handlers ~fuel t
   in
   if !Metrics.enabled then Metrics.add m_retired (t.retired - r0);
   flush_run_stats t;
   s
-
-let set_block_engine t on = t.block_engine <- on
-let block_engine t = t.block_engine
-let set_block_chaining t on = t.chain <- on
-let block_chaining t = t.chain
-let set_superblocks t on = t.superblocks <- on
-let superblocks t = t.superblocks
-
-let set_ir t on =
-  if t.ir <> on then begin
-    t.ir <- on;
-    (* translated blocks embed the choice; drop them so both settings see
-       freshly translated code *)
-    List.iter (fun v -> Hashtbl.reset v.blocks) t.views;
-    t.code_epoch <- t.code_epoch + 1
-  end
-
-let ir t = t.ir
-
-let set_tiered t on =
-  if t.tiered <> on then begin
-    t.tiered <- on;
-    (* blocks carry tier state and hotness counters; restart from a clean
-       slate so the two settings never mix (same discipline as set_ir) *)
-    List.iter
-      (fun v ->
-        Hashtbl.reset v.blocks;
-        Hashtbl.reset v.heat)
-      t.views;
-    t.code_epoch <- t.code_epoch + 1
-  end
-
-let tiered t = t.tiered
-
-let set_inline_caches t on =
-  if t.ic_on <> on then begin
-    t.ic_on <- on;
-    (* indirect terminator closures embed the choice (and capture site
-       records); drop blocks and sites so the setting is uniform *)
-    List.iter
-      (fun v ->
-        Hashtbl.reset v.blocks;
-        Hashtbl.reset v.ics)
-      t.views;
-    t.pending_ic <- None;
-    t.code_epoch <- t.code_epoch + 1
-  end
-
-let inline_caches t = t.ic_on
 
 (* ------------------------------------------------------------------ *)
 (* Tier / inline-cache introspection (profile report, CLI)             *)
@@ -2823,11 +2747,11 @@ let ic_infos t =
    offers a plan to a machine whose guest code bytes hash to the digest the
    plan was stored under. *)
 type plan = {
-  pl_superblocks : bool;
-  pl_ir : bool;
-  pl_tiered : bool;
-  pl_ic_on : bool;
+  pl_engine : Engine.t;
   pl_icache : bool;
+      (** the engine and the icache model (attached after creation, and
+          it keeps the IR off) fix every block's shape: a plan seeds only
+          a machine that agrees on both *)
   pl_insts : (int * Inst.t * int) array;
   pl_blocks : plan_block array;
   pl_heat : (int * int) array;
@@ -2841,9 +2765,6 @@ and plan_block = {
   pb_hot : int;
   pb_skel : skel;
 }
-
-let set_record t on = t.rec_on <- on
-let record t = t.rec_on
 
 let export_plan t =
   let insts =
@@ -2883,10 +2804,7 @@ let export_plan t =
           if targets = [] then acc else (site, targets) :: acc)
       t.cur.ics []
   in
-  { pl_superblocks = t.superblocks;
-    pl_ir = t.ir;
-    pl_tiered = t.tiered;
-    pl_ic_on = t.ic_on;
+  { pl_engine = t.engine;
     pl_icache = t.icache <> None;
     pl_insts = Array.of_list insts;
     pl_blocks = Array.of_list blocks;
@@ -2906,29 +2824,15 @@ let rebuild_block t (pb : plan_block) =
   let sk = pb.pb_skel in
   let cursor = ref 0 in
   let ir_units = ref 0 and tlb_elided = ref 0 in
-  let sb0 = t.superblocks and ir0 = t.ir in
-  if pb.pb_tier <= 1 then t.superblocks <- false;
-  if pb.pb_tier <= 2 then t.ir <- false;
-  t.relayout <- sk.sk_relayout;
+  let sb, _, _ = shape t ~tier:pb.pb_tier in
   let b =
-    Fun.protect
-      ~finally:(fun () ->
-        t.superblocks <- sb0;
-        t.ir <- ir0;
-        t.relayout <- [])
-    @@ fun () ->
-    Tblock.translate ~gens:t.gens ~epoch:t.code_epoch ~isa:t.isa
-      ~decode:(fun pc ->
-        match decode_at t pc with
-        | d -> Some d
-        | exception Efault _ -> None
-        | exception Memory.Violation _ -> None)
+    translate_with t ~sb ~relayout:sk.sk_relayout
       ~lower:(fun ~pc:_ _inst _size ->
         if !cursor >= Array.length sk.sk_steps then raise Exit;
         let s = sk.sk_steps.(!cursor) in
         incr cursor;
         match s with Slower op -> Some op | Scompile -> None)
-      ~compile:(fun ~pc inst size -> compile_op t ~pc inst size)
+      ~on_compile:(fun ~pc:_ _ _ _ -> ())
       ~emit:(fun ops -> emit_units ir_units tlb_elided ops)
       pb.pb_entry
   in
@@ -2938,11 +2842,8 @@ let rebuild_block t (pb : plan_block) =
   b
 
 let seed_plan t (p : plan) =
-  if
-    p.pl_superblocks <> t.superblocks
-    || p.pl_ir <> t.ir || p.pl_tiered <> t.tiered || p.pl_ic_on <> t.ic_on
-    || p.pl_icache <> (t.icache <> None)
-  then Error "flags"
+  if p.pl_engine <> t.engine || p.pl_icache <> (t.icache <> None) then
+    Error "flags"
   else begin
     (* Decode-cache prefab. Entries are stamped against the seeding
        machine's current generations: the caller's content-digest check

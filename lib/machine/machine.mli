@@ -13,9 +13,10 @@
 
     {b Fault determinism contract.} Given the same memory and register
     state, executing at a pc either retires the same instruction or raises
-    the same {!Fault.t} at the same pc — no timing, caching or engine mode
-    may change the outcome. Both execution engines honour this: the
-    single-step path and the translation-block path are differentially
+    the same {!Fault.t} at the same pc — no timing, caching or engine
+    configuration may change the outcome. Each machine runs one immutable
+    {!Engine.t}, fixed at {!create}; every value honours this: the
+    single-step path and the translation-block paths are differentially
     tested for bit-identical stop states (test/test_properties.ml), and
     SMILE recovery depends on it (the fault a partially-executed trampoline
     raises is the key into the fault-handling table). The contract holds
@@ -51,8 +52,13 @@ type handlers = {
 val default_handlers : handlers
 (** Halts on every event (faults become [Faulted], etc.). *)
 
-val create : ?vlen:int -> ?costs:Costs.t -> mem:Memory.t -> isa:Ext.t -> unit -> t
-(** [vlen] is the vector register width in bytes (default 32 = 256 bits). *)
+val create :
+  ?engine:Engine.t -> ?vlen:int -> ?costs:Costs.t -> mem:Memory.t -> isa:Ext.t -> unit -> t
+(** [engine] is the execution engine for the machine's whole life
+    (default {!Engine.default}); [vlen] is the vector register width in
+    bytes (default 32 = 256 bits). *)
+
+val engine : t -> Engine.t
 
 (** {1 State access} *)
 
@@ -123,11 +129,14 @@ val reset_counters : t -> unit
 val run : ?handlers:handlers -> fuel:int -> t -> stop
 (** Execute until a stop event, at most [fuel] instructions.
 
-    By default this uses the translation-block engine: straight-line runs
-    are decoded once into arrays of closures ({!Tblock}) and executed
-    whole between handler-visible events. Counters, faults and handler
-    interactions are observably identical to the single-step path (the
-    differential property tests assert this).
+    The machine's {!Engine.t} picks the path. [Step] interprets one
+    instruction at a time. [Block] and [Super] decode straight-line runs
+    once into arrays of closures ({!Tblock}), execute them whole between
+    handler-visible events and chain each block to its successors; [Super]
+    adds superblocks, the IR pipeline, tiering and inline caches as its
+    fields say. Counters, faults and handler interactions are observably
+    identical to the single-step path (the differential property tests
+    assert this).
 
     With {!Metrics.enabled}, each completed run adds what it retired,
     dispatched, translated and optimized to the process-wide [chimera_*]
@@ -137,93 +146,6 @@ val run : ?handlers:handlers -> fuel:int -> t -> stop
 val step : ?handlers:handlers -> t -> stop option
 (** Execute one instruction; [None] means it retired normally. Always uses
     the single-step path. *)
-
-val set_block_engine : t -> bool -> unit
-(** Enable/disable the translation-block fast path in {!run} (on by
-    default). The single-step engine is the reference semantics; disabling
-    is meant for differential testing and debugging. *)
-
-val block_engine : t -> bool
-
-val set_block_engine_default : bool -> unit
-(** Engine used by machines created after this call (the bench harness's
-    [--engine] flag sets it before building workloads). *)
-
-val set_block_chaining : t -> bool -> unit
-(** Enable/disable direct block chaining inside the block engine (on by
-    default). When on, a block that completes normally records its
-    successor in a link slot; later transfers along the same edge skip the
-    block-table probe. Links are guarded by entry-pc and code-epoch checks,
-    so chained execution is observably identical to unchained (differential
-    tests assert bit-identical stop states). *)
-
-val block_chaining : t -> bool
-
-val set_superblocks : t -> bool -> unit
-(** Enable/disable superblock formation (on by default): inlined direct
-    jumps and conditional branches with guarded side exits, and cross-page
-    blocks. When off, translation falls back to straight-line blocks that
-    end at the first control-flow instruction — the intermediate engine the
-    differential tests compare against. Only affects blocks translated
-    after the call (cached blocks keep the shape they were compiled with),
-    so flip it before running. *)
-
-val superblocks : t -> bool
-
-val set_superblocks_default : bool -> unit
-(** Superblock setting for machines created after this call (the bench
-    harness's [--engine] flag sets it before building workloads). *)
-
-val set_ir : t -> bool -> unit
-(** Enable/disable the linear-IR translation pipeline (on by default).
-    When on, straight-line runs are lowered to {!Tir}, optimized
-    block-locally (constant propagation into folded ops, dead-write
-    elimination, memory-pattern fusion) and emitted as multi-instruction
-    execution units. When off, every instruction compiles to its direct
-    legacy closure — the bench's [--no-ir] ablation. Unlike
-    {!set_superblocks}, flipping this drops cached blocks (both settings
-    then see freshly translated code). The icache model bypasses the IR
-    regardless (per-fetch accounting needs per-instruction units). *)
-
-val ir : t -> bool
-
-val set_ir_default : bool -> unit
-(** IR setting for machines created after this call (the bench harness's
-    [--no-ir] flag clears it before building workloads). *)
-
-val set_tiered : t -> bool -> unit
-(** Enable/disable tiered execution (off by default). When on, cold code is
-    interpreted through the step path and counted per-pc; a pc crossing the
-    warm-up threshold is translated as a straight-line tier-1 block, then
-    promoted superblock (tier 2) and IR-optimized (tier 3) as its hotness
-    counter climbs. Hot blocks whose observed side-exit profile contradicts
-    the static BTFN layout are recompiled with a trace-style layout picked
-    from the exit counts. Flipping the setting drops cached blocks and heat
-    counters (both settings then see freshly translated code). Tier
-    promotion only retranslates — never reinterprets — so the fault
-    determinism contract is untouched: every tier retires the same
-    instructions and raises the same faults as the step oracle. *)
-
-val tiered : t -> bool
-
-val set_tiered_default : bool -> unit
-(** Tiering for machines created after this call (the bench harness's
-    [--no-tier] flag clears it before building workloads). *)
-
-val set_inline_caches : t -> bool -> unit
-(** Enable/disable per-site inline caches for register-indirect jumps
-    ([jalr]/[c.jr]/[c.jalr]; off by default). Each such site gets a cache
-    with a monomorphic fast path — the predicted target pc plus a direct
-    block link, guarded by the code epoch — falling back through a small
-    polymorphic table to the per-view block cache; sites whose table
-    overflows go megamorphic and stop caching. Flipping the setting drops
-    cached blocks and cache sites (terminator closures embed the choice). *)
-
-val inline_caches : t -> bool
-
-val set_inline_caches_default : bool -> unit
-(** Inline-cache setting for machines created after this call (the bench
-    harness's [--no-ic] flag clears it before building workloads). *)
 
 (** {1 Instrumentation} *)
 
@@ -270,7 +192,7 @@ val ic_infos : t -> ic_info list
 
 (** {1 Persistent translation plans}
 
-    A recording machine keeps, next to every translated block, the replay
+    A recording machine (one whose {!Engine.t} has [record] set) keeps, next to every translated block, the replay
     skeleton of the translation that produced it: the positional sequence
     of lower/compile decisions with the post-optimize IR ops. {!export_plan}
     joins those skeletons with the live decode cache, tier state, heat
@@ -290,16 +212,6 @@ type plan
 (** Marshalable translation plan (no closures; contains only decoded
     instructions, IR ops, pcs, tiers and counters). *)
 
-val set_record : t -> bool -> unit
-(** Enable or disable skeleton recording on this machine. Only translations
-    performed while recording is on are exportable. *)
-
-val record : t -> bool
-
-val set_record_default : bool -> unit
-(** Recording setting for machines created after this call (the bench
-    harness's [--cache] flag and the CLI's [cache prewarm] set it). *)
-
 val export_plan : t -> plan
 (** Snapshot the current view's replayable state: valid decode-cache
     entries, every epoch-valid block that has a recorded skeleton (with its
@@ -311,8 +223,8 @@ val seed_plan : t -> plan -> (int, string) result
     publish every block at its exported tier and heat, seed interpreter
     heat and retrain inline caches. Returns [Ok n] with the number of
     blocks seeded; [Error "flags"] if the plan was exported under a
-    different engine configuration (superblocks / IR / tiering / inline
-    caches / icache) — the caller should fall back cold. A block whose
+    different {!Engine.t} or icache setting — nothing is seeded and the
+    caller should fall back cold. A block whose
     replay diverges (which the content-digest contract makes unexpected) is
     skipped, not published; execution then translates it on demand. *)
 

@@ -75,7 +75,14 @@ let schema_version = 8
 
 (* Ring sink: a fixed array filled front-to-back; when full it is handed to
    the sink and refilled from index 0. "Ring" in the double-buffer-less
-   sense — events never overwrite unflushed ones. *)
+   sense — events never overwrite unflushed ones.
+
+   The ring, its counters and the sink are process globals owned by one
+   domain: the one that calls [enable]. Every enabler keeps emission on it
+   — the bench's --trace forces -j 1, [Serve.create] runs requests inline
+   instead of on a pool while tracing, and the CLI's --trace and
+   --capture run one machine — so while [enabled] is set no other domain
+   emits. With it clear, [emit] only reads the flag. *)
 
 let ring_capacity = 4096
 let dummy = Phase_begin { name = "" }
@@ -128,7 +135,8 @@ let events_dropped () = !dropped
 (* Bounded in-memory capture, for always-on use (the metrics CLI, a
    serving daemon's post-mortem buffer): keep only the most recent
    [capacity] events. When the buffer wraps, the overwritten events are
-   counted in [dropped] rather than silently lost. *)
+   counted in [dropped] rather than silently lost. The buffer is filled by
+   [flush], so it has the ring's owner: the domain that enabled it. *)
 
 let mem_buf : event array ref = ref [||]
 let mem_next = ref 0

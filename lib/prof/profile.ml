@@ -183,6 +183,12 @@ let bind t ~entry ~classes ~term =
 
 let row_describes r ~classes ~term = r.r_classes == classes && r.r_term = term
 
+(* Process global, owned by the main domain: only a driver's startup or
+   the gaps between its experiments set it (the bench's --profile and the
+   CLI's run --profile), and both force one domain while a profile is
+   attached (the bench's --profile implies -j 1; the CLI runs one machine),
+   so no other domain is creating machines — the only readers, through
+   [Machine.create] — while it changes. A profile is single-domain state. *)
 let the_global : t option ref = ref None
 let set_global p = the_global := p
 let global () = !the_global

@@ -1,5 +1,8 @@
 (* All output goes through [out] so a report can be rendered to a file
-   (CLI --profile) as well as to stdout. *)
+   (CLI --profile) as well as to stdout. Process global, owned by the main
+   domain: the bench prints only after joining its worker domains (cells
+   return values, never print), and the CLI renders on its one domain, so
+   [with_output] never races a printer. *)
 let out = ref stdout
 
 let with_output oc f =

@@ -12,8 +12,8 @@
    Determinism contract: a request's execution depends only on its binary,
    ISA, rewrite mode, engine configuration and fuel — never on scheduling,
    on the other tenants, or on cache temperature (a seeded plan replays
-   decisions, it does not change them). [execute] pins the engine flags
-   per machine, so a request retires bit-identically to its solo run by
+   decisions, it does not change them). [execute] builds each machine with
+   its own [Engine.t], so a request retires bit-identically to its solo run by
    construction; the bench and the tenant-isolation property test check
    exactly that end to end.
 
@@ -120,15 +120,20 @@ let mode_tag = function
   | Chbp.Upgrade -> "up"
   | Chbp.Empty -> "empty"
 
+(* A request's engine: the superblock engine with IR, tiered with inline
+   caches or flat without them, recording whenever plans are stored. *)
+let engine ~tiered ~record = Engine.Super { ir = true; tiered; ic = tiered; record }
+
 (* The configuration tag folded into every cache digest: two requests
    share an artifact only when the binary, ISA (already in the digest),
-   rewrite mode and engine tier all agree. *)
+   rewrite mode and engine all agree. *)
 let cfg_tag ~mode ~tiered =
-  Printf.sprintf "serve|%s|%s" (mode_tag mode) (if tiered then "tiered" else "flat")
+  Printf.sprintf "serve|%s|%s" (mode_tag mode)
+    (Engine.tag (engine ~tiered ~record:false))
 
 (* Run one guest on the calling domain: rewrite-or-load, fresh runtime and
-   memory view, pinned engine flags, optional plan seed/store against the
-   shared cache. This is both the worker body and the solo oracle — the
+   memory view on the request's engine, optional plan seed/store against
+   the shared cache. This is both the worker body and the solo oracle — the
    differential tests compare pool runs against [execute] with no cache on
    the main domain. *)
 let execute ?cache ~isa ~mode ~tiered ~fuel bin =
@@ -147,21 +152,14 @@ let execute ?cache ~isa ~mode ~tiered ~fuel bin =
             ctx)
   in
   let rt = Chimera_rt.create ctx in
-  let m = Machine.create ~mem:(Chimera_rt.load rt) ~isa () in
-  (* Pin the engine configuration per machine: request determinism must
-     not depend on process-global defaults some other subsystem set. *)
-  Machine.set_block_engine m true;
-  Machine.set_superblocks m true;
-  Machine.set_ir m true;
-  Machine.set_tiered m tiered;
-  Machine.set_inline_caches m tiered;
+  let engine = engine ~tiered ~record:(cache <> None) in
+  let m = Machine.create ~engine ~mem:(Chimera_rt.load rt) ~isa () in
   let warm = ref false in
   (match cache with
   | None -> ()
   | Some c ->
       let key = Cache.digest_mem (Machine.mem m) ~isa ~extra:tag in
-      (match Cache.seed_plan c ~key m with Ok _ -> warm := true | Error _ -> ());
-      Machine.set_record m true);
+      match Cache.seed_plan c ~key m with Ok _ -> warm := true | Error _ -> ());
   let stop = Chimera_rt.run rt ~fuel m in
   (match cache with
   | None -> ()

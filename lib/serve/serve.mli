@@ -10,8 +10,8 @@
 
     {b Determinism contract.} A request's execution depends only on its
     binary, ISA, rewrite mode, engine tier and fuel — never on scheduling,
-    co-tenants or cache temperature. Engine flags are pinned per machine,
-    so a pooled request retires bit-identically to {!execute} run solo;
+    co-tenants or cache temperature. Each machine is created with its own
+    {!Engine.t}, so a pooled request retires bit-identically to {!execute} run solo;
     the tenant-isolation property test and the bench's solo-equality check
     enforce this end to end.
 
@@ -55,10 +55,16 @@ type tenant_stat = {
   ts_warm : int;  (** requests whose plan came warm from the cache *)
 }
 
+val engine : tiered:bool -> record:bool -> Engine.t
+(** The engine of every request: [Super] with the IR on, tiering and
+    inline caches both following [tiered], and [record] for runs whose
+    translation plan is stored. The CLI's [--tiered] flag means the same
+    engine. *)
+
 val cfg_tag : mode:Chbp.mode -> tiered:bool -> string
 (** The configuration tag folded into every cache digest this server
     computes: artifacts are shared only between requests agreeing on
-    binary, ISA, rewrite mode and engine tier. *)
+    binary, ISA, rewrite mode and engine ({!Engine.tag}). *)
 
 val execute :
   ?cache:Cache.t ->
@@ -69,7 +75,8 @@ val execute :
   Binfile.t ->
   Machine.stop * int * int * bool
 (** Run one guest end to end on the calling domain: rewrite (or cache
-    load), fresh runtime + memory view, pinned engine flags, optional plan
+    load), fresh runtime + memory view on one {!Engine.t} (superblocks with
+    IR; [tiered] turns on tiering and inline caches), optional plan
     seed/store. Returns [(stop, retired, cycles, warm)]. This is both the
     pool worker body and the solo oracle the differential tests compare
     against. *)

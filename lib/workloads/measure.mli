@@ -2,7 +2,8 @@
 
     Every duration used by the scheduler experiments comes from actually
     executing the binary (original, rewritten, or regenerated) on the
-    simulated machine and reading its cycle counter. *)
+    simulated machine and reading its cycle counter. Every function runs
+    its machine on [?engine] (default {!Engine.default}). *)
 
 type run = {
   cycles : int;
@@ -13,6 +14,7 @@ type run = {
 }
 
 val native :
+  ?engine:Engine.t ->
   ?fuel:int ->
   ?before_run:(Machine.t -> unit) ->
   ?after_run:(Machine.t -> unit) ->
@@ -21,7 +23,7 @@ val native :
   run
 (** Run to completion. @raise Failure on fault or fuel exhaustion. *)
 
-val native_until_fault : ?fuel:int -> Binfile.t -> isa:Ext.t -> run
+val native_until_fault : ?engine:Engine.t -> ?fuel:int -> Binfile.t -> isa:Ext.t -> run
 (** Run until the first fault (the FAM migration prefix); [exit_code] is -1.
     @raise Failure if the program completes without faulting. *)
 
@@ -31,6 +33,7 @@ val native_until_fault : ?fuel:int -> Binfile.t -> isa:Ext.t -> run
     on {!native}, {!safer} and {!armore} so every measured engine cell can
     participate in the translation cache. *)
 val chimera :
+  ?engine:Engine.t ->
   ?fuel:int ->
   ?before_run:(Machine.t -> unit) ->
   ?after_run:(Machine.t -> unit) ->
@@ -38,6 +41,7 @@ val chimera :
   isa:Ext.t ->
   run * Counters.t
 val safer :
+  ?engine:Engine.t ->
   ?fuel:int ->
   ?before_run:(Machine.t -> unit) ->
   ?after_run:(Machine.t -> unit) ->
@@ -46,6 +50,7 @@ val safer :
   run * Counters.t
 
 val armore :
+  ?engine:Engine.t ->
   ?fuel:int ->
   ?before_run:(Machine.t -> unit) ->
   ?after_run:(Machine.t -> unit) ->

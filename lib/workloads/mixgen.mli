@@ -21,6 +21,7 @@ val version_name : version -> string
 type cost_table
 
 val costs :
+  ?engine:Engine.t ->
   ?mm_n:int ->
   ?fib_rounds:int ->
   ?run_all:((unit -> unit) list -> unit) ->
@@ -31,7 +32,8 @@ val costs :
     paper's 2:2:2:1 timing ratio. [run_all] executes a batch of independent
     measurement thunks (default: sequentially, in order); the bench driver
     passes a domain-pool runner. Each thunk builds its own machine, so the
-    batches are safe to fan out. *)
+    batches are safe to fan out. Every machine runs [engine] (default
+    {!Engine.default}). *)
 
 val task_ratio : cost_table -> float
 (** Measured (extension task on extension core) / (base task) time ratio —

@@ -40,51 +40,61 @@ fi
 # every rewriting experiment (the fault-determinism contract, end to end).
 # micro includes the branch-dense workload (interp-branchy), the worst case
 # for side-exit dispatch, and the indirect-call workload that stresses the
-# inline caches.
-json_super=$(mktemp /tmp/chimera-super-XXXXXX.json)
-json_untiered=$(mktemp /tmp/chimera-untiered-XXXXXX.json)
-json_noic=$(mktemp /tmp/chimera-noic-XXXXXX.json)
-json_noir=$(mktemp /tmp/chimera-noir-XXXXXX.json)
-json_block=$(mktemp /tmp/chimera-block-XXXXXX.json)
-json_step=$(mktemp /tmp/chimera-step-XXXXXX.json)
+# inline caches. Each line of engine_configs is one configuration: its
+# name, then its flags.
+enginedir=$(mktemp -d /tmp/chimera-engines-XXXXXX)
 json_full=$(mktemp /tmp/chimera-full-XXXXXX.json)
 trace=$(mktemp /tmp/chimera-trace-XXXXXX.jsonl)
 profdir=$(mktemp -d /tmp/chimera-prof-XXXXXX)
-trap 'rm -rf "$json_super" "$json_untiered" "$json_noic" "$json_noir" "$json_block" "$json_step" "$json_full" "$trace" "$profdir"' EXIT
+trap 'rm -rf "$enginedir" "$json_full" "$trace" "$profdir"' EXIT
 engine_exps="table1 fig13 table2 table3 ablation micro"
-dune exec bench/main.exe -- $engine_exps -q --json "$json_super"
-dune exec bench/main.exe -- $engine_exps -q --no-tier --no-ic --json "$json_untiered"
-dune exec bench/main.exe -- $engine_exps -q --no-ic --json "$json_noic"
-dune exec bench/main.exe -- $engine_exps -q --no-ir --json "$json_noir"
-dune exec bench/main.exe -- $engine_exps -q --engine block --json "$json_block"
-dune exec bench/main.exe -- $engine_exps -q --engine step --json "$json_step"
-retired_super=$(grep -o '"retired": [0-9]*' "$json_super")
-retired_untiered=$(grep -o '"retired": [0-9]*' "$json_untiered")
-retired_noic=$(grep -o '"retired": [0-9]*' "$json_noic")
-retired_noir=$(grep -o '"retired": [0-9]*' "$json_noir")
-retired_block=$(grep -o '"retired": [0-9]*' "$json_block")
-retired_step=$(grep -o '"retired": [0-9]*' "$json_step")
-test -n "$retired_super"
-if [ "$retired_super" != "$retired_step" ] || [ "$retired_block" != "$retired_step" ] \
-  || [ "$retired_noir" != "$retired_step" ] || [ "$retired_untiered" != "$retired_step" ] \
-  || [ "$retired_noic" != "$retired_step" ]; then
+engine_configs="tiered
+untiered --no-tier --no-ic
+no-ic --no-ic
+no-ir --no-ir
+block --engine block
+step --engine step"
+reference=""
+agree=1
+report=""
+while read -r name flags; do
+  # $engine_exps and $flags are word lists: split them
+  dune exec bench/main.exe -- $engine_exps -q $flags --json "$enginedir/$name.json" </dev/null
+  retired=$(grep -o '"retired": [0-9]*' "$enginedir/$name.json")
+  test -n "$retired"
+  if [ -z "$reference" ]; then
+    reference=$retired
+  elif [ "$retired" != "$reference" ]; then
+    agree=0
+  fi
+  report="$report  $name [$retired]
+"
+done <<CONFIGS
+$engine_configs
+CONFIGS
+if [ "$agree" != 1 ]; then
   echo "ci: engine mismatch over [$engine_exps]:" >&2
-  echo "  tiered   [$retired_super]" >&2
-  echo "  untiered [$retired_untiered]" >&2
-  echo "  no-ic    [$retired_noic]" >&2
-  echo "  no-ir    [$retired_noir]" >&2
-  echo "  block    [$retired_block]" >&2
-  echo "  step     [$retired_step]" >&2
+  printf '%s' "$report" >&2
   exit 1
 fi
 echo "ci: tiered/untiered/no-ic/no-ir/block/step engines agree over [$engine_exps]"
+
+# The --no-* ablations apply to the superblock engine only: a combination
+# that would silently change nothing must be refused with exit status 2.
+rc=0
+dune exec bench/main.exe -- table1 -q --engine block --no-tier >/dev/null 2>&1 || rc=$?
+if [ "$rc" != 2 ]; then
+  echo "ci: --engine block --no-tier exited $rc (want 2)" >&2
+  exit 1
+fi
+echo "ci: ignored engine flags are rejected"
 
 # Tiering quality gates on the micro deterministic tail: with profile-guided
 # recompilation and inline caches on, chained dispatch must dominate
 # (chain_hit_rate >= 0.80 — the untiered superblock engine sits near 0.43 on
 # the branch-dense workload) and the inline caches must resolve nearly every
 # indirect terminator (ic_hit_rate >= 0.90).
-micro_line=$(grep '"name": "micro"' "$json_super")
+micro_line=$(grep '"name": "micro"' "$enginedir/tiered.json")
 chain=$(echo "$micro_line" | grep -o '"chain_hit_rate": [0-9.]*' | grep -o '[0-9.]*$')
 ichit=$(echo "$micro_line" | grep -o '"ic_hit_rate": [0-9.]*' | grep -o '[0-9.]*$')
 test -n "$chain" && test -n "$ichit"
@@ -108,9 +118,9 @@ head -1 "$trace" | grep -q '"ev":"meta"'
 # from the JSON, and check the report + folded-stack outputs exist.
 for eng in super block step; do
   dune exec bench/main.exe -- fig13 -q --engine "$eng" \
-    --profile "$profdir" --json "$json_block"
-  retired=$(grep -o '"retired": [0-9]*' "$json_block" | grep -o '[0-9]*')
-  prof=$(grep -o '"prof_retired": [0-9]*' "$json_block" | grep -o '[0-9]*')
+    --profile "$profdir" --json "$enginedir/prof.json"
+  retired=$(grep -o '"retired": [0-9]*' "$enginedir/prof.json" | grep -o '[0-9]*')
+  prof=$(grep -o '"prof_retired": [0-9]*' "$enginedir/prof.json" | grep -o '[0-9]*')
   test -n "$retired" && test -n "$prof"
   if [ "$retired" != "$prof" ]; then
     echo "ci: $eng engine: profiler retired $prof != machine retired $retired" >&2
@@ -129,7 +139,7 @@ test -s "$profdir/fig13.folded"
 # (translation the cache failed to serve) must sit under the cold pass's.
 cachedir=$(mktemp -d /tmp/chimera-cache-XXXXXX)
 json_cache=$(mktemp /tmp/chimera-cache-XXXXXX.json)
-trap 'rm -rf "$json_super" "$json_untiered" "$json_noic" "$json_noir" "$json_block" "$json_step" "$json_full" "$trace" "$profdir" "$cachedir" "$json_cache"' EXIT
+trap 'rm -rf "$enginedir" "$json_full" "$trace" "$profdir" "$cachedir" "$json_cache"' EXIT
 # First invocation: genuinely cold then warm inside one process — the
 # warm pass's translate_s must beat the cold pass's.
 dune exec bench/main.exe -- fig13 -q --cache "$cachedir" --json "$json_cache"
@@ -167,7 +177,7 @@ echo "ci: cache gates passed (hit_rate=$hit, translate_s $cold_translate -> $war
 # every rule healthy.
 metrics_prom=$(mktemp /tmp/chimera-metrics-XXXXXX.prom)
 json_metrics=$(mktemp /tmp/chimera-metrics-XXXXXX.json)
-trap 'rm -rf "$json_super" "$json_untiered" "$json_noic" "$json_noir" "$json_block" "$json_step" "$json_full" "$trace" "$profdir" "$cachedir" "$json_cache" "$metrics_prom" "$json_metrics"' EXIT
+trap 'rm -rf "$enginedir" "$json_full" "$trace" "$profdir" "$cachedir" "$json_cache" "$metrics_prom" "$json_metrics"' EXIT
 dune exec bench/main.exe -- fig13 fig14 -q --json "$json_metrics" --metrics "$metrics_prom"
 grep -q '^# TYPE chimera_retired_total counter$' "$metrics_prom"
 grep -q '^# TYPE chimera_translate_ns histogram$' "$metrics_prom"
@@ -196,7 +206,7 @@ echo "ci: metrics smoke passed (retired=$retired_prom, watchdog healthy)"
 # fully drained.
 json_serve=$(mktemp /tmp/chimera-serve-XXXXXX.json)
 serve_prom=$(mktemp /tmp/chimera-serve-XXXXXX.prom)
-trap 'rm -rf "$json_super" "$json_untiered" "$json_noic" "$json_noir" "$json_block" "$json_step" "$json_full" "$trace" "$profdir" "$cachedir" "$json_cache" "$metrics_prom" "$json_metrics" "$json_serve" "$serve_prom"' EXIT
+trap 'rm -rf "$enginedir" "$json_full" "$trace" "$profdir" "$cachedir" "$json_cache" "$metrics_prom" "$json_metrics" "$json_serve" "$serve_prom"' EXIT
 dune exec bench/main.exe -- serve -q -j 2 --json "$json_serve" --metrics "$serve_prom"
 grep -q '"serve_p99_ms":' "$json_serve"
 grep -q '"serve_throughput":' "$json_serve"

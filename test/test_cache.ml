@@ -102,20 +102,10 @@ let cache_program rng =
   let bin = Asm.assemble a in
   (bin, (Binfile.symbol bin "_start").Binfile.sym_addr + patch_off)
 
-let engine_setup mode m =
-  match mode with
-  | `Step -> Machine.set_block_engine m false
-  | `Block -> Machine.set_superblocks m false
-  | `Super -> ()
-  | `Tiered ->
-      Machine.set_tiered m true;
-      Machine.set_inline_caches m true
-
-let mode_name = function
-  | `Step -> "step"
-  | `Block -> "block"
-  | `Super -> "super"
-  | `Tiered -> "tiered"
+(* every translating engine records, so its runs can be exported *)
+let super = Engine.Super { ir = true; tiered = false; ic = false; record = true }
+let tiered = Engine.Super { ir = true; tiered = true; ic = true; record = true }
+let engines = [ Engine.Step; Engine.Block { record = true }; super; tiered ]
 
 (* fresh per-test cache directory under the system temp dir, removed at
    exit so manual runs outside the dune sandbox don't litter the cwd *)
@@ -141,12 +131,10 @@ let temp_cache =
     created := dir :: !created;
     Cache.open_dir dir
 
-let machine_for bin mode =
+let machine_for bin engine =
   let mem = Loader.load bin in
-  let m = Machine.create ~mem ~isa:base_isa () in
-  engine_setup mode m;
+  let m = Machine.create ~engine ~mem ~isa:base_isa () in
   Loader.init_machine m bin;
-  Machine.set_record m true;
   m
 
 (* --- cold/warm property ------------------------------------------------- *)
@@ -160,21 +148,21 @@ let prop_cold_warm =
       let bin, _ = cache_program (Random.State.make [| seed |]) in
       let c = temp_cache () in
       List.for_all
-        (fun mode ->
-          let extra = mode_name mode in
+        (fun engine ->
+          let extra = Engine.tag engine in
           let cold =
-            let m = machine_for bin mode in
+            let m = machine_for bin engine in
             let stop = Machine.run ~fuel:5_000_000 m in
             let key = Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra in
             Cache.store_plan c ~key m;
             snapshot m stop
           in
-          let m = machine_for bin mode in
+          let m = machine_for bin engine in
           let key = Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra in
           (match Cache.seed_plan c ~key m with
           | Ok n ->
               (* every translating engine must actually go warm *)
-              if mode <> `Step && n = 0 then
+              if engine <> Engine.Step && n = 0 then
                 QCheck.Test.fail_reportf "%s: plan hit seeded no blocks" extra
           | Error r ->
               QCheck.Test.fail_reportf "%s: warm lookup missed (%s)" extra r);
@@ -183,7 +171,7 @@ let prop_cold_warm =
             QCheck.Test.fail_reportf "seed=%d %s: cold { %s } <> warm { %s }"
               seed extra (pp_snap cold) (pp_snap warm)
           else true)
-        [ `Step; `Block; `Super; `Tiered ])
+        engines)
 
 (* --- self-modifying code ------------------------------------------------ *)
 
@@ -198,7 +186,7 @@ let test_smc_unreachable () =
   let patched = Bytes.create 4 in
   ignore (Encode.write patched 0 (Inst.Opi (Inst.Xori, Reg.s2, Reg.s2, 0xAA)));
   let session () =
-    let m = machine_for bin `Tiered in
+    let m = machine_for bin tiered in
     let mem = Machine.mem m in
     let stop1 = Machine.run ~fuel:5_000 m in
     Alcotest.(check bool) "phase 1 ran out of fuel" true (stop1 = Machine.Fuel_exhausted);
@@ -214,7 +202,7 @@ let test_smc_unreachable () =
   in
   Cache.store_plan c ~key:store_key m1;
   (* pristine reload: the lookup digest differs, so seeding must miss *)
-  let m2 = machine_for bin `Tiered in
+  let m2 = machine_for bin tiered in
   let lookup_key =
     Cache.digest_mem (Machine.mem m2) ~isa:base_isa ~extra:"smc"
   in
@@ -288,7 +276,7 @@ let test_corruption_falls_back_cold () =
   let c = temp_cache () in
   let extra = "fuzz" in
   let cold =
-    let m = machine_for bin `Super in
+    let m = machine_for bin super in
     let stop = Machine.run ~fuel:5_000_000 m in
     let key = Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra in
     Cache.store_plan c ~key m;
@@ -308,7 +296,7 @@ let test_corruption_falls_back_cold () =
         b)
   in
   (* sanity: the pristine entry seeds *)
-  (let m = machine_for bin `Super in
+  (let m = machine_for bin super in
    match Cache.seed_plan c ~key m with
    | Ok n -> Alcotest.(check bool) "pristine entry seeds blocks" true (n > 0)
    | Error r -> Alcotest.failf "pristine entry rejected: %s" r);
@@ -317,7 +305,7 @@ let test_corruption_falls_back_cold () =
       let oc = open_out_bin path in
       output_bytes oc (mutate pristine);
       close_out oc;
-      let m = machine_for bin `Super in
+      let m = machine_for bin super in
       let result, evs =
         with_captured_events (fun () -> Cache.seed_plan c ~key m)
       in
@@ -340,10 +328,43 @@ let test_corruption_falls_back_cold () =
   let oc = open_out_bin path in
   output_bytes oc pristine;
   close_out oc;
-  let m = machine_for bin `Super in
+  let m = machine_for bin super in
   match Cache.seed_plan c ~key m with
   | Ok _ -> ignore (Cache.clear c)
   | Error r -> Alcotest.failf "restored entry rejected: %s" r
+
+(* --- engine mismatch ---------------------------------------------------- *)
+
+(* A plan exported under one engine and offered, under the same key, to a
+   machine running another must be refused whole: [Error "flags"], no
+   block seeded, and the run then retires bit-identically to a cold run
+   on the machine's own engine. *)
+let test_engine_mismatch_falls_back_cold () =
+  let bin, _ = cache_program (Random.State.make [| 11 |]) in
+  let c = temp_cache () in
+  let extra = "mismatch" in
+  (let m = machine_for bin tiered in
+   ignore (Machine.run ~fuel:5_000_000 m);
+   Cache.store_plan c ~key:(Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra) m);
+  let cold =
+    let m = machine_for bin super in
+    snapshot m (Machine.run ~fuel:5_000_000 m)
+  in
+  let m = machine_for bin super in
+  let key = Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra in
+  (match Cache.seed_plan c ~key m with
+  | Error "flags" -> ()
+  | Error r -> Alcotest.failf "expected an engine mismatch, got %s" r
+  | Ok n -> Alcotest.failf "mismatched plan seeded %d blocks" n);
+  Alcotest.(check int) "no block seeded" 0 (List.length (Machine.block_infos m));
+  let fallback = snapshot m (Machine.run ~fuel:5_000_000 m) in
+  Alcotest.(check bool)
+    (Printf.sprintf "cold { %s } = fallback { %s }" (pp_snap cold) (pp_snap fallback))
+    true (cold = fallback);
+  (* the same entry still serves the engine it was made under *)
+  match Cache.seed_plan c ~key (machine_for bin tiered) with
+  | Ok n -> Alcotest.(check bool) "matching engine seeds blocks" true (n > 0)
+  | Error r -> Alcotest.failf "matching engine rejected: %s" r
 
 (* --- concurrent writers ------------------------------------------------- *)
 
@@ -377,6 +398,9 @@ let () =
       ( "corruption",
         [ Alcotest.test_case "every damage mode falls back cold" `Quick
             test_corruption_falls_back_cold ] );
+      ( "engine",
+        [ Alcotest.test_case "engine mismatch falls back cold" `Quick
+            test_engine_mismatch_falls_back_cold ] );
       ( "writers",
         [ Alcotest.test_case "two domains store one key" `Quick
             test_concurrent_same_key_writes ] ) ]

@@ -179,13 +179,15 @@ let engine_counters =
       "ir_units"; "ir_folded"; "ir_dead"; "ir_pc_elided"; "ir_tlb_elided";
       "ir_cached" ]
 
-(* Each guest builds a fresh machine, and a runtime when it runs rewritten
-   code: native Programs kernels, and CHBP-downgraded Specgen binaries
-   under the Chimera runtime (trap and fault-recovery handlers, rewritten
-   code's paired accesses). *)
+let tiered = Engine.Super { ir = true; tiered = true; ic = true; record = false }
+
+(* Each guest builds a fresh tiered machine with inline caches, and a
+   runtime when it runs rewritten code: native Programs kernels, and
+   CHBP-downgraded Specgen binaries under the Chimera runtime (trap and
+   fault-recovery handlers, rewritten code's paired accesses). *)
 let engine_guests () =
   let native bin () =
-    let m = Machine.create ~mem:(Loader.load bin) ~isa:Ext.rv64gcv () in
+    let m = Machine.create ~engine:tiered ~mem:(Loader.load bin) ~isa:Ext.rv64gcv () in
     Loader.init_machine m bin;
     m
   in
@@ -195,7 +197,7 @@ let engine_guests () =
       (* a fresh rewrite per run: lazy rewriting extends the context *)
       let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in
       let rt = Chimera_rt.create ctx in
-      (Machine.create ~mem:(Chimera_rt.load rt) ~isa:Ext.rv64gc (), Some rt)
+      (Machine.create ~engine:tiered ~mem:(Chimera_rt.load rt) ~isa:Ext.rv64gc (), Some rt)
   in
   List.map (fun bin () -> (native bin (), None))
     [ Programs.matmul `Ext ~n:10;
@@ -204,12 +206,10 @@ let engine_guests () =
       Programs.fibonacci ~rounds:300 () ]
   @ [ rewritten "omnetpp_r"; rewritten "imagick_r" ]
 
-(* Run one guest tiered with inline caches, in several [run] calls so the
-   flush point is crossed more than once; returns what it retired. *)
+(* Run one guest in several [run] calls so the flush point is crossed more
+   than once; returns what it retired. *)
 let run_guest guest =
   let m, rt = guest () in
-  Machine.set_tiered m true;
-  Machine.set_inline_caches m true;
   let run1 () =
     match rt with
     | Some rt -> Chimera_rt.run rt ~fuel:200_000 m

@@ -96,15 +96,13 @@ let pp_totals t =
 (* Run the CHBP-downgraded binary under the runtime with a profiler attached:
    lazy rewriting patches code mid-run (invalidate_code severs cached blocks
    and chain links under the profiler's feet). *)
-let profile_chimera ~engine ?(chain = true) seed =
+let profile_chimera engine seed =
   let bin = Specgen.build (fuzz_profile seed) in
   let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in
   let rt = Chimera_rt.create ctx in
   let p = Profile.create () in
-  let m = Machine.create ~mem:(Chimera_rt.load rt) ~isa:base_isa () in
+  let m = Machine.create ~engine ~mem:(Chimera_rt.load rt) ~isa:base_isa () in
   Machine.set_profile m (Some p);
-  Machine.set_block_engine m engine;
-  Machine.set_block_chaining m chain;
   ignore (Chimera_rt.run rt ~fuel:50_000_000 m);
   (Machine.retired m, Profile.snapshot p)
 
@@ -114,12 +112,9 @@ let prop_engine_equivalence =
     ~count:8
     QCheck.(make Gen.(int_bound 100_000))
     (fun seed ->
-      let sret, ssnaps = profile_chimera ~engine:false seed in
-      let bret, bsnaps = profile_chimera ~engine:true seed in
-      let uret, usnaps = profile_chimera ~engine:true ~chain:false seed in
-      let st = totals_of ssnaps
-      and bt = totals_of bsnaps
-      and ut = totals_of usnaps in
+      let sret, ssnaps = profile_chimera Engine.Step seed in
+      let bret, bsnaps = profile_chimera Engine.default seed in
+      let st = totals_of ssnaps and bt = totals_of bsnaps in
       if st.t_retired <> sret then
         QCheck.Test.fail_reportf "seed %d: step profiler %d <> machine %d" seed
           st.t_retired sret
@@ -129,10 +124,7 @@ let prop_engine_equivalence =
       else if st <> bt then
         QCheck.Test.fail_reportf "seed %d: step { %s } <> block { %s }" seed
           (pp_totals st) (pp_totals bt)
-      else if st <> ut then
-        QCheck.Test.fail_reportf "seed %d: step { %s } <> unchained { %s }" seed
-          (pp_totals st) (pp_totals ut)
-      else (uret : int) = sret)
+      else sret = bret)
 
 (* --- warm-TLB permission downgrade -------------------------------------------- *)
 
@@ -163,11 +155,10 @@ let string_of_stop = function
   | Machine.Faulted f -> "fault " ^ Fault.to_string f
   | Machine.Fuel_exhausted -> "fuel"
 
-let profile_downgrade ~engine () =
+let profile_downgrade engine =
   let bin = downgrade_program () in
   let mem = Loader.load bin in
-  let m = Machine.create ~mem ~isa:base_isa () in
-  Machine.set_block_engine m engine;
+  let m = Machine.create ~engine ~mem ~isa:base_isa () in
   let p = Profile.create () in
   Machine.set_profile m (Some p);
   Loader.init_machine m bin;
@@ -189,8 +180,8 @@ let profile_downgrade ~engine () =
   (Machine.retired m, Profile.snapshot p)
 
 let test_warm_tlb_downgrade () =
-  let sret, ssnaps = profile_downgrade ~engine:false () in
-  let bret, bsnaps = profile_downgrade ~engine:true () in
+  let sret, ssnaps = profile_downgrade Engine.Step in
+  let bret, bsnaps = profile_downgrade Engine.default in
   let st = totals_of ssnaps and bt = totals_of bsnaps in
   Alcotest.(check int) "machines retired equally" sret bret;
   Alcotest.(check int) "step profiler exact" sret st.t_retired;

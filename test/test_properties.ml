@@ -674,12 +674,11 @@ let check_snaps ~what step block =
       (pp_snap step) (pp_snap block)
   else true
 
-let run_native ~engine ?(chain = true) ?(super = true) ~icache ~fuel bin isa =
+let block = Engine.Block { record = false }
+
+let run_native engine ~icache ~fuel bin isa =
   let mem = Loader.load bin in
-  let m = Machine.create ~mem ~isa () in
-  Machine.set_block_engine m engine;
-  Machine.set_block_chaining m chain;
-  Machine.set_superblocks m super;
+  let m = Machine.create ~engine ~mem ~isa () in
   if icache then Machine.enable_icache m;
   Loader.init_machine m bin;
   snapshot m (Machine.run ~fuel m)
@@ -698,12 +697,10 @@ let prop_block_engine_native =
     (fun (seed, fuel, icache) ->
       let bin = Specgen.build (fuzz_profile seed) in
       let what = Printf.sprintf "native seed=%d fuel=%d" seed fuel in
-      let step = run_native ~engine:false ~icache ~fuel bin ext_isa in
-      let plain = run_native ~engine:true ~super:false ~icache ~fuel bin ext_isa in
-      let unchained = run_native ~engine:true ~chain:false ~icache ~fuel bin ext_isa in
-      let chained = run_native ~engine:true ~icache ~fuel bin ext_isa in
+      let step = run_native Engine.Step ~icache ~fuel bin ext_isa in
+      let plain = run_native block ~icache ~fuel bin ext_isa in
+      let chained = run_native Engine.default ~icache ~fuel bin ext_isa in
       check_snaps ~what:(what ^ " (straight-line)") step plain
-      && check_snaps ~what:(what ^ " (unchained)") step unchained
       && check_snaps ~what:(what ^ " (chained)") step chained)
 
 (* Lazy rewriting: the runtime patches code on the first fault at each site,
@@ -711,14 +708,11 @@ let prop_block_engine_native =
    up to the fault) already covers. The patched bytes must be picked up —
    including through direct chain links, which are severed by the code-epoch
    bump the patch performs. *)
-let run_chimera ~engine ?(chain = true) ?(super = true) seed =
+let run_chimera engine seed =
   let bin = Specgen.build (fuzz_profile seed) in
   let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in
   let rt = Chimera_rt.create ctx in
-  let m = Machine.create ~mem:(Chimera_rt.load rt) ~isa:base_isa () in
-  Machine.set_block_engine m engine;
-  Machine.set_block_chaining m chain;
-  Machine.set_superblocks m super;
+  let m = Machine.create ~engine ~mem:(Chimera_rt.load rt) ~isa:base_isa () in
   snapshot m (Chimera_rt.run rt ~fuel:50_000_000 m)
 
 (* --- IR translation pipeline differential ------------------------------------ *)
@@ -821,14 +815,9 @@ let ir_program rng =
   let bin = Asm.assemble a in
   (bin, (Binfile.symbol bin "_start").Binfile.sym_addr + patch_off)
 
-let run_ir_phases mode bin ~patch_addr ~f1 ~f2 =
+let run_ir_phases engine bin ~patch_addr ~f1 ~f2 =
   let mem = Loader.load bin in
-  let m = Machine.create ~mem ~isa:base_isa () in
-  (match mode with
-  | `Step -> Machine.set_block_engine m false
-  | `Block -> Machine.set_superblocks m false
-  | `Super -> ()
-  | `Super_noir -> Machine.set_ir m false);
+  let m = Machine.create ~engine ~mem ~isa:base_isa () in
   Loader.init_machine m bin;
   let s1 = snapshot m (Machine.run ~fuel:f1 m) in
   (* SMC: flip the xori's immediate under a cached, already-executed block;
@@ -865,17 +854,20 @@ let prop_ir_pipeline_differential =
           return (seed, f1, f2)))
     (fun (seed, f1, f2) ->
       let bin, patch_addr = ir_program (Random.State.make [| seed |]) in
-      let r1, r2, r3 = run_ir_phases `Step bin ~patch_addr ~f1 ~f2 in
+      let r1, r2, r3 = run_ir_phases Engine.Step bin ~patch_addr ~f1 ~f2 in
       List.for_all
-        (fun (label, mode) ->
-          let b1, b2, b3 = run_ir_phases mode bin ~patch_addr ~f1 ~f2 in
+        (fun (label, engine) ->
+          let b1, b2, b3 = run_ir_phases engine bin ~patch_addr ~f1 ~f2 in
           let what p =
             Printf.sprintf "ir seed=%d f1=%d f2=%d %s phase%d" seed f1 f2 label p
           in
           check_snaps ~what:(what 1) r1 b1
           && check_snaps ~what:(what 2) r2 b2
           && check_snaps ~what:(what 3) r3 b3)
-        [ ("block", `Block); ("super", `Super); ("super-noir", `Super_noir) ])
+        [ ("block", block);
+          ("super", Engine.default);
+          ("super-noir",
+           Engine.Super { ir = false; tiered = false; ic = false; record = false }) ])
 
 let prop_block_engine_self_modifying =
   QCheck.Test.make
@@ -883,12 +875,10 @@ let prop_block_engine_self_modifying =
     ~count:8
     QCheck.(make Gen.(int_bound 100_000))
     (fun seed ->
-      let step = run_chimera ~engine:false seed in
-      let plain = run_chimera ~engine:true ~super:false seed in
-      let unchained = run_chimera ~engine:true ~chain:false seed in
-      let chained = run_chimera ~engine:true seed in
+      let step = run_chimera Engine.Step seed in
+      let plain = run_chimera block seed in
+      let chained = run_chimera Engine.default seed in
       check_snaps ~what:(Printf.sprintf "chimera seed=%d (straight-line)" seed) step plain
-      && check_snaps ~what:(Printf.sprintf "chimera seed=%d (unchained)" seed) step unchained
       && check_snaps ~what:(Printf.sprintf "chimera seed=%d (chained)" seed) step chained)
 
 let () =

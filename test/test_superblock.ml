@@ -41,19 +41,17 @@ let pp_snap s =
   Printf.sprintf "%s pc=%#x retired=%d cycles=%d" s.sn_stop s.sn_pc
     s.sn_retired s.sn_cycles
 
-let run ~engine ~super ~fuel ?(isa = ext_isa) bin =
+let run engine ~fuel ?(isa = ext_isa) bin =
   let mem = Loader.load bin in
-  let m = Machine.create ~mem ~isa () in
-  Machine.set_block_engine m engine;
-  Machine.set_superblocks m super;
+  let m = Machine.create ~engine ~mem ~isa () in
   Loader.init_machine m bin;
   snapshot m (Machine.run ~fuel m)
 
 (* The core check: step / straight-line / superblock triple agreement. *)
 let tri ?isa ~fuel what bin =
-  let step = run ~engine:false ~super:false ~fuel ?isa bin in
-  let plain = run ~engine:true ~super:false ~fuel ?isa bin in
-  let super = run ~engine:true ~super:true ~fuel ?isa bin in
+  let step = run Engine.Step ~fuel ?isa bin in
+  let plain = run (Engine.Block { record = false }) ~fuel ?isa bin in
+  let super = run Engine.default ~fuel ?isa bin in
   if plain <> step then
     Alcotest.failf "%s (fuel %d): straight-line { %s } <> step { %s }" what
       fuel (pp_snap plain) (pp_snap step);
@@ -145,7 +143,7 @@ let test_branchy () =
   (* the superblock machinery must actually fire on this workload *)
   Metrics.enable ();
   let snap0 = Metrics.Snapshot.take () in
-  ignore (run ~engine:true ~super:true ~fuel:100_000 bin);
+  ignore (run Engine.default ~fuel:100_000 bin);
   let d = Metrics.Snapshot.delta ~cur:(Metrics.Snapshot.take ()) ~prev:snap0 in
   let side_exits = Metrics.Snapshot.counter_value d "chimera_side_exits_total" in
   let fused = Metrics.Snapshot.counter_value d "chimera_fused_total" in

@@ -114,16 +114,11 @@ let tier_program rng =
   let bin = Asm.assemble a in
   (bin, (Binfile.symbol bin "_start").Binfile.sym_addr + patch_off)
 
-let run_tier_phases mode bin ~patch_addr ~f1 ~f2 =
+let tiered = Engine.Super { ir = true; tiered = true; ic = true; record = false }
+
+let run_tier_phases engine bin ~patch_addr ~f1 ~f2 =
   let mem = Loader.load bin in
-  let m = Machine.create ~mem ~isa:base_isa () in
-  (match mode with
-  | `Step -> Machine.set_block_engine m false
-  | `Super -> ()
-  | `Tiered ->
-      Machine.set_tiered m true;
-      Machine.set_inline_caches m true
-  | `Tiered_noic -> Machine.set_tiered m true);
+  let m = Machine.create ~engine ~mem ~isa:base_isa () in
   Loader.init_machine m bin;
   let s1 = snapshot m (Machine.run ~fuel:f1 m) in
   (* SMC: flip the xori's immediate under cached (and, tiered, hot) blocks;
@@ -160,17 +155,19 @@ let prop_tier_differential =
           return (seed, f1, f2)))
     (fun (seed, f1, f2) ->
       let bin, patch_addr = tier_program (Random.State.make [| seed |]) in
-      let r1, r2, r3 = run_tier_phases `Step bin ~patch_addr ~f1 ~f2 in
+      let r1, r2, r3 = run_tier_phases Engine.Step bin ~patch_addr ~f1 ~f2 in
       List.for_all
-        (fun (label, mode) ->
-          let b1, b2, b3 = run_tier_phases mode bin ~patch_addr ~f1 ~f2 in
+        (fun (label, engine) ->
+          let b1, b2, b3 = run_tier_phases engine bin ~patch_addr ~f1 ~f2 in
           let what p =
             Printf.sprintf "tier seed=%d f1=%d f2=%d %s phase%d" seed f1 f2 label p
           in
           check_snaps ~what:(what 1) r1 b1
           && check_snaps ~what:(what 2) r2 b2
           && check_snaps ~what:(what 3) r3 b3)
-        [ ("super", `Super); ("tiered", `Tiered); ("tiered-noic", `Tiered_noic) ])
+        [ ("super", Engine.default);
+          ("tiered", tiered);
+          ("tiered-noic", Engine.Super { ir = true; tiered = true; ic = false; record = false }) ])
 
 (* --- IC state machine golden ------------------------------------------- *)
 
@@ -243,9 +240,7 @@ let test_ic_transitions () =
   let rounds = 2_000 in
   let bin = ic_stages_bin ~rounds in
   let mem = Loader.load bin in
-  let m = Machine.create ~mem ~isa:base_isa () in
-  Machine.set_tiered m true;
-  Machine.set_inline_caches m true;
+  let m = Machine.create ~engine:tiered ~mem ~isa:base_isa () in
   Loader.init_machine m bin;
   (* each stage retires well over 20k instructions (>= 10 per round), so a
      checkpoint 20k into a stage is past its warm-up but inside it *)
@@ -317,9 +312,7 @@ let test_ic_transitions () =
 let test_tier_promotion_visible () =
   let bin = Programs.branchy ~rounds:20_000 () in
   let mem = Loader.load bin in
-  let m = Machine.create ~mem ~isa:Ext.rv64gcv () in
-  Machine.set_tiered m true;
-  Machine.set_inline_caches m true;
+  let m = Machine.create ~engine:tiered ~mem ~isa:Ext.rv64gcv () in
   Loader.init_machine m bin;
   (match Machine.run ~fuel:2_000_000 m with
   | Machine.Exited _ -> ()
