@@ -5,8 +5,11 @@
     link time and never changes at runtime — the property the SMILE trampoline
     exploits. Vector registers [v0]..[v31] belong to the V extension. *)
 
-type t
-(** An integer register, [x0] .. [x31]. *)
+type t = private int
+(** An integer register, [x0] .. [x31]. The representation is exposed
+    read-only so hot code can coerce with [(r :> int)] at no cost; values
+    are only built through the range-checked {!of_int} and the names
+    below. *)
 
 val of_int : int -> t
 (** [of_int n] is register [xn]. @raise Invalid_argument unless [0 <= n < 32]. *)

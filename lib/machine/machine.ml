@@ -48,9 +48,11 @@ and icsite = {
           Guarded on every use by target equality and the one-compare code
           epoch check, exactly like a chain link, so SMC or a replaced
           block makes the prediction fail-safe (next use re-resolves). *)
-  mutable site_poly : (int * t Tblock.t) array;
-      (** small polymorphic table behind the monomorphic slot; entries
-          carry the same target + epoch guard *)
+  mutable site_poly : t Tblock.t option array;
+      (** small polymorphic table behind the monomorphic slot, every entry
+          a [Some]; an entry's target is its block's entry pc, under the
+          same target + epoch guard. Entries are the option cells a hit
+          hands to the dispatch loop, so a hit allocates nothing. *)
   mutable site_mega : bool;
       (** megamorphic: more distinct live targets than the polymorphic
           table holds — the site stops caching and every dispatch goes to
@@ -69,7 +71,9 @@ and t = {
   mutable isa : Ext.t;
   costs : Costs.t;
   vlen : int;
-  xregs : int64 array;
+  xregs : bytes;
+      (** the 32 integer registers, 8 bytes each in native byte order,
+          read and written unboxed (see {!get_reg}); [x0]'s slot stays 0 *)
   vregs : bytes;
   mutable vl : int;
   mutable vsew : Inst.sew;
@@ -310,7 +314,7 @@ let create ?(engine = Engine.default) ?(vlen = 32) ?(costs = Costs.default) ~mem
     isa;
     costs;
     vlen;
-    xregs = Array.make 32 0L;
+    xregs = Bytes.make (32 * 8) '\000';
     vregs = Bytes.make (32 * vlen) '\000';
     vl = 0;
     vsew = Inst.E64;
@@ -362,13 +366,22 @@ let costs t = t.costs
 let vlen t = t.vlen
 let pc t = t.pc
 let set_pc t pc = t.pc <- pc
-(* [Reg.t] is abstract and range-checked at construction (0..31), so the
-   register file never needs a bounds check on the hot path. *)
-let get_reg t r = Array.unsafe_get t.xregs (Reg.to_int r)
+(* The register file is a flat byte string accessed with the unboxed
+   64-bit primitives: inlined into a translated closure, a register read
+   feeds the Int64 arithmetic and the write stores its result without ever
+   building an [Int64] box. A value is boxed only when it leaves this
+   module (the exported [get_reg]). [Reg.t] is a private [int] that is
+   range-checked at construction (0..31), so the coercion is free and the
+   slot offset never needs a bounds check. Native byte order: the file is
+   never viewed as guest memory. *)
+external bytes_get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external bytes_set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let set_reg t r v =
-  let i = Reg.to_int r in
-  if i <> 0 then Array.unsafe_set t.xregs i v
+let[@inline] get_reg t (r : Reg.t) = bytes_get64u t.xregs ((r :> int) lsl 3)
+
+let[@inline] set_reg t (r : Reg.t) v =
+  let i = (r :> int) in
+  if i <> 0 then bytes_set64u t.xregs (i lsl 3) v
 
 let get_vreg t v = Bytes.sub t.vregs (Reg.v_to_int v * t.vlen) t.vlen
 
@@ -450,21 +463,63 @@ exception Side_exit
 
 (* ALU semantics live in {!Tir} now, shared between the interpreter, the
    closure compiler and the IR constant folder — a folded result is
-   bit-identical to the step engine by construction. *)
-let sext32 = Tir.sext32
+   bit-identical to the step engine by construction. The hot closures
+   below open-code their op (Add, Addw, shifts, ...) instead of calling
+   [alu]: under dune's default profile every module is compiled
+   [-opaque], so a call into another module is never inlined and boxes
+   its [int64] arguments and result. Only the long tail goes through
+   [alu]/[alui]. [sext32] is {!Tir.sext32} restated locally for the same
+   reason. *)
 let alu = Tir.alu
 let alui = Tir.alui
+let[@inline] sext32 v = Int64.shift_right (Int64.shift_left v 32) 32
 
-let branch_taken c a b =
+(* Unsigned order is signed order on operands offset by 2^63. *)
+let[@inline] ult (a : int64) (b : int64) =
+  Int64.sub a Int64.min_int < Int64.sub b Int64.min_int
+
+let[@inline] branch_taken c (a : int64) (b : int64) =
   match c with
-  | Inst.Beq -> Int64.equal a b
-  | Inst.Bne -> not (Int64.equal a b)
-  | Inst.Blt -> Int64.compare a b < 0
-  | Inst.Bge -> Int64.compare a b >= 0
-  | Inst.Bltu -> Int64.unsigned_compare a b < 0
-  | Inst.Bgeu -> Int64.unsigned_compare a b >= 0
+  | Inst.Beq -> a = b
+  | Inst.Bne -> a <> b
+  | Inst.Blt -> a < b
+  | Inst.Bge -> a >= b
+  | Inst.Bltu -> ult a b
+  | Inst.Bgeu -> not (ult a b)
 
 let addr_of v = Int64.to_int v
+let page_mask = Memory.page_size - 1
+
+(* 64-bit guest accesses through the page the TLB hands back: one
+   [Memory.read_data]/[write_data] per access runs the same translation,
+   permission check and hit/miss counters as [Memory.load_u64]/[store_u64]
+   do for an in-page access, but the value moves between the page and the
+   register file without an [Int64] box. Guest memory is little-endian.
+   An access that crosses a page takes the [Memory] path, which raises the
+   same [Violation] (address and access kind) at the same byte. *)
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+(* [off] must lie in [0, page_size - 8]. *)
+let[@inline] page_get64 pg off =
+  let v = bytes_get64u pg off in
+  if Sys.big_endian then bswap64 v else v
+
+let[@inline] page_set64 pg off v =
+  bytes_set64u pg off (if Sys.big_endian then bswap64 v else v)
+
+(* Each branch writes the register itself: binding the two branches' values
+   to one variable first would make the in-page value boxed too. *)
+let[@inline] load64 t rd addr =
+  let m = t.cur.vmem in
+  let off = addr land page_mask in
+  if off <= page_mask - 7 then set_reg t rd (page_get64 (Memory.read_data m addr) off)
+  else set_reg t rd (Memory.load_u64 m addr)
+
+let[@inline] store64 t addr v =
+  let m = t.cur.vmem in
+  let off = addr land page_mask in
+  if off <= page_mask - 7 then page_set64 (Memory.write_data m addr) off v
+  else Memory.store_u64 m addr v
 
 let load_value mem width unsigned addr =
   match (width, unsigned) with
@@ -547,53 +602,52 @@ let fetch_decode t = decode_at t t.pc
    handlers must see. *)
 type event = Enone | Eebreak of int | Eecall | Echeck of Reg.t * Reg.t * int
 
+let jump_aligned t target =
+  if target land 1 <> 0 || (target land 3 <> 0 && not (Ext.mem Ext.C t.isa)) then
+    raise (Efault (Fault.Misaligned_fetch { pc = t.pc; target }));
+  t.pc <- target
+
 let exec t inst size =
   let next = t.pc + size in
-  let get = get_reg t and set = set_reg t in
-  let jump_aligned target =
-    if target land 1 <> 0 || (target land 3 <> 0 && not (Ext.mem Ext.C t.isa)) then
-      raise (Efault (Fault.Misaligned_fetch { pc = t.pc; target }));
-    t.pc <- target
-  in
   match inst with
   | Inst.Lui (rd, imm20) ->
-      set rd (Int64.of_int (imm20 lsl 12));
+      set_reg t rd (Int64.of_int (imm20 lsl 12));
       t.pc <- next;
       Enone
   | Inst.Auipc (rd, imm20) ->
-      set rd (Int64.of_int (t.pc + (imm20 lsl 12)));
+      set_reg t rd (Int64.of_int (t.pc + (imm20 lsl 12)));
       t.pc <- next;
       Enone
   | Inst.Jal (rd, off) ->
-      set rd (Int64.of_int next);
-      jump_aligned (t.pc + off);
+      set_reg t rd (Int64.of_int next);
+      jump_aligned t (t.pc + off);
       Enone
   | Inst.Jalr (rd, rs1, imm) ->
-      let target = addr_of (Int64.add (get rs1) (Int64.of_int imm)) land lnot 1 in
-      set rd (Int64.of_int next);
+      let target = addr_of (Int64.add (get_reg t rs1) (Int64.of_int imm)) land lnot 1 in
+      set_reg t rd (Int64.of_int next);
       t.indirect_retired <- t.indirect_retired + 1;
-      jump_aligned target;
+      jump_aligned t target;
       Enone
   | Inst.Branch (c, rs1, rs2, off) ->
-      if branch_taken c (get rs1) (get rs2) then jump_aligned (t.pc + off)
+      if branch_taken c (get_reg t rs1) (get_reg t rs2) then jump_aligned t (t.pc + off)
       else t.pc <- next;
       Enone
   | Inst.Load { width; unsigned; rd; rs1; imm } ->
-      let addr = addr_of (Int64.add (get rs1) (Int64.of_int imm)) in
-      set rd (load_value t.cur.vmem width unsigned addr);
+      let addr = addr_of (Int64.add (get_reg t rs1) (Int64.of_int imm)) in
+      set_reg t rd (load_value t.cur.vmem width unsigned addr);
       t.pc <- next;
       Enone
   | Inst.Store { width; rs2; rs1; imm } ->
-      let addr = addr_of (Int64.add (get rs1) (Int64.of_int imm)) in
-      store_value t.cur.vmem width addr (get rs2);
+      let addr = addr_of (Int64.add (get_reg t rs1) (Int64.of_int imm)) in
+      store_value t.cur.vmem width addr (get_reg t rs2);
       t.pc <- next;
       Enone
   | Inst.Op (op, rd, rs1, rs2) ->
-      set rd (alu op (get rs1) (get rs2));
+      set_reg t rd (alu op (get_reg t rs1) (get_reg t rs2));
       t.pc <- next;
       Enone
   | Inst.Opi (op, rd, rs1, imm) ->
-      set rd (alui op (get rs1) imm);
+      set_reg t rd (alui op (get_reg t rs1) imm);
       t.pc <- next;
       Enone
   | Inst.Ecall -> Eecall
@@ -603,79 +657,82 @@ let exec t inst size =
       Enone
   | Inst.C_ebreak -> Eebreak 2
   | Inst.C_addi (rd, imm) ->
-      set rd (Int64.add (get rd) (Int64.of_int imm));
+      set_reg t rd (Int64.add (get_reg t rd) (Int64.of_int imm));
       t.pc <- next;
       Enone
   | Inst.C_li (rd, imm) ->
-      set rd (Int64.of_int imm);
+      set_reg t rd (Int64.of_int imm);
       t.pc <- next;
       Enone
   | Inst.C_mv (rd, rs2) ->
-      set rd (get rs2);
+      set_reg t rd (get_reg t rs2);
       t.pc <- next;
       Enone
   | Inst.C_add (rd, rs2) ->
-      set rd (Int64.add (get rd) (get rs2));
+      set_reg t rd (Int64.add (get_reg t rd) (get_reg t rs2));
       t.pc <- next;
       Enone
   | Inst.C_j off ->
-      jump_aligned (t.pc + off);
+      jump_aligned t (t.pc + off);
       Enone
   | Inst.C_jr rs1 ->
       t.indirect_retired <- t.indirect_retired + 1;
-      jump_aligned (addr_of (get rs1) land lnot 1);
+      jump_aligned t (addr_of (get_reg t rs1) land lnot 1);
       Enone
   | Inst.C_jalr rs1 ->
-      let target = addr_of (get rs1) land lnot 1 in
+      let target = addr_of (get_reg t rs1) land lnot 1 in
       t.indirect_retired <- t.indirect_retired + 1;
-      set Reg.ra (Int64.of_int next);
-      jump_aligned target;
+      set_reg t Reg.ra (Int64.of_int next);
+      jump_aligned t target;
       Enone
   | Inst.C_beqz (rs1, off) ->
-      if Int64.equal (get rs1) 0L then jump_aligned (t.pc + off) else t.pc <- next;
+      if Int64.equal (get_reg t rs1) 0L then jump_aligned t (t.pc + off)
+      else t.pc <- next;
       Enone
   | Inst.C_bnez (rs1, off) ->
-      if Int64.equal (get rs1) 0L then t.pc <- next else jump_aligned (t.pc + off);
+      if Int64.equal (get_reg t rs1) 0L then t.pc <- next
+      else jump_aligned t (t.pc + off);
       Enone
   | Inst.C_ld (rd, rs1, uimm) ->
-      let addr = addr_of (Int64.add (get rs1) (Int64.of_int uimm)) in
-      set rd (Memory.load_u64 t.cur.vmem addr);
+      let addr = addr_of (Int64.add (get_reg t rs1) (Int64.of_int uimm)) in
+      load64 t rd addr;
       t.pc <- next;
       Enone
   | Inst.C_sd (rs2, rs1, uimm) ->
-      let addr = addr_of (Int64.add (get rs1) (Int64.of_int uimm)) in
-      Memory.store_u64 t.cur.vmem addr (get rs2);
+      let addr = addr_of (Int64.add (get_reg t rs1) (Int64.of_int uimm)) in
+      store64 t addr (get_reg t rs2);
       t.pc <- next;
       Enone
   | Inst.C_slli (rd, sh) ->
-      set rd (Int64.shift_left (get rd) sh);
+      set_reg t rd (Int64.shift_left (get_reg t rd) sh);
       t.pc <- next;
       Enone
   | Inst.C_lw (rd, rs1, uimm) ->
-      let addr = addr_of (Int64.add (get rs1) (Int64.of_int uimm)) in
-      set rd (sext32 (Int64.of_int (Memory.load_u32 t.cur.vmem addr)));
+      let addr = addr_of (Int64.add (get_reg t rs1) (Int64.of_int uimm)) in
+      set_reg t rd (sext32 (Int64.of_int (Memory.load_u32 t.cur.vmem addr)));
       t.pc <- next;
       Enone
   | Inst.C_sw (rs2, rs1, uimm) ->
-      let addr = addr_of (Int64.add (get rs1) (Int64.of_int uimm)) in
-      Memory.store_u32 t.cur.vmem addr (Int64.to_int (Int64.logand (get rs2) 0xFFFFFFFFL));
+      let addr = addr_of (Int64.add (get_reg t rs1) (Int64.of_int uimm)) in
+      Memory.store_u32 t.cur.vmem addr
+        (Int64.to_int (Int64.logand (get_reg t rs2) 0xFFFFFFFFL));
       t.pc <- next;
       Enone
   | Inst.C_lui (rd, imm) ->
-      set rd (Int64.of_int (imm lsl 12));
+      set_reg t rd (Int64.of_int (imm lsl 12));
       t.pc <- next;
       Enone
   | Inst.C_addiw (rd, imm) ->
-      set rd (sext32 (Int64.add (get rd) (Int64.of_int imm)));
+      set_reg t rd (sext32 (Int64.add (get_reg t rd) (Int64.of_int imm)));
       t.pc <- next;
       Enone
   | Inst.C_andi (rd, imm) ->
-      set rd (Int64.logand (get rd) (Int64.of_int imm));
+      set_reg t rd (Int64.logand (get_reg t rd) (Int64.of_int imm));
       t.pc <- next;
       Enone
   | Inst.C_alu (op, rd, rs2) ->
-      let a = get rd and b = get rs2 in
-      set rd
+      let a = get_reg t rd and b = get_reg t rs2 in
+      set_reg t rd
         (match op with
         | Inst.Csub -> Int64.sub a b
         | Inst.Cxor -> Int64.logxor a b
@@ -691,13 +748,13 @@ let exec t inst size =
         if Reg.equal rs1 Reg.x0 then
           if Reg.equal rd Reg.x0 then t.vl else vlmax
         else
-          let v = get rs1 in
+          let v = get_reg t rs1 in
           if Int64.unsigned_compare v (Int64.of_int vlmax) > 0 then vlmax
           else Int64.to_int v
       in
       t.vsew <- sew;
       t.vl <- min avl vlmax;
-      set rd (Int64.of_int t.vl);
+      set_reg t rd (Int64.of_int t.vl);
       t.pc <- next;
       Enone
   | Inst.Vle (sew, vd, rs1) ->
@@ -705,7 +762,7 @@ let exec t inst size =
         raise
           (Efault
              (Fault.Illegal_instruction { pc = t.pc; reason = "vle sew/vtype mismatch" }));
-      let base = addr_of (get rs1) in
+      let base = addr_of (get_reg t rs1) in
       let sz = Inst.sew_bytes sew in
       for i = 0 to t.vl - 1 do
         vset t vd i (load_value t.cur.vmem
@@ -721,8 +778,8 @@ let exec t inst size =
         raise
           (Efault
              (Fault.Illegal_instruction { pc = t.pc; reason = "vlse sew/vtype mismatch" }));
-      let base = addr_of (get rs1) in
-      let stride = Int64.to_int (get rs2) in
+      let base = addr_of (get_reg t rs1) in
+      let stride = Int64.to_int (get_reg t rs2) in
       for i = 0 to t.vl - 1 do
         vset t vd i
           (load_value t.cur.vmem
@@ -738,7 +795,7 @@ let exec t inst size =
         raise
           (Efault
              (Fault.Illegal_instruction { pc = t.pc; reason = "vse sew/vtype mismatch" }));
-      let base = addr_of (get rs1) in
+      let base = addr_of (get_reg t rs1) in
       let sz = Inst.sew_bytes sew in
       for i = 0 to t.vl - 1 do
         store_value t.cur.vmem
@@ -754,8 +811,8 @@ let exec t inst size =
         raise
           (Efault
              (Fault.Illegal_instruction { pc = t.pc; reason = "vsse sew/vtype mismatch" }));
-      let base = addr_of (get rs1) in
-      let stride = Int64.to_int (get rs2) in
+      let base = addr_of (get_reg t rs1) in
+      let stride = Int64.to_int (get_reg t rs2) in
       for i = 0 to t.vl - 1 do
         store_value t.cur.vmem
           (match sew with
@@ -772,21 +829,21 @@ let exec t inst size =
       t.pc <- next;
       Enone
   | Inst.Vop_vx (op, vd, vs2, rs1) ->
-      let x = get rs1 in
+      let x = get_reg t rs1 in
       for i = 0 to t.vl - 1 do
         vset t vd i (vop_apply op (vget t vd i) (vget t vs2 i) x)
       done;
       t.pc <- next;
       Enone
   | Inst.Vmv_v_x (vd, rs1) ->
-      let x = get rs1 in
+      let x = get_reg t rs1 in
       for i = 0 to t.vl - 1 do
         vset t vd i x
       done;
       t.pc <- next;
       Enone
   | Inst.Vmv_x_s (rd, vs2) ->
-      set rd (vget t vs2 0);
+      set_reg t rd (vget t vs2 0);
       t.pc <- next;
       Enone
   | Inst.Vredsum (vd, vs2, vs1) ->
@@ -798,10 +855,10 @@ let exec t inst size =
       t.pc <- next;
       Enone
   | Inst.Xcheck_jalr (rd, rs1, imm) ->
-      let target = addr_of (Int64.add (get rs1) (Int64.of_int imm)) land lnot 1 in
+      let target = addr_of (Int64.add (get_reg t rs1) (Int64.of_int imm)) land lnot 1 in
       Echeck (rd, rs1, target)
   | Inst.P_add16 (rd, rs1, rs2) ->
-      let a = get rs1 and b = get rs2 in
+      let a = get_reg t rs1 and b = get_reg t rs2 in
       let lane i =
         let sh = 16 * i in
         let sum =
@@ -811,20 +868,20 @@ let exec t inst size =
         in
         Int64.shift_left (Int64.logand sum 0xFFFFL) sh
       in
-      set rd (Int64.logor (Int64.logor (lane 0) (lane 1)) (Int64.logor (lane 2) (lane 3)));
+      set_reg t rd (Int64.logor (Int64.logor (lane 0) (lane 1)) (Int64.logor (lane 2) (lane 3)));
       t.pc <- next;
       Enone
   | Inst.P_smaqa (rd, rs1, rs2) ->
-      let a = get rs1 and b = get rs2 in
+      let a = get_reg t rs1 and b = get_reg t rs2 in
       let byte v i =
         (* sign-extended byte lane i *)
         Int64.shift_right (Int64.shift_left v (56 - (8 * i))) 56
       in
-      let acc = ref (get rd) in
+      let acc = ref (get_reg t rd) in
       for i = 0 to 7 do
         acc := Int64.add !acc (Int64.mul (byte a i) (byte b i))
       done;
-      set rd !acc;
+      set_reg t rd !acc;
       t.pc <- next;
       Enone
 
@@ -979,6 +1036,284 @@ let rec relayout_of relayout pc =
   match relayout with
   | [] -> None
   | (p, flip) :: tl -> if p = pc then Some flip else relayout_of tl pc
+
+(* 32-bit sign extension of a [0, 2^32) int in native arithmetic. *)
+let[@inline] sext32_int v = (v lxor 0x8000_0000) - 0x8000_0000
+
+(* Write the sign-extended low 32 bits of a native [int] result: W-type ops
+   are exact in native [int], because the truncated result only depends on
+   the operands' low 32 bits, which [Int64.to_int] (mod 2^63) preserves. *)
+let[@inline] set_w32 t rd v =
+  set_reg t rd (Int64.of_int (sext32_int (v land 0xFFFFFFFF)))
+
+let[@inline] bool64 b = Int64.of_int (Bool.to_int b)
+
+(* Compile one straight-line op to its effect closure — the IR emitter's
+   optimized ops and {!compile_op}'s singly lowered instructions alike.
+   Effective addresses are computed as [Int64.to_int base + off] (equal to
+   the Int64 sum modulo 2^63, which is all an address is). Fault-capable
+   ops write their own pc first so a fault reports the exact instruction;
+   pure ops never touch pc. No closure allocates, except the long-tail ALU
+   ops that call {!Tir.alu} and a 64-bit access that crosses a page. *)
+let emit_effect (o : Tir.op) : t -> unit =
+  let pc = o.Tir.opc in
+  match o.Tir.k with
+  | Tir.Kdead -> fun _ -> ()
+  | Tir.Kconst (rd, v) -> fun t -> set_reg t rd v
+  | Tir.Kmv (rd, rs) -> fun t -> set_reg t rd (get_reg t rs)
+  | Tir.Kalu (op, rd, r1, r2) -> (
+      match op with
+      | Inst.Add -> fun t -> set_reg t rd (Int64.add (get_reg t r1) (get_reg t r2))
+      | Inst.Sub -> fun t -> set_reg t rd (Int64.sub (get_reg t r1) (get_reg t r2))
+      | Inst.And ->
+          fun t -> set_reg t rd (Int64.logand (get_reg t r1) (get_reg t r2))
+      | Inst.Or -> fun t -> set_reg t rd (Int64.logor (get_reg t r1) (get_reg t r2))
+      | Inst.Xor ->
+          fun t -> set_reg t rd (Int64.logxor (get_reg t r1) (get_reg t r2))
+      | Inst.Sll ->
+          fun t ->
+            let sh = Int64.to_int (get_reg t r2) land 63 in
+            set_reg t rd (Int64.shift_left (get_reg t r1) sh)
+      | Inst.Srl ->
+          fun t ->
+            let sh = Int64.to_int (get_reg t r2) land 63 in
+            set_reg t rd (Int64.shift_right_logical (get_reg t r1) sh)
+      | Inst.Sra ->
+          fun t ->
+            let sh = Int64.to_int (get_reg t r2) land 63 in
+            set_reg t rd (Int64.shift_right (get_reg t r1) sh)
+      | Inst.Slt -> fun t -> set_reg t rd (bool64 (get_reg t r1 < get_reg t r2))
+      | Inst.Sltu -> fun t -> set_reg t rd (bool64 (ult (get_reg t r1) (get_reg t r2)))
+      | Inst.Mul -> fun t -> set_reg t rd (Int64.mul (get_reg t r1) (get_reg t r2))
+      | Inst.Addw ->
+          fun t ->
+            set_w32 t rd (Int64.to_int (get_reg t r1) + Int64.to_int (get_reg t r2))
+      | Inst.Subw ->
+          fun t ->
+            set_w32 t rd (Int64.to_int (get_reg t r1) - Int64.to_int (get_reg t r2))
+      | Inst.Mulw ->
+          fun t ->
+            set_w32 t rd (Int64.to_int (get_reg t r1) * Int64.to_int (get_reg t r2))
+      | Inst.Sllw ->
+          fun t ->
+            let sh = Int64.to_int (get_reg t r2) land 31 in
+            set_w32 t rd (Int64.to_int (get_reg t r1) lsl sh)
+      | Inst.Srlw ->
+          fun t ->
+            let sh = Int64.to_int (get_reg t r2) land 31 in
+            set_w32 t rd ((Int64.to_int (get_reg t r1) land 0xFFFFFFFF) lsr sh)
+      | Inst.Sraw ->
+          fun t ->
+            let sh = Int64.to_int (get_reg t r2) land 31 in
+            let v = sext32_int (Int64.to_int (get_reg t r1) land 0xFFFFFFFF) in
+            set_reg t rd (Int64.of_int (v asr sh))
+      | _ -> fun t -> set_reg t rd (Tir.alu op (get_reg t r1) (get_reg t r2)))
+  | Tir.Kaluc (op, rd, r1, c) -> (
+      match op with
+      | Inst.Add -> fun t -> set_reg t rd (Int64.add (get_reg t r1) c)
+      | Inst.Sub -> fun t -> set_reg t rd (Int64.sub (get_reg t r1) c)
+      | Inst.And -> fun t -> set_reg t rd (Int64.logand (get_reg t r1) c)
+      | Inst.Or -> fun t -> set_reg t rd (Int64.logor (get_reg t r1) c)
+      | Inst.Xor -> fun t -> set_reg t rd (Int64.logxor (get_reg t r1) c)
+      | Inst.Mul -> fun t -> set_reg t rd (Int64.mul (get_reg t r1) c)
+      | Inst.Addw ->
+          let ci = Int64.to_int c in
+          fun t -> set_w32 t rd (Int64.to_int (get_reg t r1) + ci)
+      | Inst.Subw ->
+          let ci = Int64.to_int c in
+          fun t -> set_w32 t rd (Int64.to_int (get_reg t r1) - ci)
+      | Inst.Mulw ->
+          let ci = Int64.to_int c in
+          fun t -> set_w32 t rd (Int64.to_int (get_reg t r1) * ci)
+      | _ -> fun t -> set_reg t rd (Tir.alu op (get_reg t r1) c))
+  | Tir.Kalui (op, rd, r1, imm) -> (
+      match op with
+      | Inst.Addi ->
+          let c = Int64.of_int imm in
+          fun t -> set_reg t rd (Int64.add (get_reg t r1) c)
+      | Inst.Andi ->
+          let c = Int64.of_int imm in
+          fun t -> set_reg t rd (Int64.logand (get_reg t r1) c)
+      | Inst.Ori ->
+          let c = Int64.of_int imm in
+          fun t -> set_reg t rd (Int64.logor (get_reg t r1) c)
+      | Inst.Xori ->
+          let c = Int64.of_int imm in
+          fun t -> set_reg t rd (Int64.logxor (get_reg t r1) c)
+      | Inst.Slti ->
+          let c = Int64.of_int imm in
+          fun t -> set_reg t rd (bool64 (get_reg t r1 < c))
+      | Inst.Sltiu ->
+          let c = Int64.of_int imm in
+          fun t -> set_reg t rd (bool64 (ult (get_reg t r1) c))
+      | Inst.Slli ->
+          let sh = imm land 63 in
+          fun t -> set_reg t rd (Int64.shift_left (get_reg t r1) sh)
+      | Inst.Srli ->
+          let sh = imm land 63 in
+          fun t -> set_reg t rd (Int64.shift_right_logical (get_reg t r1) sh)
+      | Inst.Srai ->
+          let sh = imm land 63 in
+          fun t -> set_reg t rd (Int64.shift_right (get_reg t r1) sh)
+      | Inst.Addiw -> fun t -> set_w32 t rd (Int64.to_int (get_reg t r1) + imm)
+      | Inst.Slliw ->
+          let sh = imm land 31 in
+          fun t -> set_w32 t rd (Int64.to_int (get_reg t r1) lsl sh)
+      | Inst.Srliw ->
+          let sh = imm land 31 in
+          fun t -> set_w32 t rd ((Int64.to_int (get_reg t r1) land 0xFFFFFFFF) lsr sh)
+      | Inst.Sraiw ->
+          let sh = imm land 31 in
+          fun t ->
+            let v = sext32_int (Int64.to_int (get_reg t r1) land 0xFFFFFFFF) in
+            set_reg t rd (Int64.of_int (v asr sh)))
+  | Tir.Kload { width; unsigned; rd; base; off } -> (
+      match (width, unsigned) with
+      | Inst.D, _ ->
+          fun t ->
+            t.pc <- pc;
+            load64 t rd (Int64.to_int (get_reg t base) + off)
+      | Inst.W, false ->
+          fun t ->
+            t.pc <- pc;
+            let addr = Int64.to_int (get_reg t base) + off in
+            set_reg t rd (Int64.of_int (sext32_int (Memory.load_u32 t.cur.vmem addr)))
+      | Inst.W, true ->
+          fun t ->
+            t.pc <- pc;
+            let addr = Int64.to_int (get_reg t base) + off in
+            set_reg t rd (Int64.of_int (Memory.load_u32 t.cur.vmem addr))
+      | Inst.H, false ->
+          fun t ->
+            t.pc <- pc;
+            let addr = Int64.to_int (get_reg t base) + off in
+            set_reg t rd (Int64.of_int (Encode.sext (Memory.load_u16 t.cur.vmem addr) 16))
+      | Inst.H, true ->
+          fun t ->
+            t.pc <- pc;
+            let addr = Int64.to_int (get_reg t base) + off in
+            set_reg t rd (Int64.of_int (Memory.load_u16 t.cur.vmem addr))
+      | Inst.B, false ->
+          fun t ->
+            t.pc <- pc;
+            let addr = Int64.to_int (get_reg t base) + off in
+            set_reg t rd (Int64.of_int (Encode.sext (Memory.load_u8 t.cur.vmem addr) 8))
+      | Inst.B, true ->
+          fun t ->
+            t.pc <- pc;
+            let addr = Int64.to_int (get_reg t base) + off in
+            set_reg t rd (Int64.of_int (Memory.load_u8 t.cur.vmem addr)))
+  | Tir.Kloadc { width; unsigned; rd; addr } -> (
+      match (width, unsigned) with
+      | Inst.D, _ ->
+          fun t ->
+            t.pc <- pc;
+            load64 t rd addr
+      | Inst.W, false ->
+          fun t ->
+            t.pc <- pc;
+            set_reg t rd (Int64.of_int (sext32_int (Memory.load_u32 t.cur.vmem addr)))
+      | Inst.W, true ->
+          fun t ->
+            t.pc <- pc;
+            set_reg t rd (Int64.of_int (Memory.load_u32 t.cur.vmem addr))
+      | Inst.H, false ->
+          fun t ->
+            t.pc <- pc;
+            set_reg t rd (Int64.of_int (Encode.sext (Memory.load_u16 t.cur.vmem addr) 16))
+      | Inst.H, true ->
+          fun t ->
+            t.pc <- pc;
+            set_reg t rd (Int64.of_int (Memory.load_u16 t.cur.vmem addr))
+      | Inst.B, false ->
+          fun t ->
+            t.pc <- pc;
+            set_reg t rd (Int64.of_int (Encode.sext (Memory.load_u8 t.cur.vmem addr) 8))
+      | Inst.B, true ->
+          fun t ->
+            t.pc <- pc;
+            set_reg t rd (Int64.of_int (Memory.load_u8 t.cur.vmem addr)))
+  | Tir.Kstore { width; rs2; base; off } -> (
+      match width with
+      | Inst.D ->
+          fun t ->
+            t.pc <- pc;
+            store64 t (Int64.to_int (get_reg t base) + off) (get_reg t rs2)
+      | Inst.W ->
+          fun t ->
+            t.pc <- pc;
+            let addr = Int64.to_int (get_reg t base) + off in
+            Memory.store_u32 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFFFFFFFF)
+      | Inst.H ->
+          fun t ->
+            t.pc <- pc;
+            let addr = Int64.to_int (get_reg t base) + off in
+            Memory.store_u16 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFFFF)
+      | Inst.B ->
+          fun t ->
+            t.pc <- pc;
+            let addr = Int64.to_int (get_reg t base) + off in
+            Memory.store_u8 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFF))
+  | Tir.Kstorec { width; rs2; addr } -> (
+      match width with
+      | Inst.D ->
+          fun t ->
+            t.pc <- pc;
+            store64 t addr (get_reg t rs2)
+      | Inst.W ->
+          fun t ->
+            t.pc <- pc;
+            Memory.store_u32 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFFFFFFFF)
+      | Inst.H ->
+          fun t ->
+            t.pc <- pc;
+            Memory.store_u16 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFFFF)
+      | Inst.B ->
+          fun t ->
+            t.pc <- pc;
+            Memory.store_u8 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFF))
+  | Tir.Kstorev { width; v; base; off } -> (
+      match width with
+      | Inst.D ->
+          fun t ->
+            t.pc <- pc;
+            store64 t (Int64.to_int (get_reg t base) + off) v
+      | Inst.W ->
+          let vi = Int64.to_int v land 0xFFFFFFFF in
+          fun t ->
+            t.pc <- pc;
+            Memory.store_u32 t.cur.vmem (Int64.to_int (get_reg t base) + off) vi
+      | Inst.H ->
+          let vi = Int64.to_int v land 0xFFFF in
+          fun t ->
+            t.pc <- pc;
+            Memory.store_u16 t.cur.vmem (Int64.to_int (get_reg t base) + off) vi
+      | Inst.B ->
+          let vi = Int64.to_int v land 0xFF in
+          fun t ->
+            t.pc <- pc;
+            Memory.store_u8 t.cur.vmem (Int64.to_int (get_reg t base) + off) vi)
+  | Tir.Kstorecv { width; v; addr } -> (
+      match width with
+      | Inst.D ->
+          fun t ->
+            t.pc <- pc;
+            store64 t addr v
+      | Inst.W ->
+          let vi = Int64.to_int v land 0xFFFFFFFF in
+          fun t ->
+            t.pc <- pc;
+            Memory.store_u32 t.cur.vmem addr vi
+      | Inst.H ->
+          let vi = Int64.to_int v land 0xFFFF in
+          fun t ->
+            t.pc <- pc;
+            Memory.store_u16 t.cur.vmem addr vi
+      | Inst.B ->
+          let vi = Int64.to_int v land 0xFF in
+          fun t ->
+            t.pc <- pc;
+            Memory.store_u8 t.cur.vmem addr vi)
 
 (* Compile one instruction for the fast path. Event instructions and
    indirect/linking control flow terminate the block (they stay decoded and
@@ -1259,504 +1594,43 @@ let compile_op t ~sb ~relayout ~pc inst size =
                     raise_notrace Side_exit
                   end)
       end
-  | _ ->
+  | _ -> (
       if not (Ext.supports t.isa inst) then Tblock.Stop
       else
-        let retire =
-          if Ext.required inst = Some Ext.V then retire_vector else retire_scalar
-        in
-        let op =
-          match inst with
-          | Inst.Lui (rd, imm20) ->
-              let v = Int64.of_int (imm20 lsl 12) in
-              fun t ->
-                set_reg t rd v
-          | Inst.Auipc (rd, imm20) ->
-              let v = Int64.of_int (pc + (imm20 lsl 12)) in
-              fun t ->
-                set_reg t rd v
-          | Inst.Load { width; unsigned; rd; rs1; imm } -> (
-              (* width/signedness are static: pick the accessor here so the
-                 closure runs no per-execution dispatch *)
-              let im = Int64.of_int imm in
-              match (width, unsigned) with
-              | Inst.D, _ ->
-                  fun t ->
-                    t.pc <- pc;
-                    let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                    set_reg t rd (Memory.load_u64 t.cur.vmem addr)
-              | Inst.W, false ->
-                  fun t ->
-                    t.pc <- pc;
-                    let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                    set_reg t rd
-                      (sext32 (Int64.of_int (Memory.load_u32 t.cur.vmem addr)))
-              | Inst.B, true ->
-                  fun t ->
-                    t.pc <- pc;
-                    let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                    set_reg t rd (Int64.of_int (Memory.load_u8 t.cur.vmem addr))
-              | _ ->
-                  fun t ->
-                    t.pc <- pc;
-                    let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                    set_reg t rd (load_value t.cur.vmem width unsigned addr))
-          | Inst.Store { width; rs2; rs1; imm } -> (
-              let im = Int64.of_int imm in
-              match width with
-              | Inst.D ->
-                  fun t ->
-                    t.pc <- pc;
-                    let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                    Memory.store_u64 t.cur.vmem addr (get_reg t rs2)
-              | Inst.W ->
-                  fun t ->
-                    t.pc <- pc;
-                    let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                    Memory.store_u32 t.cur.vmem addr
-                      (Int64.to_int (Int64.logand (get_reg t rs2) 0xFFFFFFFFL))
-              | _ ->
-                  fun t ->
-                    t.pc <- pc;
-                    let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                    store_value t.cur.vmem width addr (get_reg t rs2))
-          | Inst.Op (op, rd, rs1, rs2) -> (
-              (* the hottest ALU ops get dedicated closures (no jump through
-                 [alu]'s dispatch table); the long tail shares one *)
-              match op with
-              | Inst.Add ->
-                  fun t ->
-                    set_reg t rd (Int64.add (get_reg t rs1) (get_reg t rs2))
-              | Inst.Sub ->
-                  fun t ->
-                    set_reg t rd (Int64.sub (get_reg t rs1) (get_reg t rs2))
-              | Inst.And ->
-                  fun t ->
-                    set_reg t rd (Int64.logand (get_reg t rs1) (get_reg t rs2))
-              | Inst.Or ->
-                  fun t ->
-                    set_reg t rd (Int64.logor (get_reg t rs1) (get_reg t rs2))
-              | Inst.Xor ->
-                  fun t ->
-                    set_reg t rd (Int64.logxor (get_reg t rs1) (get_reg t rs2))
-              | Inst.Addw ->
-                  fun t ->
-                    set_reg t rd
-                      (sext32 (Int64.add (get_reg t rs1) (get_reg t rs2)))
-              | Inst.Mul ->
-                  fun t ->
-                    set_reg t rd (Int64.mul (get_reg t rs1) (get_reg t rs2))
-              | _ ->
-                  fun t ->
-                    set_reg t rd (alu op (get_reg t rs1) (get_reg t rs2)))
-          | Inst.Opi (Inst.Addi, rd, rs1, imm) ->
-              let im = Int64.of_int imm in
-              fun t ->
-                set_reg t rd (Int64.add (get_reg t rs1) im)
-          | Inst.Opi (Inst.Andi, rd, rs1, imm) ->
-              let im = Int64.of_int imm in
-              fun t ->
-                set_reg t rd (Int64.logand (get_reg t rs1) im)
-          | Inst.Opi (Inst.Slli, rd, rs1, imm) ->
-              let sh = imm land 63 in
-              fun t ->
-                set_reg t rd (Int64.shift_left (get_reg t rs1) sh)
-          | Inst.Opi (Inst.Srli, rd, rs1, imm) ->
-              let sh = imm land 63 in
-              fun t ->
-                set_reg t rd (Int64.shift_right_logical (get_reg t rs1) sh)
-          | Inst.Opi (Inst.Addiw, rd, rs1, imm) ->
-              let im = Int64.of_int imm in
-              fun t ->
-                set_reg t rd (sext32 (Int64.add (get_reg t rs1) im))
-          | Inst.Opi (op, rd, rs1, imm) ->
-              fun t ->
-                set_reg t rd (alui op (get_reg t rs1) imm)
-          | Inst.C_nop ->
-              fun _ -> ()
-          | Inst.C_addi (rd, imm) ->
-              let im = Int64.of_int imm in
-              fun t ->
-                set_reg t rd (Int64.add (get_reg t rd) im)
-          | Inst.C_li (rd, imm) ->
-              let v = Int64.of_int imm in
-              fun t ->
-                set_reg t rd v
-          | Inst.C_mv (rd, rs2) ->
-              fun t ->
-                set_reg t rd (get_reg t rs2)
-          | Inst.C_add (rd, rs2) ->
-              fun t ->
-                set_reg t rd (Int64.add (get_reg t rd) (get_reg t rs2))
-          | Inst.C_ld (rd, rs1, uimm) ->
-              let im = Int64.of_int uimm in
-              fun t ->
-                t.pc <- pc;
-                let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                set_reg t rd (Memory.load_u64 t.cur.vmem addr)
-          | Inst.C_sd (rs2, rs1, uimm) ->
-              let im = Int64.of_int uimm in
-              fun t ->
-                t.pc <- pc;
-                let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                Memory.store_u64 t.cur.vmem addr (get_reg t rs2)
-          | Inst.C_slli (rd, sh) ->
-              fun t ->
-                set_reg t rd (Int64.shift_left (get_reg t rd) sh)
-          | Inst.C_lw (rd, rs1, uimm) ->
-              let im = Int64.of_int uimm in
-              fun t ->
-                t.pc <- pc;
-                let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                set_reg t rd (sext32 (Int64.of_int (Memory.load_u32 t.cur.vmem addr)))
-          | Inst.C_sw (rs2, rs1, uimm) ->
-              let im = Int64.of_int uimm in
-              fun t ->
-                t.pc <- pc;
-                let addr = addr_of (Int64.add (get_reg t rs1) im) in
-                Memory.store_u32 t.cur.vmem addr
-                  (Int64.to_int (Int64.logand (get_reg t rs2) 0xFFFFFFFFL))
-          | Inst.C_lui (rd, imm) ->
-              let v = Int64.of_int (imm lsl 12) in
-              fun t ->
-                set_reg t rd v
-          | Inst.C_addiw (rd, imm) ->
-              let im = Int64.of_int imm in
-              fun t ->
-                set_reg t rd (sext32 (Int64.add (get_reg t rd) im))
-          | Inst.C_andi (rd, imm) ->
-              let im = Int64.of_int imm in
-              fun t ->
-                set_reg t rd (Int64.logand (get_reg t rd) im)
-          | Inst.C_alu (op, rd, rs2) ->
-              fun t ->
-                let a = get_reg t rd and b = get_reg t rs2 in
-                set_reg t rd
-                  (match op with
-                  | Inst.Csub -> Int64.sub a b
-                  | Inst.Cxor -> Int64.logxor a b
-                  | Inst.Cor -> Int64.logor a b
-                  | Inst.Cand -> Int64.logand a b
-                  | Inst.Csubw -> sext32 (Int64.sub a b)
-                  | Inst.Caddw -> sext32 (Int64.add a b))
-          | _ ->
-              (* vector / packed-SIMD and other rare straight-line
-                 instructions: reuse the interpreter dispatch (they can
-                 only produce [Enone] — events all terminate blocks). *)
-              fun t ->
+        match Tir.lower ~pc inst size with
+        | Some o ->
+            (* a plain straight-line instruction: the closure the IR
+               emitter builds for the same op, leaving the retired counter
+               to the dispatch loop *)
+            Tblock.Op (emit_effect o)
+        | None ->
+            (* vector / packed-SIMD and other rare straight-line
+               instructions: reuse the interpreter dispatch (they can only
+               produce [Enone] — events all terminate blocks) and retire
+               themselves *)
+            let retire =
+              if Ext.required inst = Some Ext.V then retire_vector else retire_scalar
+            in
+            Tblock.Op_self
+              (fun t ->
                 t.pc <- pc;
                 (match exec t inst size with
                 | Enone -> ()
                 | Eebreak _ | Eecall | Echeck _ -> assert false);
-                retire t
-        in
-        (* every named arm above leaves the retired counter to the
-           dispatch loop; only the interpreter fallback retires itself *)
-        match inst with
-        | Inst.Lui _ | Inst.Auipc _ | Inst.Load _ | Inst.Store _ | Inst.Op _
-        | Inst.Opi _ | Inst.C_nop | Inst.C_addi _ | Inst.C_li _ | Inst.C_mv _
-        | Inst.C_add _ | Inst.C_ld _ | Inst.C_sd _ | Inst.C_slli _
-        | Inst.C_lw _ | Inst.C_sw _ | Inst.C_lui _ | Inst.C_addiw _
-        | Inst.C_andi _ | Inst.C_alu _ ->
-            Tblock.Op op
-        | _ -> Tblock.Op_self op
+                retire t))
 
 (* ------------------------------------------------------------------ *)
 (* IR emission                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let page_mask = Memory.page_size - 1
-
-(* 32-bit sign extension of a [0, 2^32) int — the load_u32 result — in
-   native arithmetic, so a sign-extending word load boxes exactly once. *)
-let sext32_int v = (v lxor 0x8000_0000) - 0x8000_0000
-
-(* Compile one optimized IR op to its effect closure. Mirrors the legacy
-   [compile_op] specializations, plus two allocation-saving idioms that are
-   exact in native [int]: effective addresses are computed as
-   [Int64.to_int base + off] (equal to the boxed Int64 sum modulo 2^63,
-   which is all an address is), and store data is masked in [int].
-   Fault-capable ops write their own pc first, exactly like the legacy
-   closures; pure ops never touch pc. *)
-let emit_effect (o : Tir.op) : t -> unit =
-  let pc = o.Tir.opc in
-  match o.Tir.k with
-  | Tir.Kdead -> fun _ -> ()
-  | Tir.Kconst (rd, v) -> fun t -> set_reg t rd v
-  | Tir.Kmv (rd, rs) -> fun t -> set_reg t rd (get_reg t rs)
-  | Tir.Kalu (op, rd, r1, r2) -> (
-      (* W-type ops are exact in native [int]: the 32-bit truncated result
-         only depends on the operands' low 32 bits, which [Int64.to_int]
-         (mod 2^63) preserves — one result box instead of a box per
-         intermediate Int64 step *)
-      match op with
-      | Inst.Add -> fun t -> set_reg t rd (Int64.add (get_reg t r1) (get_reg t r2))
-      | Inst.Sub -> fun t -> set_reg t rd (Int64.sub (get_reg t r1) (get_reg t r2))
-      | Inst.And ->
-          fun t -> set_reg t rd (Int64.logand (get_reg t r1) (get_reg t r2))
-      | Inst.Or -> fun t -> set_reg t rd (Int64.logor (get_reg t r1) (get_reg t r2))
-      | Inst.Xor ->
-          fun t -> set_reg t rd (Int64.logxor (get_reg t r1) (get_reg t r2))
-      | Inst.Addw ->
-          fun t ->
-            let v =
-              (Int64.to_int (get_reg t r1) + Int64.to_int (get_reg t r2))
-              land 0xFFFFFFFF
-            in
-            set_reg t rd (Int64.of_int (sext32_int v))
-      | Inst.Subw ->
-          fun t ->
-            let v =
-              (Int64.to_int (get_reg t r1) - Int64.to_int (get_reg t r2))
-              land 0xFFFFFFFF
-            in
-            set_reg t rd (Int64.of_int (sext32_int v))
-      | Inst.Mulw ->
-          fun t ->
-            let v =
-              Int64.to_int (get_reg t r1) * Int64.to_int (get_reg t r2)
-              land 0xFFFFFFFF
-            in
-            set_reg t rd (Int64.of_int (sext32_int v))
-      | Inst.Sllw ->
-          fun t ->
-            let sh = Int64.to_int (get_reg t r2) land 31 in
-            let v = (Int64.to_int (get_reg t r1) lsl sh) land 0xFFFFFFFF in
-            set_reg t rd (Int64.of_int (sext32_int v))
-      | Inst.Srlw ->
-          fun t ->
-            let sh = Int64.to_int (get_reg t r2) land 31 in
-            let v = (Int64.to_int (get_reg t r1) land 0xFFFFFFFF) lsr sh in
-            set_reg t rd (Int64.of_int (sext32_int v))
-      | Inst.Sraw ->
-          fun t ->
-            let sh = Int64.to_int (get_reg t r2) land 31 in
-            let v = sext32_int (Int64.to_int (get_reg t r1) land 0xFFFFFFFF) in
-            set_reg t rd (Int64.of_int (v asr sh))
-      | Inst.Mul -> fun t -> set_reg t rd (Int64.mul (get_reg t r1) (get_reg t r2))
-      | _ -> fun t -> set_reg t rd (Tir.alu op (get_reg t r1) (get_reg t r2)))
-  | Tir.Kaluc (op, rd, r1, c) -> (
-      match op with
-      | Inst.Add -> fun t -> set_reg t rd (Int64.add (get_reg t r1) c)
-      | Inst.And -> fun t -> set_reg t rd (Int64.logand (get_reg t r1) c)
-      | Inst.Or -> fun t -> set_reg t rd (Int64.logor (get_reg t r1) c)
-      | Inst.Xor -> fun t -> set_reg t rd (Int64.logxor (get_reg t r1) c)
-      | Inst.Addw ->
-          let ci = Int64.to_int c in
-          fun t ->
-            let v = (Int64.to_int (get_reg t r1) + ci) land 0xFFFFFFFF in
-            set_reg t rd (Int64.of_int (sext32_int v))
-      | Inst.Subw ->
-          let ci = Int64.to_int c in
-          fun t ->
-            let v = (Int64.to_int (get_reg t r1) - ci) land 0xFFFFFFFF in
-            set_reg t rd (Int64.of_int (sext32_int v))
-      | Inst.Mulw ->
-          let ci = Int64.to_int c in
-          fun t ->
-            let v = Int64.to_int (get_reg t r1) * ci land 0xFFFFFFFF in
-            set_reg t rd (Int64.of_int (sext32_int v))
-      | _ -> fun t -> set_reg t rd (Tir.alu op (get_reg t r1) c))
-  | Tir.Kalui (op, rd, r1, imm) -> (
-      match op with
-      | Inst.Addi ->
-          let c = Int64.of_int imm in
-          fun t -> set_reg t rd (Int64.add (get_reg t r1) c)
-      | Inst.Andi ->
-          let c = Int64.of_int imm in
-          fun t -> set_reg t rd (Int64.logand (get_reg t r1) c)
-      | Inst.Slli ->
-          let sh = imm land 63 in
-          fun t -> set_reg t rd (Int64.shift_left (get_reg t r1) sh)
-      | Inst.Srli ->
-          let sh = imm land 63 in
-          fun t -> set_reg t rd (Int64.shift_right_logical (get_reg t r1) sh)
-      | Inst.Srai ->
-          let sh = imm land 63 in
-          fun t -> set_reg t rd (Int64.shift_right (get_reg t r1) sh)
-      | Inst.Addiw ->
-          fun t ->
-            let v = (Int64.to_int (get_reg t r1) + imm) land 0xFFFFFFFF in
-            set_reg t rd (Int64.of_int (sext32_int v))
-      | Inst.Slliw ->
-          let sh = imm land 31 in
-          fun t ->
-            let v = (Int64.to_int (get_reg t r1) lsl sh) land 0xFFFFFFFF in
-            set_reg t rd (Int64.of_int (sext32_int v))
-      | Inst.Srliw ->
-          let sh = imm land 31 in
-          fun t ->
-            let v = (Int64.to_int (get_reg t r1) land 0xFFFFFFFF) lsr sh in
-            set_reg t rd (Int64.of_int (sext32_int v))
-      | Inst.Sraiw ->
-          let sh = imm land 31 in
-          fun t ->
-            let v = sext32_int (Int64.to_int (get_reg t r1) land 0xFFFFFFFF) in
-            set_reg t rd (Int64.of_int (v asr sh))
-      | _ -> fun t -> set_reg t rd (Tir.alui op (get_reg t r1) imm))
-  | Tir.Kload { width; unsigned; rd; base; off } -> (
-      match (width, unsigned) with
-      | Inst.D, _ ->
-          fun t ->
-            t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            set_reg t rd (Memory.load_u64 t.cur.vmem addr)
-      | Inst.W, false ->
-          fun t ->
-            t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            set_reg t rd (Int64.of_int (sext32_int (Memory.load_u32 t.cur.vmem addr)))
-      | Inst.W, true ->
-          fun t ->
-            t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            set_reg t rd (Int64.of_int (Memory.load_u32 t.cur.vmem addr))
-      | Inst.H, false ->
-          fun t ->
-            t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            set_reg t rd (Int64.of_int (Encode.sext (Memory.load_u16 t.cur.vmem addr) 16))
-      | Inst.H, true ->
-          fun t ->
-            t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            set_reg t rd (Int64.of_int (Memory.load_u16 t.cur.vmem addr))
-      | Inst.B, false ->
-          fun t ->
-            t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            set_reg t rd (Int64.of_int (Encode.sext (Memory.load_u8 t.cur.vmem addr) 8))
-      | Inst.B, true ->
-          fun t ->
-            t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            set_reg t rd (Int64.of_int (Memory.load_u8 t.cur.vmem addr)))
-  | Tir.Kloadc { width; unsigned; rd; addr } -> (
-      match (width, unsigned) with
-      | Inst.D, _ ->
-          fun t ->
-            t.pc <- pc;
-            set_reg t rd (Memory.load_u64 t.cur.vmem addr)
-      | Inst.W, false ->
-          fun t ->
-            t.pc <- pc;
-            set_reg t rd (Int64.of_int (sext32_int (Memory.load_u32 t.cur.vmem addr)))
-      | Inst.W, true ->
-          fun t ->
-            t.pc <- pc;
-            set_reg t rd (Int64.of_int (Memory.load_u32 t.cur.vmem addr))
-      | Inst.H, false ->
-          fun t ->
-            t.pc <- pc;
-            set_reg t rd (Int64.of_int (Encode.sext (Memory.load_u16 t.cur.vmem addr) 16))
-      | Inst.H, true ->
-          fun t ->
-            t.pc <- pc;
-            set_reg t rd (Int64.of_int (Memory.load_u16 t.cur.vmem addr))
-      | Inst.B, false ->
-          fun t ->
-            t.pc <- pc;
-            set_reg t rd (Int64.of_int (Encode.sext (Memory.load_u8 t.cur.vmem addr) 8))
-      | Inst.B, true ->
-          fun t ->
-            t.pc <- pc;
-            set_reg t rd (Int64.of_int (Memory.load_u8 t.cur.vmem addr)))
-  | Tir.Kstore { width; rs2; base; off } -> (
-      match width with
-      | Inst.D ->
-          fun t ->
-            t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            Memory.store_u64 t.cur.vmem addr (get_reg t rs2)
-      | Inst.W ->
-          fun t ->
-            t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            Memory.store_u32 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFFFFFFFF)
-      | Inst.H ->
-          fun t ->
-            t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            Memory.store_u16 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFFFF)
-      | Inst.B ->
-          fun t ->
-            t.pc <- pc;
-            let addr = Int64.to_int (get_reg t base) + off in
-            Memory.store_u8 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFF))
-  | Tir.Kstorec { width; rs2; addr } -> (
-      match width with
-      | Inst.D ->
-          fun t ->
-            t.pc <- pc;
-            Memory.store_u64 t.cur.vmem addr (get_reg t rs2)
-      | Inst.W ->
-          fun t ->
-            t.pc <- pc;
-            Memory.store_u32 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFFFFFFFF)
-      | Inst.H ->
-          fun t ->
-            t.pc <- pc;
-            Memory.store_u16 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFFFF)
-      | Inst.B ->
-          fun t ->
-            t.pc <- pc;
-            Memory.store_u8 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFF))
-  | Tir.Kstorev { width; v; base; off } -> (
-      match width with
-      | Inst.D ->
-          fun t ->
-            t.pc <- pc;
-            Memory.store_u64 t.cur.vmem (Int64.to_int (get_reg t base) + off) v
-      | Inst.W ->
-          let vi = Int64.to_int v land 0xFFFFFFFF in
-          fun t ->
-            t.pc <- pc;
-            Memory.store_u32 t.cur.vmem (Int64.to_int (get_reg t base) + off) vi
-      | Inst.H ->
-          let vi = Int64.to_int v land 0xFFFF in
-          fun t ->
-            t.pc <- pc;
-            Memory.store_u16 t.cur.vmem (Int64.to_int (get_reg t base) + off) vi
-      | Inst.B ->
-          let vi = Int64.to_int v land 0xFF in
-          fun t ->
-            t.pc <- pc;
-            Memory.store_u8 t.cur.vmem (Int64.to_int (get_reg t base) + off) vi)
-  | Tir.Kstorecv { width; v; addr } -> (
-      match width with
-      | Inst.D ->
-          fun t ->
-            t.pc <- pc;
-            Memory.store_u64 t.cur.vmem addr v
-      | Inst.W ->
-          let vi = Int64.to_int v land 0xFFFFFFFF in
-          fun t ->
-            t.pc <- pc;
-            Memory.store_u32 t.cur.vmem addr vi
-      | Inst.H ->
-          let vi = Int64.to_int v land 0xFFFF in
-          fun t ->
-            t.pc <- pc;
-            Memory.store_u16 t.cur.vmem addr vi
-      | Inst.B ->
-          let vi = Int64.to_int v land 0xFF in
-          fun t ->
-            t.pc <- pc;
-            Memory.store_u8 t.cur.vmem addr vi)
-
-(* The read-modify-write middle op as a value transformer, or None if the
-   op at [i+1] is not a pure ALU of the form [x <- x op _]. *)
-let rmw_apply (k : Tir.kind) x =
+(* Whether the op after a load into [x] is a read-modify-write middle: a
+   pure ALU op of the form [x <- x op _] (or [x <- _ op x]). *)
+let rmw_middle (k : Tir.kind) x =
   match k with
-  | Tir.Kalu (op, rd, r1, r2) when Reg.equal rd x && Reg.equal r1 x ->
-      Some (fun t v -> Tir.alu op v (get_reg t r2))
-  | Tir.Kalu (op, rd, r1, r2) when Reg.equal rd x && Reg.equal r2 x ->
-      Some (fun t v -> Tir.alu op (get_reg t r1) v)
-  | Tir.Kaluc (op, rd, r1, c) when Reg.equal rd x && Reg.equal r1 x ->
-      Some (fun _ v -> Tir.alu op v c)
-  | Tir.Kalui (op, rd, r1, imm) when Reg.equal rd x && Reg.equal r1 x ->
-      Some (fun _ v -> Tir.alui op v imm)
-  | _ -> None
+  | Tir.Kalu (_, rd, r1, r2) -> Reg.equal rd x && (Reg.equal r1 x || Reg.equal r2 x)
+  | Tir.Kaluc (_, rd, r1, _) | Tir.Kalui (_, rd, r1, _) ->
+      Reg.equal rd x && Reg.equal r1 x
+  | _ -> false
 
 (* Emit one optimized straight-line run as execution units:
 
@@ -1820,24 +1694,25 @@ let emit_units ir_units tlb_elided (ops : Tir.op array) =
             do
               incr c
             done;
-            (* collect the constants in the [c0, c) stretch *)
+            (* collect the constants in the [c0, c) stretch, as register
+               file offsets *)
             let rds = ref [] and vals = ref [] and nc = ref 0 in
             for x = c0 to !c - 1 do
               match ops.(x).Tir.k with
               | Tir.Kconst (rd, v) ->
-                  rds := Reg.to_int rd :: !rds;
+                  rds := ((rd :> int) lsl 3) :: !rds;
                   vals := v :: !vals;
                   incr nc
               | _ -> ()
             done;
             (match (!rds, !vals) with
             | [ r1 ], [ v1 ] ->
-                effs := (fun t -> Array.unsafe_set t.xregs r1 v1) :: !effs
+                effs := (fun t -> bytes_set64u t.xregs r1 v1) :: !effs
             | [ r2; r1 ], [ v2; v1 ] ->
                 effs :=
                   (fun t ->
-                    Array.unsafe_set t.xregs r1 v1;
-                    Array.unsafe_set t.xregs r2 v2)
+                    bytes_set64u t.xregs r1 v1;
+                    bytes_set64u t.xregs r2 v2)
                   :: !effs
             | _ ->
                 let rds = Array.of_list (List.rev !rds) in
@@ -1846,7 +1721,7 @@ let emit_units ir_units tlb_elided (ops : Tir.op array) =
                 effs :=
                   (fun t ->
                     for x = 0 to m - 1 do
-                      Array.unsafe_set t.xregs (Array.unsafe_get rds x)
+                      bytes_set64u t.xregs (Array.unsafe_get rds x)
                         (Array.unsafe_get vals x)
                     done)
                   :: !effs);
@@ -1881,45 +1756,43 @@ let emit_units ir_units tlb_elided (ops : Tir.op array) =
       let consumed = ref 0 in
       (match o.Tir.k with
       | Tir.Kload { width = (Inst.D | Inst.W) as w; unsigned = false; rd = x; base = b; off }
-        when !i + 2 < n && Reg.to_int x <> 0 && not (Reg.equal x b) -> (
-          (* load; alu; store back to the same slot *)
-          match rmw_apply ops.(!i + 1).Tir.k x with
-          | Some apply -> (
-              match ops.(!i + 2).Tir.k with
-              | Tir.Kstore { width = w2; rs2; base = b2; off = off2 }
-                when w2 = w && Reg.equal rs2 x && Reg.equal b2 b && off2 = off ->
-                  let pc1 = o.Tir.opc and pc3 = ops.(!i + 2).Tir.opc in
-                  let efn =
-                    match w with
-                    | Inst.D ->
-                        fun t ->
-                          t.pc <- pc1;
-                          let m = t.cur.vmem in
-                          let a = Int64.to_int (get_reg t b) + off in
-                          let v = Memory.load_u64 m a in
-                          let v' = apply t v in
-                          set_reg t x v';
-                          t.retired <- t.retired + 2;
-                          t.pc <- pc3;
-                          Memory.store_u64 m a v';
-                          t.retired <- t.retired + 1
-                    | _ ->
-                        fun t ->
-                          t.pc <- pc1;
-                          let m = t.cur.vmem in
-                          let a = Int64.to_int (get_reg t b) + off in
-                          let v = Int64.of_int (sext32_int (Memory.load_u32 m a)) in
-                          let v' = apply t v in
-                          set_reg t x v';
-                          t.retired <- t.retired + 2;
-                          t.pc <- pc3;
-                          Memory.store_u32 m a (Int64.to_int v' land 0xFFFFFFFF);
-                          t.retired <- t.retired + 1
-                  in
-                  push ~fuse:(pc1, "rmw") efn 3 true;
-                  consumed := 3
-              | _ -> ())
-          | None -> ())
+        when !i + 2 < n && Reg.to_int x <> 0 && not (Reg.equal x b)
+             && rmw_middle ops.(!i + 1).Tir.k x -> (
+          match ops.(!i + 2).Tir.k with
+          | Tir.Kstore { width = w2; rs2; base = b2; off = off2 }
+            when w2 = w && Reg.equal rs2 x && Reg.equal b2 b && off2 = off ->
+              (* the middle op runs as its own effect closure between the
+                 load into [x] and the store of [x]: the value stays in
+                 the register file throughout *)
+              let pc1 = o.Tir.opc and pc3 = ops.(!i + 2).Tir.opc in
+              let mid = emit_effect ops.(!i + 1) in
+              let efn =
+                match w with
+                | Inst.D ->
+                    fun t ->
+                      t.pc <- pc1;
+                      let a = Int64.to_int (get_reg t b) + off in
+                      load64 t x a;
+                      mid t;
+                      t.retired <- t.retired + 2;
+                      t.pc <- pc3;
+                      store64 t a (get_reg t x);
+                      t.retired <- t.retired + 1
+                | _ ->
+                    fun t ->
+                      t.pc <- pc1;
+                      let m = t.cur.vmem in
+                      let a = Int64.to_int (get_reg t b) + off in
+                      set_reg t x (Int64.of_int (sext32_int (Memory.load_u32 m a)));
+                      mid t;
+                      t.retired <- t.retired + 2;
+                      t.pc <- pc3;
+                      Memory.store_u32 m a (Int64.to_int (get_reg t x) land 0xFFFFFFFF);
+                      t.retired <- t.retired + 1
+              in
+              push ~fuse:(pc1, "rmw") efn 3 true;
+              consumed := 3
+          | _ -> ())
       | _ -> ());
       if !consumed = 0 then begin
         match (o.Tir.k, if !i + 1 < n then Some ops.(!i + 1).Tir.k else None) with
@@ -1939,15 +1812,15 @@ let emit_units ir_units tlb_elided (ops : Tir.op array) =
               if off1 + 8 <= Memory.page_size && off2 >= 0 && off2 + 8 <= Memory.page_size
               then begin
                 let pg = Memory.read_data m a1 in
-                set_reg t r1 (Bytes.get_int64_le pg off1);
-                set_reg t r2 (Bytes.get_int64_le pg off2);
+                set_reg t r1 (page_get64 pg off1);
+                set_reg t r2 (page_get64 pg off2);
                 t.retired <- t.retired + 2
               end
               else begin
-                set_reg t r1 (Memory.load_u64 m a1);
+                load64 t r1 a1;
                 t.retired <- t.retired + 1;
                 t.pc <- pc2;
-                set_reg t r2 (Memory.load_u64 m (Int64.to_int (get_reg t b) + o2));
+                load64 t r2 (Int64.to_int (get_reg t b) + o2);
                 t.retired <- t.retired + 1
               end
             in
@@ -1968,15 +1841,15 @@ let emit_units ir_units tlb_elided (ops : Tir.op array) =
               if off1 + 8 <= Memory.page_size && off2 >= 0 && off2 + 8 <= Memory.page_size
               then begin
                 let pg = Memory.write_data m a1 in
-                Bytes.set_int64_le pg off1 (get_reg t r1);
-                Bytes.set_int64_le pg off2 (get_reg t r2);
+                page_set64 pg off1 (get_reg t r1);
+                page_set64 pg off2 (get_reg t r2);
                 t.retired <- t.retired + 2
               end
               else begin
-                Memory.store_u64 m a1 (get_reg t r1);
+                store64 t a1 (get_reg t r1);
                 t.retired <- t.retired + 1;
                 t.pc <- pc2;
-                Memory.store_u64 m (Int64.to_int (get_reg t b) + o2) (get_reg t r2);
+                store64 t (Int64.to_int (get_reg t b) + o2) (get_reg t r2);
                 t.retired <- t.retired + 1
               end
             in
@@ -2268,18 +2141,17 @@ let ic_train t s pc nb =
   | Some ob ->
       let keep = ref [] and nkeep = ref 0 in
       Array.iter
-        (fun ((p, b) as e) ->
-          if
-            p <> pc
-            && p <> s.site_target
-            && Tblock.epoch_current b t.code_epoch
-          then begin
-            keep := e :: !keep;
-            incr nkeep
-          end)
+        (function
+          | Some b as e
+            when b.Tblock.entry <> pc
+                 && b.Tblock.entry <> s.site_target
+                 && Tblock.epoch_current b t.code_epoch ->
+              keep := e :: !keep;
+              incr nkeep
+          | _ -> ())
         s.site_poly;
       if Tblock.epoch_current ob t.code_epoch then begin
-        keep := (s.site_target, ob) :: !keep;
+        keep := s.site_tb :: !keep;
         incr nkeep
       end;
       if !nkeep >= ic_poly_limit then begin
@@ -2302,40 +2174,38 @@ let ic_train t s pc nb =
    an IC hit and a chain hit (the dispatch skipped the block table exactly
    like a link follow); a fall-through to the block table is an IC miss
    and trains the site; a dispatch through a megamorphic site is counted
-   separately — the site has stopped predicting, so it is neither. *)
+   separately — the site has stopped predicting, so it is neither. A hit
+   returns the option stored in the slot or table: it allocates nothing. *)
 let ic_dispatch t s pc =
   match s.site_tb with
-  | Some nb when s.site_target = pc && Tblock.epoch_current nb t.code_epoch ->
+  | Some nb as o when s.site_target = pc && nb.Tblock.echeck = t.code_epoch ->
       s.site_hits <- s.site_hits + 1;
       t.ic_hits <- t.ic_hits + 1;
       t.chain_hits <- t.chain_hits + 1;
       if !Obs.enabled then
         Obs.emit (Obs.Ic_hit { site = s.site_pc; target = pc });
-      Some nb
+      o
   | _ -> (
-      let poly =
-        if s.site_mega then None
-        else begin
-          let a = s.site_poly in
-          let n = Array.length a in
-          let rec go i =
-            if i >= n then None
-            else
-              let p, b = Array.unsafe_get a i in
-              if p = pc && Tblock.epoch_current b t.code_epoch then Some b
-              else go (i + 1)
-          in
-          go 0
-        end
-      in
-      match poly with
-      | Some nb ->
+      let poly = ref None in
+      if not s.site_mega then begin
+        let a = s.site_poly in
+        let i = ref 0 in
+        while !poly == None && !i < Array.length a do
+          (match Array.unsafe_get a !i with
+          | Some b as o when b.Tblock.entry = pc && b.Tblock.echeck = t.code_epoch ->
+              poly := o
+          | _ -> ());
+          incr i
+        done
+      end;
+      match !poly with
+      | Some _ as o ->
           s.site_hits <- s.site_hits + 1;
           t.ic_hits <- t.ic_hits + 1;
           t.chain_hits <- t.chain_hits + 1;
           if !Obs.enabled then
             Obs.emit (Obs.Ic_hit { site = s.site_pc; target = pc });
-          Some nb
+          o
       | None ->
           if s.site_mega then begin
             t.ic_mega_d <- t.ic_mega_d + 1;
@@ -2344,13 +2214,13 @@ let ic_dispatch t s pc =
           else (
             match block_or_cold t with
             | None -> None  (* entry still interpreted: nothing to cache *)
-            | Some nb ->
+            | Some nb as o ->
                 s.site_misses <- s.site_misses + 1;
                 t.ic_misses <- t.ic_misses + 1;
                 if !Obs.enabled then
                   Obs.emit (Obs.Ic_miss { site = s.site_pc; target = pc });
                 ic_train t s pc nb;
-                Some nb))
+                o))
 
 (* ------------------------------------------------------------------ *)
 (* Run loops                                                           *)
@@ -2379,14 +2249,19 @@ let run_step ~handlers ~fuel t =
    guard fails. The guard is entry-pc equality, the one-compare epoch check,
    and same-view identity (a handler may have switched views mid-run, and
    links never cross views), so a chain hit proves exactly what a
-   revalidated table hit proves. *)
+   revalidated table hit proves.
+
+   A chained dispatch allocates nothing: the previous block and its view
+   sit in two plain variables, and a link or inline-cache hit returns the
+   option cell already stored in the slot rather than a fresh [Some]. *)
 let run_blocks ~handlers ~fuel t =
   let remaining = ref fuel in
   let result = ref None in
   let apply = function Resume pc -> t.pc <- pc | Stop s -> result := Some s in
-  (* block that just completed normally (plus its view); cleared on any
+  (* the block that just completed normally, as the option cell it was
+     dispatched from, and the view it ran in; [prev] is cleared on any
      other path so faults/handler redirects re-enter through the table *)
-  let prev = ref None in
+  let prev = ref None and prev_view = ref t.cur in
   while !result = None && !remaining > 0 do
     (* an indirect terminator publishes its inline-cache site as it
        completes; consume it here (or drop it, if this dispatch is not a
@@ -2396,7 +2271,7 @@ let run_blocks ~handlers ~fuel t =
     if pic != None then t.pending_ic <- None;
     let bo =
       match !prev with
-      | Some (pb, pv) when pv == t.cur -> (
+      | Some pb when !prev_view == t.cur -> (
           let pc = t.pc in
           match pic with
           | Some s -> ic_dispatch t s pc
@@ -2405,27 +2280,26 @@ let run_blocks ~handlers ~fuel t =
               match
                 (if to_fall then pb.Tblock.link_fall else pb.Tblock.link_taken)
               with
-              | Some nb
-                when nb.Tblock.entry = pc
-                     && Tblock.epoch_current nb t.code_epoch ->
+              | Some nb as link
+                when nb.Tblock.entry = pc && nb.Tblock.echeck = t.code_epoch ->
                   t.chain_hits <- t.chain_hits + 1;
                   if !Obs.enabled then
                     Obs.emit
                       (Obs.Tb_hit { entry = pc; body = Tblock.body_length nb });
-                  Some nb
+                  link
               | _ -> (
                   match block_or_cold t with
-                  | Some nb ->
+                  | Some nb as o ->
                       if to_fall then Tblock.set_link_fall pb nb
                       else Tblock.set_link_taken pb nb;
                       if !Obs.enabled then
                         Obs.emit
                           (Obs.Tb_chain { src = pb.Tblock.entry; dst = pc });
-                      Some nb
+                      o
                   | None -> None)))
       | _ -> block_or_cold t
     in
-    let v0 = t.cur in
+    prev_view := t.cur;
     prev := None;
     match bo with
     | None ->
@@ -2437,6 +2311,8 @@ let run_blocks ~handlers ~fuel t =
         decr remaining
     | Some b0 ->
     let b = if t.tiered then maybe_promote t b0 else b0 in
+    (* a promotion replaced the block: the one allocation is its new cell *)
+    let bo = if b == b0 then bo else Some b in
     t.tb_dispatches <- t.tb_dispatches + 1;
     if Tblock.degenerate b then begin
       (* illegal, unsupported, or unmapped entry: the slow path raises the
@@ -2571,7 +2447,7 @@ let run_blocks ~handlers ~fuel t =
             if !Obs.enabled then
               Obs.emit
                 (Obs.Tb_side_exit { entry = b.Tblock.entry; target = t.pc });
-            prev := Some (b, v0)
+            prev := bo
           end
           else if full then (
             (* closures write pc lazily (only fault-capable ones set their
@@ -2586,18 +2462,18 @@ let run_blocks ~handlers ~fuel t =
                        icache on, fall through so fetch charges apply) *)
                     f t;
                     decr remaining;
-                    prev := Some (b, v0)
+                    prev := bo
                 | _ ->
                     t.pc <- b.Tblock.fall - size;
                     term_tried := true;
                     (match step_decoded ~handlers t inst size with
                     | Some s -> result := Some s
-                    | None -> prev := Some (b, v0));
+                    | None -> prev := bo);
                     decr remaining)
             | Some (_, size) -> t.pc <- b.Tblock.fall - size
             | None ->
                 t.pc <- b.Tblock.fall;
-                prev := Some (b, v0))
+                prev := bo)
           else
             (* fuel-limited prefix: resume at the first unexecuted
                instruction *)
@@ -2799,7 +2675,8 @@ let export_plan t =
         else
           let targets =
             (if s.site_target >= 0 then [ s.site_target ] else [])
-            @ (Array.to_list s.site_poly |> List.map fst)
+            @ (Array.to_list s.site_poly
+              |> List.filter_map (Option.map (fun b -> b.Tblock.entry)))
           in
           if targets = [] then acc else (site, targets) :: acc)
       t.cur.ics []

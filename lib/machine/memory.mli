@@ -77,7 +77,10 @@ val fetch_u16 : t -> int -> int
 
     [read_data]/[write_data] perform one full TLB-checked translation of
     the page containing the address and return its payload bytes. The
-    block engine's fused memory units use them to elide redundant checks:
+    block engine's 64-bit accesses go through them, so an in-page value
+    moves between the page and the register file without an [Int64] box
+    (a page-crossing access falls back to [load_u64]/[store_u64]). Its
+    fused memory units also use them to elide redundant checks:
     a second access of the {e same kind} whose address provably lands on
     the {e same page} within one execution unit may reuse the returned
     bytes directly. This is sound because permissions can only change from

@@ -262,6 +262,37 @@ print(f"ci: deploy smoke passed (analysis {metrics['analysis.busy_ms']['value']:
       f"load {metrics['load.busy_ms']['value']:.0f} ms, counts exact)")
 PY
 
+# Steady smoke: one traced pass of the benchmark's steady workload (warm,
+# cached, long-running guests on one domain). The seed fixes the work, so
+# the retired and recovered-fault counts are exact, and so is the
+# allocation per retired instruction: translated code and chained
+# dispatch allocate nothing, so the words left are the cold omnetpp_r
+# run's translation and lazy rewrite, plan seeding and fault recovery.
+# The allocation bound sits about 10% above the recorded 218.6
+# words/kinst; one tuple per dispatch in the dispatch loop alone puts it
+# at 705.
+steady_out=$(python3 perfbench/run.py --workload steady --seed 1 --seconds 4 --trace 1 | tail -1)
+python3 - "$steady_out" <<'PY'
+import json
+import sys
+
+result = json.loads(sys.argv[1])
+metrics = result["metrics"]
+want = {"machine.retired": 65659068, "runtime.faults_recovered": 640}
+bad = [f"{k} = {metrics[k]['value']} (want {v})"
+       for k, v in want.items() if metrics[k]["value"] != v]
+alloc = metrics["machine.alloc_words_per_kinst"]["value"]
+if alloc > 240:
+    bad.append(f"machine.alloc_words_per_kinst = {alloc:.1f} (want <= 240)")
+if result["correct"] is not True or result["failed"] != 0:
+    bad.append(f"correct = {result['correct']}, failed = {result['failed']}")
+if bad:
+    print("ci: steady smoke failed: " + "; ".join(bad), file=sys.stderr)
+    sys.exit(1)
+print(f"ci: steady smoke passed (exec {metrics['exec.busy_ms']['value']:.0f} ms, "
+      f"{alloc:.1f} words/kinst, counts exact)")
+PY
+
 # Perf-regression gate: diff a fresh full fig13 against the committed
 # reference run — with metrics enabled, so the gate also proves the
 # always-on registry costs no measurable wall time. retired must match

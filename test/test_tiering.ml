@@ -12,7 +12,16 @@
    - a golden test pinning the inline-cache state machine: one call site
      driven through one, then three, then nine distinct targets must be
      observed Mono, then Poly, then Mega — the same site pc across all three
-     checkpoints. *)
+     checkpoints;
+
+   - a page-boundary property: 64- and 32-bit loads and stores (single,
+     paired and read-modify-write) at every offset of a page's last 16
+     bytes, with the next page unmapped, read-only or mapped, leave
+     bit-identical state and faults in every engine;
+
+   - an allocation budget: once a tiered machine is warm, translated code
+     and chained dispatch allocate (next to) nothing per retired
+     instruction. *)
 
 let base_isa = Ext.rv64gc
 
@@ -323,6 +332,171 @@ let test_tier_promotion_visible () =
   Alcotest.(check bool) "a hot block was relaid from its exit profile" true
     (List.exists (fun b -> b.Machine.bi_relaid) infos)
 
+(* --- page-boundary fault equivalence ------------------------------------ *)
+
+(* A loop walks one memory access up a data page a byte at a time, so the
+   access runs interpreted, then translated at every tier, and its last
+   trips land on the page's final offsets. The page's successor is
+   unmapped, read-only or mapped. Whatever the access does there (complete
+   in-page, cross the boundary, fault at the successor's first byte after a
+   partial store), every engine must leave the same registers, pc, retired
+   count and bytes, and stop with the same fault as the step oracle. *)
+
+type access = Ld | Lw | Sd | Sw | Ld_pair | Sd_pair | Rmw
+type succ = Unmapped | Read_only | Mapped
+
+let access_name = function
+  | Ld -> "ld" | Lw -> "lw" | Sd -> "sd" | Sw -> "sw"
+  | Ld_pair -> "ld+ld" | Sd_pair -> "sd+sd" | Rmw -> "ld;add;sd"
+
+let succ_name = function
+  | Unmapped -> "unmapped" | Read_only -> "read-only" | Mapped -> "mapped"
+
+(* every access kind at every one of the page's last 16 offsets, under
+   every kind of successor page *)
+let pb_cases =
+  List.concat_map
+    (fun access ->
+      List.concat_map
+        (fun succ -> List.init 16 (fun i -> (access, succ, 4080 + i)))
+        [ Unmapped; Read_only; Mapped ])
+    [ Ld; Lw; Sd; Sw; Ld_pair; Sd_pair; Rmw ]
+
+let pb_text = 0x10000
+let pb_page = 0x40000
+let pb_span = 400  (* trips before the last one: enough to reach tier 3 *)
+
+(* s4 walks the page, t0 counts trips down, loads sum into s2, stores
+   write t1 (stepped as xorshift, so every store writes a fresh value) *)
+let pb_program access ~off =
+  let mem width rd imm = Inst.Load { width; unsigned = false; rd; rs1 = Reg.s4; imm } in
+  let st width rs2 imm = Inst.Store { width; rs2; rs1 = Reg.s4; imm } in
+  let sum r = Inst.Op (Inst.Add, Reg.s2, Reg.s2, r) in
+  let mix =
+    [ Inst.Opi (Inst.Slli, Reg.t3, Reg.t1, 13);
+      Inst.Op (Inst.Xor, Reg.t1, Reg.t1, Reg.t3);
+      Inst.Opi (Inst.Srli, Reg.t3, Reg.t1, 7);
+      Inst.Op (Inst.Xor, Reg.t1, Reg.t1, Reg.t3) ]
+  in
+  let body =
+    match access with
+    | Ld -> [ mem Inst.D Reg.t2 0; sum Reg.t2 ]
+    | Lw -> [ mem Inst.W Reg.t2 0; sum Reg.t2 ]
+    | Sd -> st Inst.D Reg.t1 0 :: mix
+    | Sw -> st Inst.W Reg.t1 0 :: mix
+    | Ld_pair -> [ mem Inst.D Reg.t2 0; mem Inst.D Reg.t3 8; sum Reg.t2; sum Reg.t3 ]
+    | Sd_pair -> st Inst.D Reg.t1 0 :: st Inst.D Reg.t1 8 :: mix
+    | Rmw ->
+        (* the middle op reads the loaded register twice *)
+        [ mem Inst.D Reg.t2 0;
+          Inst.Op (Inst.Add, Reg.t2, Reg.t2, Reg.t2);
+          st Inst.D Reg.t2 0;
+          sum Reg.t2 ]
+  in
+  let tail =
+    [ Inst.Opi (Inst.Addi, Reg.s4, Reg.s4, 1); Inst.Opi (Inst.Addi, Reg.t0, Reg.t0, -1) ]
+  in
+  let nloop = 1 + List.length body + List.length tail + 1 in
+  let start = pb_page + off - pb_span in
+  let hi = (start + 0x800) lsr 12 in
+  [ Inst.Lui (Reg.s4, hi);
+    Inst.Opi (Inst.Addi, Reg.s4, Reg.s4, start - (hi lsl 12));
+    Inst.Opi (Inst.Addi, Reg.t0, Reg.x0, pb_span + 1);
+    Inst.Lui (Reg.t1, 0x2545F);
+    Inst.Opi (Inst.Addi, Reg.t1, Reg.t1, 0x491);
+    (* loop: *)
+    Inst.Branch (Inst.Beq, Reg.t0, Reg.x0, 4 * nloop) ]
+  @ body @ tail
+  @ [ Inst.Jal (Reg.x0, -4 * (nloop - 1));
+      (* done: *)
+      Inst.Opi (Inst.Andi, Reg.a0, Reg.s2, 255);
+      Inst.Opi (Inst.Addi, Reg.a7, Reg.x0, 93);
+      Inst.Ecall ]
+
+(* The run's snapshot and the bytes of the data page (and of its
+   successor, when mapped), which random [seed] data fills first. *)
+let pb_run engine ~seed (access, succ, off) =
+  let mem = Memory.create () in
+  Memory.map mem ~addr:pb_text ~len:4096 Memory.perm_rx;
+  Memory.map mem ~addr:pb_page ~len:4096 Memory.perm_rw;
+  let npages = if succ = Unmapped then 1 else 2 in
+  if succ <> Unmapped then
+    Memory.map mem ~addr:(pb_page + 4096) ~len:4096
+      (if succ = Read_only then Memory.perm_r else Memory.perm_rw);
+  let rng = Random.State.make [| seed |] in
+  Memory.poke_bytes mem pb_page
+    (Bytes.init (npages * 4096) (fun _ -> Char.chr (Random.State.int rng 256)));
+  let buf = Bytes.create 4 in
+  List.iteri
+    (fun i inst ->
+      ignore (Encode.write buf 0 inst);
+      Memory.poke_bytes mem (pb_text + (4 * i)) buf)
+    (pb_program access ~off);
+  let m = Machine.create ~engine ~mem ~isa:base_isa () in
+  Machine.set_pc m pb_text;
+  let snap = snapshot m (Machine.run ~fuel:100_000 m) in
+  (snap, Memory.peek_bytes mem pb_page (npages * 4096))
+
+(* The QCheck seed is fixed, so tier-1 runs the same data every time; a
+   failure reports the shrunk data seed with the first case that differs. *)
+let pb_qcheck_seed = 0x9a9e
+
+let prop_page_boundary =
+  QCheck.Test.make
+    ~name:"page boundary: ld/sd/lw/sw faults and bytes identical across engines"
+    ~count:3
+    QCheck.(set_print (Printf.sprintf "data seed %d") (int_bound 1_000_000))
+    (fun seed ->
+      List.for_all
+        (fun ((access, succ, off) as case) ->
+          let oracle, obytes = pb_run Engine.Step ~seed case in
+          List.for_all
+            (fun (label, engine) ->
+              let got, bytes = pb_run engine ~seed case in
+              if oracle <> got || obytes <> bytes then
+                QCheck.Test.fail_reportf
+                  "seed=%d %s at page offset %d, successor %s, %s: step { %s } <> { %s }%s"
+                  seed (access_name access) off (succ_name succ) label (pp_snap oracle)
+                  (pp_snap got)
+                  (if obytes <> bytes then " (memory differs)"
+                   else if oracle.sn_regs <> got.sn_regs then " (registers differ)"
+                   else "")
+              else true)
+            [ ("super", Engine.default); ("tiered", tiered) ])
+        pb_cases)
+
+(* Minor words allocated per retired instruction by a fuel-limited run of
+   an already warm tiered machine. [Gc.minor_words] counts the calling
+   domain only, and the whole measurement runs on the test's own domain.
+   The warm-up run promotes the hot loop to the top tier and fills its
+   chain links and inline caches; the measured run is then pure steady
+   state. *)
+let warm_alloc_per_inst bin ~warm ~fuel =
+  let mem = Loader.load bin in
+  let m = Machine.create ~engine:tiered ~mem ~isa:base_isa () in
+  Loader.init_machine m bin;
+  let expect_fuel what = function
+    | Machine.Fuel_exhausted -> ()
+    | s -> Alcotest.failf "%s run stopped early: %s" what (pp_snap (snapshot m s))
+  in
+  expect_fuel "warm-up" (Machine.run ~fuel:warm m);
+  let r0 = Machine.retired m in
+  let w0 = Gc.minor_words () in
+  let stop = Machine.run ~fuel m in
+  let w1 = Gc.minor_words () in
+  expect_fuel "measured" stop;
+  (w1 -. w0) /. float_of_int (Machine.retired m - r0)
+
+let test_alloc_budget () =
+  List.iter
+    (fun (name, bin) ->
+      let per = warm_alloc_per_inst bin ~warm:200_000 ~fuel:1_000_000 in
+      if per > 0.01 then
+        Alcotest.failf "%s: %.4f minor words per retired instruction (budget 0.01)"
+          name per)
+    [ ("fibonacci", Programs.fibonacci ~rounds:1_000_000 ());
+      ("branchy", Programs.branchy ~rounds:1_000_000 ()) ]
+
 let () =
   Alcotest.run "chimera_tiering"
     [ ("differential", [ QCheck_alcotest.to_alcotest prop_tier_differential ]);
@@ -331,4 +505,11 @@ let () =
            test_ic_transitions ]);
       ("promotion",
        [ Alcotest.test_case "tier promotion and relayout observable" `Quick
-           test_tier_promotion_visible ]) ]
+           test_tier_promotion_visible ]);
+      ("allocation",
+       [ Alcotest.test_case "warm tiered run allocation budget" `Quick
+           test_alloc_budget ]);
+      ("page-boundary",
+       [ QCheck_alcotest.to_alcotest
+           ~rand:(Random.State.make [| pb_qcheck_seed |])
+           prop_page_boundary ]) ]
