@@ -901,10 +901,10 @@ let ablation engine quick =
      the split working set (original text + far target section) costs real
      cycles even on the hot path — the component of the paper's 5.3% the
      event-cost model alone cannot see. *)
+  let icache = Icache.default_geometry in
   let icache_native bin =
     let mem = Loader.load bin in
-    let m = Machine.create ~engine ~mem ~isa:ext_isa () in
-    Machine.enable_icache m;
+    let m = Machine.create ~engine ~icache ~mem ~isa:ext_isa () in
     Loader.init_machine m bin;
     match Machine.run ~fuel:50_000_000 m with
     | Machine.Exited _ -> (Machine.cycles m, Machine.icache_misses m)
@@ -913,8 +913,7 @@ let ablation engine quick =
   let icache_chbp bin =
     let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Empty) bin in
     let rt = Chimera_rt.create ctx in
-    let m = Machine.create ~engine ~mem:(Chimera_rt.load rt) ~isa:ext_isa () in
-    Machine.enable_icache m;
+    let m = Machine.create ~engine ~icache ~mem:(Chimera_rt.load rt) ~isa:ext_isa () in
     match Chimera_rt.run rt ~fuel:50_000_000 m with
     | Machine.Exited _ -> (Machine.cycles m, Machine.icache_misses m)
     | _ -> failwith "icache ablation: chbp run failed"
@@ -1074,7 +1073,7 @@ let micro engine _quick =
      Restart the experiment's metrics window and finish with fixed-fuel
      runs of the two interpreter workloads, so micro's reported retired
      count and tlb/chain/side-exit rates are bit-identical across engines
-     (ci.sh compares them across super/block/step). What retired before
+     (ci.sh compares them across tiered/untiered/step). What retired before
      the restart is reported as retired_extra, so the JSON row's MIPS
      covers everything this experiment actually executed. *)
   restart_window ();
@@ -1487,29 +1486,16 @@ let check_gc_budget ~minor_words0 ~retired =
     end
   end
 
-(* The bench's default engine is the full adaptive pipeline: tiered
-   promotion with profile-guided recompilation plus indirect-jump inline
-   caches. *)
-let full_engine = Engine.Super { ir = true; tiered = true; ic = true; record = false }
-
-(* One [Engine.t] from the command line. The --no-* flags ablate parts of
-   the superblock engine only; with --engine block or step they would
-   change nothing (and there is no IR-less block engine), so they are
-   rejected rather than silently ignored. [record] is on under --cache so
-   every run can export its translations. *)
-let engine_of_flags engine ~no_ir ~no_tier ~no_ic ~record =
-  match engine with
-  | `Super -> Engine.Super { ir = not no_ir; tiered = not no_tier; ic = not no_ic; record }
-  | `Block | `Step when no_ir || no_tier || no_ic ->
-      Printf.eprintf "--no-ir, --no-tier and --no-ic apply to --engine super only\n";
-      exit 2
-  | `Block -> Engine.Block { record }
-  | `Step -> Engine.Step
-
-let main names quick jobs engine no_ir no_tier no_ic json_file trace_file
-    chrome_file profile_dir compare_file wall_tol cache_dir metrics_file
-    serve_flag =
-  let engine = engine_of_flags engine ~no_ir ~no_tier ~no_ic ~record:(cache_dir <> None) in
+let main names quick jobs engine json_file trace_file chrome_file profile_dir
+    compare_file wall_tol cache_dir metrics_file serve_flag =
+  (* [record] is on under --cache so every run can export its translations *)
+  let record = cache_dir <> None in
+  let engine =
+    match engine with
+    | `Tiered -> Engine.Tiered { record }
+    | `Untiered -> Engine.Untiered { record }
+    | `Step -> Engine.Step
+  in
   Par.jobs := (if jobs = 0 then Domain.recommended_domain_count () else max 1 jobs);
   (* fail on unwritable output paths before the run, not after *)
   let check_writable = function
@@ -1776,15 +1762,14 @@ let main names quick jobs engine no_ir no_tier no_ic json_file trace_file
      [--cache] is excluded for the same reason: the cold pass's retires are
      not in the reported totals (only the warm pass's are) while its
      allocation is, and plan serialization (Marshal + page digests) swamps
-     the per-instruction signal. The budget only describes the optimized
-     default path: the single-step interpreter allocates per instruction by
-     design (~32 words/inst), [--no-ir] reintroduces the boxed-Int64
-     arithmetic the IR exists to kill, and the tiering/IC ablations sit
-     right at the limit (uncached indirect dispatch allocates a little per
-     call), so only the default configuration is checked ([full_engine]
-     does not record, which rules out [--cache]). *)
+     the per-instruction signal. The budget only describes the default
+     engine: the single-step interpreter allocates per instruction by
+     design (~32 words/inst), and [--engine untiered] dispatches every
+     register-indirect jump through the block table with no inline cache,
+     so only [Tiered] is checked (non-recording: recording is on only
+     under [--cache], already excluded). *)
   if
-    !Par.jobs = 1 && trace_file = None && engine = full_engine
+    !Par.jobs = 1 && trace_file = None && engine = Engine.Tiered { record = false }
     (* serve is excluded like --cache: plan serialization and worker-domain
        retires decouple this domain's allocation from the reported totals *)
     && not (List.exists (fun s -> s.st_serve <> None) !stats)
@@ -1819,51 +1804,16 @@ let jobs_arg =
 let engine_arg =
   Arg.(
     value
-    & opt (enum [ ("super", `Super); ("block", `Block); ("step", `Step) ]) `Super
+    & opt (enum [ ("tiered", `Tiered); ("untiered", `Untiered); ("step", `Step) ]) `Tiered
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Execution engine for every machine the benchmarks create: \
-           $(b,super) (default; tiered superblock translation with inlined \
-           branches, the linear-IR pipeline and inline caches), $(b,block) \
-           (straight-line translation blocks with direct chaining) or \
-           $(b,step) (reference single-step path). Simulated counters are \
-           identical for all three — CI compares them. The $(b,--no-*) \
-           ablations apply to $(b,super) only and are rejected otherwise.")
-
-let no_ir_arg =
-  Arg.(
-    value & flag
-    & info [ "no-ir" ]
-        ~doc:
-          "Disable the linear-IR translation pipeline for every machine the \
-           benchmarks create ($(b,super) engine only): each instruction compiles to its direct legacy \
-           closure with no constant folding, dead-write elimination or \
-           memory-pattern fusion. Ablation knob — simulated counters are \
-           identical either way, so the wall-clock delta against a default \
-           run is the IR win in isolation.")
-
-let no_tier_arg =
-  Arg.(
-    value & flag
-    & info [ "no-tier" ]
-        ~doc:
-          "Disable tiered execution for every machine the benchmarks create \
-           ($(b,super) engine only): code is \
-           translated at the top tier on first execution, with no \
-           interpreted warm-up, hotness-driven promotion or profile-guided \
-           relayout recompiles. Ablation knob — simulated counters are \
-           identical either way.")
-
-let no_ic_arg =
-  Arg.(
-    value & flag
-    & info [ "no-ic" ]
-        ~doc:
-          "Disable the per-site inline caches for register-indirect jumps \
-           ($(b,super) engine only): every \
-           $(b,jalr)/$(b,c.jr)/$(b,c.jalr) dispatch probes the per-view \
-           block table. Ablation knob — simulated counters are identical \
-           either way.")
+           $(b,tiered) (default; interpreted warm-up, then block → \
+           superblock → linear-IR promotion with profile-guided relayout \
+           and inline caches), $(b,untiered) (top-tier translation on first \
+           touch, no inline caches) or $(b,step) (reference single-step \
+           path). Simulated counters are identical for all three — CI \
+           compares them.")
 
 let json_arg =
   Arg.(
@@ -1970,9 +1920,8 @@ let cmd =
   Cmd.v
     (Cmd.info "chimera-bench" ~doc:"Regenerate the paper's tables and figures")
     Term.(
-      const main $ names_arg $ quick_arg $ jobs_arg $ engine_arg $ no_ir_arg
-      $ no_tier_arg $ no_ic_arg $ json_arg $ trace_arg $ chrome_arg
-      $ profile_arg $ compare_arg $ wall_tol_arg $ cache_arg $ metrics_arg
-      $ serve_arg)
+      const main $ names_arg $ quick_arg $ jobs_arg $ engine_arg $ json_arg
+      $ trace_arg $ chrome_arg $ profile_arg $ compare_arg $ wall_tol_arg
+      $ cache_arg $ metrics_arg $ serve_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -366,15 +366,13 @@ let cmd_cache_clear dir =
   let c = Cache.open_dir dir in
   Format.printf "%s: removed %d entries@." dir (Cache.clear c)
 
-(* One recorded cold run that populates the cache, so a later
-   'run'/'bench --cache' of the same binary starts warm. Mirrors the bench
-   harness's hooks: seed before the run (a prewarm of an already-cached
-   binary is a cheap no-op), export and store after it under the digest of
-   the memory as the run left it. *)
+(* One recorded run of a server request, so a later 'serve --cache' of the
+   same binary, ISA, mode and engine starts warm: it stores under exactly
+   the keys the server reads (a prewarm of an already-cached binary seeds
+   from them first). *)
 let cmd_cache_prewarm dir file isa fuel mode tiered =
   let bin = Binfile.load_file file in
   let c = Cache.open_dir dir in
-  let mode_name = mode in
   let mode =
     match mode with
     | "downgrade" -> Chbp.Downgrade
@@ -384,34 +382,18 @@ let cmd_cache_prewarm dir file isa fuel mode tiered =
         Printf.eprintf "unknown mode %s (downgrade, upgrade, empty)\n" m;
         exit 2
   in
-  let engine = Serve.engine ~tiered ~record:true in
-  let extra = Printf.sprintf "cli;mode=%s;%s" mode_name (Engine.tag engine) in
-  let ctx =
-    let key = Cache.digest_bin bin ~extra in
-    match Cache.load_rewrite c ~key with
-    | Ok ctx -> ctx
-    | Error _ ->
-        let ctx = Chbp.rewrite ~options:(Chbp.default_options mode) bin in
-        Cache.store_rewrite c ~key ctx;
-        ctx
-  in
-  let rt = Chimera_rt.create ctx in
-  let m = Machine.create ~engine ~mem:(Chimera_rt.load rt) ~isa () in
-  (match Cache.seed_plan c ~key:(Cache.digest_mem (Machine.mem m) ~isa ~extra) m with
-  | Ok n -> Format.printf "already warm: seeded %d blocks@." n
-  | Error reason -> Format.printf "cold start (%s)@." reason);
-  match Chimera_rt.run rt ~fuel m with
-  | Machine.Exited code ->
-      Cache.store_plan c ~key:(Cache.digest_mem (Machine.mem m) ~isa ~extra) m;
+  match Serve.execute ~cache:c ~isa ~mode ~tiered ~fuel bin with
+  | Machine.Exited code, retired, _, warm ->
       let entries, bytes = Cache.stat c in
       Format.printf
-        "exit %d after %d instructions; cache now %d entries, %d bytes@." code
-        (Machine.retired m) entries bytes
-  | Machine.Faulted f ->
-      Printf.eprintf "fault: %s — nothing stored\n" (Fault.to_string f);
+        "%s: exit %d after %d instructions; cache now %d entries, %d bytes@."
+        (if warm then "already warm" else "cold start")
+        code retired entries bytes
+  | Machine.Faulted f, _, _, _ ->
+      Printf.eprintf "fault: %s\n" (Fault.to_string f);
       exit 1
-  | Machine.Fuel_exhausted ->
-      Printf.eprintf "fuel exhausted — nothing stored\n";
+  | Machine.Fuel_exhausted, _, _, _ ->
+      Printf.eprintf "fuel exhausted\n";
       exit 1
 
 (* ---- serve ----------------------------------------------------------------- *)
@@ -636,9 +618,10 @@ let cache_cmd =
     in
     Cmd.v
       (Cmd.info "prewarm"
-         ~doc:"Run a binary once under the Chimera runtime, recording, and \
-               store its rewrite context and translation plan so later runs \
-               against the same directory start warm")
+         ~doc:"Run a binary once as a $(b,serve) request, recording, and \
+               store its rewrite context and translation plan so later \
+               $(b,serve --cache) runs of it against the same directory \
+               start warm")
       Term.(const cmd_cache_prewarm $ dir $ file $ isa $ fuel $ mode $ tiered)
   in
   Cmd.group

@@ -29,7 +29,7 @@
    observation), never an exception — the caller falls back to the cold
    path. *)
 
-let schema_version = 2
+let schema_version = 3
 let magic = "CHIMCAC1"
 
 type t = { dir : string }

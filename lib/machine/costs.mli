@@ -32,7 +32,7 @@ type t = {
           disassembly missed. *)
   icache_miss : int;
       (** L1i refill, charged per missed fetch line when the optional
-          {!Icache} model is enabled ({!Machine.enable_icache}). *)
+          {!Icache} model is enabled ([Machine.create ?icache]). *)
 }
 
 val default : t

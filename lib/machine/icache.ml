@@ -1,3 +1,7 @@
+type geometry = { sets : int; line : int }
+
+let default_geometry = { sets = 512; line = 64 }
+
 type t = {
   sets : int;
   line : int;
@@ -14,7 +18,7 @@ let pow2 n = n > 0 && n land (n - 1) = 0
    what a trampoline-split working set produces. *)
 let burst_threshold = 8
 
-let create ?(sets = 512) ?(line = 64) () =
+let create ({ sets; line } : geometry) =
   if not (pow2 sets && pow2 line) then
     invalid_arg "Icache.create: sets and line must be powers of two";
   { sets; line; tags = Array.make sets (-1); misses = 0; accesses = 0;
@@ -37,6 +41,7 @@ let access t addr =
     false
   end
 
+let geometry (t : t) = { sets = t.sets; line = t.line }
 let misses t = t.misses
 let accesses t = t.accesses
 

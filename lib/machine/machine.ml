@@ -86,34 +86,29 @@ and t = {
      bumps [retired] and everything charged beyond one cycle per retired
      instruction (vector ops, icache misses, runtime events) lands here *)
   mutable cycles_extra : int;
-  mutable icache : Icache.t option;
+  icache : Icache.t option;
+      (** the L1i model, fixed at creation like the engine; it caps
+          translation at tier 2 (see {!shape}) *)
   engine : Engine.t;
-      (** fixed at creation; the flags below are its parts, unpacked once
-          so the dispatch loop and the translator read plain booleans *)
   mutable code_epoch : int;
       (** advanced on every {!invalidate_code} and ISA change; blocks whose
           [echeck] equals it are valid with one compare, and chain links are
           implicitly severed when it moves (Tblock.revalidate) *)
   mutable chain_hits : int;  (** dispatches served by a chain link *)
   mutable tb_dispatches : int;  (** total block dispatches (chained or not) *)
-  superblocks : bool;
-      (** [Super]: the top tier inlines jumps/branches; [Block] keeps every
-          translation a straight-line block *)
   mutable side_exits : int;  (** dispatches that left a block via a taken
                                  inlined branch *)
   mutable fused_pairs : int;
       (** instructions merged into multi-instruction units at translation
           time (Σ (unit width − 1) over translated blocks) *)
-  ir : bool;
-      (** the top tier lowers straight-line runs through the linear IR
-          ({!Tir}); [Super {ir = false}] compiles per-instruction closures *)
   tiered : bool;
-      (** [Super {tiered}]: entries are interpreted until warm, then climb
-          block → superblock → IR-optimized, and hot blocks whose observed
+      (** [Tiered], unpacked once so the dispatch loop reads a plain
+          boolean: entries are interpreted until warm, then climb
+          block → superblock → IR-optimized, hot blocks whose observed
           side-exit profile contradicts the static BTFN layout are
-          recompiled with trace-style layout; untiered machines translate
-          at the top tier on first touch *)
-  ic_on : bool;  (** [Super {ic}]: inline caches in indirect terminators *)
+          recompiled with trace-style layout, and indirect terminators
+          carry inline caches; untiered machines translate at the top
+          tier on first touch *)
   mutable pending_ic : icsite option;
       (** set by an indirect terminator closure as it completes; the next
           dispatch consumes it to predict the successor block through the
@@ -299,15 +294,9 @@ let relayout_min_sample = 16
    megamorphic. *)
 let ic_poly_limit = 8
 
-let create ?(engine = Engine.default) ?(vlen = 32) ?(costs = Costs.default) ~mem
-    ~isa () =
+let create ?(engine = Engine.default) ?icache ?(vlen = 32) ?(costs = Costs.default)
+    ~mem ~isa () =
   let view = new_view mem in
-  let superblocks, ir, tiered, ic_on =
-    match engine with
-    | Engine.Step -> (false, false, false, false)
-    | Engine.Block _ -> (false, true, false, false)
-    | Engine.Super { ir; tiered; ic; record = _ } -> (true, ir, tiered, ic)
-  in
   { cur = view;
     views = [ view ];
     gens = Tblock.Gen.create ();
@@ -323,17 +312,17 @@ let create ?(engine = Engine.default) ?(vlen = 32) ?(costs = Costs.default) ~mem
     vector_retired = 0;
     indirect_retired = 0;
     cycles_extra = 0;
-    icache = None;
+    icache = Option.map Icache.create icache;
     engine;
     code_epoch = 0;
     chain_hits = 0;
     tb_dispatches = 0;
-    superblocks;
     side_exits = 0;
     fused_pairs = 0;
-    ir;
-    tiered;
-    ic_on;
+    tiered =
+      (match engine with
+       | Engine.Tiered _ -> true
+       | Engine.Step | Engine.Untiered _ -> false);
     pending_ic = None;
     ic_hits = 0;
     ic_misses = 0;
@@ -423,13 +412,6 @@ let invalidate_code t ~addr ~len =
      fast check and fall back to the full stamp check (or re-translation),
      and every chain link established before the patch stops matching *)
   t.code_epoch <- t.code_epoch + 1
-
-let enable_icache ?sets ?line t =
-  t.icache <- Some (Icache.create ?sets ?line ());
-  (* cached blocks may contain multi-instruction IR units, which bypass the
-     dispatch loop's per-fetch accounting; drop them so retranslation
-     produces the per-instruction shape the icache model needs *)
-  List.iter (fun v -> Hashtbl.reset v.blocks) t.views
 
 let icache_misses t =
   match t.icache with None -> 0 | Some ic -> Icache.misses ic
@@ -956,9 +938,6 @@ let step_dispatch ~handlers t =
       let inst, size = fetch_decode t in
       exec_retire t inst size)
 
-let icache_miss_count t =
-  match t.icache with None -> 0 | Some ic -> Icache.misses ic
-
 let step ?(handlers = default_handlers) t =
   match t.prof with
   | None -> step_dispatch ~handlers t
@@ -979,11 +958,11 @@ let step ?(handlers = default_handlers) t =
       let r0 = t.retired and c0 = cycles t in
       let mem0 = t.cur.vmem in
       let tlb0 = Memory.tlb_misses_live mem0 in
-      let ic0 = icache_miss_count t in
+      let ic0 = icache_misses t in
       let res = step_dispatch ~handlers t in
       Profile.step_end p ~retired:(t.retired - r0) ~cycles:(cycles t - c0)
         ~tlb:(Memory.tlb_misses_live mem0 - tlb0)
-        ~icache:(icache_miss_count t - ic0)
+        ~icache:(icache_misses t - ic0)
         ~target:t.pc;
       res
 
@@ -1355,7 +1334,7 @@ let compile_op t ~sb ~relayout ~pc inst size =
       else
         let im = Int64.of_int imm in
         let link = Int64.of_int (pc + size) in
-        if t.ic_on then
+        if t.tiered then
           (* the closure publishes its inline-cache site as it completes;
              the dispatch loop consumes it to predict the successor block
              (monomorphic slot → polymorphic table → block table). The
@@ -1385,7 +1364,7 @@ let compile_op t ~sb ~relayout ~pc inst size =
               retire_scalar t)
   | Inst.C_jr rs1 ->
       if not (Ext.mem Ext.C t.isa) then Tblock.Term
-      else if t.ic_on then
+      else if t.tiered then
         let pic = Some (ic_for t pc) in
         Tblock.Term_fn
           (fun t ->
@@ -1403,7 +1382,7 @@ let compile_op t ~sb ~relayout ~pc inst size =
       if not (Ext.mem Ext.C t.isa) then Tblock.Term
       else
         let link = Int64.of_int (pc + size) in
-        if t.ic_on then
+        if t.tiered then
           let pic = Some (ic_for t pc) in
           Tblock.Term_fn
             (fun t ->
@@ -1429,7 +1408,7 @@ let compile_op t ~sb ~relayout ~pc inst size =
       let target = pc + off in
       if not (target_aligned t target) then Tblock.Term
       else if (not sb) || Reg.equal rd Reg.ra then
-        (* calls (and the block engine's jumps) end the block, but the
+        (* calls (and tier-1 jumps) end the block, but the
            aligned direct transfer itself is event-free: run it as a
            terminator closure *)
         let link = Int64.of_int (pc + size) in
@@ -1472,7 +1451,7 @@ let compile_op t ~sb ~relayout ~pc inst size =
       else begin
         let fall = pc + size in
         let as_term () =
-          (* loop backedge, block engine, or a profile-guided cut:
+          (* loop backedge, tier-1 block, or a profile-guided cut:
              terminator, but both targets are static and aligned so it
              cannot fault — direct closure (chains through both link
              slots, never side-exits) *)
@@ -1872,18 +1851,17 @@ let emit_run t stats ir_units tlb_elided (ops : Tir.op array) =
 
 (* The shape of a translation at [tier] on this machine: tier 1 is a
    straight-line block, tier 2 adds superblock formation, tier 3 adds the
-   IR pipeline — each capped by the machine's engine (and the icache model,
-   whose per-fetch accounting needs per-instruction units). Returns
-   [(superblocks, ir, effective tier)]; a [Block] machine never climbs
-   past its own shape (and never churns retranslating into it). *)
+   IR pipeline — capped at tier 2 by the icache model, whose per-fetch
+   accounting needs per-instruction units. Returns [(superblocks, ir,
+   effective tier)]. *)
 let shape t ~tier =
-  let sb = t.superblocks && tier >= 2 in
-  let ir = t.ir && tier >= 3 && t.icache = None in
+  let sb = tier >= 2 in
+  let ir = tier >= 3 && t.icache = None in
   (sb, ir, if ir then 3 else if sb then 2 else 1)
 
 (* [shape]'s effective tier for tier 3, without the tuple: the promotion
    driver asks once per dispatch, which must not allocate. *)
-let tier_cap t = if t.ir && t.icache = None then 3 else if t.superblocks then 2 else 1
+let tier_cap t = if t.icache = None then 3 else 2
 
 (* One [Tblock.translate] of [entry] with superblock shape [sb] under the
    recompile plan [relayout]: decoding goes through the view's decode
@@ -2358,7 +2336,7 @@ let run_blocks ~handlers ~fuel t =
       let c0 = if prow == None then 0 else cycles t in
       let mem0 = t.cur.vmem in
       let tlb0 = if prow == None then 0 else Memory.tlb_misses_live mem0 in
-      let ic0 = if prow == None then 0 else icache_miss_count t in
+      let ic0 = if prow == None then 0 else icache_misses t in
       let ops = b.Tblock.ops in
       let nunits = Array.length ops in
       let starts = b.Tblock.starts in
@@ -2492,7 +2470,7 @@ let run_blocks ~handlers ~fuel t =
           Profile.block_dispatch p row ~executed:body_retired ~retired:dretired
             ~cycles:(cycles t - c0)
             ~tlb:(Memory.tlb_misses_live mem0 - tlb0)
-            ~icache:(icache_miss_count t - ic0) ~fault:faulted ~target:t.pc
+            ~icache:(icache_misses t - ic0) ~fault:faulted ~target:t.pc
       | _ -> ());
       (* A multi-instruction unit split by the fuel limit leaves up to
          [width - 1] units of fuel unspent on this block; burn them through
@@ -2554,7 +2532,7 @@ let run ?(handlers = default_handlers) ~fuel t =
   let s =
     match t.engine with
     | Engine.Step -> run_step ~handlers ~fuel t
-    | Engine.Block _ | Engine.Super _ -> run_blocks ~handlers ~fuel t
+    | Engine.Untiered _ | Engine.Tiered _ -> run_blocks ~handlers ~fuel t
   in
   if !Metrics.enabled then Metrics.add m_retired (t.retired - r0);
   flush_run_stats t;
@@ -2622,12 +2600,14 @@ let ic_infos t =
    machine's generation table, which is sound because the cache layer only
    offers a plan to a machine whose guest code bytes hash to the digest the
    plan was stored under. *)
+type config = Engine.t * Icache.geometry option
+
+let config t : config = (t.engine, Option.map Icache.geometry t.icache)
+
 type plan = {
-  pl_engine : Engine.t;
-  pl_icache : bool;
-      (** the engine and the icache model (attached after creation, and
-          it keeps the IR off) fix every block's shape: a plan seeds only
-          a machine that agrees on both *)
+  pl_config : config;
+      (** the engine and the icache model fix every block's shape: a plan
+          seeds only a machine created with the same configuration *)
   pl_insts : (int * Inst.t * int) array;
   pl_blocks : plan_block array;
   pl_heat : (int * int) array;
@@ -2681,8 +2661,7 @@ let export_plan t =
           if targets = [] then acc else (site, targets) :: acc)
       t.cur.ics []
   in
-  { pl_engine = t.engine;
-    pl_icache = t.icache <> None;
+  { pl_config = config t;
     pl_insts = Array.of_list insts;
     pl_blocks = Array.of_list blocks;
     pl_heat = Array.of_list heat;
@@ -2719,8 +2698,7 @@ let rebuild_block t (pb : plan_block) =
   b
 
 let seed_plan t (p : plan) =
-  if p.pl_engine <> t.engine || p.pl_icache <> (t.icache <> None) then
-    Error "flags"
+  if p.pl_config <> config t then Error "flags"
   else begin
     (* Decode-cache prefab. Entries are stamped against the seeding
        machine's current generations: the caller's content-digest check
@@ -2750,7 +2728,7 @@ let seed_plan t (p : plan) =
         if not (Hashtbl.mem t.cur.blocks pc) then
           Hashtbl.replace t.cur.heat pc (ref h))
       p.pl_heat;
-    if t.ic_on then
+    if t.tiered then
       Array.iter
         (fun (site, targets) ->
           let s = ic_for t site in

@@ -23,7 +23,7 @@
     with every fast path on or off: the software TLB ({!Memory}) and direct
     block chaining are caches of successful checks, never of outcomes a
     permission or code change could have altered. Faults are observable as
-    [Fault_raised] events, and the block engine emits
+    [Fault_raised] events, and the translating engines emit
     [Tb_compile]/[Tb_hit]/[Tb_invalidate]/[Tb_chain]; see lib/obs and
     OBSERVABILITY.md. *)
 
@@ -53,10 +53,23 @@ val default_handlers : handlers
 (** Halts on every event (faults become [Faulted], etc.). *)
 
 val create :
-  ?engine:Engine.t -> ?vlen:int -> ?costs:Costs.t -> mem:Memory.t -> isa:Ext.t -> unit -> t
+  ?engine:Engine.t ->
+  ?icache:Icache.geometry ->
+  ?vlen:int ->
+  ?costs:Costs.t ->
+  mem:Memory.t ->
+  isa:Ext.t ->
+  unit ->
+  t
 (** [engine] is the execution engine for the machine's whole life
-    (default {!Engine.default}); [vlen] is the vector register width in
-    bytes (default 32 = 256 bits). *)
+    (default {!Engine.default}). [icache] attaches an {!Icache} model of
+    that geometry, also for life: every fetch checks it and misses charge
+    {!Costs.t.icache_miss} cycles. Translation then stops at tier 2,
+    because multi-instruction IR units bypass the per-fetch accounting.
+    The model is off by default — the headline numbers in EXPERIMENTS.md
+    are produced without it; the ablation harness turns it on to show the
+    microarchitectural side of trampoline overhead. [vlen] is the vector
+    register width in bytes (default 32 = 256 bits). *)
 
 val engine : t -> Engine.t
 
@@ -98,12 +111,6 @@ val invalidate_code : t -> addr:int -> len:int -> unit
 
 (** {1 Counters} *)
 
-val enable_icache : ?sets:int -> ?line:int -> t -> unit
-(** Attach an {!Icache} model: every fetch checks it and misses charge
-    {!Costs.t.icache_miss} cycles. Off by default — the headline numbers in
-    EXPERIMENTS.md are produced without it; the ablation harness turns it on
-    to show the microarchitectural side of trampoline overhead. *)
-
 val icache_misses : t -> int
 (** Misses so far (0 when the model is off). *)
 
@@ -130,13 +137,13 @@ val run : ?handlers:handlers -> fuel:int -> t -> stop
 (** Execute until a stop event, at most [fuel] instructions.
 
     The machine's {!Engine.t} picks the path. [Step] interprets one
-    instruction at a time. [Block] and [Super] decode straight-line runs
-    once into arrays of closures ({!Tblock}), execute them whole between
-    handler-visible events and chain each block to its successors; [Super]
-    adds superblocks, the IR pipeline, tiering and inline caches as its
-    fields say. Counters, faults and handler interactions are observably
-    identical to the single-step path (the differential property tests
-    assert this).
+    instruction at a time. [Untiered] and [Tiered] decode code once into
+    arrays of closures ({!Tblock}), execute them whole between
+    handler-visible events and chain each block to its successors;
+    [Untiered] translates at the top tier on first touch, [Tiered] climbs
+    the tiers and adds inline caches. Counters, faults and handler
+    interactions are observably identical to the single-step path (the
+    differential property tests assert this).
 
     With {!Metrics.enabled}, each completed run adds what it retired,
     dispatched, translated and optimized to the process-wide [chimera_*]
@@ -151,7 +158,7 @@ val step : ?handlers:handlers -> t -> stop option
 
 val set_profile : t -> Profile.t option -> unit
 (** Attach (or detach) a guest profiler. With a profile attached, both
-    engines attribute every dispatch to a per-block row: the block engine
+    engines attribute every dispatch to a per-block row: translated code
     with one table update per block (static mix x dispatch counts, see
     lib/prof), the step engine per instruction through the same rows — the
     totals are bit-identical between engines. Machines pick up
@@ -223,7 +230,7 @@ val seed_plan : t -> plan -> (int, string) result
     publish every block at its exported tier and heat, seed interpreter
     heat and retrain inline caches. Returns [Ok n] with the number of
     blocks seeded; [Error "flags"] if the plan was exported under a
-    different {!Engine.t} or icache setting — nothing is seeded and the
+    different {!Engine.t} or icache geometry — nothing is seeded and the
     caller should fall back cold. A block whose
     replay diverges (which the content-digest contract makes unexpected) is
     skipped, not published; execution then translates it on demand. *)

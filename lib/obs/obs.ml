@@ -693,19 +693,6 @@ module Agg = struct
     mutable tb_compiles : int;
     mutable tb_hits : int;
     mutable tb_invalidations : int;
-    mutable tb_chains : int;
-    mutable tb_superblocks : int;
-    mutable tb_cross_page : int;
-    mutable tb_side_exits : int;
-    mutable tb_fused : int;
-    mutable tb_ir_blocks : int;
-    mutable tb_ir_units : int;
-    mutable ir_folded : int;
-    mutable ir_dead : int;
-    mutable ir_pc_elided : int;
-    mutable ir_tlb_elided : int;
-    mutable ir_cached : int;
-    mutable tlb_flushes : int;
     mutable icache_bursts : int;
     mutable steals : int;
     mutable migrations : int;
@@ -715,14 +702,6 @@ module Agg = struct
     mutable ic_hits : int;
     mutable ic_misses : int;
     mutable ic_megamorphic : int;
-    mutable cache_loads : int;
-    mutable cache_stores : int;
-    mutable cache_rejects : int;
-    mutable health_ok : int;
-    mutable health_degraded : int;
-    mutable serve_admits : int;
-    mutable serve_dones : int;
-    mutable serve_rejects : int;
   }
 
   type t = {
@@ -744,19 +723,6 @@ module Agg = struct
           tb_compiles = 0;
           tb_hits = 0;
           tb_invalidations = 0;
-          tb_chains = 0;
-          tb_superblocks = 0;
-          tb_cross_page = 0;
-          tb_side_exits = 0;
-          tb_fused = 0;
-          tb_ir_blocks = 0;
-          tb_ir_units = 0;
-          ir_folded = 0;
-          ir_dead = 0;
-          ir_pc_elided = 0;
-          ir_tlb_elided = 0;
-          ir_cached = 0;
-          tlb_flushes = 0;
           icache_bursts = 0;
           steals = 0;
           migrations = 0;
@@ -766,14 +732,6 @@ module Agg = struct
           ic_hits = 0;
           ic_misses = 0;
           ic_megamorphic = 0;
-          cache_loads = 0;
-          cache_stores = 0;
-          cache_rejects = 0;
-          health_ok = 0;
-          health_degraded = 0;
-          serve_admits = 0;
-          serve_dones = 0;
-          serve_rejects = 0;
         };
       sites = Hashtbl.create 64;
       bodies = [];
@@ -789,33 +747,21 @@ module Agg = struct
     let g = t.tot in
     match ev with
     | Meta _ | Phase_begin _ | Phase_end _ | Rw_site _ | Rw_exit _
-    | Smile_write _ | Table_add _ | Tb_fuse _ ->
+    | Smile_write _ | Table_add _ | Tb_fuse _ | Tb_superblock _ | Tb_side_exit _
+    | Tb_ir _ | Tb_chain _ | Tlb_flush _ | Cache_load _ | Cache_store _
+    | Cache_reject _ | Health_ok _ | Health_degraded _ | Serve_admit _
+    | Serve_done _ | Serve_reject _ ->
         ()
-    | Tb_superblock { pages; fused; _ } ->
-        g.tb_superblocks <- g.tb_superblocks + 1;
-        if pages > 1 then g.tb_cross_page <- g.tb_cross_page + 1;
-        g.tb_fused <- g.tb_fused + fused
-    | Tb_side_exit _ -> g.tb_side_exits <- g.tb_side_exits + 1
     | Tier_promote _ -> g.tier_promotions <- g.tier_promotions + 1
     | Tb_recompile _ -> g.recompiles <- g.recompiles + 1
     | Ic_hit _ -> g.ic_hits <- g.ic_hits + 1
     | Ic_miss _ -> g.ic_misses <- g.ic_misses + 1
     | Ic_mega _ -> g.ic_megamorphic <- g.ic_megamorphic + 1
-    | Tb_ir { units; folded; dead; pc_elided; tlb_elided; cached; _ } ->
-        g.tb_ir_blocks <- g.tb_ir_blocks + 1;
-        g.tb_ir_units <- g.tb_ir_units + units;
-        g.ir_folded <- g.ir_folded + folded;
-        g.ir_dead <- g.ir_dead + dead;
-        g.ir_pc_elided <- g.ir_pc_elided + pc_elided;
-        g.ir_tlb_elided <- g.ir_tlb_elided + tlb_elided;
-        g.ir_cached <- g.ir_cached + cached
     | Tb_compile { body; _ } ->
         g.tb_compiles <- g.tb_compiles + 1;
         t.bodies <- body :: t.bodies
     | Tb_hit _ -> g.tb_hits <- g.tb_hits + 1
     | Tb_invalidate _ -> g.tb_invalidations <- g.tb_invalidations + 1
-    | Tb_chain _ -> g.tb_chains <- g.tb_chains + 1
-    | Tlb_flush _ -> g.tlb_flushes <- g.tlb_flushes + 1
     | Icache_burst _ -> g.icache_bursts <- g.icache_bursts + 1
     | Fault_raised _ -> g.faults_raised <- g.faults_raised + 1
     | Fault_recovered { site = s; _ } ->
@@ -831,14 +777,6 @@ module Agg = struct
     | Signal_delivered _ -> g.signals <- g.signals + 1
     | Sched_steal _ -> g.steals <- g.steals + 1
     | Sched_migrate _ -> g.migrations <- g.migrations + 1
-    | Cache_load _ -> g.cache_loads <- g.cache_loads + 1
-    | Cache_store _ -> g.cache_stores <- g.cache_stores + 1
-    | Cache_reject _ -> g.cache_rejects <- g.cache_rejects + 1
-    | Health_ok _ -> g.health_ok <- g.health_ok + 1
-    | Health_degraded _ -> g.health_degraded <- g.health_degraded + 1
-    | Serve_admit _ -> g.serve_admits <- g.serve_admits + 1
-    | Serve_done _ -> g.serve_dones <- g.serve_dones + 1
-    | Serve_reject _ -> g.serve_rejects <- g.serve_rejects + 1
     | Tb_profile _ -> t.profiles <- ev :: t.profiles
 
   let totals t = t.tot

@@ -280,9 +280,11 @@ end
 
 (** {1 Aggregation}
 
-    Folds an event stream back into the per-site counts and histograms the
-    report prints — the bridge that lets Table-2-style numbers be reproduced
-    from a trace alone. *)
+    The trace validator's independent recount: folds an event stream back
+    into the per-site counts and histograms the report prints — the bridge
+    that lets Table-2-style numbers be reproduced from a trace alone.
+    [totals] counts only the event kinds something reads; the metrics
+    registry counts the rest at their source. *)
 
 module Agg : sig
   type t
@@ -296,21 +298,6 @@ module Agg : sig
     mutable tb_compiles : int;
     mutable tb_hits : int;
     mutable tb_invalidations : int;
-    mutable tb_chains : int;
-    mutable tb_superblocks : int;
-    mutable tb_cross_page : int;  (** superblocks spanning more than one page *)
-    mutable tb_side_exits : int;
-    mutable tb_fused : int;
-        (** fused instructions (Σ unit width − 1) summed over compiled
-            superblocks *)
-    mutable tb_ir_blocks : int;  (** translations that produced IR units *)
-    mutable tb_ir_units : int;
-    mutable ir_folded : int;
-    mutable ir_dead : int;
-    mutable ir_pc_elided : int;
-    mutable ir_tlb_elided : int;
-    mutable ir_cached : int;
-    mutable tlb_flushes : int;
     mutable icache_bursts : int;
     mutable steals : int;
     mutable migrations : int;
@@ -320,14 +307,6 @@ module Agg : sig
     mutable ic_hits : int;
     mutable ic_misses : int;
     mutable ic_megamorphic : int;  (** sites that went megamorphic *)
-    mutable cache_loads : int;
-    mutable cache_stores : int;
-    mutable cache_rejects : int;
-    mutable health_ok : int;
-    mutable health_degraded : int;
-    mutable serve_admits : int;
-    mutable serve_dones : int;
-    mutable serve_rejects : int;
   }
 
   val create : unit -> t

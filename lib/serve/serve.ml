@@ -120,9 +120,10 @@ let mode_tag = function
   | Chbp.Upgrade -> "up"
   | Chbp.Empty -> "empty"
 
-(* A request's engine: the superblock engine with IR, tiered with inline
-   caches or flat without them, recording whenever plans are stored. *)
-let engine ~tiered ~record = Engine.Super { ir = true; tiered; ic = tiered; record }
+(* A request's engine: tiered or untiered, recording whenever plans are
+   stored. *)
+let engine ~tiered ~record =
+  if tiered then Engine.Tiered { record } else Engine.Untiered { record }
 
 (* The configuration tag folded into every cache digest: two requests
    share an artifact only when the binary, ISA (already in the digest),

@@ -56,10 +56,9 @@ type tenant_stat = {
 }
 
 val engine : tiered:bool -> record:bool -> Engine.t
-(** The engine of every request: [Super] with the IR on, tiering and
-    inline caches both following [tiered], and [record] for runs whose
-    translation plan is stored. The CLI's [--tiered] flag means the same
-    engine. *)
+(** The engine of every request: [Tiered] or [Untiered] as [tiered]
+    says, with [record] for runs whose translation plan is stored. The
+    CLI's [--tiered] flag means the same engine. *)
 
 val cfg_tag : mode:Chbp.mode -> tiered:bool -> string
 (** The configuration tag folded into every cache digest this server
@@ -75,9 +74,8 @@ val execute :
   Binfile.t ->
   Machine.stop * int * int * bool
 (** Run one guest end to end on the calling domain: rewrite (or cache
-    load), fresh runtime + memory view on one {!Engine.t} (superblocks with
-    IR; [tiered] turns on tiering and inline caches), optional plan
-    seed/store. Returns [(stop, retired, cycles, warm)]. This is both the
+    load), fresh runtime + memory view on one {!Engine.t} ({!engine}),
+    optional plan seed/store. Returns [(stop, retired, cycles, warm)]. This is both the
     pool worker body and the solo oracle the differential tests compare
     against. *)
 

@@ -32,12 +32,13 @@ else
   echo "ci: odoc not installed, skipping dune build @doc"
 fi
 
-# Engine correctness smoke: the tiered superblock engine (the default:
-# profile-guided promotion, recompilation and jalr inline caches), the same
-# engine untiered (--no-tier --no-ic), with only the caches off (--no-ic),
-# with the IR disabled (--no-ir), the straight-line block engine and the
-# single-step reference must retire bit-identical instruction counts across
-# every rewriting experiment (the fault-determinism contract, end to end).
+# Engine correctness smoke: the tiered engine (the default: interpreted
+# warm-up, block -> superblock -> IR promotion, profile-guided
+# recompilation and jalr inline caches), the untiered engine (top tier on
+# first touch) and the single-step reference must retire bit-identical
+# instruction counts across every rewriting experiment (the
+# fault-determinism contract, end to end). The ablation experiment's L1i
+# model also runs both translating engines capped at IR-less superblocks.
 # micro includes the branch-dense workload (interp-branchy), the worst case
 # for side-exit dispatch, and the indirect-call workload that stresses the
 # inline caches. Each line of engine_configs is one configuration: its
@@ -49,10 +50,7 @@ profdir=$(mktemp -d /tmp/chimera-prof-XXXXXX)
 trap 'rm -rf "$enginedir" "$json_full" "$trace" "$profdir"' EXIT
 engine_exps="table1 fig13 table2 table3 ablation micro"
 engine_configs="tiered
-untiered --no-tier --no-ic
-no-ic --no-ic
-no-ir --no-ir
-block --engine block
+untiered --engine untiered
 step --engine step"
 reference=""
 agree=1
@@ -77,21 +75,11 @@ if [ "$agree" != 1 ]; then
   printf '%s' "$report" >&2
   exit 1
 fi
-echo "ci: tiered/untiered/no-ic/no-ir/block/step engines agree over [$engine_exps]"
-
-# The --no-* ablations apply to the superblock engine only: a combination
-# that would silently change nothing must be refused with exit status 2.
-rc=0
-dune exec bench/main.exe -- table1 -q --engine block --no-tier >/dev/null 2>&1 || rc=$?
-if [ "$rc" != 2 ]; then
-  echo "ci: --engine block --no-tier exited $rc (want 2)" >&2
-  exit 1
-fi
-echo "ci: ignored engine flags are rejected"
+echo "ci: tiered/untiered/step engines agree over [$engine_exps]"
 
 # Tiering quality gates on the micro deterministic tail: with profile-guided
 # recompilation and inline caches on, chained dispatch must dominate
-# (chain_hit_rate >= 0.80 — the untiered superblock engine sits near 0.43 on
+# (chain_hit_rate >= 0.80 — the untiered engine sits near 0.43 on
 # the branch-dense workload) and the inline caches must resolve nearly every
 # indirect terminator (ic_hit_rate >= 0.90).
 micro_line=$(grep '"name": "micro"' "$enginedir/tiered.json")
@@ -116,7 +104,7 @@ head -1 "$trace" | grep -q '"ev":"meta"'
 # machine's own counter bit-for-bit, on all three engines. The driver
 # already hard-checks this (non-zero exit on mismatch); re-assert it here
 # from the JSON, and check the report + folded-stack outputs exist.
-for eng in super block step; do
+for eng in tiered untiered step; do
   dune exec bench/main.exe -- fig13 -q --engine "$eng" \
     --profile "$profdir" --json "$enginedir/prof.json"
   retired=$(grep -o '"retired": [0-9]*' "$enginedir/prof.json" | grep -o '[0-9]*')
@@ -236,7 +224,20 @@ if [ "$replicas" != "2" ] || [ "$retired_set" != "1" ]; then
   echo "$serve_out" >&2
   exit 1
 fi
-echo "ci: serve smoke passed ($admitted requests pooled, replicas identical, watchdog healthy)"
+# cache prewarm stores under the keys the server reads, so the first
+# serve of the same guest, ISA, mode and engine after it starts plan-warm.
+prewarm_dir=$(mktemp -d /tmp/chimera-prewarm-XXXXXX)
+trap 'rm -rf "$enginedir" "$json_full" "$trace" "$profdir" "$cachedir" "$json_cache" "$metrics_prom" "$json_metrics" "$json_serve" "$serve_prom" "$prewarm_dir"' EXIT
+dune exec bin/chimera_cli.exe -- gen fibonacci "$prewarm_dir/fib.self" -n 2000 >/dev/null
+dune exec bin/chimera_cli.exe -- cache prewarm "$prewarm_dir/cache" "$prewarm_dir/fib.self" --tiered
+prewarm_out=$(dune exec bin/chimera_cli.exe -- serve "$prewarm_dir/fib.self" \
+  --cache "$prewarm_dir/cache" --tiered)
+if ! echo "$prewarm_out" | grep -q 'warm=true'; then
+  echo "ci: first serve after cache prewarm started cold:" >&2
+  echo "$prewarm_out" >&2
+  exit 1
+fi
+echo "ci: serve smoke passed ($admitted requests pooled, replicas identical, prewarm serves warm, watchdog healthy)"
 
 # Deploy smoke: one traced pass of the benchmark's deploy workload (a cold
 # disassembly, CFG, liveness and CHBP rewrite, then a first run, for each

@@ -2,7 +2,8 @@
 
    - a cold/warm property test: random branch- and jalr-dense programs run
      cold (recording, plan stored) then warm (plan seeded) under every
-     engine — step, block, superblock, tiered — and must retire
+     engine — step, untiered with an icache model (its blocks stop at
+     tier 2), untiered, tiered — and must retire
      bit-identically: same stop, registers, pc, retired and cycle counts.
      The cache may only change how fast translations appear, never what
      executes;
@@ -103,9 +104,14 @@ let cache_program rng =
   (bin, (Binfile.symbol bin "_start").Binfile.sym_addr + patch_off)
 
 (* every translating engine records, so its runs can be exported *)
-let super = Engine.Super { ir = true; tiered = false; ic = false; record = true }
-let tiered = Engine.Super { ir = true; tiered = true; ic = true; record = true }
-let engines = [ Engine.Step; Engine.Block { record = true }; super; tiered ]
+let super = Engine.Untiered { record = true }
+let tiered = Engine.Tiered { record = true }
+
+(* (engine, icache) pairs: the icache machine pins superblocks without
+   the IR, the shape the tier cap gives it *)
+let engines =
+  [ (Engine.Step, None); (super, Some Icache.default_geometry); (super, None);
+    (tiered, None) ]
 
 (* fresh per-test cache directory under the system temp dir, removed at
    exit so manual runs outside the dune sandbox don't litter the cwd *)
@@ -131,9 +137,9 @@ let temp_cache =
     created := dir :: !created;
     Cache.open_dir dir
 
-let machine_for bin engine =
+let machine_for ?icache bin engine =
   let mem = Loader.load bin in
-  let m = Machine.create ~engine ~mem ~isa:base_isa () in
+  let m = Machine.create ~engine ?icache ~mem ~isa:base_isa () in
   Loader.init_machine m bin;
   m
 
@@ -148,16 +154,18 @@ let prop_cold_warm =
       let bin, _ = cache_program (Random.State.make [| seed |]) in
       let c = temp_cache () in
       List.for_all
-        (fun engine ->
-          let extra = Engine.tag engine in
+        (fun (engine, icache) ->
+          let extra =
+            Engine.tag engine ^ if icache = None then "" else ";icache"
+          in
           let cold =
-            let m = machine_for bin engine in
+            let m = machine_for ?icache bin engine in
             let stop = Machine.run ~fuel:5_000_000 m in
             let key = Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra in
             Cache.store_plan c ~key m;
             snapshot m stop
           in
-          let m = machine_for bin engine in
+          let m = machine_for ?icache bin engine in
           let key = Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra in
           (match Cache.seed_plan c ~key m with
           | Ok n ->
@@ -362,9 +370,20 @@ let test_engine_mismatch_falls_back_cold () =
     (Printf.sprintf "cold { %s } = fallback { %s }" (pp_snap cold) (pp_snap fallback))
     true (cold = fallback);
   (* the same entry still serves the engine it was made under *)
-  match Cache.seed_plan c ~key (machine_for bin tiered) with
+  (match Cache.seed_plan c ~key (machine_for bin tiered) with
   | Ok n -> Alcotest.(check bool) "matching engine seeds blocks" true (n > 0)
-  | Error r -> Alcotest.failf "matching engine rejected: %s" r
+  | Error r -> Alcotest.failf "matching engine rejected: %s" r);
+  (* the icache geometry is part of the configuration too *)
+  let extra = "icache-mismatch" in
+  (let m = machine_for bin super in
+   ignore (Machine.run ~fuel:5_000_000 m);
+   Cache.store_plan c ~key:(Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra) m);
+  let m = machine_for ~icache:Icache.default_geometry bin super in
+  let key = Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra in
+  match Cache.seed_plan c ~key m with
+  | Error "flags" -> ()
+  | Error r -> Alcotest.failf "expected an icache mismatch, got %s" r
+  | Ok n -> Alcotest.failf "plan without icache seeded %d blocks" n
 
 (* --- concurrent writers ------------------------------------------------- *)
 

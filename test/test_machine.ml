@@ -7,7 +7,7 @@ let data_base = 0x40000
 
 (* Assemble a list of instructions at [text_base], map a data page, and
    return a machine ready to run. *)
-let setup ?(isa = Ext.all) insts =
+let setup ?(isa = Ext.all) ?icache insts =
   let mem = Memory.create () in
   Memory.map mem ~addr:text_base ~len:4096 Memory.perm_rx;
   Memory.map mem ~addr:data_base ~len:4096 Memory.perm_rw;
@@ -21,7 +21,7 @@ let setup ?(isa = Ext.all) insts =
       done;
       addr := !addr + n)
     insts;
-  let m = Machine.create ~mem ~isa () in
+  let m = Machine.create ?icache ~mem ~isa () in
   Machine.set_pc m text_base;
   m
 
@@ -681,7 +681,7 @@ let test_vector_strided_scatter () =
 (* --- instruction-cache model --------------------------------------------- *)
 
 let test_icache_unit () =
-  let ic = Icache.create ~sets:4 ~line:16 () in
+  let ic = Icache.create { Icache.sets = 4; line = 16 } in
   Alcotest.(check bool) "cold miss" false (Icache.access ic 0x1000);
   Alcotest.(check bool) "hit same line" true (Icache.access ic 0x100c);
   (* 4 sets x 16B lines: 0x1000 and 0x1040 conflict on set 0 *)
@@ -699,8 +699,7 @@ let test_icache_loop_locality () =
       Inst.Opi (Inst.Addi, Reg.t0, Reg.t0, -1);
       Inst.Branch (Inst.Bne, Reg.t0, Reg.x0, -4) ]
   in
-  let m = setup (body @ exit_with_a0) in
-  Machine.enable_icache m;
+  let m = setup ~icache:Icache.default_geometry (body @ exit_with_a0) in
   (match Machine.run ~fuel:10_000 m with
   | Machine.Exited _ -> ()
   | _ -> Alcotest.fail "loop failed");
@@ -726,10 +725,11 @@ let test_icache_thrash_charges_cycles () =
   emit (text_base + 12) (Inst.Opi (Inst.Addi, Reg.a7, Reg.x0, 93));
   emit (text_base + 16) Inst.Ecall;
   emit (text_base + 0x8000) (Inst.Jal (Reg.x0, -0x8000));
-  let m = Machine.create ~mem ~isa:Ext.rv64gc () in
+  let m =
+    Machine.create ~icache:{ Icache.sets = 1; line = 64 } ~mem ~isa:Ext.rv64gc ()
+  in
   Machine.set_pc m text_base;
   Machine.set_reg m Reg.t0 64L;
-  Machine.enable_icache ~sets:1 ~line:64 m;
   (match Machine.run ~fuel:10_000 m with
   | Machine.Exited _ -> ()
   | _ -> Alcotest.fail "thrash run failed");

@@ -179,7 +179,7 @@ let engine_counters =
       "ir_units"; "ir_folded"; "ir_dead"; "ir_pc_elided"; "ir_tlb_elided";
       "ir_cached" ]
 
-let tiered = Engine.Super { ir = true; tiered = true; ic = true; record = false }
+let tiered = Engine.Tiered { record = false }
 
 (* Each guest builds a fresh tiered machine with inline caches, and a
    runtime when it runs rewritten code: native Programs kernels, and

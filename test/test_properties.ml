@@ -674,12 +674,14 @@ let check_snaps ~what step block =
       (pp_snap step) (pp_snap block)
   else true
 
-let block = Engine.Block { record = false }
+(* the tiered engine runs blocks at every tier: straight-line, superblock
+   and IR-optimized *)
+let tiered = Engine.Tiered { record = false }
 
 let run_native engine ~icache ~fuel bin isa =
   let mem = Loader.load bin in
-  let m = Machine.create ~engine ~mem ~isa () in
-  if icache then Machine.enable_icache m;
+  let icache = if icache then Some Icache.default_geometry else None in
+  let m = Machine.create ~engine ?icache ~mem ~isa () in
   Loader.init_machine m bin;
   snapshot m (Machine.run ~fuel m)
 
@@ -698,9 +700,9 @@ let prop_block_engine_native =
       let bin = Specgen.build (fuzz_profile seed) in
       let what = Printf.sprintf "native seed=%d fuel=%d" seed fuel in
       let step = run_native Engine.Step ~icache ~fuel bin ext_isa in
-      let plain = run_native block ~icache ~fuel bin ext_isa in
+      let plain = run_native tiered ~icache ~fuel bin ext_isa in
       let chained = run_native Engine.default ~icache ~fuel bin ext_isa in
-      check_snaps ~what:(what ^ " (straight-line)") step plain
+      check_snaps ~what:(what ^ " (tiered)") step plain
       && check_snaps ~what:(what ^ " (chained)") step chained)
 
 (* Lazy rewriting: the runtime patches code on the first fault at each site,
@@ -815,9 +817,9 @@ let ir_program rng =
   let bin = Asm.assemble a in
   (bin, (Binfile.symbol bin "_start").Binfile.sym_addr + patch_off)
 
-let run_ir_phases engine bin ~patch_addr ~f1 ~f2 =
+let run_ir_phases ?icache engine bin ~patch_addr ~f1 ~f2 =
   let mem = Loader.load bin in
-  let m = Machine.create ~engine ~mem ~isa:base_isa () in
+  let m = Machine.create ~engine ?icache ~mem ~isa:base_isa () in
   Loader.init_machine m bin;
   let s1 = snapshot m (Machine.run ~fuel:f1 m) in
   (* SMC: flip the xori's immediate under a cached, already-executed block;
@@ -854,20 +856,22 @@ let prop_ir_pipeline_differential =
           return (seed, f1, f2)))
     (fun (seed, f1, f2) ->
       let bin, patch_addr = ir_program (Random.State.make [| seed |]) in
-      let r1, r2, r3 = run_ir_phases Engine.Step bin ~patch_addr ~f1 ~f2 in
       List.for_all
-        (fun (label, engine) ->
-          let b1, b2, b3 = run_ir_phases engine bin ~patch_addr ~f1 ~f2 in
+        (fun (label, engine, icache) ->
+          (* the oracle runs under the same icache model, which charges
+             cycles *)
+          let r1, r2, r3 = run_ir_phases ?icache Engine.Step bin ~patch_addr ~f1 ~f2 in
+          let b1, b2, b3 = run_ir_phases ?icache engine bin ~patch_addr ~f1 ~f2 in
           let what p =
             Printf.sprintf "ir seed=%d f1=%d f2=%d %s phase%d" seed f1 f2 label p
           in
           check_snaps ~what:(what 1) r1 b1
           && check_snaps ~what:(what 2) r2 b2
           && check_snaps ~what:(what 3) r3 b3)
-        [ ("block", block);
-          ("super", Engine.default);
-          ("super-noir",
-           Engine.Super { ir = false; tiered = false; ic = false; record = false }) ])
+        [ ("tiered", tiered, None);
+          ("super", Engine.default, None);
+          (* the icache model caps translation at IR-less superblocks *)
+          ("super-noir", Engine.default, Some Icache.default_geometry) ])
 
 let prop_block_engine_self_modifying =
   QCheck.Test.make
@@ -876,9 +880,9 @@ let prop_block_engine_self_modifying =
     QCheck.(make Gen.(int_bound 100_000))
     (fun seed ->
       let step = run_chimera Engine.Step seed in
-      let plain = run_chimera block seed in
+      let plain = run_chimera tiered seed in
       let chained = run_chimera Engine.default seed in
-      check_snaps ~what:(Printf.sprintf "chimera seed=%d (straight-line)" seed) step plain
+      check_snaps ~what:(Printf.sprintf "chimera seed=%d (tiered)" seed) step plain
       && check_snaps ~what:(Printf.sprintf "chimera seed=%d (chained)" seed) step chained)
 
 let () =

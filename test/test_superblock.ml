@@ -1,8 +1,9 @@
 (* Block-boundary edge cases for superblock translation, each checked
    differentially: the single-step engine is the bit-exact oracle, and both
-   block-engine shapes — straight-line blocks (superblocks off) and full
-   superblocks — must reproduce its stop state, registers, pc and counters
-   exactly. The edges covered:
+   translating engines — tiered (straight-line blocks, then superblocks,
+   then IR) and untiered (top-tier superblocks from the first touch) —
+   must reproduce its stop state, registers, pc and counters exactly. The
+   edges covered:
 
    - a block body hitting [max_insts] exactly, with fuel running out just
      before / at / after the cap;
@@ -47,13 +48,14 @@ let run engine ~fuel ?(isa = ext_isa) bin =
   Loader.init_machine m bin;
   snapshot m (Machine.run ~fuel m)
 
-(* The core check: step / straight-line / superblock triple agreement. *)
+(* The core check: step / tiered / superblock triple agreement. The
+   tiered machine runs straight-line blocks before it promotes them. *)
 let tri ?isa ~fuel what bin =
   let step = run Engine.Step ~fuel ?isa bin in
-  let plain = run (Engine.Block { record = false }) ~fuel ?isa bin in
+  let plain = run (Engine.Tiered { record = false }) ~fuel ?isa bin in
   let super = run Engine.default ~fuel ?isa bin in
   if plain <> step then
-    Alcotest.failf "%s (fuel %d): straight-line { %s } <> step { %s }" what
+    Alcotest.failf "%s (fuel %d): tiered { %s } <> step { %s }" what
       fuel (pp_snap plain) (pp_snap step);
   if super <> step then
     Alcotest.failf "%s (fuel %d): superblock { %s } <> step { %s }" what fuel

@@ -5,9 +5,13 @@
      continuation across an in-place SMC patch (which retires hot blocks and
      forces every epoch-guarded inline cache to re-resolve), and a
      continuation across a warm-TLB permission downgrade that makes the next
-     store fault. Step, untiered superblock, tiered and tiered-without-IC
-     machines must agree bit-for-bit on stop state, registers, pc and
-     counters at every phase boundary;
+     store fault. Step, untiered, tiered and tiered-with-icache machines
+     must agree bit-for-bit on stop state, registers, pc and counters at
+     every phase boundary, and the tiered machine must dispatch blocks at
+     tiers 1 and 2, not only at the top;
+
+   - a shape cap: an untiered machine with an icache model never
+     translates above tier 2;
 
    - a golden test pinning the inline-cache state machine: one call site
      driven through one, then three, then nine distinct targets must be
@@ -123,13 +127,32 @@ let tier_program rng =
   let bin = Asm.assemble a in
   (bin, (Binfile.symbol bin "_start").Binfile.sym_addr + patch_off)
 
-let tiered = Engine.Super { ir = true; tiered = true; ic = true; record = false }
+let tiered = Engine.Tiered { record = false }
 
-let run_tier_phases engine bin ~patch_addr ~f1 ~f2 =
+(* Runs the three phases and reports, per tier, whether the machine
+   dispatched a block at it: a promotion to tier k + 1 follows [hot]
+   dispatches at tier k, and a block still at tier k after a phase with a
+   nonzero dispatch count was dispatched there. Only tiered machines count
+   dispatches, so the others report none. *)
+let run_tier_phases ?icache engine bin ~patch_addr ~f1 ~f2 =
+  let dispatched = Array.make 4 false in
+  let note_blocks m =
+    List.iter
+      (fun b -> if b.Machine.bi_hot > 0 then dispatched.(b.Machine.bi_tier) <- true)
+      (Machine.block_infos m)
+  in
+  Obs.enable ~sink:(fun evs n ->
+      for i = 0 to n - 1 do
+        match evs.(i) with
+        | Obs.Tier_promote { tier; hot; _ } when hot > 0 -> dispatched.(tier - 1) <- true
+        | _ -> ()
+      done);
+  Fun.protect ~finally:Obs.disable @@ fun () ->
   let mem = Loader.load bin in
-  let m = Machine.create ~engine ~mem ~isa:base_isa () in
+  let m = Machine.create ~engine ?icache ~mem ~isa:base_isa () in
   Loader.init_machine m bin;
   let s1 = snapshot m (Machine.run ~fuel:f1 m) in
+  note_blocks m;
   (* SMC: flip the xori's immediate under cached (and, tiered, hot) blocks;
      the invalidation retires them and severs every IC and chain link into
      them — re-resolution must be transparent *)
@@ -138,6 +161,7 @@ let run_tier_phases engine bin ~patch_addr ~f1 ~f2 =
   Memory.poke_bytes mem patch_addr buf;
   Machine.invalidate_code m ~addr:patch_addr ~len:4;
   let s2 = snapshot m (Machine.run ~fuel:f2 m) in
+  note_blocks m;
   (* warm-TLB permission downgrade: writable pages turn read-only mid-loop;
      the next store must fault at the same pc in every engine, through any
      tier, relaid layout or inline-cached dispatch *)
@@ -148,7 +172,11 @@ let run_tier_phases engine bin ~patch_addr ~f1 ~f2 =
           ~len:(Bytes.length s.Binfile.sec_data) Memory.perm_r)
     bin.Binfile.sections;
   let s3 = snapshot m (Machine.run ~fuel:50_000 m) in
-  (s1, s2, s3)
+  note_blocks m;
+  ((s1, s2, s3), dispatched)
+
+(* per tier, the cases in which the tiered arm dispatched a block there *)
+let tiered_cases_at = Array.make 4 0
 
 let prop_tier_differential =
   QCheck.Test.make
@@ -164,19 +192,45 @@ let prop_tier_differential =
           return (seed, f1, f2)))
     (fun (seed, f1, f2) ->
       let bin, patch_addr = tier_program (Random.State.make [| seed |]) in
-      let r1, r2, r3 = run_tier_phases Engine.Step bin ~patch_addr ~f1 ~f2 in
       List.for_all
-        (fun (label, engine) ->
-          let b1, b2, b3 = run_tier_phases engine bin ~patch_addr ~f1 ~f2 in
+        (fun (label, engine, icache) ->
+          (* the oracle runs under the same icache model, which charges
+             cycles *)
+          let (r1, r2, r3), _ =
+            run_tier_phases ?icache Engine.Step bin ~patch_addr ~f1 ~f2
+          in
+          let (b1, b2, b3), dispatched =
+            run_tier_phases ?icache engine bin ~patch_addr ~f1 ~f2
+          in
           let what p =
             Printf.sprintf "tier seed=%d f1=%d f2=%d %s phase%d" seed f1 f2 label p
           in
+          if label = "tiered" then
+            Array.iteri
+              (fun k d -> if d then tiered_cases_at.(k) <- tiered_cases_at.(k) + 1)
+              dispatched;
           check_snaps ~what:(what 1) r1 b1
           && check_snaps ~what:(what 2) r2 b2
           && check_snaps ~what:(what 3) r3 b3)
-        [ ("super", Engine.default);
-          ("tiered", tiered);
-          ("tiered-noic", Engine.Super { ir = true; tiered = true; ic = false; record = false }) ])
+        [ ("super", Engine.default, None);
+          ("tiered", tiered, None);
+          (* the icache model caps the tiered climb at tier 2 *)
+          ("tiered-icache", tiered, Some Icache.default_geometry) ])
+
+(* The property, then a shape-coverage check over its cases: the tiered
+   arm must have run blocks below the top tier, so the straight-line and
+   IR-less superblock shapes stay differential-tested against the oracle
+   (one short case may stop before any block reaches tier 2). *)
+let test_tier_differential =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_tier_differential in
+  ( name,
+    speed,
+    fun () ->
+      Array.fill tiered_cases_at 0 4 0;
+      run ();
+      if tiered_cases_at.(1) = 0 || tiered_cases_at.(2) = 0 then
+        Alcotest.failf "tiered arm dispatched at tier 1 in %d cases, tier 2 in %d"
+          tiered_cases_at.(1) tiered_cases_at.(2) )
 
 (* --- IC state machine golden ------------------------------------------- *)
 
@@ -331,6 +385,27 @@ let test_tier_promotion_visible () =
     (List.exists (fun b -> b.Machine.bi_tier = 3) infos);
   Alcotest.(check bool) "a hot block was relaid from its exit profile" true
     (List.exists (fun b -> b.Machine.bi_relaid) infos)
+
+(* an icache model caps translation at tier 2: an untiered machine with
+   one translates superblocks, never IR-optimized blocks *)
+let test_icache_caps_untiered () =
+  let bin = Programs.branchy ~rounds:20_000 () in
+  let mem = Loader.load bin in
+  let m =
+    Machine.create ~engine:Engine.default ~icache:Icache.default_geometry ~mem
+      ~isa:Ext.rv64gcv ()
+  in
+  Loader.init_machine m bin;
+  (match Machine.run ~fuel:2_000_000 m with
+  | Machine.Exited _ -> ()
+  | _ -> Alcotest.fail "branchy did not exit");
+  let infos = Machine.block_infos m in
+  Alcotest.(check bool) "superblocks at tier 2" true
+    (List.exists (fun b -> b.Machine.bi_tier = 2) infos);
+  Alcotest.(check (list int)) "no block above tier 2" []
+    (List.filter_map
+       (fun b -> if b.Machine.bi_tier > 2 then Some b.Machine.bi_entry else None)
+       infos)
 
 (* --- page-boundary fault equivalence ------------------------------------ *)
 
@@ -499,7 +574,7 @@ let test_alloc_budget () =
 
 let () =
   Alcotest.run "chimera_tiering"
-    [ ("differential", [ QCheck_alcotest.to_alcotest prop_tier_differential ]);
+    [ ("differential", [ test_tier_differential ]);
       ("inline-caches",
        [ Alcotest.test_case "mono -> poly -> mega transition" `Quick
            test_ic_transitions ]);
@@ -509,6 +584,9 @@ let () =
       ("allocation",
        [ Alcotest.test_case "warm tiered run allocation budget" `Quick
            test_alloc_budget ]);
+      ("shapes",
+       [ Alcotest.test_case "untiered icache machine stays at tier 2" `Quick
+           test_icache_caps_untiered ]);
       ("page-boundary",
        [ QCheck_alcotest.to_alcotest
            ~rand:(Random.State.make [| pb_qcheck_seed |])
