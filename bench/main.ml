@@ -1625,6 +1625,10 @@ let main names quick jobs engine json_file trace_file chrome_file profile_dir
             let hits = cv m "chimera_cache_loads_total" in
             let misses = cv m "chimera_cache_rejects_total" in
             let _, bytes = Cache.stat (Option.get !cache) in
+            (* no later experiment seeds this one's keys: reopen the
+               directory to drop the in-process templates, which the GC
+               would otherwise walk for the rest of the run *)
+            cache := Option.map (fun c -> Cache.open_dir (Cache.dir c)) !cache;
             ( Some
                 { cr_hit_rate = rate hits (hits + misses);
                   cr_bytes = bytes;

@@ -63,7 +63,11 @@ let read_all path =
           really_input ic b 0 len;
           Ok b)
 
-let read ~path ~magic ~version =
+(* A file whose frame checked out: magic, version, length and MD5 all
+   verified, payload not yet unmarshaled. *)
+type frame = { raw : bytes; plen : int }
+
+let check ~path ~magic ~version =
   check_magic magic;
   match read_all path with
   | Error _ as e -> e
@@ -83,11 +87,16 @@ let read ~path ~magic ~version =
           in
           let computed = Digest.subbytes b 0 (header_len + plen) in
           if not (String.equal stored computed) then Error "checksum"
-          else begin
-            match Marshal.from_bytes b header_len with
-            | v -> Ok v
-            | exception _ -> Error "decode"
-          end
+          else Ok { raw = b; plen }
+
+let frame_digest f = Bytes.sub_string f.raw (header_len + f.plen) digest_len
+
+let decode f =
+  match Marshal.from_bytes f.raw header_len with
+  | v -> Ok v
+  | exception _ -> Error "decode"
+
+let read ~path ~magic ~version = Result.bind (check ~path ~magic ~version) decode
 
 let peek_version ~path ~magic =
   check_magic magic;

@@ -25,6 +25,25 @@ val read : path:string -> magic:string -> version:int -> ('a, string) result
     usual Marshal segfault hazards on corrupt input do not apply — but the
     caller still owes the type annotation discipline Marshal demands. *)
 
+(** {1 Two-step reads}
+
+    {!read} is {!check} then {!decode}. A caller that already holds the
+    decoded value of a file it has seen can check the frame alone and skip
+    the unmarshal when {!frame_digest} matches the digest it saw then. *)
+
+type frame
+(** A container whose magic, version, length and checksum verified. *)
+
+val check : path:string -> magic:string -> version:int -> (frame, string) result
+(** Every check {!read} makes except unmarshaling; the same reasons. *)
+
+val frame_digest : frame -> string
+(** The MD5 trailer (raw 16 bytes): equal digests mean equal payloads. *)
+
+val decode : frame -> ('a, string) result
+(** Unmarshal a checked frame; [Error "decode"] if Marshal objects. Same
+    type discipline as {!read}. *)
+
 val peek_version : path:string -> magic:string -> int option
 (** The stored payload version, if the file exists and carries [magic] —
     for "written by schema v5, this build reads v6" error messages. *)

@@ -32,7 +32,27 @@
 let schema_version = 3
 let magic = "CHIMCAC1"
 
-type t = { dir : string }
+(* Translation templates, memoized in process: a plan key maps to the
+   checksum of the file a template was replayed from and the template
+   ({!Machine.template}). The file stays the source of truth — a seed uses
+   the template only while the file's frame verifies with the same
+   checksum. Pool workers share one [t], so the table is guarded by [mu];
+   [memo_capacity] bounds it, least recently used out first. *)
+type memo = {
+  sum : string;
+  tpl : Machine.template;
+  entries : int;  (** the plan's blocks + decode entries, for telemetry *)
+  mutable used : int;
+}
+
+type t = {
+  dir : string;
+  mu : Mutex.t;
+  memo : (string, memo) Hashtbl.t;
+  mutable tick : int;
+}
+
+let memo_capacity = 16
 
 let dir t = t.dir
 
@@ -45,7 +65,33 @@ let rec mkdirs path =
 
 let open_dir dir =
   mkdirs dir;
-  { dir }
+  { dir; mu = Mutex.create (); memo = Hashtbl.create memo_capacity; tick = 0 }
+
+let memo_find c ~key ~sum =
+  Mutex.protect c.mu (fun () ->
+      match Hashtbl.find_opt c.memo key with
+      | Some e when String.equal e.sum sum ->
+          c.tick <- c.tick + 1;
+          e.used <- c.tick;
+          Some (e.tpl, e.entries)
+      | _ -> None)
+
+let memo_add c ~key ~sum ~entries tpl =
+  Mutex.protect c.mu (fun () ->
+      if Hashtbl.length c.memo >= memo_capacity && not (Hashtbl.mem c.memo key)
+      then begin
+        let lru =
+          Hashtbl.fold
+            (fun k e acc ->
+              match acc with
+              | Some (_, used) when used <= e.used -> acc
+              | _ -> Some (k, e.used))
+            c.memo None
+        in
+        Option.iter (fun (k, _) -> Hashtbl.remove c.memo k) lru
+      end;
+      c.tick <- c.tick + 1;
+      Hashtbl.replace c.memo key { sum; tpl; entries; used = c.tick })
 
 (* ------------------------------------------------------------------ *)
 (* Content digests                                                     *)
@@ -125,24 +171,37 @@ let m_dedups =
     ~help:"Stores skipped because a valid entry already held the digest"
     "chimera_cache_dedup_total"
 
+let m_shared =
+  Metrics.counter ~help:"Plan seeds served by cloning an in-process template"
+    "chimera_cache_plan_shared_total"
+
 (* Content addressing makes concurrent stores of one digest redundant, not
    conflicting: every writer would serialize the same artifact. When a
    valid entry already sits at [path] — another tenant won the race, or a
-   previous process populated the directory — skip the Marshal + tmp +
-   rename entirely. Only a *valid* entry short-circuits; a truncated or
-   version-skewed file is overwritten as before. *)
-let store_raw c ~key ~kind ~entries v =
+   previous process populated the directory — skip the export, the
+   Marshal and the tmp + rename entirely. Only a *valid* entry
+   short-circuits: its frame must verify, and its payload must either
+   carry a checksum [known] to have decoded before or decode now. A
+   truncated or version-skewed file is overwritten as before. [export]
+   runs only when the store actually writes. *)
+let store_raw ?(known = fun _ -> false) c ~key ~kind export =
   let path = path_of c ~key ~kind in
-  match Container.read ~path ~magic ~version:schema_version with
-  | Ok _ -> if !Metrics.enabled then Metrics.incr m_dedups
-  | Error _ ->
-      Container.write ~path ~magic ~version:schema_version v;
-      if !Metrics.enabled then begin
-        Metrics.incr m_stores;
-        Metrics.gauge_add m_entry_bytes (file_size path)
-      end;
-      if !Obs.enabled then
-        Obs.emit (Obs.Cache_store { key; entries; bytes = file_size path })
+  let valid =
+    match Container.check ~path ~magic ~version:schema_version with
+    | Error _ -> false
+    | Ok f -> known (Container.frame_digest f) || Result.is_ok (Container.decode f)
+  in
+  if valid then (if !Metrics.enabled then Metrics.incr m_dedups)
+  else begin
+    let v, entries = export () in
+    Container.write ~path ~magic ~version:schema_version v;
+    if !Metrics.enabled then begin
+      Metrics.incr m_stores;
+      Metrics.gauge_add m_entry_bytes (file_size path)
+    end;
+    if !Obs.enabled then
+      Obs.emit (Obs.Cache_store { key; entries; bytes = file_size path })
+  end
 
 let hit ~key ~entries ~bytes =
   if !Metrics.enabled then Metrics.incr m_loads;
@@ -153,10 +212,10 @@ let miss ~key ~reason =
   if !Obs.enabled then Obs.emit (Obs.Cache_reject { key; reason });
   Error reason
 
-let load_raw c ~key ~kind =
+let load_frame c ~key ~kind =
   let path = path_of c ~key ~kind in
-  match Container.read ~path ~magic ~version:schema_version with
-  | Ok v -> Ok (v, file_size path)
+  match Container.check ~path ~magic ~version:schema_version with
+  | Ok f -> Ok (f, file_size path)
   | Error "missing" -> miss ~key ~reason:"miss"
   | Error reason -> miss ~key ~reason
 
@@ -164,39 +223,67 @@ let load_raw c ~key ~kind =
 (* Rewrite contexts                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let store_rewrite c ~key (ctx : Chbp.t) = store_raw c ~key ~kind:"rewrite" ~entries:1 ctx
+let store_rewrite c ~key (ctx : Chbp.t) =
+  store_raw c ~key ~kind:"rewrite" (fun () -> (ctx, 1))
 
 let load_rewrite c ~key : (Chbp.t, string) result =
-  match load_raw c ~key ~kind:"rewrite" with
-  | Ok (ctx, bytes) ->
-      hit ~key ~entries:1 ~bytes;
-      Ok ctx
+  match load_frame c ~key ~kind:"rewrite" with
   | Error _ as e -> e
+  | Ok (f, bytes) -> (
+      match Container.decode f with
+      | Ok ctx ->
+          hit ~key ~entries:1 ~bytes;
+          Ok ctx
+      | Error reason -> miss ~key ~reason)
 
 (* ------------------------------------------------------------------ *)
 (* Translation plans                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let store_plan c ~key (m : Machine.t) =
-  let plan = Machine.export_plan m in
-  let blocks, insts = Machine.plan_stats plan in
-  store_raw c ~key ~kind:"plan" ~entries:(blocks + insts) plan
+  store_raw c ~key ~kind:"plan"
+    ~known:(fun sum -> Option.is_some (memo_find c ~key ~sum))
+    (fun () ->
+      let plan = Machine.export_plan m in
+      let blocks, insts = Machine.plan_stats plan in
+      (plan, blocks + insts))
 
 (* Load-and-seed as one operation, so the hit/miss accounting reflects
    whether the machine actually went warm: a plan that loads but is then
    refused by the machine (engine-flag skew, replay divergence) is a miss
-   with the machine's reason, exactly like a corrupt artifact. *)
+   with the machine's reason, exactly like a corrupt artifact. The frame
+   is verified on every seed; a checksum the memo holds a template for
+   skips the unmarshal and the replay, and any other valid file is
+   replayed and becomes the key's template. *)
 let seed_plan c ~key (m : Machine.t) =
-  match load_raw c ~key ~kind:"plan" with
+  match load_frame c ~key ~kind:"plan" with
   | Error _ as e -> e
-  | Ok ((plan : Machine.plan), bytes) -> (
-      match Machine.seed_plan m plan with
-      | Ok n ->
-          let blocks, insts = Machine.plan_stats plan in
-          hit ~key ~entries:(blocks + insts) ~bytes;
-          Ok n
-      | Error reason -> miss ~key ~reason
-      | exception _ -> miss ~key ~reason:"seed")
+  | Ok (f, bytes) -> (
+      let sum = Container.frame_digest f in
+      let replay () =
+        match (Container.decode f : (Machine.plan, string) result) with
+        | Error reason -> miss ~key ~reason
+        | Ok plan -> (
+            match Machine.seed_plan m plan with
+            | Ok (n, tpl) ->
+                let blocks, insts = Machine.plan_stats plan in
+                let entries = blocks + insts in
+                Option.iter (memo_add c ~key ~sum ~entries) tpl;
+                hit ~key ~entries ~bytes;
+                Ok n
+            | Error reason -> miss ~key ~reason
+            | exception _ -> miss ~key ~reason:"seed")
+      in
+      match memo_find c ~key ~sum with
+      | None -> replay ()
+      | Some (tpl, entries) -> (
+          match Machine.seed_template m tpl with
+          | Ok n ->
+              if !Metrics.enabled then Metrics.incr m_shared;
+              hit ~key ~entries ~bytes;
+              Ok n
+          | Error _ -> replay ()
+          | exception _ -> miss ~key ~reason:"seed"))
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance (CLI + bench)                                           *)
@@ -217,6 +304,7 @@ let stat c =
         (0, 0) names
 
 let clear c =
+  Mutex.protect c.mu (fun () -> Hashtbl.reset c.memo);
   match Sys.readdir c.dir with
   | exception Sys_error _ -> 0
   | names ->

@@ -47,16 +47,28 @@ val load_rewrite : t -> key:string -> (Chbp.t, string) result
 (** {1 Translation plans} *)
 
 val store_plan : t -> key:string -> Machine.t -> unit
-(** Export the machine's translation plan ({!Machine.export_plan}) and
-    store it under [key] — call after a recording run, with [key] digested
-    from the machine's {e current} memory. *)
+(** Store the machine's translation plan under [key] — call after a
+    recording run, with [key] digested from the machine's {e current}
+    memory. A valid entry already under [key] (its frame verifies and its
+    checksum is one this cache seeded from, or it decodes) is kept as it
+    is, and the plan is then not even exported ({!Machine.export_plan}
+    runs only when the store writes). *)
 
 val seed_plan : t -> key:string -> Machine.t -> (int, string) result
-(** Load the plan stored under [key] and seed it into the machine
-    ({!Machine.seed_plan}) as one accounted operation: [Ok blocks] counts a
-    hit; a load failure or a machine-side refusal counts a miss with that
-    reason (["miss"], ["truncated"], ["magic"], ["version"], ["checksum"],
-    ["decode"], ["flags"], ["seed"]) and the caller proceeds cold. *)
+(** Load the plan stored under [key] and seed it into the machine as one
+    accounted operation: [Ok blocks] counts a hit; a load failure or a
+    machine-side refusal counts a miss with that reason (["miss"],
+    ["truncated"], ["magic"], ["version"], ["checksum"], ["decode"],
+    ["flags"], ["seed"]) and the caller proceeds cold.
+
+    The file is read and its frame checked on every call. The first seed
+    of a file replays it ({!Machine.seed_plan}) and keeps the replay's
+    {!Machine.template} in this [t], with the file's checksum; later seeds
+    of the same key whose file still has that checksum clone the template
+    ({!Machine.seed_template}) instead of unmarshaling and replaying —
+    same blocks, counters and events, a fraction of the time and
+    allocation. At most 16 keys keep a template, least recently used out
+    first. A [t] may be shared by domains. *)
 
 (** {1 Telemetry and maintenance}
 
@@ -66,10 +78,12 @@ val seed_plan : t -> key:string -> Machine.t -> (int, string) result
     already holding its digest — the concurrent-tenant duplicate-store
     path — is skipped instead of re-written (content addressing makes it
     redundant: every writer serializes identical bytes) and counts in
-    [chimera_cache_dedup_total]. *)
+    [chimera_cache_dedup_total]. Plan seeds served by a template count in
+    [chimera_cache_plan_shared_total] as well as in the loads. *)
 
 val stat : t -> int * int
 (** [(entries, bytes)] currently in the cache directory. *)
 
 val clear : t -> int
-(** Remove every cache entry (and stray temp file); returns the count. *)
+(** Remove every cache entry (and stray temp file) and drop the in-process
+    templates; returns the count of files removed. *)

@@ -16,7 +16,7 @@ type view = {
   ics : (int, icsite) Hashtbl.t;
       (** per-site inline caches for indirect terminators
           ([jalr]/[c_jr]/[c_jalr]), keyed by the site pc *)
-  skels : (int, skel) Hashtbl.t;
+  skels : (int, skel_src) Hashtbl.t;
       (** recorded translation skeletons, keyed by entry pc (recording
           machines only): the positional lower/compile decisions of the
           {e latest} translation at that entry, joined with the live block
@@ -38,6 +38,11 @@ and skel = {
       (** the recompile plan the translation ran under, so replay drives
           [relayout_of] to the same cut/flip decisions *)
 }
+
+(* A block seeded from a template finds its skeleton in the template's
+   marshaled skeleton array ([Packed (bytes, index)]), unmarshaled only if
+   the machine exports a plan. *)
+and skel_src = Recorded of skel | Packed of bytes * int
 
 and icsite = {
   site_pc : int;
@@ -578,6 +583,13 @@ let decode_at t pc =
   | Some _ | None -> decode_fresh t pc
 
 let fetch_decode t = decode_at t t.pc
+
+(* Whether [decode_at t pc] would be served from the cache (no fetch). *)
+let decode_cached t pc =
+  match Hashtbl.find_opt t.cur.cache pc with
+  | Some (Cok (_, n, st)) -> Tblock.Gen.stamp t.gens ~lo:pc ~hi:(pc + n - 1) = st
+  | Some (Cill (_, hi, st)) -> Tblock.Gen.stamp t.gens ~lo:pc ~hi = st
+  | None -> false
 
 (* Execute one decoded instruction; updates pc; may raise Efault.
    Returns the [stop] if the instruction is a control event the caller's
@@ -1638,16 +1650,17 @@ let rmw_middle (k : Tir.kind) x =
    [emit_units] — the builder reads only the op kinds, so re-emitting a
    recorded run reconstructs the original execution units without paying
    for the passes again. *)
-let emit_units ir_units tlb_elided (ops : Tir.op array) =
+let emit_units ?(on_fuse = fun _ _ -> ()) ir_units tlb_elided (ops : Tir.op array) =
   let n = Array.length ops in
   let out = ref [] and nout = ref 0 in
   let push ?fuse efn ewidth eself =
     out := { Tblock.efn; ewidth; eself } :: !out;
     incr nout;
     match fuse with
-    | Some (pc, kind) when !Obs.enabled ->
-        Obs.emit (Obs.Tb_fuse { pc; kind })
-    | _ -> ()
+    | Some (pc, kind) ->
+        on_fuse pc kind;
+        if !Obs.enabled then Obs.emit (Obs.Tb_fuse { pc; kind })
+    | None -> ()
   in
   let i = ref 0 in
   while !i < n do
@@ -1865,13 +1878,16 @@ let tier_cap t = if t.icache = None then 3 else 2
 
 (* One [Tblock.translate] of [entry] with superblock shape [sb] under the
    recompile plan [relayout]: decoding goes through the view's decode
-   cache, [lower] picks the IR-lowered instructions, every other one is
-   compiled by [compile_op] (and shown to [on_compile]), and [emit] turns
-   IR runs into execution units. Cold translation and plan replay differ
-   only in those three callbacks. *)
-let translate_with t ~sb ~relayout ~lower ~on_compile ~emit entry =
+   cache (each pc shown to [on_decode] first), [lower] picks the
+   IR-lowered instructions, every other one is compiled by [compile_op]
+   (and shown to [on_compile]), and [emit] turns IR runs into execution
+   units. Cold translation and plan replay differ only in those
+   callbacks. *)
+let translate_with ?(on_decode = ignore) t ~sb ~relayout ~lower ~on_compile
+    ~emit entry =
   Tblock.translate ~gens:t.gens ~epoch:t.code_epoch ~isa:t.isa
     ~decode:(fun pc ->
+      on_decode pc;
       match decode_at t pc with
       | d -> Some d
       | exception Efault _ -> None
@@ -1927,7 +1943,7 @@ let translate_block ?(tier = 3) ?(relayout = []) t entry =
   Tblock.set_tier b ~tier:etier ~relaid:(relayout <> []);
   if t.rec_on then
     Hashtbl.replace t.cur.skels entry
-      { sk_steps = Array.of_list (List.rev !steps); sk_relayout = relayout };
+      (Recorded { sk_steps = Array.of_list (List.rev !steps); sk_relayout = relayout });
   t.fused_pairs <- t.fused_pairs + b.Tblock.n_fused;
   if !ir_units > 0 then begin
     t.ir_blocks <- t.ir_blocks + 1;
@@ -2380,7 +2396,7 @@ let run_blocks ~handlers ~fuel t =
                    here, in step-engine order *)
                 if Array.unsafe_get starts (i + 1) = s + 1 then begin
                   let ipc = Array.unsafe_get pcs s
-                  and sz = Array.unsafe_get sizes s in
+                  and sz = Bytes.get_uint8 sizes s in
                   if not (Icache.access ic ipc) then t.cycles_extra <- t.cycles_extra + miss;
                   if not (Icache.access ic (ipc + sz - 1)) then
                     t.cycles_extra <- t.cycles_extra + miss
@@ -2633,16 +2649,30 @@ let export_plan t =
         | _ -> acc)
       t.cur.cache []
   in
+  let unpacked = ref [] in
+  let skel_of = function
+    | Recorded sk -> sk
+    | Packed (packed, i) ->
+        let sks =
+          match List.assq_opt packed !unpacked with
+          | Some sks -> sks
+          | None ->
+              let sks : skel array = Marshal.from_bytes packed 0 in
+              unpacked := (packed, sks) :: !unpacked;
+              sks
+        in
+        sks.(i)
+  in
   let blocks =
     Hashtbl.fold
       (fun entry b acc ->
         match Hashtbl.find_opt t.cur.skels entry with
-        | Some sk when Tblock.revalidate t.gens ~isa:t.isa ~epoch:t.code_epoch b ->
+        | Some src when Tblock.revalidate t.gens ~isa:t.isa ~epoch:t.code_epoch b ->
             { pb_entry = entry;
               pb_tier = b.Tblock.tier;
               pb_relaid = b.Tblock.relaid;
               pb_hot = b.Tblock.hot;
-              pb_skel = sk }
+              pb_skel = skel_of src }
             :: acc
         | _ -> acc)
       t.cur.blocks []
@@ -2669,82 +2699,216 @@ let export_plan t =
 
 let plan_stats p = (Array.length p.pl_blocks, Array.length p.pl_insts)
 
+(* A side effect of one block's replay that a template clone repeats, in
+   order: a decode the cache did not serve (it fetched guest bytes through
+   the TLB and filled the decode cache), or a fused unit (a [Tb_fuse]
+   event under tracing). *)
+type replay_step = Fetched of int | Fused of int * string
+
 (* Replay one skeleton through [Tblock.translate]: decode comes from the
    (prefabbed) decode cache, the lower callback plays back the recorded
    decisions positionally — persisted post-optimize ops for IR runs, a
    deterministic recompile via [compile_op] for everything else — and the
    emitter skips [Tir.optimize]. Any divergence (a consumed-out skeleton,
    an unexpected fault) raises and the caller skips the entry, leaving it
-   to the normal cold path. *)
-let rebuild_block t (pb : plan_block) =
+   to the normal cold path. The replay's side effects go to [log], newest
+   first. *)
+let rebuild_block t (pb : plan_block) log =
   let sk = pb.pb_skel in
   let cursor = ref 0 in
   let ir_units = ref 0 and tlb_elided = ref 0 in
   let sb, _, _ = shape t ~tier:pb.pb_tier in
   let b =
     translate_with t ~sb ~relayout:sk.sk_relayout
+      ~on_decode:(fun pc ->
+        if not (decode_cached t pc) then log := Fetched pc :: !log)
       ~lower:(fun ~pc:_ _inst _size ->
         if !cursor >= Array.length sk.sk_steps then raise Exit;
         let s = sk.sk_steps.(!cursor) in
         incr cursor;
         match s with Slower op -> Some op | Scompile -> None)
       ~on_compile:(fun ~pc:_ _ _ _ -> ())
-      ~emit:(fun ops -> emit_units ir_units tlb_elided ops)
+      ~emit:(fun ops ->
+        emit_units
+          ~on_fuse:(fun pc kind -> log := Fused (pc, kind) :: !log)
+          ir_units tlb_elided ops)
       pb.pb_entry
   in
   Tblock.set_tier b ~tier:pb.pb_tier ~relaid:pb.pb_relaid;
   Tblock.set_hot b pb.pb_hot;
-  t.fused_pairs <- t.fused_pairs + b.Tblock.n_fused;
   b
+
+(* A template is what one replay seeded, kept to seed later machines with
+   the same plan without replaying it: every block as a clone with cleared
+   links, run state and terminator closure, next to its recompile plan and
+   the side effects its replay had; the decode-cache prefab as (pc,
+   instruction parcels), re-decoded on each seed; the blocks' skeletons,
+   marshaled; interpreter heat as (pc, heat); and the inline-cache seeds. A template lives as long as its cache entry, so it
+   keeps the plan's bulk in flat arrays and bytes rather than as a graph
+   of small records, which the major GC would walk every cycle. It is
+   never executed or mutated, so one template serves machines on any
+   domain. *)
+type template = {
+  tp_config : config;
+  tp_isa : Ext.t;
+  tp_code : int array;
+  tp_blocks : (t Tblock.t * (int * bool) list * replay_step list) array;
+      (** block, recompile plan, replay side effects *)
+  tp_skels : bytes;  (** a [skel array] in [tp_blocks] order *)
+  tp_heat : int array;
+  tp_ics : (int * int list) array;
+}
+
+(* Decode-cache prefab. Entries are stamped against the seeding machine's
+   current generations: the caller's content-digest check proved the guest
+   bytes equal the exporting run's, so the persisted decodes are decodes
+   of the current bytes. *)
+let seed_decode t pc inst n =
+  Hashtbl.replace t.cur.cache pc
+    (Cok (inst, n, Tblock.Gen.stamp t.gens ~lo:pc ~hi:(pc + n - 1)))
+
+let seed_block t b skel =
+  t.fused_pairs <- t.fused_pairs + b.Tblock.n_fused;
+  publish_block t b.Tblock.entry b;
+  (* keep the skeleton so this machine's own export re-offers the seeded
+     entries (warm runs stay warm across generations) *)
+  Hashtbl.replace t.cur.skels b.Tblock.entry skel
+
+(* Interpreter heat for entries that never reached the first tier,
+   skipping anything just seeded as a block; then inline-cache training.
+   Replay time is deliberately NOT added to [translate_s]: that counter
+   measures translation the cache failed to serve, so a warm start's cost
+   lands in the caller's cache-preparation accounting instead (bench:
+   warm_start_s) and the cold/warm translate_s ratio measures exactly the
+   work the cache avoided. *)
+let seed_finish t ~heat ~ics =
+  heat (fun pc h ->
+      if not (Hashtbl.mem t.cur.blocks pc) then
+        Hashtbl.replace t.cur.heat pc (ref h));
+  if t.tiered then
+    Array.iter
+      (fun (site, targets) ->
+        let s = ic_for t site in
+        List.iter
+          (fun pc ->
+            match Hashtbl.find_opt t.cur.blocks pc with
+            | Some b when Tblock.epoch_current b t.code_epoch ->
+                ic_train t s pc b
+            | _ -> ())
+          targets)
+      ics;
+  flush_run_stats t
+
+(* The instruction parcels at [pc], read without the TLB: the low halfword
+   and, for a 4-byte instruction, the high one above it. *)
+let parcels mem pc n =
+  let lo = Memory.peek_u16 mem pc in
+  if n = 2 then lo else lo lor (Memory.peek_u16 mem (pc + 2) lsl 16)
+
+(* A template's (pc, value) tables hold one int per entry: a pc below
+   2^30 above a 32-bit value. *)
+let pack pc v = (pc lsl 32) lor v
+let packable pc v = pc >= 0 && pc < 1 lsl 30 && v >= 0 && v < 1 lsl 32
+
+let template t p kept =
+  let exact = ref true in
+  let code =
+    Array.map
+      (fun (pc, inst, n) ->
+        let w = parcels t.cur.vmem pc n in
+        (match Decode.decode ~lo:(w land 0xFFFF) ~hi:(w lsr 16) with
+        | Decode.Ok (i', n') when n' = n && i' = inst && packable pc w -> ()
+        | _ -> exact := false);
+        pack pc w)
+      p.pl_insts
+  in
+  let heat =
+    Array.map
+      (fun (pc, h) ->
+        if not (packable pc h) then exact := false;
+        pack pc h)
+      p.pl_heat
+  in
+  if not !exact then None
+  else
+    Some
+      { tp_config = p.pl_config;
+        tp_isa = t.isa;
+        tp_code = code;
+        tp_blocks =
+          Array.map (fun (pb, b, log) -> (b, pb.pb_skel.sk_relayout, log)) kept;
+        tp_skels = Marshal.to_bytes (Array.map (fun (pb, _, _) -> pb.pb_skel) kept) [];
+        tp_heat = heat;
+        tp_ics = p.pl_ics }
 
 let seed_plan t (p : plan) =
   if p.pl_config <> config t then Error "flags"
   else begin
-    (* Decode-cache prefab. Entries are stamped against the seeding
-       machine's current generations: the caller's content-digest check
-       proved the guest bytes equal the exporting run's, so the persisted
-       decodes are decodes of the current bytes. *)
-    Array.iter
-      (fun (pc, inst, n) ->
-        Hashtbl.replace t.cur.cache pc
-          (Cok (inst, n, Tblock.Gen.stamp t.gens ~lo:pc ~hi:(pc + n - 1))))
-      p.pl_insts;
-    let seeded = ref 0 in
+    Array.iter (fun (pc, inst, n) -> seed_decode t pc inst n) p.pl_insts;
+    let kept = ref [] and complete = ref true in
     Array.iter
       (fun pb ->
-        match rebuild_block t pb with
+        let log = ref [] in
+        match rebuild_block t pb log with
         | b ->
-            publish_block t pb.pb_entry b;
-            (* keep the skeleton so this machine's own export re-offers the
-               seeded entries (warm runs stay warm across generations) *)
-            Hashtbl.replace t.cur.skels pb.pb_entry pb.pb_skel;
-            incr seeded
-        | exception _ -> ())
+            seed_block t b (Recorded pb.pb_skel);
+            kept :=
+              (pb, Tblock.clone t.gens ~epoch:t.code_epoch ~term_fn:None b, List.rev !log)
+              :: !kept
+        | exception _ -> complete := false)
       p.pl_blocks;
-    (* Interpreter heat for entries that never reached the first tier,
-       skipping anything just seeded as a block. *)
+    seed_finish t
+      ~heat:(fun f -> Array.iter (fun (pc, h) -> f pc h) p.pl_heat)
+      ~ics:p.pl_ics;
+    let blocks = Array.of_list (List.rev !kept) in
+    (* a skipped block may have left side effects no clone would repeat *)
+    Ok (Array.length blocks, if !complete then template t p blocks else None)
+  end
+
+(* The terminator closure of template block [b] for this machine. Body
+   units take the machine as an argument and are shared as they are, but a
+   tiered indirect terminator captures its machine's inline-cache site, so
+   a template keeps no terminator closure and every seed recompiles the
+   decoded terminator against its own machine. *)
+let rebind_term t ~relayout b =
+  match b.Tblock.term with
+  | None -> None
+  | Some (inst, size) -> (
+      let sb, _, _ = shape t ~tier:b.Tblock.tier in
+      match
+        compile_op t ~sb ~relayout ~pc:(b.Tblock.fall - size) inst size
+      with
+      | Tblock.Term_fn f -> Some f
+      | _ -> None)
+
+let seed_template t tp =
+  if tp.tp_config <> config t then Error "flags"
+  else if not (Ext.equal t.isa tp.tp_isa) then Error "isa"
+  else begin
     Array.iter
-      (fun (pc, h) ->
-        if not (Hashtbl.mem t.cur.blocks pc) then
-          Hashtbl.replace t.cur.heat pc (ref h))
-      p.pl_heat;
-    if t.tiered then
-      Array.iter
-        (fun (site, targets) ->
-          let s = ic_for t site in
-          List.iter
-            (fun pc ->
-              match Hashtbl.find_opt t.cur.blocks pc with
-              | Some b when Tblock.epoch_current b t.code_epoch ->
-                  ic_train t s pc b
-              | _ -> ())
-            targets)
-        p.pl_ics;
-    (* Replay time is deliberately NOT added to [translate_s]: that counter
-       measures translation the cache failed to serve, so a warm start's
-       cost lands in the caller's cache-preparation accounting instead
-       (bench: warm_start_s) and the cold/warm translate_s ratio measures
-       exactly the work the cache avoided. *)
-    flush_run_stats t;
-    Ok !seeded
+      (fun e ->
+        match Decode.decode ~lo:(e land 0xFFFF) ~hi:((e lsr 16) land 0xFFFF) with
+        | Decode.Ok (inst, n) -> seed_decode t (e lsr 32) inst n
+        | Decode.Illegal _ -> ())
+      tp.tp_code;
+    Array.iteri
+      (fun i (b, relayout, log) ->
+        List.iter
+          (function
+            | Fetched pc -> (
+                try ignore (decode_at t pc)
+                with Efault _ | Memory.Violation _ -> ())
+            | Fused (pc, kind) ->
+                if !Obs.enabled then Obs.emit (Obs.Tb_fuse { pc; kind }))
+          log;
+        seed_block t
+          (Tblock.clone t.gens ~epoch:t.code_epoch
+             ~term_fn:(rebind_term t ~relayout b) b)
+          (Packed (tp.tp_skels, i)))
+      tp.tp_blocks;
+    seed_finish t
+      ~heat:(fun f ->
+        Array.iter (fun e -> f (e lsr 32) (e land 0xFFFF_FFFF)) tp.tp_heat)
+      ~ics:tp.tp_ics;
+    Ok (Array.length tp.tp_blocks)
   end

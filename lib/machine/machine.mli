@@ -206,7 +206,9 @@ val ic_infos : t -> ic_info list
     table and inline-cache targets into a closure-free, [Marshal]-safe
     value; {!seed_plan} replays one into a fresh machine so a warm start
     re-emits execution units directly — no decoding, no IR lowering, no
-    optimizer passes, no interpreted warm-up.
+    optimizer passes, no interpreted warm-up. A replay also yields a
+    {!template} from which {!seed_template} seeds further machines with the
+    same plan without replaying it at all.
 
     Soundness contract: a plan carries no byte checksums of its own. The
     caller (the [lib/cache] content-addressed store) must only offer a plan
@@ -225,15 +227,35 @@ val export_plan : t -> plan
     current tier, layout and heat), interpreter heat of untranslated
     entries, and non-megamorphic inline-cache targets. *)
 
-val seed_plan : t -> plan -> (int, string) result
+type template
+(** What one {!seed_plan} seeded, taken before the machine ran: its blocks
+    (without links, run state or terminator closures), their replay
+    skeletons, decode-cache prefab, heat and inline-cache seeds, and the
+    side effects the replay had (decodes it fetched, fused units it
+    traced). Never executed or mutated: one template may seed machines on
+    several domains at once. *)
+
+val seed_plan : t -> plan -> (int * template option, string) result
 (** Replay a plan into this machine: prefab the decode cache, rebuild and
     publish every block at its exported tier and heat, seed interpreter
-    heat and retrain inline caches. Returns [Ok n] with the number of
-    blocks seeded; [Error "flags"] if the plan was exported under a
-    different {!Engine.t} or icache geometry — nothing is seeded and the
-    caller should fall back cold. A block whose
-    replay diverges (which the content-digest contract makes unexpected) is
-    skipped, not published; execution then translates it on demand. *)
+    heat and retrain inline caches. Returns [Ok (n, template)] with the
+    number of blocks seeded and, when every block replayed, a {!template}
+    of them taken before any run; [Error "flags"] if the plan was exported
+    under a different {!Engine.t} or icache geometry — nothing is seeded
+    and the caller should fall back cold. A block whose replay diverges
+    (which the content-digest contract makes unexpected) is skipped, not
+    published; execution then translates it on demand. *)
+
+val seed_template : t -> template -> (int, string) result
+(** Seed this machine from a template: the same blocks, decode cache,
+    heat, inline caches, counters and [Obs] events as {!seed_plan} of the
+    template's plan, without the replay. Each block is a {!Tblock.clone}:
+    its execution units are shared with the template (their closures take
+    the machine as an argument), and its terminator is recompiled for this
+    machine, because a tiered indirect terminator captures its machine's
+    inline-cache site. [Error "flags"] or [Error "isa"], with nothing
+    seeded, when the machine's configuration or ISA differs from that of
+    the machine the template was taken on. *)
 
 val plan_stats : plan -> int * int
 (** [(blocks, decode entries)] in a plan — for cache telemetry. *)

@@ -133,7 +133,7 @@ type 'm t = {
           retired counter themselves, credited in one add per dispatch;
           same length as [starts] *)
   pcs : int array;  (** pc of each body instruction (icache model, faults) *)
-  sizes : int array;
+  sizes : Bytes.t;  (** byte size of each body instruction (2 or 4) *)
   term : (Inst.t * int) option;
       (** decoded terminator, executed through the machine's event path *)
   term_fn : ('m -> unit) option;
@@ -181,6 +181,13 @@ type 'm t = {
           [Array.length ops]. Together with [hot] this is the observed
           exit profile that profile-guided recompilation reads. *)
 }
+
+(* One byte per element of a list built in reverse. *)
+let bytes_of_rev l =
+  let n = List.length l in
+  let b = Bytes.create n in
+  List.iteri (fun i v -> Bytes.set_uint8 b (n - 1 - i) v) l;
+  b
 
 let default_max_insts = 256
 let default_max_pages = 8
@@ -346,15 +353,11 @@ let translate ?(max_insts = default_max_insts) ?(max_pages = default_max_pages)
     starts;
     auto;
     pcs = Array.of_list (List.rev !pcs);
-    sizes = Array.of_list (List.rev !sizes);
+    sizes = bytes_of_rev !sizes;
     term = !term;
     term_fn = !term_fn;
     fall = !pc;
-    classes =
-      (let l = List.rev !classes in
-       let b = Bytes.create (List.length l) in
-       List.iteri (fun i c -> Bytes.set_uint8 b i c) l;
-       b);
+    classes = bytes_of_rev !classes;
     term_class = !term_class;
     n_jumps = !n_jumps;
     n_branches = !n_branches;
@@ -382,6 +385,18 @@ let revalidate gens ~isa ~epoch b =
       &&
       (b.echeck <- epoch;
        true))
+
+(* Stamp and epoch are the cloning machine's; links, the profiler row and
+   the exit profile start empty; tier, layout and heat are copied. *)
+let clone gens ~epoch ~term_fn b =
+  { b with
+    stamp = Gen.stamp_pages gens b.pages;
+    term_fn;
+    echeck = epoch;
+    link_fall = None;
+    link_taken = None;
+    prow = None;
+    xexits = [||] }
 
 let epoch_current b epoch = b.echeck = epoch
 let set_link_fall b next = b.link_fall <- Some next

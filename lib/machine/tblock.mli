@@ -98,7 +98,7 @@ type 'm t = private {
           straight-line units whose closures leave the retired counter to
           the dispatch loop; same length as [starts] *)
   pcs : int array;
-  sizes : int array;
+  sizes : Bytes.t;  (** byte size of each body instruction (2 or 4) *)
   term : (Inst.t * int) option;
   term_fn : ('m -> unit) option;
       (** compiled event-free terminator (see {!Term_fn}); [term] still
@@ -173,6 +173,14 @@ val revalidate : Gen.t -> isa:Ext.t -> epoch:int -> 'm t -> bool
     is refreshed. A [false] block must be re-translated — and must {e not}
     have its [echeck] refreshed by other means, since chain links rely on a
     stale [echeck] never matching again (epochs only grow). *)
+
+val clone : Gen.t -> epoch:int -> term_fn:('m -> unit) option -> 'm t -> 'm t
+(** [clone gens ~epoch ~term_fn b] is a new block sharing [b]'s immutable
+    parts (units, per-instruction metadata, page set, decoded terminator)
+    with [term_fn] as its compiled terminator, stamped against [gens] and
+    validated at [epoch]. Links, the profiler row and the exit profile
+    start empty; tier, layout and heat are copied from [b]. A persisted
+    plan's blocks are cloned this way into every machine the plan seeds. *)
 
 val epoch_current : 'm t -> int -> bool
 (** [epoch_current b epoch] is [b.echeck = epoch]: the chain-follow guard —

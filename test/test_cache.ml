@@ -6,7 +6,10 @@
      tier 2), untiered, tiered — and must retire
      bit-identically: same stop, registers, pc, retired and cycle counts.
      The cache may only change how fast translations appear, never what
-     executes;
+     executes. The first warm machine replays the plan and leaves an
+     in-process template; a second one is seeded from that template and
+     must be indistinguishable from the replayed one — same blocks, inline
+     caches and trace events after seeding, same run, same exported plan;
 
    - an SMC case: a program whose code is patched mid-run stores its plan
      under the digest of the patched bytes, so a pristine reload's lookup
@@ -143,7 +146,23 @@ let machine_for ?icache bin engine =
   Loader.init_machine m bin;
   m
 
+let with_captured_events f =
+  let evs = ref [] in
+  Obs.enable ~sink:(fun arr len ->
+      for i = 0 to len - 1 do
+        evs := arr.(i) :: !evs
+      done);
+  let r = Fun.protect ~finally:Obs.disable f in
+  (r, List.rev !evs)
+
 (* --- cold/warm property ------------------------------------------------- *)
+
+let infos m =
+  (List.sort compare (Machine.block_infos m), List.sort compare (Machine.ic_infos m))
+
+let shared_seeds () =
+  Metrics.Snapshot.counter_value (Metrics.Snapshot.take ())
+    "chimera_cache_plan_shared_total"
 
 let prop_cold_warm =
   QCheck.Test.make
@@ -151,6 +170,7 @@ let prop_cold_warm =
     ~count:8
     QCheck.(make Gen.(int_bound 100_000))
     (fun seed ->
+      Metrics.enable ();
       let bin, _ = cache_program (Random.State.make [| seed |]) in
       let c = temp_cache () in
       List.for_all
@@ -167,17 +187,44 @@ let prop_cold_warm =
           in
           let m = machine_for ?icache bin engine in
           let key = Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra in
-          (match Cache.seed_plan c ~key m with
+          let replayed, replay_events =
+            with_captured_events (fun () -> Cache.seed_plan c ~key m)
+          in
+          (match replayed with
           | Ok n ->
               (* every translating engine must actually go warm *)
               if engine <> Engine.Step && n = 0 then
                 QCheck.Test.fail_reportf "%s: plan hit seeded no blocks" extra
           | Error r ->
               QCheck.Test.fail_reportf "%s: warm lookup missed (%s)" extra r);
+          (* a second warm machine is seeded from the replay's template *)
+          let mt = machine_for ?icache bin engine in
+          let shared0 = shared_seeds () in
+          let cloned, clone_events =
+            with_captured_events (fun () -> Cache.seed_plan c ~key mt)
+          in
+          if shared_seeds () <> shared0 + 1 then
+            QCheck.Test.fail_reportf "%s: second seed did not use the template" extra;
+          if cloned <> replayed then
+            QCheck.Test.fail_reportf "%s: template and replay seeded differently" extra;
+          if infos mt <> infos m then
+            QCheck.Test.fail_reportf "%s: seeded block/inline-cache state differs" extra;
+          if clone_events <> replay_events then
+            QCheck.Test.fail_reportf "%s: template seed traced %d events, replay %d"
+              extra (List.length clone_events) (List.length replay_events);
           let warm = snapshot m (Machine.run ~fuel:5_000_000 m) in
+          let templated = snapshot mt (Machine.run ~fuel:5_000_000 mt) in
           if cold <> warm then
             QCheck.Test.fail_reportf "seed=%d %s: cold { %s } <> warm { %s }"
               seed extra (pp_snap cold) (pp_snap warm)
+          else if cold <> templated then
+            QCheck.Test.fail_reportf "seed=%d %s: cold { %s } <> templated { %s }"
+              seed extra (pp_snap cold) (pp_snap templated)
+          else if infos mt <> infos m then
+            QCheck.Test.fail_reportf "seed=%d %s: block/inline-cache state diverged in the run"
+              seed extra
+          else if Machine.export_plan mt <> Machine.export_plan m then
+            QCheck.Test.fail_reportf "seed=%d %s: exported plans differ" seed extra
           else true)
         engines)
 
@@ -229,15 +276,6 @@ let test_smc_unreachable () =
     true (cold = again)
 
 (* --- corruption tolerance ----------------------------------------------- *)
-
-let with_captured_events f =
-  let evs = ref [] in
-  Obs.enable ~sink:(fun arr len ->
-      for i = 0 to len - 1 do
-        evs := arr.(i) :: !evs
-      done);
-  let r = Fun.protect ~finally:Obs.disable f in
-  (r, List.rev !evs)
 
 let reject_reasons evs =
   List.filter_map

@@ -1,4 +1,4 @@
-(* Multi-tenant serving, checked four ways:
+(* Multi-tenant serving, checked five ways:
 
    - a tenant-isolation differential: N tenants submit a mixed population
      (jalr/branch-dense fuzz programs on a base hart, plus RVV programs the
@@ -16,8 +16,14 @@
    - admission control: a saturated queue rejects deterministically and
      rejected requests never execute;
 
+   - shared templates: two domains seeding warm requests from one cache's
+     in-process templates at once each retire exactly what a solo uncached
+     run retires, take the same inline-cache hits a replayed seed takes,
+     and leave the machine the templates were taken on untouched;
+
    - store dedup: re-storing an artifact whose digest already holds a
-     valid entry skips the write and bumps the dedup counter. *)
+     valid entry skips the write and bumps the dedup counter; the second
+     warm seed is served by a template. *)
 
 let base_isa = Ext.rv64gc
 let ext_isa = Ext.rv64gcv
@@ -256,6 +262,119 @@ let test_arrivals () =
   | _ -> Alcotest.fail "rate 0 must be refused"
   | exception Invalid_argument _ -> ()
 
+(* --- shared templates ------------------------------------------------------ *)
+
+let counter name = Metrics.Snapshot.counter_value (Metrics.Snapshot.take ()) name
+
+(* Serve-mix's warm pair: a Specgen guest with victim-entry fault recovery
+   and an indirect-call kernel whose polymorphic call site lives on its
+   inline cache. Every request after the first seeds by cloning the
+   template one replay left, on whichever domain it runs. *)
+let test_shared_templates () =
+  let isa = base_isa and mode = Chbp.Downgrade and tiered = true in
+  let guests =
+    [ ( "perlbench_r",
+        let p = Specgen.find "perlbench_r" in
+        Specgen.build { p with Specgen.sp_seed = 3; sp_rounds = 16; sp_hidden = 0.0 } );
+      ("indirecty", Programs.indirecty ~name:"serve-test-indirecty" ~rounds:20_000 ()) ]
+  in
+  let oracle =
+    List.map
+      (fun (tag, bin) ->
+        let stop, retired, cycles, _ = Serve.execute ~isa ~mode ~tiered ~fuel bin in
+        (tag, (exit_of_stop stop, retired, cycles)))
+      guests
+  in
+  let cache = temp_cache () in
+  List.iter (fun (_, bin) -> ignore (Serve.execute ~cache ~isa ~mode ~tiered ~fuel bin)) guests;
+  Metrics.enable ();
+  (* the template builders: one replayed seed per guest, made the way
+     [Serve.execute] seeds, and run once to count a replayed run's
+     inline-cache hits; right after each builder, a probe seeded from the
+     template must match it block for block, down to the decode fetches
+     the replay made through the TLB *)
+  let tag = Serve.cfg_tag ~mode ~tiered in
+  let seeded name bin =
+    let ctx =
+      match Cache.load_rewrite cache ~key:(Cache.digest_bin bin ~extra:tag) with
+      | Ok ctx -> ctx
+      | Error r -> Alcotest.failf "%s: rewrite context missing (%s)" name r
+    in
+    let rt = Chimera_rt.create ctx in
+    let m =
+      Machine.create ~engine:(Serve.engine ~tiered ~record:true)
+        ~mem:(Chimera_rt.load rt) ~isa ()
+    in
+    let key = Cache.digest_mem (Machine.mem m) ~isa ~extra:tag in
+    let count () =
+      List.map counter
+        [ "chimera_cache_plan_shared_total"; "chimera_tlb_hits_total";
+          "chimera_tlb_misses_total" ]
+    in
+    let c0 = count () in
+    (match Cache.seed_plan cache ~key m with
+    | Ok n -> Alcotest.(check bool) (name ^ ": seeds blocks") true (n > 0)
+    | Error r -> Alcotest.failf "%s: seed rejected (%s)" name r);
+    match List.map2 ( - ) (count ()) c0 with
+    | [ shared; tlb_hits; tlb_misses ] ->
+        ( rt,
+          m,
+          shared,
+          ( List.sort compare (Machine.block_infos m),
+            List.sort compare (Machine.ic_infos m),
+            (tlb_hits, tlb_misses) ) )
+    | _ -> assert false
+  in
+  let builders =
+    List.map
+      (fun (name, bin) ->
+        let rt, m, shared, replayed = seeded name bin in
+        Alcotest.(check int) (name ^ ": builder replays") 0 shared;
+        let _, _, shared, cloned = seeded name bin in
+        Alcotest.(check int) (name ^ ": probe clones") 1 shared;
+        Alcotest.(check bool) (name ^ ": probe seeded like the builder") true
+          (cloned = replayed);
+        let hits0 = counter "chimera_ic_hits_total" in
+        let stop = Chimera_rt.run rt ~fuel m in
+        let hits = counter "chimera_ic_hits_total" - hits0 in
+        let exit_code, retired, cycles = List.assoc name oracle in
+        Alcotest.(check bool) (name ^ ": builder run matches solo") true
+          (exit_of_stop stop = exit_code
+          && Machine.retired m = retired && Machine.cycles m = cycles);
+        (name, m, hits))
+      guests
+  in
+  let ic_state () =
+    List.map (fun (name, m, _) -> (name, List.sort compare (Machine.ic_infos m))) builders
+  in
+  let before = ic_state () in
+  let shared0 = counter "chimera_cache_plan_shared_total" in
+  let hits0 = counter "chimera_ic_hits_total" in
+  let requests () =
+    List.init 20 (fun i ->
+        let name, bin = List.nth guests (i mod 2) in
+        let stop, retired, cycles, warm = Serve.execute ~cache ~isa ~mode ~tiered ~fuel bin in
+        (name, (exit_of_stop stop, retired, cycles), warm))
+  in
+  let other = Domain.spawn requests in
+  let mine = requests () in
+  let results = mine @ Domain.join other in
+  List.iter
+    (fun (name, got, warm) ->
+      Alcotest.(check bool) (name ^ ": warm") true warm;
+      if got <> List.assoc name oracle then
+        Alcotest.failf "%s: templated run differs from the solo oracle" name)
+    results;
+  Alcotest.(check int) "every seed cloned a template" (shared0 + 40)
+    (counter "chimera_cache_plan_shared_total");
+  (* inline-cache hits are per machine and deterministic: each templated
+     run takes exactly the hits its replayed builder took *)
+  let per_pair = List.fold_left (fun acc (_, _, h) -> acc + h) 0 builders in
+  Alcotest.(check int) "inline-cache hits of 40 templated runs" (20 * per_pair)
+    (counter "chimera_ic_hits_total" - hits0);
+  Alcotest.(check bool) "template builders' inline caches untouched" true
+    (ic_state () = before)
+
 (* --- store dedup ---------------------------------------------------------- *)
 
 let test_dedup () =
@@ -265,21 +384,25 @@ let test_dedup () =
     Serve.execute ~cache ~isa:base_isa ~mode:Chbp.Downgrade ~tiered:false ~fuel
       bin
   in
-  let dedups () =
-    Metrics.Snapshot.counter_value (Metrics.Snapshot.take ())
-      "chimera_cache_dedup_total"
-  in
+  let dedups () = counter "chimera_cache_dedup_total" in
+  let shared () = counter "chimera_cache_plan_shared_total" in
   Metrics.enable ();
-  let d0 = dedups () in
+  let d0 = dedups () and s0 = shared () in
   let _, r1, _, warm1 = run () in
   let d1 = dedups () in
   Alcotest.(check bool) "first run is cold" false warm1;
   Alcotest.(check int) "fresh stores never dedup" d0 d1;
+  Alcotest.(check int) "a cold run shares no template" s0 (shared ());
   let _, r2, _, warm2 = run () in
   let d2 = dedups () in
   Alcotest.(check bool) "second run is warm" true warm2;
   Alcotest.(check bool) "identical re-store deduped" true (d2 > d1);
-  Alcotest.(check int) "dedup changed nothing about execution" r1 r2
+  Alcotest.(check int) "dedup changed nothing about execution" r1 r2;
+  let s2 = shared () in
+  let _, r3, _, warm3 = run () in
+  Alcotest.(check bool) "third run is warm" true warm3;
+  Alcotest.(check int) "the second warm seed clones the template" (s2 + 1) (shared ());
+  Alcotest.(check int) "the template changed nothing about execution" r1 r3
 
 let () =
   Alcotest.run "chimera_serve"
@@ -297,6 +420,9 @@ let () =
       ( "arrivals",
         [ Alcotest.test_case "seeded schedule is deterministic" `Quick
             test_arrivals ] );
+      ( "templates",
+        [ Alcotest.test_case "two domains share one cache's templates" `Quick
+            test_shared_templates ] );
       ( "dedup",
         [ Alcotest.test_case "valid entries are not rewritten" `Quick
             test_dedup ] ) ]
