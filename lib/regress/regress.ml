@@ -5,19 +5,12 @@ type metrics = {
   chain_hit_rate : float option;
   ic_hit_rate : float option;
   events_dropped : float option;
-  serve_p99_ms : float option;
-  serve_throughput : float option;
 }
 
-type tolerance = {
-  wall_frac : float;
-  retired_frac : float;
-  rate_abs : float;
-  min_wall : float;
-}
-
-let default_tolerance =
-  { wall_frac = 0.25; retired_frac = 0.0; rate_abs = 0.02; min_wall = 0.5 }
+(* Hit rates may drop by at most [rate_abs]; baselines under [min_wall]
+   seconds skip the wall check (sub-second experiments are all noise). *)
+let rate_abs = 0.02
+let min_wall = 0.5
 
 (* Minimal JSON reader for the bench stats format: objects, arrays, strings,
    numbers, booleans, null. Hand-rolled like the Obs codec — the environment
@@ -208,72 +201,35 @@ let load_baseline path =
           chain_hit_rate = num_field_opt path name "chain_hit_rate" o;
           ic_hit_rate = num_field_opt path name "ic_hit_rate" o;
           events_dropped = num_field_opt path name "events_dropped" o;
-          serve_p99_ms = num_field_opt path name "serve_p99_ms" o;
-          serve_throughput = num_field_opt path name "serve_throughput" o;
         } ))
     exps
 
-let compare_run ?(tol = default_tolerance) ~baseline ~current () =
+let compare_run ?(wall_tol = 0.25) ~baseline ~current () =
   let fails = ref [] in
   let fail name fmt = Printf.ksprintf (fun msg -> fails := (name, msg) :: !fails) fmt in
+  let rate name what base cur =
+    match (base, cur) with
+    | Some b, Some c when b > 0.0 && c < b -. rate_abs ->
+        fail name "%s hit rate %.4f below baseline %.4f - %.4f" what c b rate_abs
+    | _ -> ()
+  in
   List.iter
     (fun (name, cur) ->
       match List.assoc_opt name baseline with
       | None -> ()
       | Some base ->
-          (if base.wall_s >= tol.min_wall then
-             let limit = base.wall_s *. (1.0 +. tol.wall_frac) in
+          (if base.wall_s >= min_wall then
+             let limit = base.wall_s *. (1.0 +. wall_tol) in
              if cur.wall_s > limit then
                fail name "wall time %.3fs exceeds baseline %.3fs +%.0f%% (limit %.3fs)"
-                 cur.wall_s base.wall_s (100.0 *. tol.wall_frac) limit);
-          (if base.retired > 0 then
-             let drift = abs (cur.retired - base.retired) in
-             let allowed =
-               int_of_float (Float.round (float base.retired *. tol.retired_frac))
-             in
-             if drift > allowed then
-               fail name "retired %d differs from baseline %d by %d (allowed %d)"
-                 cur.retired base.retired drift allowed);
-          (match (base.tlb_hit_rate, cur.tlb_hit_rate) with
-          | Some b, Some c when b > 0.0 ->
-              let floor = b -. tol.rate_abs in
-              if c < floor then
-                fail name "tlb hit rate %.4f below baseline %.4f - %.4f" c b
-                  tol.rate_abs
-          | _ -> ());
-          (match (base.chain_hit_rate, cur.chain_hit_rate) with
-          | Some b, Some c when b > 0.0 ->
-              let floor = b -. tol.rate_abs in
-              if c < floor then
-                fail name "chain hit rate %.4f below baseline %.4f - %.4f" c b
-                  tol.rate_abs
-          | _ -> ());
-          (match (base.ic_hit_rate, cur.ic_hit_rate) with
-          | Some b, Some c when b > 0.0 ->
-              let floor = b -. tol.rate_abs in
-              if c < floor then
-                fail name "ic hit rate %.4f below baseline %.4f - %.4f" c b
-                  tol.rate_abs
-          | _ -> ());
-          (* Serving latency and throughput are wall-clock measurements, so
-             they share the wall tolerance: p99 is one-sided up (latency may
-             not inflate past baseline + wall_frac), throughput one-sided
-             down. Skipped whenever either side lacks the field — baselines
-             predating the serve bench, or runs without --serve. *)
-          (match (base.serve_p99_ms, cur.serve_p99_ms) with
-          | Some b, Some c when b > 0.0 ->
-              let limit = b *. (1.0 +. tol.wall_frac) in
-              if c > limit then
-                fail name "serve p99 %.3fms exceeds baseline %.3fms +%.0f%% (limit %.3fms)"
-                  c b (100.0 *. tol.wall_frac) limit
-          | _ -> ());
-          (match (base.serve_throughput, cur.serve_throughput) with
-          | Some b, Some c when b > 0.0 ->
-              let floor = b /. (1.0 +. tol.wall_frac) in
-              if c < floor then
-                fail name "serve throughput %.1f req/s below baseline %.1f (floor %.1f)"
-                  c b floor
-          | _ -> ());
+                 cur.wall_s base.wall_s (100.0 *. wall_tol) limit);
+          if base.retired > 0 && cur.retired <> base.retired then
+            fail name "retired %d differs from baseline %d by %d" cur.retired
+              base.retired
+              (abs (cur.retired - base.retired));
+          rate name "tlb" base.tlb_hit_rate cur.tlb_hit_rate;
+          rate name "chain" base.chain_hit_rate cur.chain_hit_rate;
+          rate name "ic" base.ic_hit_rate cur.ic_hit_rate;
           (* dropped observability events may never increase over the
              baseline: silent loss is exactly what the field exists to
              surface *)

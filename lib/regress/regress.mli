@@ -2,30 +2,26 @@
 
     [bench --compare BASELINE.json] loads a committed baseline (one of the
     BENCH_PR*.json trajectory files), matches experiments by name against
-    the just-measured stats, and applies per-metric tolerances:
+    the just-measured stats, and checks:
 
-    - {b wall time} may grow by at most [wall_frac] (relative; machine
-      noise). Baselines under [min_wall] seconds are skipped — sub-50ms
-      cells are all noise.
-    - {b retired instructions} must match within [retired_frac] (relative;
-      the default is 0.0: simulated instruction counts are deterministic,
-      so any drift is a semantic change, not noise).
-    - {b tlb/chain/ic hit rates} may drop by at most [rate_abs] (absolute).
+    - {b wall time} may grow by at most [wall_tol] (relative; machine
+      noise). Baselines under 0.5 s are skipped — sub-second experiments
+      are all noise.
+    - {b retired instructions} must match exactly: simulated instruction
+      counts are deterministic, so any drift is a semantic change, not
+      noise.
+    - {b tlb/chain/ic hit rates} may drop by at most 0.02 (absolute).
       Rates are only checked when both sides recorded one and the
       baseline's is meaningful (> 0): baseline-only rows (table1/table3)
       omit the engine fields entirely, and older baselines carry 0.0 for
       experiments that don't run the block engine.
     - {b dropped observability events} may never exceed the baseline's
       count — silent event loss is what the field exists to surface.
-      Skipped when either side omits it (pre-PR9 baselines).
-    - {b serve p99 latency} may grow by at most [wall_frac] (one-sided up)
-      and {b serve throughput} may shrink by the same factor (one-sided
-      down) — both are wall-clock measurements from the open-loop serving
-      bench. Skipped when either side omits them (pre-PR10 baselines, or
-      runs without [--serve]).
+      Skipped when either side omits it (older baselines).
 
     Experiments present on only one side are ignored (suites evolve);
-    improvements never fail the gate. *)
+    improvements never fail the gate. Time belongs to perfbench: this gate
+    exists for the exact counts, and its wall check is a coarse backstop. *)
 
 type metrics = {
   wall_s : float;
@@ -36,24 +32,7 @@ type metrics = {
   chain_hit_rate : float option;
   ic_hit_rate : float option;
   events_dropped : float option;
-  serve_p99_ms : float option;
-      (** p99 request latency from the serving bench; gated one-sided
-          against baseline growth, skipped when absent *)
-  serve_throughput : float option;
-      (** completed serve requests per second; gated one-sided against
-          baseline shrinkage, skipped when absent *)
 }
-
-type tolerance = {
-  wall_frac : float;  (** allowed relative wall-time growth *)
-  retired_frac : float;  (** allowed relative retired drift (0 = exact) *)
-  rate_abs : float;  (** allowed absolute hit-rate drop *)
-  min_wall : float;  (** baselines faster than this skip the wall check *)
-}
-
-val default_tolerance : tolerance
-(** [{ wall_frac = 0.25; retired_frac = 0.0; rate_abs = 0.02;
-      min_wall = 0.5 }] *)
 
 val load_baseline : string -> (string * metrics) list
 (** Parse a bench [--json] file into per-experiment metrics, in file order.
@@ -61,13 +40,14 @@ val load_baseline : string -> (string * metrics) list
     @raise Failure on malformed JSON or a missing required field. *)
 
 val compare_run :
-  ?tol:tolerance ->
+  ?wall_tol:float ->
   baseline:(string * metrics) list ->
   current:(string * metrics) list ->
   unit ->
   (string * string) list
 (** All detected regressions as [(experiment, human-readable reason)]
-    pairs; the empty list means the gate passes. *)
+    pairs; the empty list means the gate passes. [wall_tol] defaults to
+    0.25. *)
 
 val report : (string * string) list -> string
 (** One line per regression, or a "no regressions" line. *)

@@ -376,22 +376,6 @@ let tenant_stats t =
   |> List.sort (fun a b -> compare a.ts_tenant b.ts_tenant)
 
 (* ------------------------------------------------------------------ *)
-(* Open-loop load generation                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Deterministic Poisson-style arrival offsets (seconds from t0):
-   exponential inter-arrival times from a seeded generator, so every run
-   of one seed offers the identical schedule. *)
-let arrivals ~seed ~rate ~n =
-  if rate <= 0.0 then invalid_arg "Serve.arrivals: rate must be positive";
-  let rng = Random.State.make [| seed; 0x5e74e |] in
-  let t = ref 0.0 in
-  Array.init n (fun _ ->
-      let u = Random.State.float rng 1.0 in
-      t := !t +. (-.log (1.0 -. u) /. rate);
-      !t)
-
-(* ------------------------------------------------------------------ *)
 (* Unix-domain-socket daemon                                           *)
 (* ------------------------------------------------------------------ *)
 

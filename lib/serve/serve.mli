@@ -126,11 +126,6 @@ val stats : t -> stats
 val tenant_stats : t -> tenant_stat list
 (** Per-tenant aggregates over completed requests, sorted by tenant. *)
 
-val arrivals : seed:int -> rate:float -> n:int -> float array
-(** Deterministic open-loop load: [n] Poisson-style arrival offsets in
-    seconds (exponential inter-arrivals at [rate] per second) from a
-    seeded generator — one seed, one schedule, every run. *)
-
 (** One-client-at-a-time line protocol over a Unix-domain socket:
     [RUN <tenant> <file.self>], [SPEC <tenant> <profile>], [STAT],
     [QUIT]. RUN/SPEC block until the request completes and reply

@@ -184,51 +184,42 @@ if ! grep -q '^chimera_healthy 1$' "$metrics_prom"; then
 fi
 echo "ci: metrics smoke passed (retired=$retired_prom, watchdog healthy)"
 
-# Serve smoke: a short seeded open-loop run of the multi-tenant server
-# over a worker pool and a shared translation cache. The driver hard-fails
-# on any pooled request retiring differently from its solo oracle run
-# (non-zero exit), so a clean exit IS the tenant-isolation check; assert
-# from the artifacts that the serving fields landed in --json, that the
-# admission counters balance, and that the health watchdog — including
-# the queue_saturation rule, active at >= 64 admitted — saw the queue
-# fully drained.
-json_serve=$(mktemp /tmp/chimera-serve-XXXXXX.json)
+# Serve smoke: one batch through the chimera CLI's multi-tenant server —
+# two tenants (a Specgen guest and a generated fibonacci) submitted 32
+# times each over 2 worker domains and the shared translation cache, 64
+# requests in all, the queue_saturation rule's activity floor. Every
+# request must be admitted and completed, the health watchdog must find
+# every rule healthy with queue_saturation active, and each tenant's
+# replicas must retire identically whatever their cache temperature.
 serve_prom=$(mktemp /tmp/chimera-serve-XXXXXX.prom)
-trap 'rm -rf "$enginedir" "$json_full" "$trace" "$profdir" "$cachedir" "$json_cache" "$metrics_prom" "$json_metrics" "$json_serve" "$serve_prom"' EXIT
-dune exec bench/main.exe -- serve -q -j 2 --json "$json_serve" --metrics "$serve_prom"
-grep -q '"serve_p99_ms":' "$json_serve"
-grep -q '"serve_throughput":' "$json_serve"
+prewarm_dir=$(mktemp -d /tmp/chimera-prewarm-XXXXXX)
+trap 'rm -rf "$enginedir" "$json_full" "$trace" "$profdir" "$cachedir" "$json_cache" "$metrics_prom" "$json_metrics" "$serve_prom" "$prewarm_dir"' EXIT
+dune exec bin/chimera_cli.exe -- gen fibonacci "$prewarm_dir/fib.self" -n 2000 >/dev/null
+serve_out=$(dune exec bin/chimera_cli.exe -- serve spec:omnetpp_r "$prewarm_dir/fib.self" \
+  -j 2 --repeat 32 --cache "$cachedir" --metrics "$serve_prom")
 admitted=$(grep '^chimera_serve_admitted_total ' "$serve_prom" | grep -o '[0-9]*$')
 completed=$(grep '^chimera_serve_done_total ' "$serve_prom" | grep -o '[0-9]*$')
-test -n "$admitted" && test -n "$completed"
-if [ "$admitted" != "$completed" ]; then
-  echo "ci: serve lost requests: admitted $admitted, completed $completed" >&2
+if [ "$admitted" != 64 ] || [ "$completed" != 64 ]; then
+  echo "ci: serve admitted ${admitted:-?} and completed ${completed:-?} (want 64 each)" >&2
   exit 1
 fi
-grep -q '^chimera_health{rule="queue_saturation"} 1$' "$serve_prom"
-if ! grep -q '^chimera_healthy 1$' "$serve_prom"; then
+if ! grep -q '^chimera_health{rule="queue_saturation"} 1$' "$serve_prom" \
+  || ! grep -q '^chimera_healthy 1$' "$serve_prom"; then
   echo "ci: serve watchdog reported a degraded run:" >&2
   grep '^chimera_health' "$serve_prom" >&2
   exit 1
 fi
-# The chimera CLI front end: replicas of one tenant through the shared
-# cache must retire identically (the second starts plan-warm), and the
-# watchdog must stay healthy through admission and drain.
-serve_out=$(dune exec bin/chimera_cli.exe -- serve spec:omnetpp_r -j 2 \
-  --repeat 2 --cache "$cachedir" --metrics "$serve_prom")
-echo "$serve_out" | grep -q "watchdog healthy"
-replicas=$(echo "$serve_out" | grep -c 'retired=')
-retired_set=$(echo "$serve_out" | grep -o 'retired=[0-9]*' | sort -u | wc -l)
-if [ "$replicas" != "2" ] || [ "$retired_set" != "1" ]; then
-  echo "ci: serve replicas diverged:" >&2
-  echo "$serve_out" >&2
-  exit 1
-fi
+for tenant in omnetpp_r fib; do
+  lines=$(echo "$serve_out" | grep -c "^$tenant " || true)
+  retired_set=$(echo "$serve_out" | grep "^$tenant " | grep -o 'retired=[0-9]*' | sort -u | wc -l)
+  if [ "$lines" != 32 ] || [ "$retired_set" != 1 ]; then
+    echo "ci: serve tenant $tenant: $lines outcomes, $retired_set distinct retired counts:" >&2
+    echo "$serve_out" | grep "^$tenant " >&2
+    exit 1
+  fi
+done
 # cache prewarm stores under the keys the server reads, so the first
 # serve of the same guest, ISA, mode and engine after it starts plan-warm.
-prewarm_dir=$(mktemp -d /tmp/chimera-prewarm-XXXXXX)
-trap 'rm -rf "$enginedir" "$json_full" "$trace" "$profdir" "$cachedir" "$json_cache" "$metrics_prom" "$json_metrics" "$json_serve" "$serve_prom" "$prewarm_dir"' EXIT
-dune exec bin/chimera_cli.exe -- gen fibonacci "$prewarm_dir/fib.self" -n 2000 >/dev/null
 dune exec bin/chimera_cli.exe -- cache prewarm "$prewarm_dir/cache" "$prewarm_dir/fib.self" --tiered
 prewarm_out=$(dune exec bin/chimera_cli.exe -- serve "$prewarm_dir/fib.self" \
   --cache "$prewarm_dir/cache" --tiered)
@@ -237,7 +228,7 @@ if ! echo "$prewarm_out" | grep -q 'warm=true'; then
   echo "$prewarm_out" >&2
   exit 1
 fi
-echo "ci: serve smoke passed ($admitted requests pooled, replicas identical, prewarm serves warm, watchdog healthy)"
+echo "ci: serve smoke passed ($admitted requests, each tenant's replicas identical, prewarm serves warm, watchdog healthy)"
 
 # Deploy smoke: one traced pass of the benchmark's deploy workload (a cold
 # disassembly, CFG, liveness and CHBP rewrite, then a first run, for each
@@ -312,8 +303,6 @@ PY
 # always-on registry costs no measurable wall time. retired must match
 # exactly; wall time gets a generous tolerance (shared CI runners are
 # noisy), hit rates -0.02 absolute, events_dropped at most baseline's.
-# BENCH_PR9's fig13 row predates the serving fields, so the gate also
-# proves old baselines parse (absent option fields are skipped).
 dune exec bench/main.exe -- fig13 --json "$json_full" \
   --metrics "$metrics_prom" --compare BENCH_PR9.json --wall-tol 2.0
 echo "ci: regression gate passed against BENCH_PR9.json (metrics on)"

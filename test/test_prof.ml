@@ -12,7 +12,8 @@
      and the offline report rendered from events is byte-identical to the
      live one;
    - the regression gate passes against an identical baseline and fails on
-     a doctored one, with per-metric reasons. *)
+     a doctored one, with per-metric reasons, and every committed
+     BENCH_PR*.json loads and passes against itself. *)
 
 let base_isa = Ext.rv64gc
 let ext_isa = Ext.rv64gcv
@@ -438,6 +439,26 @@ let test_regress_malformed () =
           Alcotest.(check bool) "error names the field" true
             (String.length msg > 0))
 
+(* Every committed BENCH_PR*.json trajectory file stays loadable as a
+   baseline (older files carry fields the gate no longer reads) and passes
+   the gate against itself. dune copies them next to the test directory. *)
+let test_regress_committed () =
+  let files =
+    Sys.readdir ".." |> Array.to_list
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:"BENCH_PR" f && Filename.check_suffix f ".json")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "committed baselines found" true (files <> []);
+  List.iter
+    (fun f ->
+      let baseline = Regress.load_baseline (Filename.concat ".." f) in
+      Alcotest.(check bool) (f ^ " has experiments") true (baseline <> []);
+      Alcotest.(check (list (pair string string)))
+        (f ^ " passes against itself") []
+        (Regress.compare_run ~baseline ~current:baseline ()))
+    files
+
 let () =
   Alcotest.run "chimera_prof"
     [ ("classes", [ Alcotest.test_case "class_code" `Quick test_class_code ]);
@@ -458,4 +479,6 @@ let () =
        [ Alcotest.test_case "gate passes clean, fails doctored" `Quick
            test_regress_gate;
          Alcotest.test_case "malformed baselines rejected" `Quick
-           test_regress_malformed ]) ]
+           test_regress_malformed;
+         Alcotest.test_case "committed baselines load" `Quick
+           test_regress_committed ]) ]

@@ -245,23 +245,6 @@ let test_saturation () =
   Alcotest.(check int) "admitted" 0 st.Serve.admitted;
   Alcotest.(check int) "nothing executed" 0 st.Serve.completed
 
-(* --- arrivals ------------------------------------------------------------ *)
-
-let test_arrivals () =
-  let a = Serve.arrivals ~seed:9 ~rate:250.0 ~n:64 in
-  let b = Serve.arrivals ~seed:9 ~rate:250.0 ~n:64 in
-  Alcotest.(check bool) "same seed, same schedule" true (a = b);
-  let c = Serve.arrivals ~seed:10 ~rate:250.0 ~n:64 in
-  Alcotest.(check bool) "different seed, different schedule" true (a <> c);
-  Array.iteri
-    (fun i t ->
-      if t <= 0.0 || (i > 0 && t < a.(i - 1)) then
-        Alcotest.failf "offsets must be positive and nondecreasing (at %d)" i)
-    a;
-  match Serve.arrivals ~seed:1 ~rate:0.0 ~n:4 with
-  | _ -> Alcotest.fail "rate 0 must be refused"
-  | exception Invalid_argument _ -> ()
-
 (* --- shared templates ------------------------------------------------------ *)
 
 let counter name = Metrics.Snapshot.counter_value (Metrics.Snapshot.take ()) name
@@ -417,9 +400,6 @@ let () =
             `Quick test_pool_no_steal ] );
       ( "admission",
         [ Alcotest.test_case "saturated queue rejects" `Quick test_saturation ] );
-      ( "arrivals",
-        [ Alcotest.test_case "seeded schedule is deterministic" `Quick
-            test_arrivals ] );
       ( "templates",
         [ Alcotest.test_case "two domains share one cache's templates" `Quick
             test_shared_templates ] );
