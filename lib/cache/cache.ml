@@ -97,21 +97,70 @@ let memo_add c ~key ~sum ~entries tpl =
 (* Content digests                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let add_header b ~isa ~extra =
-  Buffer.add_string b "chimera-cache:";
-  Buffer.add_string b (string_of_int schema_version);
-  Buffer.add_char b '|';
-  Buffer.add_string b (Ext.name isa);
-  Buffer.add_char b '|';
-  Buffer.add_string b extra
+(* The digested bytes are assembled in a per-domain scratch buffer that
+   lives as long as its domain: pool workers digest concurrently, and a
+   fresh 64 KiB buffer, a copy of every code page and a copy of the result
+   per call would put each warm request's code on the major heap three
+   times over. Besides the result, a call allocates only a few short-lived
+   minor-heap values (the ISA name, the list of mapped ranges). *)
+type scratch = { mutable buf : bytes; mutable len : int }
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { buf = Bytes.create 65536; len = 0 })
+
+(* Make room for [n] more bytes; returns the offset they go at. *)
+let extend s n =
+  if s.len + n > Bytes.length s.buf then begin
+    let buf = Bytes.create (max (s.len + n) (2 * Bytes.length s.buf)) in
+    Bytes.blit s.buf 0 buf 0 s.len;
+    s.buf <- buf
+  end;
+  let off = s.len in
+  s.len <- s.len + n;
+  off
+
+let add_string s str =
+  let off = extend s (String.length str) in
+  Bytes.blit_string str 0 s.buf off (String.length str)
+
+(* The bytes of [Printf.sprintf "%x" v] (a negative [v] as its 63-bit
+   pattern), written in place without a format's allocation per page. *)
+let add_hex s v =
+  let digits = ref 1 in
+  while !digits < 16 && v lsr (4 * !digits) <> 0 do incr digits done;
+  let off = extend s !digits in
+  for i = 0 to !digits - 1 do
+    Bytes.set s.buf (off + i)
+      "0123456789abcdef".[(v lsr (4 * (!digits - 1 - i))) land 0xf]
+  done
+
+(* "|<addr>:<len>:" ahead of each digested chunk *)
+let add_tag s addr len =
+  add_string s "|";
+  add_hex s addr;
+  add_string s ":";
+  add_hex s len;
+  add_string s ":"
+
+let header_prefix = Printf.sprintf "chimera-cache:%d|" schema_version
+
+let start ~isa ~extra =
+  let s = Domain.DLS.get scratch_key in
+  s.len <- 0;
+  add_string s header_prefix;
+  add_string s (Ext.name isa);
+  add_string s "|";
+  add_string s extra;
+  s
+
+let finish s = Digest.to_hex (Digest.subbytes s.buf 0 s.len)
 
 (* Digest the executable pages of a loaded memory image. Page granularity
    matches the permission model; data pages are excluded because a run
    mutates them (the digest of a finished run must still equal the digest
    of a fresh load whenever the code was not self-modified). *)
 let digest_mem mem ~isa ~extra =
-  let b = Buffer.create 65536 in
-  add_header b ~isa ~extra;
+  let s = start ~isa ~extra in
   let psize = Memory.page_size in
   List.iter
     (fun (addr, len) ->
@@ -121,28 +170,30 @@ let digest_mem mem ~isa ~extra =
         match Memory.perm_at mem pa with
         | Some p when p.Memory.x ->
             let lo = max addr pa and hi = min (addr + len) (pa + psize) in
-            Buffer.add_string b (Printf.sprintf "|%x:%x:" lo (hi - lo));
-            Buffer.add_bytes b (Memory.peek_bytes mem lo (hi - lo))
+            add_tag s lo (hi - lo);
+            let off = extend s (hi - lo) in
+            Memory.peek_into mem lo s.buf off (hi - lo)
         | _ -> ()
       done)
     (Memory.mapped_ranges mem);
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  finish s
 
 (* Digest a SELF binary before any memory image exists — the address for
    rewrite artifacts, computed from the executable sections plus the entry
    point (which steers disassembly). *)
 let digest_bin bin ~extra =
-  let b = Buffer.create 65536 in
-  add_header b ~isa:bin.Binfile.isa ~extra;
-  Buffer.add_string b (Printf.sprintf "|entry:%x" bin.Binfile.entry);
+  let s = start ~isa:bin.Binfile.isa ~extra in
+  add_string s "|entry:";
+  add_hex s bin.Binfile.entry;
   List.iter
-    (fun s ->
-      Buffer.add_string b
-        (Printf.sprintf "|%x:%x:" s.Binfile.sec_addr
-           (Bytes.length s.Binfile.sec_data));
-      Buffer.add_bytes b s.Binfile.sec_data)
+    (fun sec ->
+      let data = sec.Binfile.sec_data in
+      let n = Bytes.length data in
+      add_tag s sec.Binfile.sec_addr n;
+      let off = extend s n in
+      Bytes.blit data 0 s.buf off n)
     (Binfile.code_sections bin);
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  finish s
 
 (* ------------------------------------------------------------------ *)
 (* Generic framed artifacts                                            *)

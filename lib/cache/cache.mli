@@ -25,7 +25,12 @@ val open_dir : string -> t
 
 val dir : t -> string
 
-(** {1 Content digests} *)
+(** {1 Content digests}
+
+    Both digests assemble their bytes in a scratch buffer owned by the
+    calling domain, so pool workers may digest concurrently, and a call
+    copies no page: besides the result, it allocates only a few
+    short-lived words. *)
 
 val digest_mem : Memory.t -> isa:Ext.t -> extra:string -> string
 (** Hex digest of a memory image's executable pages plus the ISA,

@@ -17,7 +17,22 @@ exception Violation of { addr : int; access : Fault.access }
 let page_size = 4096
 let page_bits = 12
 
-type page = { data : bytes; mutable perm : perm }
+(* Demand-zero pages: [map] records a page with its permissions but no
+   storage, and an empty [data] marks it untouched. The first checked
+   access ([tlb_fill], of any kind), [poke] or [share_range] gives it its
+   zero-filled 4 KiB; peeks read an untouched page as zeros without
+   materializing it. Untouched is tested by length, not by physical
+   equality with [no_bytes], so a marshaled copy still reads correctly. *)
+type page = { mutable data : bytes; mutable perm : perm }
+
+let no_bytes = Bytes.create 0
+
+(* What peeks read for an unmapped or untouched page; never written. *)
+let zero_page = Bytes.make page_size '\000'
+
+let materialize p =
+  if Bytes.length p.data = 0 then p.data <- Bytes.make page_size '\000';
+  p.data
 
 (* Software TLB: per access kind, a direct-mapped cache of page index ->
    page payload, so hot loads/stores/fetches skip the page hashtable (and
@@ -29,7 +44,8 @@ type page = { data : bytes; mutable perm : perm }
    it, each TLB records the epoch it was filled under, and a lookup whose
    epoch lags flushes lazily before probing the page table again. The
    deterministic-fault contract survives by construction: a TLB hit implies
-   a successful permission check under the current epoch. *)
+   a successful permission check under the current epoch, and the TLB only
+   ever caches materialized pages. *)
 
 (* 1024 entries per kind keeps the working set of the SPEC-profile
    workloads (hundreds of pages of heap + stack + text) resident; every
@@ -55,8 +71,6 @@ type t = {
   mutable tlb_hits : int;
   mutable tlb_misses : int;
 }
-
-let no_bytes = Bytes.create 0
 
 let create () =
   { pages = Hashtbl.create 64;
@@ -106,7 +120,7 @@ let map t ~addr ~len perm =
     if Hashtbl.mem t.pages idx then
       invalid_arg
         (Printf.sprintf "Memory.map: page 0x%x already mapped" (idx lsl page_bits));
-    Hashtbl.replace t.pages idx { data = Bytes.make page_size '\000'; perm }
+    Hashtbl.replace t.pages idx { data = no_bytes; perm }
   done
 
 let set_perm t ~addr ~len perm =
@@ -140,6 +154,9 @@ let share_range ~from ~into ~addr ~len =
           invalid_arg
             (Printf.sprintf "Memory.share_range: destination page 0x%x mapped"
                (idx lsl page_bits));
+        (* materialized first, so no two memories ever race to give one
+           untouched page its storage *)
+        ignore (materialize p);
         Hashtbl.replace into.pages idx p
   done
 
@@ -160,9 +177,10 @@ let tlb_fill t tag data slot pg addr access =
         | Fault.Execute -> p.perm.x
       in
       if not ok then violate addr access;
+      let d = materialize p in
       Array.unsafe_set tag slot pg;
-      Array.unsafe_set data slot p.data;
-      p.data
+      Array.unsafe_set data slot d;
+      d
 
 let tlb_get t tag data addr access =
   let pg = addr lsr page_bits in
@@ -198,15 +216,22 @@ let flush_tlb_stats t =
   t.tlb_hits <- 0;
   t.tlb_misses <- 0
 
-let unchecked_page t addr =
+(* Pokes map on demand (as [perm_none]) so loaders can write anywhere, and
+   materialize the page they write. *)
+let poke_data t addr =
   match Hashtbl.find_opt t.pages (page_index addr) with
+  | Some p -> materialize p
   | None ->
-      (* Kernel accessors allocate on demand so loaders can poke anywhere. *)
-      let p = { data = Bytes.make page_size '\000'; perm = perm_none } in
+      let p = { data = no_bytes; perm = perm_none } in
       Hashtbl.replace t.pages (page_index addr) p;
-      p
+      materialize p
 
-  | Some p -> p
+(* Peeks never change the address space: an unmapped or untouched page
+   reads as zeros and stays as it was. *)
+let peek_data t addr =
+  match Hashtbl.find_opt t.pages (page_index addr) with
+  | Some p when Bytes.length p.data > 0 -> p.data
+  | _ -> zero_page
 
 (* Fast path: access within one page; slow path crosses a boundary. *)
 
@@ -284,7 +309,7 @@ let fetch_u16 t addr =
   if off + 2 <= page_size then Bytes.get_uint16_le (exec_data t addr) off
   else Int64.to_int (load_multi t addr 2 Fault.Execute)
 
-let peek_u8 t addr = Bytes.get_uint8 (unchecked_page t addr).data (page_offset addr)
+let peek_u8 t addr = Bytes.get_uint8 (peek_data t addr) (page_offset addr)
 
 let peek_u16 t addr = peek_u8 t addr lor (peek_u8 t (addr + 1) lsl 8)
 
@@ -296,7 +321,7 @@ let peek_u64 t addr =
     (Int64.shift_left (Int64.of_int (peek_u32 t (addr + 4))) 32)
 
 let poke_u8 t addr v =
-  Bytes.set_uint8 (unchecked_page t addr).data (page_offset addr) (v land 0xFF)
+  Bytes.set_uint8 (poke_data t addr) (page_offset addr) (v land 0xFF)
 
 let poke_u16 t addr v =
   poke_u8 t addr v;
@@ -320,20 +345,23 @@ let poke_bytes t addr b =
     let a = addr + !i in
     let off = page_offset a in
     let n = min (len - !i) (page_size - off) in
-    Bytes.blit b !i (unchecked_page t a).data off n;
+    Bytes.blit b !i (poke_data t a) off n;
     i := !i + n
   done
 
-let peek_bytes t addr len =
-  let out = Bytes.create len in
+let peek_into t addr dst dst_off len =
   let i = ref 0 in
   while !i < len do
     let a = addr + !i in
     let off = page_offset a in
     let n = min (len - !i) (page_size - off) in
-    Bytes.blit (unchecked_page t a).data off out !i n;
+    Bytes.blit (peek_data t a) off dst (dst_off + !i) n;
     i := !i + n
-  done;
+  done
+
+let peek_bytes t addr len =
+  let out = Bytes.create len in
+  peek_into t addr out 0 len;
   out
 
 let mapped_ranges t =

@@ -1,10 +1,15 @@
 (** Sparse paged memory with per-page R/W/X permissions.
 
-    Pages are 4 KiB and allocated lazily, so address-space layouts with large
-    gaps (the congruence-constrained Chimera target sections live far from
-    the text) cost nothing. Permissions are enforced on the checked accessors
-    ([load_*]/[store_*]/[fetch_u16]); the [peek_*]/[poke_*] accessors bypass
-    them and model kernel/loader access.
+    Pages are 4 KiB, kept in a sparse table, so address-space layouts with
+    large gaps (the congruence-constrained Chimera target sections live far
+    from the text) cost nothing. Mapped pages are {e demand-zero}: {!map}
+    records a page and its permissions but gives it no storage, and the
+    page gets its zero-filled 4 KiB the first time a checked access, a
+    [poke_*] or {!share_range} touches it. A 1 MiB stack of which a guest
+    touches three pages costs three pages. Permissions are enforced on the
+    checked accessors ([load_*]/[store_*]/[fetch_u16]) whether or not the
+    page has storage yet; the [peek_*]/[poke_*] accessors bypass them and
+    model kernel/loader access.
 
     Pages can be shared between two memories ({!share_range}): the MMView
     process model maps each core class's rewritten code into a distinct view
@@ -16,10 +21,11 @@
     permission re-check. Any {!map}/{!set_perm}/{!share_range} — through
     {e any} memory, since pages can be aliased — advances a global
     permission epoch; a TLB whose recorded epoch lags is flushed before its
-    next lookup. A TLB hit therefore implies a successful permission check
-    under the current epoch, preserving the deterministic-fault contract: a
-    permission downgrade segfaults on the very next access even through a
-    warm TLB (differentially tested in test/test_machine.ml). *)
+    next lookup. A fill materializes the page, so a TLB only ever caches
+    pages with storage. A TLB hit therefore implies a successful permission
+    check under the current epoch, preserving the deterministic-fault
+    contract: a permission downgrade segfaults on the very next access even
+    through a warm TLB (differentially tested in test/test_machine.ml). *)
 
 type perm = { r : bool; w : bool; x : bool }
 
@@ -41,7 +47,8 @@ val page_bits : int
 (** [page_size = 1 lsl page_bits]. *)
 
 val map : t -> addr:int -> len:int -> perm -> unit
-(** Allocate zero-filled pages covering [addr, addr+len).
+(** Map demand-zero pages covering [addr, addr+len): they read as zeros
+    and get storage on first touch.
     @raise Invalid_argument if a covered page is already mapped. *)
 
 val set_perm : t -> addr:int -> len:int -> perm -> unit
@@ -55,7 +62,8 @@ val is_mapped : t -> int -> bool
 
 val share_range : from:t -> into:t -> addr:int -> len:int -> unit
 (** Alias the pages of [from] covering the range into [into]: both memories
-    then see the same bytes (and permissions).
+    then see the same bytes (and permissions). Untouched source pages are
+    materialized first, so a page without storage is never shared.
     @raise Invalid_argument if a source page is unmapped or a destination
     page already mapped. *)
 
@@ -96,7 +104,12 @@ val read_data : t -> int -> bytes
 val write_data : t -> int -> bytes
 (** Page payload for a write access; counterpart of {!read_data}. *)
 
-(** {1 Unchecked accessors (loader / kernel)} *)
+(** {1 Unchecked accessors (loader / kernel)}
+
+    Peeks never change the address space: an unmapped or untouched page
+    reads as zeros, and nothing is mapped or materialized. Pokes map an
+    unmapped page on demand (with {!perm_none}, so a checked access still
+    faults until {!set_perm}) and materialize the page they write. *)
 
 val peek_u8 : t -> int -> int
 val peek_u16 : t -> int -> int
@@ -108,6 +121,10 @@ val poke_u32 : t -> int -> int -> unit
 val poke_u64 : t -> int -> int64 -> unit
 val poke_bytes : t -> int -> bytes -> unit
 val peek_bytes : t -> int -> int -> bytes
+
+val peek_into : t -> int -> bytes -> int -> int -> unit
+(** [peek_into t addr dst off len] copies [len] bytes at [addr] into [dst]
+    at [off]: {!peek_bytes} without the fresh buffer. *)
 
 val mapped_ranges : t -> (int * int) list
 (** Sorted [(addr, len)] list of maximal mapped runs (diagnostics). *)

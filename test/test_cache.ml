@@ -20,7 +20,12 @@
      (truncation at several depths, magic/version skew, payload bit flips,
      a well-framed but unmarshalable payload) must surface as a clean
      [Error reason] plus a [cache_reject] observation, with the run falling
-     back cold and still retiring bit-identically. *)
+     back cold and still retiring bit-identically;
+
+   - digest goldens: the keys of a few fixed binaries and images are pinned
+     as hex, so a change to how digests are computed cannot orphan (or,
+     worse, alias) existing cache directories, and two domains digesting
+     concurrently through their scratch buffers get the sequential keys. *)
 
 let base_isa = Ext.rv64gc
 
@@ -423,6 +428,64 @@ let test_engine_mismatch_falls_back_cold () =
   | Error r -> Alcotest.failf "expected an icache mismatch, got %s" r
   | Ok n -> Alcotest.failf "plan without icache seeded %d blocks" n
 
+(* --- digests ------------------------------------------------------------- *)
+
+(* [(name, bin)] and the pinned [digest_bin] / [digest_mem] of a fresh load /
+   [digest_mem] of the downgrade-rewritten image, all under [~extra:"golden"].
+   Every artifact in an existing cache directory is addressed by these
+   bytes: a mismatch means the digest changed, not the test. *)
+let golden_inputs () =
+  [ ("fibonacci", Programs.fibonacci ~rounds:1000 (),
+     ("70a07b5abc6510c580a24bc7b60f67d3", "137ab594b95ede6ce148c2e71734228f",
+      "56868fb39e44f0dfc04d4db967c9a34e"));
+    ("perlbench_r", Specgen.build (Specgen.find "perlbench_r"),
+     ("152f76528478a5fb560f4015c0303b3f", "cde84ef88e15e694bdaa434a0508e7d2",
+      "6932d10a85cfa8bf5834ea041ad92dda")) ]
+
+let rewritten_image bin =
+  let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in
+  Chimera_rt.load (Chimera_rt.create ctx)
+
+let digests bin ~rewritten =
+  ( Cache.digest_bin bin ~extra:"golden",
+    Cache.digest_mem (Loader.load bin) ~isa:bin.Binfile.isa ~extra:"golden",
+    Cache.digest_mem rewritten ~isa:Ext.rv64gc ~extra:"golden" )
+
+let test_digest_golden () =
+  List.iter
+    (fun (name, bin, (gb, gm, gr)) ->
+      let b, m, r = digests bin ~rewritten:(rewritten_image bin) in
+      Alcotest.(check string) (name ^ ": digest_bin") gb b;
+      Alcotest.(check string) (name ^ ": digest_mem") gm m;
+      Alcotest.(check string) (name ^ ": digest_mem rewritten") gr r)
+    (golden_inputs ())
+
+(* Two domains, 100 rounds each of every digest, interleaved: each domain
+   digests through its own scratch buffer, so every key must equal the
+   sequential one. *)
+let test_digest_two_domains () =
+  let inputs =
+    List.map (fun (name, bin, _) -> (name, bin, rewritten_image bin)) (golden_inputs ())
+  in
+  let sequential =
+    List.map (fun (_, bin, rewritten) -> digests bin ~rewritten) inputs
+  in
+  let worker () =
+    let mismatches = ref 0 in
+    for _ = 1 to 100 do
+      List.iter2
+        (fun (_, bin, rewritten) want ->
+          if digests bin ~rewritten <> want then incr mismatches)
+        inputs sequential
+    done;
+    !mismatches
+  in
+  let doms = List.init 2 (fun _ -> Domain.spawn worker) in
+  List.iteri
+    (fun i d ->
+      Alcotest.(check int) (Printf.sprintf "domain %d mismatches" i) 0 (Domain.join d))
+    doms
+
 (* --- concurrent writers ------------------------------------------------- *)
 
 (* Two domains storing the same key 100 times each: every write succeeds
@@ -458,6 +521,11 @@ let () =
       ( "engine",
         [ Alcotest.test_case "engine mismatch falls back cold" `Quick
             test_engine_mismatch_falls_back_cold ] );
+      ( "digest",
+        [ Alcotest.test_case "keys match the pinned goldens" `Quick
+            test_digest_golden;
+          Alcotest.test_case "two domains digest concurrently" `Quick
+            test_digest_two_domains ] );
       ( "writers",
         [ Alcotest.test_case "two domains store one key" `Quick
             test_concurrent_same_key_writes ] ) ]

@@ -81,6 +81,75 @@ let test_mapped_ranges () =
   Alcotest.(check (list (pair int int)))
     "ranges" [ (0x1000, 8192); (0x10000, 4096) ] (Memory.mapped_ranges mem)
 
+(* Peeks never change the address space: reading an unmapped address
+   (as [chimera run --trace] does past the end of text) maps nothing, so
+   the page can still be mapped afterwards. *)
+let test_peek_maps_nothing () =
+  let mem = Memory.create () in
+  Memory.map mem ~addr:0x1000 ~len:4096 Memory.perm_rx;
+  let before = Memory.mapped_ranges mem in
+  Alcotest.(check int) "peek_u16" 0 (Memory.peek_u16 mem 0x2000);
+  Alcotest.(check int64) "peek_u64 across" 0L (Memory.peek_u64 mem 0x1FFC);
+  Alcotest.(check int) "peek_bytes" 16
+    (Bytes.length (Memory.peek_bytes mem 0x2FF8 16));
+  Alcotest.(check bool) "still unmapped" false (Memory.is_mapped mem 0x2000);
+  Alcotest.(check (list (pair int int))) "ranges unchanged" before
+    (Memory.mapped_ranges mem);
+  Memory.map mem ~addr:0x2000 ~len:4096 Memory.perm_rw;
+  Memory.store_u8 mem 0x2000 7;
+  Alcotest.(check int) "mapped after peek" 7 (Memory.load_u8 mem 0x2000)
+
+(* Mapped pages are demand-zero: an untouched page reads zero through every
+   kind of access, and the first write gives it storage. *)
+let test_demand_zero () =
+  let mem = Memory.create () in
+  Memory.map mem ~addr:0x1000 ~len:8192 Memory.perm_rw;
+  Memory.map mem ~addr:0x10000 ~len:4096 Memory.perm_rx;
+  Alcotest.(check int64) "peek_u64 untouched" 0L (Memory.peek_u64 mem 0x1008);
+  Alcotest.(check int64) "load_u64 untouched" 0L (Memory.load_u64 mem 0x1008);
+  Alcotest.(check int) "fetch_u16 untouched" 0 (Memory.fetch_u16 mem 0x10002);
+  Alcotest.(check int64) "load_u64 across untouched" 0L (Memory.load_u64 mem 0x1FFC);
+  Memory.store_u64 mem 0x2010 0x0102030405060708L;
+  Alcotest.(check int64) "round trip" 0x0102030405060708L (Memory.load_u64 mem 0x2010);
+  Alcotest.(check int64) "peek sees store" 0x0102030405060708L
+    (Memory.peek_u64 mem 0x2010);
+  (* permissions hold on pages without storage too *)
+  (match Memory.store_u8 mem 0x10000 1 with
+  | exception Memory.Violation { access = Fault.Write; _ } -> ()
+  | _ -> Alcotest.fail "expected write violation on untouched rx page");
+  Alcotest.(check (list (pair int int)))
+    "ranges" [ (0x1000, 8192); (0x10000, 4096) ] (Memory.mapped_ranges mem)
+
+(* An untouched page shared between two memories is one page: a write
+   through either memory reads back through the other. *)
+let test_demand_zero_share () =
+  let a = Memory.create () and b = Memory.create () in
+  Memory.map a ~addr:0x2000 ~len:8192 Memory.perm_rw;
+  Memory.share_range ~from:a ~into:b ~addr:0x2000 ~len:8192;
+  Memory.store_u32 b 0x2000 42;
+  Alcotest.(check int) "b -> a" 42 (Memory.load_u32 a 0x2000);
+  Memory.store_u32 a 0x3004 7;
+  Alcotest.(check int) "a -> b" 7 (Memory.load_u32 b 0x3004);
+  Memory.poke_u8 b 0x3000 9;
+  Alcotest.(check int) "poke b -> peek a" 9 (Memory.peek_u8 a 0x3000)
+
+(* Loading a small guest maps a 1 MiB stack but gives storage only to the
+   pages the loader writes: fewer than 16 k words reach the major heap
+   (256 eagerly zeroed stack pages alone are 131 k). *)
+let test_load_major_words () =
+  let bin = Programs.fibonacci ~rounds:1000 () in
+  let major () =
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = major () in
+  let mem = Loader.load bin in
+  let words = major () -. before in
+  Alcotest.(check bool) "stack mapped" true
+    (Memory.is_mapped mem (Layout.stack_top - 16));
+  if words >= 16_384. then
+    Alcotest.failf "Loader.load allocated %.0f major words (want < 16384)" words
+
 (* --- interpreter semantics --------------------------------------------- *)
 
 let li rd v = Inst.Opi (Inst.Addi, rd, Reg.x0, v)
@@ -789,7 +858,11 @@ let () =
        [ Alcotest.test_case "read/write widths" `Quick test_memory_rw;
          Alcotest.test_case "violations" `Quick test_memory_violations;
          Alcotest.test_case "page sharing" `Quick test_memory_share;
-         Alcotest.test_case "mapped ranges" `Quick test_mapped_ranges ]);
+         Alcotest.test_case "mapped ranges" `Quick test_mapped_ranges;
+         Alcotest.test_case "peek maps nothing" `Quick test_peek_maps_nothing;
+         Alcotest.test_case "demand-zero reads" `Quick test_demand_zero;
+         Alcotest.test_case "demand-zero sharing" `Quick test_demand_zero_share;
+         Alcotest.test_case "load major words" `Quick test_load_major_words ]);
       ("semantics",
        [ Alcotest.test_case "arithmetic" `Quick test_arith;
          Alcotest.test_case "div by zero" `Quick test_div_by_zero_is_not_a_fault;
