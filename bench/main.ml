@@ -239,7 +239,7 @@ let write_json file (stats : stat list) =
              \"tb_dispatches\": %d, \
              \"superblock_len_avg\": %.2f, \"side_exit_rate\": %.4f, \"fused_ops\": %d, \
              \"ic_hit_rate\": %.4f, \"ic_hits\": %d, \"ic_misses\": %d, \
-             \"ic_mega_dispatches\": %d, \"tier_promotions\": %d, \"recompiles\": %d, \
+             \"ic_mega_dispatches\": %d, \"recompiles\": %d, \
              \"ir_units\": %d, \"ir_folded\": %d, \"ir_dead\": %d, \
              \"pc_writes_elided\": %d, \"tlb_checks_elided\": %d, \
              \"regs_cached_avg\": %.2f, \"translate_s\": %.4f, \"translations\": %d, \
@@ -250,7 +250,6 @@ let write_json file (stats : stat list) =
             (c "chimera_fused_total") (ic_hit_rate s) (c "chimera_ic_hits_total")
             (c "chimera_ic_misses_total")
             (c "chimera_ic_mega_dispatches_total")
-            (c "chimera_tier_promotions_total")
             (c "chimera_recompiles_total") (c "chimera_ir_units_total")
             (c "chimera_ir_folded_total") (c "chimera_ir_dead_total")
             (c "chimera_ir_pc_elided_total") (c "chimera_ir_tlb_elided_total")
@@ -1342,10 +1341,10 @@ let engine_arg =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Execution engine for every machine the benchmarks create: \
-           $(b,tiered) (default; interpreted warm-up, then block → \
-           superblock → linear-IR promotion with profile-guided relayout \
-           and inline caches), $(b,untiered) (top-tier translation on first \
-           touch, no inline caches) or $(b,step) (reference single-step \
+           $(b,tiered) (default; top-tier translation on first touch, \
+           jalr inline caches and one profile-guided relayout of hot \
+           blocks), $(b,untiered) (top-tier translation on first touch, no \
+           inline caches, no relayout) or $(b,step) (reference single-step \
            path). Simulated counters are identical for all three — CI \
            compares them.")
 
@@ -1422,8 +1421,8 @@ let cache_arg =
           "Persistent translation cache directory. Cached experiments \
            (fig13) run twice: a cold pass that populates $(docv) with \
            rewrite contexts and translation plans, then a warm pass that \
-           loads them and skips rewriting, decode, lowering and the \
-           interpret tier. The reported row is the warm pass; the \
+           loads them and skips rewriting, decode, lowering and \
+           optimization. The reported row is the warm pass; the \
            cold/warm comparison lands in the cache_hit_rate, cache_bytes, \
            cold_start_s, warm_start_s and cold_translate_s JSON fields. \
            Retired counts are asserted bit-identical between passes. \

@@ -536,9 +536,10 @@ let run_cmd =
   in
   let tiered =
     Arg.(value & flag & info [ "tiered" ]
-         ~doc:"Tiered execution with jalr inline caches (profile-guided \
-               promotion and recompilation; results are bit-identical, only \
-               dispatch changes). The $(b,--profile) report then annotates \
+         ~doc:"Tiered execution: jalr inline caches and one profile-guided \
+               relayout of hot blocks on top of first-touch top-tier \
+               translation (results are bit-identical, only dispatch \
+               changes). The $(b,--profile) report then annotates \
                hot blocks with their tier and lists inline-cache sites.")
   in
   Cmd.v (Cmd.info "run" ~doc:"Execute a binary on a simulated hart")
@@ -566,8 +567,8 @@ let metrics_cmd =
   let fuel = Arg.(value & opt int 100_000_000 & info [ "fuel" ] ~doc:"Instruction budget.") in
   let tiered =
     Arg.(value & flag & info [ "tiered" ]
-         ~doc:"Tiered execution with jalr inline caches (the tier-promotion \
-               and inline-cache counters are then live).")
+         ~doc:"Tiered execution with jalr inline caches (the relayout and \
+               inline-cache counters are then live).")
   in
   let fmt =
     Arg.(value & opt string "prometheus" & info [ "format" ] ~docv:"FMT"

@@ -9,7 +9,7 @@
                      decided about the binary
      <key>.plan      a Machine.plan: decoded runs and post-optimize TIR ops
                      in pre-closure form, superblock shapes and relayout
-                     decisions, tier heat and inline-cache seed profiles
+                     decisions, and inline-cache seed profiles
 
    The key is the whole correctness story. It digests the guest code bytes
    (executable pages only — data pages mutate during every run) together
@@ -29,7 +29,7 @@
    observation), never an exception — the caller falls back to the cold
    path. *)
 
-let schema_version = 3
+let schema_version = 4
 let magic = "CHIMCAC1"
 
 (* Translation templates, memoized in process: a plan key maps to the

@@ -8,14 +8,14 @@
     configurations something runs: the step oracle, the server's and
     library's untiered translator, and the bench's tiered default.
 
-    Both translating engines produce the same three translation shapes,
-    one per tier: tier 1 is a straight-line block that ends at the first
-    control-flow instruction, tier 2 a superblock (inlined direct jumps
-    and forward branches with guarded side exits, cross-page blocks) and
-    tier 3 a superblock whose straight-line runs are lowered through the
-    linear IR ({!Tir}). A machine created with an icache model
-    ([Machine.create ?icache]) caps at tier 2, because the model's
-    per-fetch accounting needs per-instruction units.
+    Both translating engines translate an entry the first time it is
+    dispatched, at the top tier the machine's configuration allows: tier 3,
+    a superblock (inlined direct jumps and forward branches with guarded
+    side exits, cross-page blocks) whose straight-line runs are lowered
+    through the linear IR ({!Tir}). A machine created with an icache model
+    ([Machine.create ?icache]) translates at tier 2, the same superblock
+    without the IR, because the model's per-fetch accounting needs
+    per-instruction units. No entry is interpreted while it warms up.
 
     In [Untiered] and [Tiered], [record] keeps the replay skeleton of
     every translation so the machine's state can be exported as a
@@ -27,13 +27,14 @@ type t =
           bench's [--engine step]). *)
   | Untiered of { record : bool }
       (** Every entry is translated on first touch at the top tier, with
-          no inline caches (the bench's [--engine untiered]). *)
+          no inline caches and no relayout (the bench's
+          [--engine untiered]). *)
   | Tiered of { record : bool }
-      (** Cold code is interpreted; an entry then climbs tier 1 → 2 → 3 as
-          its dispatch count crosses thresholds, hot blocks whose observed
-          side-exit profile contradicts the static layout are recompiled
-          with trace-style layout, and register-indirect jumps predict
-          their successor through per-site inline caches (the bench's
+      (** Every entry is translated on first touch at the top tier, like
+          [Untiered]; on top of that, register-indirect jumps predict their
+          successor through per-site inline caches, and a block whose
+          observed side-exit profile, once hot, contradicts the static
+          layout is recompiled once with trace-style layout (the bench's
           default, [--engine tiered]). *)
 
 val default : t

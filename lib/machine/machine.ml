@@ -9,10 +9,6 @@ type view = {
   vmem : Memory.t;
   cache : (int, centry) Hashtbl.t;
   blocks : (int, t Tblock.t) Hashtbl.t;  (** translation blocks, keyed by entry pc *)
-  heat : (int, int ref) Hashtbl.t;
-      (** interpreted-dispatch counts of still-untranslated entries (tiered
-          machines only): an entry is stepped until its heat crosses the
-          first tier threshold, then translated and dropped from here *)
   ics : (int, icsite) Hashtbl.t;
       (** per-site inline caches for indirect terminators
           ([jalr]/[c_jr]/[c_jalr]), keyed by the site pc *)
@@ -93,7 +89,7 @@ and t = {
   mutable cycles_extra : int;
   icache : Icache.t option;
       (** the L1i model, fixed at creation like the engine; it caps
-          translation at tier 2 (see {!shape}) *)
+          translation at tier 2 (see {!top_tier}) *)
   engine : Engine.t;
   mutable code_epoch : int;
       (** advanced on every {!invalidate_code} and ISA change; blocks whose
@@ -108,12 +104,10 @@ and t = {
           time (Σ (unit width − 1) over translated blocks) *)
   tiered : bool;
       (** [Tiered], unpacked once so the dispatch loop reads a plain
-          boolean: entries are interpreted until warm, then climb
-          block → superblock → IR-optimized, hot blocks whose observed
-          side-exit profile contradicts the static BTFN layout are
-          recompiled with trace-style layout, and indirect terminators
-          carry inline caches; untiered machines translate at the top
-          tier on first touch *)
+          boolean: indirect terminators carry inline caches, and a hot
+          block whose observed side-exit profile contradicts the static
+          BTFN layout is recompiled once with trace-style layout. Every
+          translating machine translates at its top tier on first touch. *)
   mutable pending_ic : icsite option;
       (** set by an indirect terminator closure as it completes; the next
           dispatch consumes it to predict the successor block through the
@@ -121,7 +115,6 @@ and t = {
   mutable ic_hits : int;  (** dispatches predicted by an inline cache *)
   mutable ic_misses : int;  (** IC probes that fell back to the block table *)
   mutable ic_mega_d : int;  (** dispatches through megamorphic sites *)
-  mutable tier_promotions : int;
   mutable recompiles : int;  (** profile-guided layout recompilations *)
   (* per-translation IR pass statistics, flushed to the metrics registry
      once per [run] like the other counters *)
@@ -200,10 +193,6 @@ let m_fused =
   Metrics.counter "chimera_fused_total"
     ~help:"Instructions merged into multi-instruction execution units"
 
-let m_tier_promotions =
-  Metrics.counter "chimera_tier_promotions_total"
-    ~help:"Blocks promoted to a higher tier"
-
 let m_recompiles =
   Metrics.counter "chimera_recompiles_total"
     ~help:"Profile-guided recompiles from observed side-exit profiles"
@@ -265,19 +254,12 @@ let new_view mem =
   { vmem = mem;
     cache = Hashtbl.create 1024;
     blocks = Hashtbl.create 256;
-    heat = Hashtbl.create 256;
     ics = Hashtbl.create 64;
     skels = Hashtbl.create 64 }
 
-(* Tier thresholds. Heat is counted per interpreted instruction at an
-   untranslated entry; hot is counted per dispatch of a translated block.
-   Low thresholds keep the warm-up window short (hot loops reach the top
-   tier within a few hundred iterations) while cold code never pays for
-   translation at all. *)
-let tier1_heat = 4  (* interpreted executions before the first translation *)
-let tier2_hot = 32  (* block dispatches before superblock promotion *)
-let tier3_hot = 128  (* superblock dispatches before IR promotion *)
-let recompile_hot = 256  (* top-tier dispatches before the exit-profile check *)
+(* Dispatches of a block before its observed exit profile is checked
+   against the static layout (tiered machines only). *)
+let recompile_hot = 256
 
 (* Observed-exit-rate policy for profile-guided relayout: a branch whose
    conditional taken rate reaches [relayout_cut_rate] contradicts the BTFN
@@ -332,7 +314,6 @@ let create ?(engine = Engine.default) ?icache ?(vlen = 32) ?(costs = Costs.defau
     ic_hits = 0;
     ic_misses = 0;
     ic_mega_d = 0;
-    tier_promotions = 0;
     recompiles = 0;
     ir_blocks = 0;
     ir_units = 0;
@@ -1002,7 +983,7 @@ let target_aligned t target =
 (* Find-or-create the inline-cache site record for an indirect terminator
    at [pc] in the current view. The record is captured by the terminator
    closure at translation time and shared by every translation of the site
-   (re-translation after invalidation, tier promotion), so the learned
+   (re-translation after invalidation, relayout), so the learned
    targets survive block churn; only the per-target block links are
    re-validated, through the usual epoch guard. *)
 let ic_for t pc =
@@ -1310,12 +1291,11 @@ let emit_effect (o : Tir.op) : t -> unit =
    indirect/linking control flow terminate the block (they stay decoded and
    run through {!step_decoded}, so handler delivery and fault pcs are
    identical to the slow path). Direct jumps that do not link ra and
-   conditional branches are inlined when [sb] (the translation's tier has
-   superblock shape) is set: the jump closure transfers to its static
-   target, the branch closure either falls through or leaves the block
-   through {!Side_exit} — in both cases pc is exact at every block exit,
-   so faults and chaining see the same machine states as the step
-   engine. Anything the current capability set
+   forward conditional branches are inlined (superblock formation): the
+   jump closure transfers to its static target, the branch closure either
+   falls through or leaves the block through {!Side_exit} — in both cases
+   pc is exact at every block exit, so faults and chaining see the same
+   machine states as the step engine. Anything the current capability set
    cannot execute stops the block so the slow path raises the precise
    illegal-instruction fault. Every compiled closure replicates [exec]
    exactly and then retires, with operands partially evaluated at
@@ -1332,7 +1312,7 @@ let emit_effect (o : Tir.op) : t -> unit =
    [run_blocks] re-synchronizes pc at every dispatch end (terminator pc,
    fall-through, or the fuel-limited resume point), so pc is exact at
    every point the machine state is observable. *)
-let compile_op t ~sb ~relayout ~pc inst size =
+let compile_op t ~relayout ~pc inst size =
   match inst with
   | Inst.Ecall | Inst.Ebreak | Inst.C_ebreak | Inst.Xcheck_jalr _ ->
       Tblock.Term
@@ -1419,10 +1399,9 @@ let compile_op t ~sb ~relayout ~pc inst size =
          shadow call stack sees it; any other link register is inlined *)
       let target = pc + off in
       if not (target_aligned t target) then Tblock.Term
-      else if (not sb) || Reg.equal rd Reg.ra then
-        (* calls (and tier-1 jumps) end the block, but the
-           aligned direct transfer itself is event-free: run it as a
-           terminator closure *)
+      else if Reg.equal rd Reg.ra then
+        (* calls end the block, but the aligned direct transfer itself is
+           event-free: run it as a terminator closure *)
         let link = Int64.of_int (pc + size) in
         Tblock.Term_fn
           (fun t ->
@@ -1441,11 +1420,6 @@ let compile_op t ~sb ~relayout ~pc inst size =
       let target = pc + off in
       if not (Ext.supports t.isa inst) || not (target_aligned t target) then
         Tblock.Term
-      else if not sb then
-        Tblock.Term_fn
-          (fun t ->
-            t.pc <- target;
-            retire_scalar t)
       else
         Tblock.Jump
           ( (fun t ->
@@ -1463,7 +1437,7 @@ let compile_op t ~sb ~relayout ~pc inst size =
       else begin
         let fall = pc + size in
         let as_term () =
-          (* loop backedge, tier-1 block, or a profile-guided cut:
+          (* loop backedge or a profile-guided cut:
              terminator, but both targets are static and aligned so it
              cannot fault — direct closure (chains through both link
              slots, never side-exits) *)
@@ -1475,7 +1449,7 @@ let compile_op t ~sb ~relayout ~pc inst size =
               retire_scalar t)
         in
         match relayout_of relayout pc with
-        | Some true when sb && off > 0 ->
+        | Some true when off > 0 ->
             (* observed mostly-taken: trace layout — invert the guard so
                the hot taken path falls through into the rest of the block
                (decoding continues at the target); the now-cold
@@ -1494,7 +1468,7 @@ let compile_op t ~sb ~relayout ~pc inst size =
                 target )
         | Some _ -> as_term ()
         | None ->
-            if (not sb) || off <= 0 then as_term ()
+            if off <= 0 then as_term ()
             else
               Tblock.Brcond
                 (fun t ->
@@ -1519,7 +1493,7 @@ let compile_op t ~sb ~relayout ~pc inst size =
               retire_scalar t)
         in
         match relayout_of relayout pc with
-        | Some true when sb && off > 0 ->
+        | Some true when off > 0 ->
             Tblock.Jump
               ( (fun t ->
                   if Int64.equal (get_reg t rs1) 0L then begin
@@ -1534,7 +1508,7 @@ let compile_op t ~sb ~relayout ~pc inst size =
                 target )
         | Some _ -> as_term ()
         | None ->
-            if (not sb) || off <= 0 then as_term ()
+            if off <= 0 then as_term ()
             else
               Tblock.Brcond
                 (fun t ->
@@ -1559,7 +1533,7 @@ let compile_op t ~sb ~relayout ~pc inst size =
               retire_scalar t)
         in
         match relayout_of relayout pc with
-        | Some true when sb && off > 0 ->
+        | Some true when off > 0 ->
             Tblock.Jump
               ( (fun t ->
                   if Int64.equal (get_reg t rs1) 0L then begin
@@ -1574,7 +1548,7 @@ let compile_op t ~sb ~relayout ~pc inst size =
                 target )
         | Some _ -> as_term ()
         | None ->
-            if (not sb) || off <= 0 then as_term ()
+            if off <= 0 then as_term ()
             else
               Tblock.Brcond
                 (fun t ->
@@ -1862,28 +1836,19 @@ let emit_run t stats ir_units tlb_elided (ops : Tir.op array) =
   Tir.optimize t.ir_state stats ops;
   emit_units ir_units tlb_elided ops
 
-(* The shape of a translation at [tier] on this machine: tier 1 is a
-   straight-line block, tier 2 adds superblock formation, tier 3 adds the
-   IR pipeline — capped at tier 2 by the icache model, whose per-fetch
-   accounting needs per-instruction units. Returns [(superblocks, ir,
-   effective tier)]. *)
-let shape t ~tier =
-  let sb = tier >= 2 in
-  let ir = tier >= 3 && t.icache = None in
-  (sb, ir, if ir then 3 else if sb then 2 else 1)
+(* The one translation shape of this machine, fixed by its configuration:
+   a superblock (tier 2) whose straight-line runs go through the IR
+   pipeline (tier 3), unless the icache model, whose per-fetch accounting
+   needs per-instruction units, keeps it at tier 2. *)
+let top_tier t = if t.icache = None then 3 else 2
 
-(* [shape]'s effective tier for tier 3, without the tuple: the promotion
-   driver asks once per dispatch, which must not allocate. *)
-let tier_cap t = if t.icache = None then 3 else 2
-
-(* One [Tblock.translate] of [entry] with superblock shape [sb] under the
-   recompile plan [relayout]: decoding goes through the view's decode
-   cache (each pc shown to [on_decode] first), [lower] picks the
-   IR-lowered instructions, every other one is compiled by [compile_op]
-   (and shown to [on_compile]), and [emit] turns IR runs into execution
-   units. Cold translation and plan replay differ only in those
-   callbacks. *)
-let translate_with ?(on_decode = ignore) t ~sb ~relayout ~lower ~on_compile
+(* One [Tblock.translate] of [entry] under the recompile plan [relayout]:
+   decoding goes through the view's decode cache (each pc shown to
+   [on_decode] first), [lower] picks the IR-lowered instructions, every
+   other one is compiled by [compile_op] (and shown to [on_compile]), and
+   [emit] turns IR runs into execution units. Cold translation and plan
+   replay differ only in those callbacks. *)
+let translate_with ?(on_decode = ignore) t ~relayout ~lower ~on_compile
     ~emit entry =
   Tblock.translate ~gens:t.gens ~epoch:t.code_epoch ~isa:t.isa
     ~decode:(fun pc ->
@@ -1894,22 +1859,21 @@ let translate_with ?(on_decode = ignore) t ~sb ~relayout ~lower ~on_compile
       | exception Memory.Violation _ -> None)
     ~lower
     ~compile:(fun ~pc inst size ->
-      let c = compile_op t ~sb ~relayout ~pc inst size in
+      let c = compile_op t ~relayout ~pc inst size in
       on_compile ~pc inst size c;
       c)
     ~emit entry
 
-let translate_block ?(tier = 3) ?(relayout = []) t entry =
+let translate_block ?(relayout = []) t entry =
   let t0 = Unix.gettimeofday () in
   let stats = Tir.stats_create () in
   let ir_units = ref 0 and tlb_elided = ref 0 in
   let steps = ref [] in
   Tir.state_reset t.ir_state;
-  (* the effective tier (after the engine's caps) is recorded on the block
-     for the promotion driver and the profile report *)
-  let sb, ir, etier = shape t ~tier in
+  let tier = top_tier t in
+  let ir = tier = 3 in
   let b =
-    translate_with t ~sb ~relayout
+    translate_with t ~relayout
       ~lower:(fun ~pc inst size ->
         (* capability gating here: only instructions this hart can execute
            reach the IR; anything else falls through to [compile], whose
@@ -1940,7 +1904,7 @@ let translate_block ?(tier = 3) ?(relayout = []) t entry =
       ~emit:(fun ops -> emit_run t stats ir_units tlb_elided ops)
       entry
   in
-  Tblock.set_tier b ~tier:etier ~relaid:(relayout <> []);
+  Tblock.set_tier b ~tier ~relaid:(relayout <> []);
   if t.rec_on then
     Hashtbl.replace t.cur.skels entry
       (Recorded { sk_steps = Array.of_list (List.rev !steps); sk_relayout = relayout });
@@ -1984,41 +1948,19 @@ let publish_block t entry b =
            fused = b.Tblock.n_fused })
   end
 
-(* Block-table probe at the current pc. [None] means the entry is still
-   below the first tier threshold on a tiered machine: the caller must
-   interpret one instruction instead of dispatching a block. Untiered
-   machines translate on first touch at the top tier their flags allow,
-   exactly the PR6 behavior. *)
-let block_or_cold t =
+(* Block-table probe at the current pc. A missing or stale entry is
+   translated there and then, at the machine's top tier: no entry is ever
+   interpreted while it warms up. *)
+let block_at t =
   match Hashtbl.find_opt t.cur.blocks t.pc with
   | Some b when Tblock.revalidate t.gens ~isa:t.isa ~epoch:t.code_epoch b ->
       if !Obs.enabled then
         Obs.emit (Obs.Tb_hit { entry = t.pc; body = Tblock.body_length b });
-      Some b
+      b
   | Some _ | None ->
-      if not t.tiered then begin
-        let b = translate_block t t.pc in
-        publish_block t t.pc b;
-        Some b
-      end
-      else begin
-        let h =
-          match Hashtbl.find_opt t.cur.heat t.pc with
-          | Some r ->
-              incr r;
-              !r
-          | None ->
-              Hashtbl.add t.cur.heat t.pc (ref 1);
-              1
-        in
-        if h < tier1_heat then None
-        else begin
-          Hashtbl.remove t.cur.heat t.pc;
-          let b = translate_block ~tier:1 t t.pc in
-          publish_block t t.pc b;
-          Some b
-        end
-      end
+      let b = translate_block t t.pc in
+      publish_block t t.pc b;
+      b
 
 (* Derive the recompile plan from a block's observed exit profile: for
    each inlined branch, the conditional taken rate is its side-exit count
@@ -2051,64 +1993,37 @@ let relayout_plan b =
     List.rev !plan
   end
 
-(* Replace a block with a higher-tier (or profile-relaid) translation of
-   the same entry. The old block is retired — its epoch check can never
-   pass again — and dropped from the table, so every chain link and
-   inline-cache entry into it fails its guard on the next follow and
-   re-resolves to the replacement. No global epoch bump: unrelated links
-   stay intact. *)
-let replace_block t b ~tier ~relayout =
+(* Replace a block with a profile-relaid translation of the same entry.
+   The old block is retired — its epoch check can never pass again — and
+   dropped from the table, so every chain link and inline-cache entry into
+   it fails its guard on the next follow and re-resolves to the
+   replacement. No global epoch bump: unrelated links stay intact. *)
+let replace_block t b ~relayout =
   let entry = b.Tblock.entry in
   Tblock.retire b;
   Hashtbl.remove t.cur.blocks entry;
-  let nb = translate_block ~tier ~relayout t entry in
+  let nb = translate_block ~relayout t entry in
   publish_block t entry nb;
   nb
 
-(* Hotness driver, run once per dispatch on tiered machines. A block below
-   the machine's tier cap climbs one tier when its dispatch count crosses
-   the next threshold (a tier-2 block's observed exit profile rides along
-   into the tier-3 translation); a top-tier block that keeps side-exiting
-   gets one profile-guided recompile. Both paths replace the block, so
-   the counter restarts and the next check measures the new layout. *)
-let maybe_promote t b =
+(* Relayout driver, run once per dispatch on tiered machines: a block with
+   inlined branches that is not yet relaid has its observed exit profile
+   checked once, after [recompile_hot] dispatches, and is recompiled with
+   trace-style layout when the profile contradicts the static one. Either
+   way the block ends up relaid, so the check never runs again. *)
+let maybe_relayout t b =
   let hot = Tblock.tick_hot b in
-  let tier = b.Tblock.tier in
-  let cap = tier_cap t in
-  if tier < cap && hot >= (if tier = 1 then tier2_hot else tier3_hot) then begin
-    let relayout = if tier >= 2 then relayout_plan b else [] in
-    let exits = Tblock.exits_total b in
-    let nb = replace_block t b ~tier:(tier + 1) ~relayout in
-    t.tier_promotions <- t.tier_promotions + 1;
-    if relayout <> [] then t.recompiles <- t.recompiles + 1;
-    if !Obs.enabled then begin
-      Obs.emit
-        (Obs.Tier_promote
-           { entry = nb.Tblock.entry; tier = nb.Tblock.tier; hot });
-      if relayout <> [] then
-        Obs.emit
-          (Obs.Tb_recompile
-             { entry = nb.Tblock.entry;
-               hot;
-               exits;
-               relaid = List.length relayout })
-    end;
-    nb
-  end
-  else if
-    tier >= 2 && (not b.Tblock.relaid)
-    && hot >= recompile_hot
-    && b.Tblock.n_branches > 0
+  if (not b.Tblock.relaid) && hot >= recompile_hot && b.Tblock.n_branches > 0
   then begin
     match relayout_plan b with
     | [] ->
         (* the observed profile agrees with the static layout: mark the
            block checked so the scan never runs again *)
-        Tblock.set_tier b ~tier ~relaid:true;
+        Tblock.set_tier b ~tier:b.Tblock.tier ~relaid:true;
         b
     | plan ->
         let exits = Tblock.exits_total b in
-        let nb = replace_block t b ~tier ~relayout:plan in
+        let nb = replace_block t b ~relayout:plan in
         t.recompiles <- t.recompiles + 1;
         if !Obs.enabled then
           Obs.emit
@@ -2122,7 +2037,7 @@ let maybe_promote t b =
   else b
 
 (* Train an inline-cache site after a miss resolved [pc] to [nb]. A miss
-   on the predicted target (stale block: SMC, tier promotion) re-binds the
+   on the predicted target (stale block: SMC, relayout) re-binds the
    monomorphic slot in place; a genuinely new target demotes the old
    binding into the polymorphic table (shedding entries that died under
    it) until the table overflows and the site goes megamorphic. *)
@@ -2201,20 +2116,16 @@ let ic_dispatch t s pc =
             Obs.emit (Obs.Ic_hit { site = s.site_pc; target = pc });
           o
       | None ->
-          if s.site_mega then begin
-            t.ic_mega_d <- t.ic_mega_d + 1;
-            block_or_cold t
-          end
-          else (
-            match block_or_cold t with
-            | None -> None  (* entry still interpreted: nothing to cache *)
-            | Some nb as o ->
-                s.site_misses <- s.site_misses + 1;
-                t.ic_misses <- t.ic_misses + 1;
-                if !Obs.enabled then
-                  Obs.emit (Obs.Ic_miss { site = s.site_pc; target = pc });
-                ic_train t s pc nb;
-                o))
+          let nb = block_at t in
+          if s.site_mega then t.ic_mega_d <- t.ic_mega_d + 1
+          else begin
+            s.site_misses <- s.site_misses + 1;
+            t.ic_misses <- t.ic_misses + 1;
+            if !Obs.enabled then
+              Obs.emit (Obs.Ic_miss { site = s.site_pc; target = pc });
+            ic_train t s pc nb
+          end;
+          Some nb)
 
 (* ------------------------------------------------------------------ *)
 (* Run loops                                                           *)
@@ -2281,31 +2192,21 @@ let run_blocks ~handlers ~fuel t =
                     Obs.emit
                       (Obs.Tb_hit { entry = pc; body = Tblock.body_length nb });
                   link
-              | _ -> (
-                  match block_or_cold t with
-                  | Some nb as o ->
-                      if to_fall then Tblock.set_link_fall pb nb
-                      else Tblock.set_link_taken pb nb;
-                      if !Obs.enabled then
-                        Obs.emit
-                          (Obs.Tb_chain { src = pb.Tblock.entry; dst = pc });
-                      o
-                  | None -> None)))
-      | _ -> block_or_cold t
+              | _ ->
+                  let nb = block_at t in
+                  if to_fall then Tblock.set_link_fall pb nb
+                  else Tblock.set_link_taken pb nb;
+                  if !Obs.enabled then
+                    Obs.emit (Obs.Tb_chain { src = pb.Tblock.entry; dst = pc });
+                  Some nb))
+      | _ -> Some (block_at t)
     in
     prev_view := t.cur;
     prev := None;
-    match bo with
-    | None ->
-        (* tier 0: the entry is still below the first tier threshold —
-           interpret one instruction. Not a block dispatch (the
-           translated-code rates keep honest denominators) and no chain
-           links are formed across the interpreted gap. *)
-        (match step ~handlers t with Some s -> result := Some s | None -> ());
-        decr remaining
-    | Some b0 ->
-    let b = if t.tiered then maybe_promote t b0 else b0 in
-    (* a promotion replaced the block: the one allocation is its new cell *)
+    (* every path above yields a block *)
+    let b0 = Option.get bo in
+    let b = if t.tiered then maybe_relayout t b0 else b0 in
+    (* a relayout replaced the block: the one allocation is its new cell *)
     let bo = if b == b0 then bo else Some b in
     t.tb_dispatches <- t.tb_dispatches + 1;
     if Tblock.degenerate b then begin
@@ -2513,7 +2414,6 @@ let flush_run_stats t =
     Metrics.add m_ic_hits t.ic_hits;
     Metrics.add m_ic_misses t.ic_misses;
     Metrics.add m_ic_mega t.ic_mega_d;
-    Metrics.add m_tier_promotions t.tier_promotions;
     Metrics.add m_recompiles t.recompiles;
     Metrics.add m_translations t.translations;
     Metrics.add m_ir_blocks t.ir_blocks;
@@ -2531,7 +2431,6 @@ let flush_run_stats t =
   t.ic_hits <- 0;
   t.ic_misses <- 0;
   t.ic_mega_d <- 0;
-  t.tier_promotions <- 0;
   t.recompiles <- 0;
   t.translations <- 0;
   t.ir_blocks <- 0;
@@ -2610,29 +2509,26 @@ let ic_infos t =
 
 (* A plan is the marshalable residue of a recording machine's current view:
    the decode cache in pre-closure form, every live block's replay skeleton
-   with its tier/layout/heat, the interpreter heat of still-untranslated
-   entries, and the live inline-cache targets. It deliberately contains no
-   closures and no stamps — stamps are recomputed against the seeding
-   machine's generation table, which is sound because the cache layer only
-   offers a plan to a machine whose guest code bytes hash to the digest the
-   plan was stored under. *)
+   with its layout and dispatch count, and the live inline-cache targets.
+   It deliberately contains no closures and no stamps — stamps are
+   recomputed against the seeding machine's generation table, which is
+   sound because the cache layer only offers a plan to a machine whose
+   guest code bytes hash to the digest the plan was stored under. *)
 type config = Engine.t * Icache.geometry option
 
 let config t : config = (t.engine, Option.map Icache.geometry t.icache)
 
 type plan = {
   pl_config : config;
-      (** the engine and the icache model fix every block's shape: a plan
-          seeds only a machine created with the same configuration *)
+      (** the engine and the icache model fix every block's shape and tier:
+          a plan seeds only a machine created with the same configuration *)
   pl_insts : (int * Inst.t * int) array;
   pl_blocks : plan_block array;
-  pl_heat : (int * int) array;
   pl_ics : (int * int list) array;
 }
 
 and plan_block = {
   pb_entry : int;
-  pb_tier : int;
   pb_relaid : bool;
   pb_hot : int;
   pb_skel : skel;
@@ -2669,7 +2565,6 @@ let export_plan t =
         match Hashtbl.find_opt t.cur.skels entry with
         | Some src when Tblock.revalidate t.gens ~isa:t.isa ~epoch:t.code_epoch b ->
             { pb_entry = entry;
-              pb_tier = b.Tblock.tier;
               pb_relaid = b.Tblock.relaid;
               pb_hot = b.Tblock.hot;
               pb_skel = skel_of src }
@@ -2677,7 +2572,6 @@ let export_plan t =
         | _ -> acc)
       t.cur.blocks []
   in
-  let heat = Hashtbl.fold (fun pc r acc -> (pc, !r) :: acc) t.cur.heat [] in
   let ics =
     Hashtbl.fold
       (fun site s acc ->
@@ -2694,7 +2588,6 @@ let export_plan t =
   { pl_config = config t;
     pl_insts = Array.of_list insts;
     pl_blocks = Array.of_list blocks;
-    pl_heat = Array.of_list heat;
     pl_ics = Array.of_list ics }
 
 let plan_stats p = (Array.length p.pl_blocks, Array.length p.pl_insts)
@@ -2717,9 +2610,8 @@ let rebuild_block t (pb : plan_block) log =
   let sk = pb.pb_skel in
   let cursor = ref 0 in
   let ir_units = ref 0 and tlb_elided = ref 0 in
-  let sb, _, _ = shape t ~tier:pb.pb_tier in
   let b =
-    translate_with t ~sb ~relayout:sk.sk_relayout
+    translate_with t ~relayout:sk.sk_relayout
       ~on_decode:(fun pc ->
         if not (decode_cached t pc) then log := Fetched pc :: !log)
       ~lower:(fun ~pc:_ _inst _size ->
@@ -2734,7 +2626,7 @@ let rebuild_block t (pb : plan_block) log =
           ir_units tlb_elided ops)
       pb.pb_entry
   in
-  Tblock.set_tier b ~tier:pb.pb_tier ~relaid:pb.pb_relaid;
+  Tblock.set_tier b ~tier:(top_tier t) ~relaid:pb.pb_relaid;
   Tblock.set_hot b pb.pb_hot;
   b
 
@@ -2743,11 +2635,11 @@ let rebuild_block t (pb : plan_block) log =
    links, run state and terminator closure, next to its recompile plan and
    the side effects its replay had; the decode-cache prefab as (pc,
    instruction parcels), re-decoded on each seed; the blocks' skeletons,
-   marshaled; interpreter heat as (pc, heat); and the inline-cache seeds. A template lives as long as its cache entry, so it
-   keeps the plan's bulk in flat arrays and bytes rather than as a graph
-   of small records, which the major GC would walk every cycle. It is
-   never executed or mutated, so one template serves machines on any
-   domain. *)
+   marshaled; and the inline-cache seeds. A template lives as long as its
+   cache entry, so it keeps the plan's bulk in flat arrays and bytes
+   rather than as a graph of small records, which the major GC would walk
+   every cycle. It is never executed or mutated, so one template serves
+   machines on any domain. *)
 type template = {
   tp_config : config;
   tp_isa : Ext.t;
@@ -2755,7 +2647,6 @@ type template = {
   tp_blocks : (t Tblock.t * (int * bool) list * replay_step list) array;
       (** block, recompile plan, replay side effects *)
   tp_skels : bytes;  (** a [skel array] in [tp_blocks] order *)
-  tp_heat : int array;
   tp_ics : (int * int list) array;
 }
 
@@ -2774,17 +2665,12 @@ let seed_block t b skel =
      entries (warm runs stay warm across generations) *)
   Hashtbl.replace t.cur.skels b.Tblock.entry skel
 
-(* Interpreter heat for entries that never reached the first tier,
-   skipping anything just seeded as a block; then inline-cache training.
-   Replay time is deliberately NOT added to [translate_s]: that counter
+(* Inline-cache training for the seeded blocks. Replay time is deliberately NOT added to [translate_s]: that counter
    measures translation the cache failed to serve, so a warm start's cost
    lands in the caller's cache-preparation accounting instead (bench:
    warm_start_s) and the cold/warm translate_s ratio measures exactly the
    work the cache avoided. *)
-let seed_finish t ~heat ~ics =
-  heat (fun pc h ->
-      if not (Hashtbl.mem t.cur.blocks pc) then
-        Hashtbl.replace t.cur.heat pc (ref h));
+let seed_finish t ~ics =
   if t.tiered then
     Array.iter
       (fun (site, targets) ->
@@ -2805,8 +2691,8 @@ let parcels mem pc n =
   let lo = Memory.peek_u16 mem pc in
   if n = 2 then lo else lo lor (Memory.peek_u16 mem (pc + 2) lsl 16)
 
-(* A template's (pc, value) tables hold one int per entry: a pc below
-   2^30 above a 32-bit value. *)
+(* A template's decode table holds one int per entry: a pc below 2^30
+   above the 32-bit instruction parcels. *)
 let pack pc v = (pc lsl 32) lor v
 let packable pc v = pc >= 0 && pc < 1 lsl 30 && v >= 0 && v < 1 lsl 32
 
@@ -2822,13 +2708,6 @@ let template t p kept =
         pack pc w)
       p.pl_insts
   in
-  let heat =
-    Array.map
-      (fun (pc, h) ->
-        if not (packable pc h) then exact := false;
-        pack pc h)
-      p.pl_heat
-  in
   if not !exact then None
   else
     Some
@@ -2838,7 +2717,6 @@ let template t p kept =
         tp_blocks =
           Array.map (fun (pb, b, log) -> (b, pb.pb_skel.sk_relayout, log)) kept;
         tp_skels = Marshal.to_bytes (Array.map (fun (pb, _, _) -> pb.pb_skel) kept) [];
-        tp_heat = heat;
         tp_ics = p.pl_ics }
 
 let seed_plan t (p : plan) =
@@ -2857,9 +2735,7 @@ let seed_plan t (p : plan) =
               :: !kept
         | exception _ -> complete := false)
       p.pl_blocks;
-    seed_finish t
-      ~heat:(fun f -> Array.iter (fun (pc, h) -> f pc h) p.pl_heat)
-      ~ics:p.pl_ics;
+    seed_finish t ~ics:p.pl_ics;
     let blocks = Array.of_list (List.rev !kept) in
     (* a skipped block may have left side effects no clone would repeat *)
     Ok (Array.length blocks, if !complete then template t p blocks else None)
@@ -2874,10 +2750,7 @@ let rebind_term t ~relayout b =
   match b.Tblock.term with
   | None -> None
   | Some (inst, size) -> (
-      let sb, _, _ = shape t ~tier:b.Tblock.tier in
-      match
-        compile_op t ~sb ~relayout ~pc:(b.Tblock.fall - size) inst size
-      with
+      match compile_op t ~relayout ~pc:(b.Tblock.fall - size) inst size with
       | Tblock.Term_fn f -> Some f
       | _ -> None)
 
@@ -2906,9 +2779,6 @@ let seed_template t tp =
              ~term_fn:(rebind_term t ~relayout b) b)
           (Packed (tp.tp_skels, i)))
       tp.tp_blocks;
-    seed_finish t
-      ~heat:(fun f ->
-        Array.iter (fun e -> f (e lsr 32) (e land 0xFFFF_FFFF)) tp.tp_heat)
-      ~ics:tp.tp_ics;
+    seed_finish t ~ics:tp.tp_ics;
     Ok (Array.length tp.tp_blocks)
   end

@@ -64,7 +64,7 @@ val create :
 (** [engine] is the execution engine for the machine's whole life
     (default {!Engine.default}). [icache] attaches an {!Icache} model of
     that geometry, also for life: every fetch checks it and misses charge
-    {!Costs.t.icache_miss} cycles. Translation then stops at tier 2,
+    {!Costs.t.icache_miss} cycles. Translation is then at tier 2 (no IR),
     because multi-instruction IR units bypass the per-fetch accounting.
     The model is off by default — the headline numbers in EXPERIMENTS.md
     are produced without it; the ablation harness turns it on to show the
@@ -139,9 +139,9 @@ val run : ?handlers:handlers -> fuel:int -> t -> stop
     The machine's {!Engine.t} picks the path. [Step] interprets one
     instruction at a time. [Untiered] and [Tiered] decode code once into
     arrays of closures ({!Tblock}), execute them whole between
-    handler-visible events and chain each block to its successors;
-    [Untiered] translates at the top tier on first touch, [Tiered] climbs
-    the tiers and adds inline caches. Counters, faults and handler
+    handler-visible events and chain each block to its successors. Both
+    translate an entry at the top tier on first touch; [Tiered] adds
+    inline caches and a one-time profile-guided relayout of hot blocks. Counters, faults and handler
     interactions are observably identical to the single-step path (the
     differential property tests assert this).
 
@@ -177,7 +177,7 @@ val profile : t -> Profile.t option
 
 type block_info = {
   bi_entry : int;
-  bi_tier : int;  (** 1 = block, 2 = superblock, 3 = IR-optimized *)
+  bi_tier : int;  (** 2 = superblock, 3 = IR-optimized superblock *)
   bi_relaid : bool;  (** layout came from an observed exit profile *)
   bi_hot : int;  (** dispatches since (re)translation *)
   bi_exits : int;  (** side exits observed since (re)translation *)
@@ -202,11 +202,11 @@ val ic_infos : t -> ic_info list
     A recording machine (one whose {!Engine.t} has [record] set) keeps, next to every translated block, the replay
     skeleton of the translation that produced it: the positional sequence
     of lower/compile decisions with the post-optimize IR ops. {!export_plan}
-    joins those skeletons with the live decode cache, tier state, heat
-    table and inline-cache targets into a closure-free, [Marshal]-safe
-    value; {!seed_plan} replays one into a fresh machine so a warm start
-    re-emits execution units directly — no decoding, no IR lowering, no
-    optimizer passes, no interpreted warm-up. A replay also yields a
+    joins those skeletons with the live decode cache, relayout state,
+    dispatch counts and inline-cache targets into a closure-free,
+    [Marshal]-safe value; {!seed_plan} replays one into a fresh machine so
+    a warm start re-emits execution units directly — no decoding, no IR
+    lowering, no optimizer passes. A replay also yields a
     {!template} from which {!seed_template} seeds further machines with the
     same plan without replaying it at all.
 
@@ -219,26 +219,26 @@ val ic_infos : t -> ic_info list
 
 type plan
 (** Marshalable translation plan (no closures; contains only decoded
-    instructions, IR ops, pcs, tiers and counters). *)
+    instructions, IR ops, pcs, layouts and counters). *)
 
 val export_plan : t -> plan
 (** Snapshot the current view's replayable state: valid decode-cache
     entries, every epoch-valid block that has a recorded skeleton (with its
-    current tier, layout and heat), interpreter heat of untranslated
-    entries, and non-megamorphic inline-cache targets. *)
+    layout and dispatch count), and non-megamorphic inline-cache
+    targets. *)
 
 type template
 (** What one {!seed_plan} seeded, taken before the machine ran: its blocks
     (without links, run state or terminator closures), their replay
-    skeletons, decode-cache prefab, heat and inline-cache seeds, and the
+    skeletons, decode-cache prefab and inline-cache seeds, and the
     side effects the replay had (decodes it fetched, fused units it
     traced). Never executed or mutated: one template may seed machines on
     several domains at once. *)
 
 val seed_plan : t -> plan -> (int * template option, string) result
 (** Replay a plan into this machine: prefab the decode cache, rebuild and
-    publish every block at its exported tier and heat, seed interpreter
-    heat and retrain inline caches. Returns [Ok (n, template)] with the
+    publish every block with its exported layout and dispatch count, and
+    retrain inline caches. Returns [Ok (n, template)] with the
     number of blocks seeded and, when every block replayed, a {!template}
     of them taken before any run; [Error "flags"] if the plan was exported
     under a different {!Engine.t} or icache geometry — nothing is seeded
@@ -248,7 +248,7 @@ val seed_plan : t -> plan -> (int * template option, string) result
 
 val seed_template : t -> template -> (int, string) result
 (** Seed this machine from a template: the same blocks, decode cache,
-    heat, inline caches, counters and [Obs] events as {!seed_plan} of the
+    inline caches, counters and [Obs] events as {!seed_plan} of the
     template's plan, without the replay. Each block is a {!Tblock.clone}:
     its execution units are shared with the template (their closures take
     the machine as an argument), and its terminator is recompiled for this

@@ -164,16 +164,16 @@ type 'm t = {
       (** cached profiler row for [entry]; valid only while
           [Profile.row_live] holds for the machine's attached profile *)
   mutable tier : int;
-      (** execution tier this block was translated at: 1 = straight-line
-          block, 2 = superblock, 3 = IR-optimized superblock. Untiered
-          machines translate everything at the top tier their flags allow. *)
+      (** execution tier this block was translated at: 2 = superblock,
+          3 = IR-optimized superblock. Every machine translates at the top
+          tier its configuration allows. *)
   mutable relaid : bool;
       (** profile-guided layout already applied: the block was recompiled
           from its observed side-exit profile and must not be recompiled
-          again (the tiering driver's convergence guarantee) *)
+          again (the relayout driver's convergence guarantee) *)
   mutable hot : int;
-      (** dispatches since translation — the hotness counter driving tier
-          promotion and the recompile trigger; also the denominator of the
+      (** dispatches since translation — the hotness counter driving the
+          recompile trigger; also the denominator of the
           per-branch observed taken rates in [xexits] *)
   mutable xexits : int array;
       (** per-unit side-exit counts ([xexits.(u)] = side exits raised by
@@ -403,7 +403,7 @@ let set_link_fall b next = b.link_fall <- Some next
 let set_link_taken b next = b.link_taken <- Some next
 let set_prow b r = b.prow <- r
 
-(* A replaced block (tier promotion, profile-guided recompile) must never
+(* A replaced block (profile-guided recompile) must never
    pass a chain or inline-cache epoch guard again. Epochs only grow from 0,
    so [min_int] is unreachable; and since the block is simultaneously
    dropped from the block table, nothing ever calls [revalidate] on it to
@@ -420,7 +420,7 @@ let set_tier b ~tier ~relaid =
 
 (* Restoring a persisted heat count when a cached translation is seeded, so a
    warm start resumes at the block's exported temperature instead of re-earning
-   promotion from zero. *)
+   the relayout check from zero. *)
 let set_hot b hot = b.hot <- hot
 
 (* Pre-increment so the first dispatch reads 1: threshold compares stay

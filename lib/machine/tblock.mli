@@ -128,14 +128,14 @@ type 'm t = private {
       (** cached profiler row for [entry] (set via {!set_prow}); valid only
           while [Profile.row_live] holds for the machine's profile *)
   mutable tier : int;
-      (** execution tier the block was translated at (1 = block,
-          2 = superblock, 3 = IR-optimized); set via {!set_tier} *)
+      (** execution tier the block was translated at (2 = superblock,
+          3 = IR-optimized superblock); set via {!set_tier} *)
   mutable relaid : bool;
       (** profile-guided layout applied — the block is the product of a
           recompile and is never recompiled again *)
   mutable hot : int;
       (** dispatches since translation ({!tick_hot}) — the hotness counter
-          behind tier promotion and the recompile trigger *)
+          behind the recompile trigger *)
   mutable xexits : int array;
       (** per-unit side-exit counts ({!note_exit}); [[||]] until the first
           side exit. [xexits.(u) / hot] is unit [u]'s observed taken rate —
@@ -197,8 +197,8 @@ val set_prow : 'm t -> Profile.row option -> unit
     the one sanctioned mutation of [prow]). *)
 
 val retire : 'm t -> unit
-(** Permanently invalidate a block that has been {e replaced} (tier
-    promotion, profile-guided recompile): [echeck] is forced to an
+(** Permanently invalidate a block that has been {e replaced} by a
+    profile-guided recompile: [echeck] is forced to an
     unreachable epoch and the outgoing links are dropped. Every chain link
     or inline-cache entry still pointing at the block fails its
     {!epoch_current} guard on the next follow and re-resolves through the
@@ -213,7 +213,7 @@ val set_tier : 'm t -> tier:int -> relaid:bool -> unit
 val set_hot : 'm t -> int -> unit
 (** Overwrite the hotness counter — used when seeding a block from a
     persisted translation plan so the warm start resumes at the exported
-    temperature instead of re-earning promotion from zero. *)
+    temperature instead of re-earning the relayout check from zero. *)
 
 val tick_hot : 'm t -> int
 (** Increment the hotness counter and return the new value (the first

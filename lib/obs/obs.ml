@@ -25,7 +25,6 @@ type event =
       tlb_elided : int;
       cached : int;
     }
-  | Tier_promote of { entry : int; tier : int; hot : int }
   | Tb_recompile of { entry : int; hot : int; exits : int; relaid : int }
   | Ic_hit of { site : int; target : int }
   | Ic_miss of { site : int; target : int }
@@ -71,7 +70,7 @@ type event =
   | Serve_done of { tenant : string; id : int; retired : int }
   | Serve_reject of { tenant : string; id : int; reason : string }
 
-let schema_version = 8
+let schema_version = 9
 
 (* Ring sink: a fixed array filled front-to-back; when full it is handed to
    the sink and refilled from index 0. "Ring" in the double-buffer-less
@@ -247,9 +246,6 @@ module Json = struct
             ("tlb_elided", i tlb_elided);
             ("cached", i cached);
           ]
-    | Tier_promote { entry; tier; hot } ->
-        obj "tier_promote"
-          [ ("entry", i entry); ("tier", i tier); ("hot", i hot) ]
     | Tb_recompile { entry; hot; exits; relaid } ->
         obj "tb_recompile"
           [
@@ -512,10 +508,6 @@ module Json = struct
                   tlb_elided = geti "tlb_elided";
                   cached = geti "cached";
                 }
-          | "tier_promote" ->
-              arity 3;
-              Tier_promote
-                { entry = geti "entry"; tier = geti "tier"; hot = geti "hot" }
           | "tb_recompile" ->
               arity 4;
               Tb_recompile
@@ -697,7 +689,6 @@ module Agg = struct
     mutable steals : int;
     mutable migrations : int;
     mutable signals : int;
-    mutable tier_promotions : int;
     mutable recompiles : int;
     mutable ic_hits : int;
     mutable ic_misses : int;
@@ -727,7 +718,6 @@ module Agg = struct
           steals = 0;
           migrations = 0;
           signals = 0;
-          tier_promotions = 0;
           recompiles = 0;
           ic_hits = 0;
           ic_misses = 0;
@@ -752,7 +742,6 @@ module Agg = struct
     | Cache_reject _ | Health_ok _ | Health_degraded _ | Serve_admit _
     | Serve_done _ | Serve_reject _ ->
         ()
-    | Tier_promote _ -> g.tier_promotions <- g.tier_promotions + 1
     | Tb_recompile _ -> g.recompiles <- g.recompiles + 1
     | Ic_hit _ -> g.ic_hits <- g.ic_hits + 1
     | Ic_miss _ -> g.ic_misses <- g.ic_misses + 1

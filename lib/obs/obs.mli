@@ -31,8 +31,8 @@
 
     Emission points, by layer:
     - machine: {{!constructor-Tb_compile}Tb_compile}/[Tb_hit]/[Tb_invalidate]/
-      [Tb_chain] (translation-block engine), [Tier_promote]/[Tb_recompile]
-      (tiered recompilation), [Ic_hit]/[Ic_miss]/[Ic_mega] (indirect-jump
+      [Tb_chain] (translation-block engine), [Tb_recompile]
+      (profile-guided relayout), [Ic_hit]/[Ic_miss]/[Ic_mega] (indirect-jump
       inline caches), [Tlb_flush] (software TLB), [Fault_raised]
       (deterministic faults, both engines), [Icache_burst] (L1i model);
     - rewriter: [Rw_site]/[Rw_exit] (trampoline placement and exit-register
@@ -95,10 +95,6 @@ type event =
           (substituting [cached] operand reads), [dead] ops were killed by
           dead-write elimination, [pc_elided] ops were emitted without a pc
           write, and [tlb_elided] paired accesses shared one TLB check. *)
-  | Tier_promote of { entry : int; tier : int; hot : int }
-      (** The tiered machine retranslated the block at [entry] into [tier]
-          (2 = superblock, 3 = IR-optimized) after [hot] dispatches at the
-          previous tier. *)
   | Tb_recompile of { entry : int; hot : int; exits : int; relaid : int }
       (** Profile-guided recompile: the block at [entry], dispatched [hot]
           times with [exits] observed side exits, was relaid out from its
@@ -302,7 +298,6 @@ module Agg : sig
     mutable steals : int;
     mutable migrations : int;
     mutable signals : int;
-    mutable tier_promotions : int;
     mutable recompiles : int;
     mutable ic_hits : int;
     mutable ic_misses : int;

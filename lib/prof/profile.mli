@@ -176,8 +176,8 @@ val hot_entries : ?limit:int -> t -> (int * int) list
 (** The profile's hotness export: [(entry, dispatch hits)] per row with at
     least one hit, hottest first (ties broken by entry pc), truncated to
     [limit] rows. This is the dispatch-time signal tiered machines consume —
-    the profiler sees exactly the per-block dispatch counts tier promotion
-    is driven by, so "what the tiering saw" is answerable offline. *)
+    the profiler sees exactly the per-block dispatch counts the relayout
+    check is driven by, so "what the tiering saw" is answerable offline. *)
 
 val write_folded : t -> out_channel -> unit
 (** Write the shadow-stack weights in folded-stack format, one

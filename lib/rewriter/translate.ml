@@ -1,8 +1,9 @@
+(* Fresh local labels. Worker domains rewrite concurrently (a cold
+   [Chbp.rewrite], a lazy [Chbp.extend]), so the counter is atomic: a lost
+   update could hand one code buffer the same label twice. *)
 let gensym =
-  let c = ref 0 in
-  fun pfx ->
-    incr c;
-    Printf.sprintf ".T%s%d" pfx !c
+  let c = Atomic.make 0 in
+  fun pfx -> Printf.sprintf ".T%s%d" pfx (Atomic.fetch_and_add c 1 + 1)
 
 let can_downgrade i = Inst.is_vector i || Inst.is_bitmanip i || Inst.is_packed_simd i
 

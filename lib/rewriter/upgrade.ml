@@ -296,11 +296,12 @@ let find cfg live =
                  then Some c
                  else None))
 
+(* Fresh local labels. Worker domains rewrite concurrently (a cold
+   [Chbp.rewrite], a lazy [Chbp.extend]), so the counter is atomic: a lost
+   update could hand one code buffer the same label twice. *)
 let gensym =
-  let c = ref 0 in
-  fun pfx ->
-    incr c;
-    Printf.sprintf ".U%s%d" pfx !c
+  let c = Atomic.make 0 in
+  fun pfx -> Printf.sprintf ".U%s%d" pfx (Atomic.fetch_and_add c 1 + 1)
 
 let emit_vector_loop cb c =
   let v1 = Reg.v_of_int 1 and v2 = Reg.v_of_int 2 and v3 = Reg.v_of_int 3 in

@@ -59,7 +59,7 @@ let pp_snap s =
 (* A loop mixing data-dependent branches (xorshift bits) with an indirect
    call through a four-entry function-pointer table: polymorphic call site
    plus effectively random branches, so superblock and tiered machines
-   translate, promote and fill inline caches — all of which must round-trip
+   translate, relay out and fill inline caches — all of which must round-trip
    through the plan. The xori is 4-byte-encodable so the SMC test can
    overwrite it in place. *)
 let cache_program rng =
@@ -436,11 +436,11 @@ let test_engine_mismatch_falls_back_cold () =
    bytes: a mismatch means the digest changed, not the test. *)
 let golden_inputs () =
   [ ("fibonacci", Programs.fibonacci ~rounds:1000 (),
-     ("70a07b5abc6510c580a24bc7b60f67d3", "137ab594b95ede6ce148c2e71734228f",
-      "56868fb39e44f0dfc04d4db967c9a34e"));
+     ("8eca16e9169daecd252ac67b6a8f9b8c", "84f29f015ce815091b1653588a2c21f2",
+      "f7c9b3060fd83c8faaca022a884829c1"));
     ("perlbench_r", Specgen.build (Specgen.find "perlbench_r"),
-     ("152f76528478a5fb560f4015c0303b3f", "cde84ef88e15e694bdaa434a0508e7d2",
-      "6932d10a85cfa8bf5834ea041ad92dda")) ]
+     ("cee5586937fad508f3847cf15e73d053", "7f33752dd3fcb8a9e5f59f2971829c87",
+      "5a77b094a379818ba6e6340921ce4872")) ]
 
 let rewritten_image bin =
   let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in

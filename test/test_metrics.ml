@@ -175,7 +175,7 @@ let engine_counters =
   List.map
     (fun n -> "chimera_" ^ n ^ "_total")
     [ "retired"; "dispatches"; "chain_hits"; "side_exits"; "fused"; "ic_hits";
-      "ic_misses"; "tier_promotions"; "recompiles"; "translations"; "ir_blocks";
+      "ic_misses"; "recompiles"; "translations"; "ir_blocks";
       "ir_units"; "ir_folded"; "ir_dead"; "ir_pc_elided"; "ir_tlb_elided";
       "ir_cached" ]
 

@@ -770,6 +770,30 @@ let test_concurrent_rewrites_match_sequential () =
       doms expected
   done
 
+(* The rewriter's local labels come from process-wide counters that cold
+   rewrites and lazy extensions on worker domains share. Two domains each
+   rewriting the same three profiles 50 times must reproduce the
+   sequential bytes every time: a lost counter update would hand one code
+   buffer the same label twice. *)
+let test_label_counters_two_domains () =
+  let bins =
+    List.map (fun n -> Specgen.build (Specgen.find n)) [ "perlbench_r"; "omnetpp_r"; "imagick_r" ]
+  in
+  let rewrite bin = result_bytes (Chbp.rewrite bin) in
+  let expected = List.map rewrite bins in
+  let worker () =
+    let mismatches = ref 0 in
+    for _ = 1 to 50 do
+      List.iter2 (fun bin want -> if rewrite bin <> want then incr mismatches) bins expected
+    done;
+    !mismatches
+  in
+  let doms = List.init 2 (fun _ -> Domain.spawn worker) in
+  List.iteri
+    (fun i d ->
+      Alcotest.(check int) (Printf.sprintf "domain %d mismatches" i) 0 (Domain.join d))
+    doms
+
 let () =
   Alcotest.run "chimera_rewriter"
     [ ("smile",
@@ -809,4 +833,6 @@ let () =
            test_greg_mode_on_compressed_falls_back_to_traps ]);
       ("concurrency",
        [ Alcotest.test_case "two-domain rewrites match sequential" `Quick
-           test_concurrent_rewrites_match_sequential ]) ]
+           test_concurrent_rewrites_match_sequential;
+         Alcotest.test_case "two-domain label counters match sequential" `Quick
+           test_label_counters_two_domains ]) ]

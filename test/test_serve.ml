@@ -23,7 +23,10 @@
 
    - store dedup: re-storing an artifact whose digest already holds a
      valid entry skips the write and bumps the dedup counter; the second
-     warm seed is served by a template. *)
+     warm seed is served by a template;
+
+   - no warm-up on warm requests: a warm tiered request translates nothing
+     but its profile-guided relayouts. *)
 
 let base_isa = Ext.rv64gc
 let ext_isa = Ext.rv64gcv
@@ -31,7 +34,7 @@ let fuel = 10_000_000
 
 (* A loop mixing data-dependent branches (xorshift bits) with an indirect
    call through a function-pointer table, like the cache tests use: the
-   superblock and tiered engines translate, promote and fill inline
+   superblock and tiered engines translate, relay out and fill inline
    caches, all of which must behave identically under the pool. *)
 let fuzz_program seed =
   let rng = Random.State.make [| 7000 + seed |] in
@@ -387,6 +390,44 @@ let test_dedup () =
   Alcotest.(check int) "the second warm seed clones the template" (s2 + 1) (shared ());
   Alcotest.(check int) "the template changed nothing about execution" r1 r3
 
+(* --- warm requests translate only relayouts ------------------------------ *)
+
+(* A warm tiered request seeds its blocks at the top tier from the cached
+   plan, so the only translations it may make are profile-guided
+   relayouts: across a second cached run of each guest, the translation
+   count moves exactly as far as the recompile count. The guests are
+   short, like a served request, so a block seeded below the top tier
+   would have to be retranslated on the way up. The perlbench_r build
+   hides no functions, so no lazy rewrite changes its code digest and the
+   second run is warm. *)
+let test_warm_translates_only_relayouts () =
+  let cache = temp_cache () in
+  let guests =
+    [ ("fibonacci", Programs.fibonacci ~name:"serve-test-warm" ~rounds:2000 ());
+      ("perlbench_r",
+       Specgen.build
+         { (Specgen.find "perlbench_r") with
+           Specgen.sp_hidden = 0.;
+           sp_rounds = 16;
+           sp_seed = 3 }) ]
+  in
+  let run bin =
+    Serve.execute ~cache ~isa:base_isa ~mode:Chbp.Downgrade ~tiered:true ~fuel bin
+  in
+  Metrics.enable ();
+  List.iter (fun (_, bin) -> ignore (run bin)) guests;
+  List.iter
+    (fun (name, bin) ->
+      let t0 = counter "chimera_translations_total"
+      and r0 = counter "chimera_recompiles_total" in
+      let _, _, _, warm = run bin in
+      Alcotest.(check bool) (name ^ ": second run is warm") true warm;
+      Alcotest.(check int)
+        (name ^ ": warm translations are relayouts")
+        (counter "chimera_recompiles_total" - r0)
+        (counter "chimera_translations_total" - t0))
+    guests
+
 let () =
   Alcotest.run "chimera_serve"
     [ ( "isolation",
@@ -405,4 +446,7 @@ let () =
             test_shared_templates ] );
       ( "dedup",
         [ Alcotest.test_case "valid entries are not rewritten" `Quick
-            test_dedup ] ) ]
+            test_dedup ] );
+      ( "warm",
+        [ Alcotest.test_case "warm tiered requests translate only relayouts" `Quick
+            test_warm_translates_only_relayouts ] ) ]

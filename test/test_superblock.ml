@@ -1,8 +1,8 @@
 (* Block-boundary edge cases for superblock translation, each checked
    differentially: the single-step engine is the bit-exact oracle, and both
-   translating engines — tiered (straight-line blocks, then superblocks,
-   then IR) and untiered (top-tier superblocks from the first touch) —
-   must reproduce its stop state, registers, pc and counters exactly. The
+   translating engines — tiered (top-tier superblocks from the first
+   touch, relaid once hot, with inline caches) and untiered (the same
+   superblocks, static layout only) — must reproduce its stop state, registers, pc and counters exactly. The
    edges covered:
 
    - a block body hitting [max_insts] exactly, with fuel running out just
@@ -49,14 +49,15 @@ let run engine ~fuel ?(isa = ext_isa) bin =
   snapshot m (Machine.run ~fuel m)
 
 (* The core check: step / tiered / superblock triple agreement. The
-   tiered machine runs straight-line blocks before it promotes them. *)
+   tiered machine runs the same superblocks, relaid once hot and
+   dispatched through inline caches. *)
 let tri ?isa ~fuel what bin =
   let step = run Engine.Step ~fuel ?isa bin in
-  let plain = run (Engine.Tiered { record = false }) ~fuel ?isa bin in
+  let tiered = run (Engine.Tiered { record = false }) ~fuel ?isa bin in
   let super = run Engine.default ~fuel ?isa bin in
-  if plain <> step then
+  if tiered <> step then
     Alcotest.failf "%s (fuel %d): tiered { %s } <> step { %s }" what
-      fuel (pp_snap plain) (pp_snap step);
+      fuel (pp_snap tiered) (pp_snap step);
   if super <> step then
     Alcotest.failf "%s (fuel %d): superblock { %s } <> step { %s }" what fuel
       (pp_snap super) (pp_snap step)

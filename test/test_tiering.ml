@@ -7,8 +7,9 @@
      continuation across a warm-TLB permission downgrade that makes the next
      store fault. Step, untiered, tiered and tiered-with-icache machines
      must agree bit-for-bit on stop state, registers, pc and counters at
-     every phase boundary, and the tiered machine must dispatch blocks at
-     tiers 1 and 2, not only at the top;
+     every phase boundary; the tiered machine must dispatch its blocks at
+     tier 3 only, and the tiered machine with an icache model at tier 2,
+     so both translation shapes stay checked against the oracle;
 
    - a shape cap: an untiered machine with an icache model never
      translates above tier 2;
@@ -17,6 +18,9 @@
      driven through one, then three, then nine distinct targets must be
      observed Mono, then Poly, then Mega — the same site pc across all three
      checkpoints;
+
+   - first touch: a tiered machine translates every block at tier 3 and
+     relays out at least one hot block from its exit profile;
 
    - a page-boundary property: 64- and 32-bit loads and stores (single,
      paired and read-modify-write) at every offset of a page's last 16
@@ -65,8 +69,8 @@ let check_snaps ~what oracle got =
 (* A loop mixing data-dependent branches (xorshift state bits) with an
    indirect call through a four-entry function-pointer table indexed by
    fresh state bits: the call site is polymorphic and the branches are
-   effectively random, so tiered machines promote, recompile and fill
-   inline caches while the oracle just steps. *)
+   effectively random, so tiered machines relay out and fill inline caches
+   while the oracle just steps. *)
 let tier_program rng =
   let a = Asm.create ~name:"tierfuzz" () in
   Asm.func a "_start";
@@ -130,9 +134,8 @@ let tier_program rng =
 let tiered = Engine.Tiered { record = false }
 
 (* Runs the three phases and reports, per tier, whether the machine
-   dispatched a block at it: a promotion to tier k + 1 follows [hot]
-   dispatches at tier k, and a block still at tier k after a phase with a
-   nonzero dispatch count was dispatched there. Only tiered machines count
+   dispatched a block at it: a block with a nonzero dispatch count after a
+   phase was dispatched at its tier. Only tiered machines count
    dispatches, so the others report none. *)
 let run_tier_phases ?icache engine bin ~patch_addr ~f1 ~f2 =
   let dispatched = Array.make 4 false in
@@ -141,13 +144,6 @@ let run_tier_phases ?icache engine bin ~patch_addr ~f1 ~f2 =
       (fun b -> if b.Machine.bi_hot > 0 then dispatched.(b.Machine.bi_tier) <- true)
       (Machine.block_infos m)
   in
-  Obs.enable ~sink:(fun evs n ->
-      for i = 0 to n - 1 do
-        match evs.(i) with
-        | Obs.Tier_promote { tier; hot; _ } when hot > 0 -> dispatched.(tier - 1) <- true
-        | _ -> ()
-      done);
-  Fun.protect ~finally:Obs.disable @@ fun () ->
   let mem = Loader.load bin in
   let m = Machine.create ~engine ?icache ~mem ~isa:base_isa () in
   Loader.init_machine m bin;
@@ -175,8 +171,10 @@ let run_tier_phases ?icache engine bin ~patch_addr ~f1 ~f2 =
   note_blocks m;
   ((s1, s2, s3), dispatched)
 
-(* per tier, the cases in which the tiered arm dispatched a block there *)
+(* per tier, the cases in which the tiered arm (without and with the
+   icache model) dispatched a block there *)
 let tiered_cases_at = Array.make 4 0
+let icache_cases_at = Array.make 4 0
 
 let prop_tier_differential =
   QCheck.Test.make
@@ -205,32 +203,40 @@ let prop_tier_differential =
           let what p =
             Printf.sprintf "tier seed=%d f1=%d f2=%d %s phase%d" seed f1 f2 label p
           in
-          if label = "tiered" then
-            Array.iteri
-              (fun k d -> if d then tiered_cases_at.(k) <- tiered_cases_at.(k) + 1)
-              dispatched;
+          let note cases =
+            Array.iteri (fun k d -> if d then cases.(k) <- cases.(k) + 1) dispatched
+          in
+          if label = "tiered" then note tiered_cases_at
+          else if label = "tiered-icache" then note icache_cases_at;
           check_snaps ~what:(what 1) r1 b1
           && check_snaps ~what:(what 2) r2 b2
           && check_snaps ~what:(what 3) r3 b3)
         [ ("super", Engine.default, None);
           ("tiered", tiered, None);
-          (* the icache model caps the tiered climb at tier 2 *)
+          (* the icache model keeps translation at tier 2 *)
           ("tiered-icache", tiered, Some Icache.default_geometry) ])
 
 (* The property, then a shape-coverage check over its cases: the tiered
-   arm must have run blocks below the top tier, so the straight-line and
-   IR-less superblock shapes stay differential-tested against the oracle
-   (one short case may stop before any block reaches tier 2). *)
+   arm must have run blocks at tier 3 and nowhere else (no entry climbs
+   through a lower tier), and the icache arm at tier 2, so the IR and the
+   IR-less superblock shapes both stay differential-tested against the
+   oracle. *)
 let test_tier_differential =
   let name, speed, run = QCheck_alcotest.to_alcotest prop_tier_differential in
   ( name,
     speed,
     fun () ->
       Array.fill tiered_cases_at 0 4 0;
+      Array.fill icache_cases_at 0 4 0;
       run ();
-      if tiered_cases_at.(1) = 0 || tiered_cases_at.(2) = 0 then
-        Alcotest.failf "tiered arm dispatched at tier 1 in %d cases, tier 2 in %d"
-          tiered_cases_at.(1) tiered_cases_at.(2) )
+      let counts a = String.concat "/" (List.map string_of_int (Array.to_list a)) in
+      if tiered_cases_at.(3) = 0 || tiered_cases_at.(1) + tiered_cases_at.(2) > 0 then
+        Alcotest.failf "tiered arm dispatched at tiers 0/1/2/3 in %s cases (want tier 3 only)"
+          (counts tiered_cases_at);
+      if icache_cases_at.(2) = 0 || icache_cases_at.(1) + icache_cases_at.(3) > 0 then
+        Alcotest.failf
+          "tiered-icache arm dispatched at tiers 0/1/2/3 in %s cases (want tier 2 only)"
+          (counts icache_cases_at) )
 
 (* --- IC state machine golden ------------------------------------------- *)
 
@@ -370,9 +376,10 @@ let test_ic_transitions () =
   Alcotest.(check bool) "return sites stayed monomorphic" true
     (List.exists (fun i -> i.Machine.ici_state = `Mono) (Machine.ic_infos m))
 
-(* tiered runs promote: the same program must report blocks above tier 1
-   and a recompiled (relaid) block once hot enough *)
-let test_tier_promotion_visible () =
+(* a tiered machine translates at the top tier on first touch: every block
+   it holds is at tier 3, and a block hot enough has been recompiled
+   (relaid) from its exit profile *)
+let test_top_tier_first_touch () =
   let bin = Programs.branchy ~rounds:20_000 () in
   let mem = Loader.load bin in
   let m = Machine.create ~engine:tiered ~mem ~isa:Ext.rv64gcv () in
@@ -381,8 +388,11 @@ let test_tier_promotion_visible () =
   | Machine.Exited _ -> ()
   | _ -> Alcotest.fail "branchy did not exit");
   let infos = Machine.block_infos m in
-  Alcotest.(check bool) "a block reached tier 3" true
-    (List.exists (fun b -> b.Machine.bi_tier = 3) infos);
+  Alcotest.(check bool) "blocks were translated" true (infos <> []);
+  Alcotest.(check (list int)) "no block below tier 3" []
+    (List.filter_map
+       (fun b -> if b.Machine.bi_tier <> 3 then Some b.Machine.bi_entry else None)
+       infos);
   Alcotest.(check bool) "a hot block was relaid from its exit profile" true
     (List.exists (fun b -> b.Machine.bi_relaid) infos)
 
@@ -410,8 +420,8 @@ let test_icache_caps_untiered () =
 (* --- page-boundary fault equivalence ------------------------------------ *)
 
 (* A loop walks one memory access up a data page a byte at a time, so the
-   access runs interpreted, then translated at every tier, and its last
-   trips land on the page's final offsets. The page's successor is
+   access runs translated (and, on the tiered machine, relaid once hot),
+   and its last trips land on the page's final offsets. The page's successor is
    unmapped, read-only or mapped. Whatever the access does there (complete
    in-page, cross the boundary, fault at the successor's first byte after a
    partial store), every engine must leave the same registers, pc, retired
@@ -439,7 +449,7 @@ let pb_cases =
 
 let pb_text = 0x10000
 let pb_page = 0x40000
-let pb_span = 400  (* trips before the last one: enough to reach tier 3 *)
+let pb_span = 400  (* trips before the last one: enough for the relayout check *)
 
 (* s4 walks the page, t0 counts trips down, loads sum into s2, stores
    write t1 (stepped as xorshift, so every store writes a fresh value) *)
@@ -543,7 +553,7 @@ let prop_page_boundary =
 (* Minor words allocated per retired instruction by a fuel-limited run of
    an already warm tiered machine. [Gc.minor_words] counts the calling
    domain only, and the whole measurement runs on the test's own domain.
-   The warm-up run promotes the hot loop to the top tier and fills its
+   The warm-up run translates the hot loop, relays it out and fills its
    chain links and inline caches; the measured run is then pure steady
    state. *)
 let warm_alloc_per_inst bin ~warm ~fuel =
@@ -578,9 +588,9 @@ let () =
       ("inline-caches",
        [ Alcotest.test_case "mono -> poly -> mega transition" `Quick
            test_ic_transitions ]);
-      ("promotion",
-       [ Alcotest.test_case "tier promotion and relayout observable" `Quick
-           test_tier_promotion_visible ]);
+      ("first-touch",
+       [ Alcotest.test_case "top-tier first touch and relayout observable" `Quick
+           test_top_tier_first_touch ]);
       ("allocation",
        [ Alcotest.test_case "warm tiered run allocation budget" `Quick
            test_alloc_budget ]);
