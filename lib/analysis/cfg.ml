@@ -7,13 +7,24 @@ type block = {
   b_call : int option;
 }
 
+(* [of_disasm] builds only the flat arrays; block records and the
+   predecessor table are built the first time something asks for them. *)
 type t = {
-  blocks : block array;  (* ascending by address *)
-  ordered : block list;
-  index : Slots.t;  (* insn addr -> position in address order *)
+  insns : Disasm.insn array;  (* insn position -> insn, ascending *)
+  addrs : int array;  (* insn position -> address *)
+  ends : int array;  (* insn position -> address one past it *)
+  flows : Disasm.flow array;  (* insn position -> flow *)
+  index : Slots.t;  (* insn addr -> position *)
+  nb : int;
+  starts : int array;  (* block -> position of its first insn; [starts.(nb)] = n *)
   block_of : int array;  (* insn position -> block *)
-  predecessors : int list array;  (* per block *)
+  built : block array;  (* per block, [unbuilt] until first asked for *)
+  mutable predecessors : int list array option;  (* per block *)
 }
+
+(* Blocks are never empty, so an empty listing marks a record not yet
+   built. *)
+let unbuilt = { b_addr = -1; b_insns = []; b_succs = []; b_call = None }
 
 let transfers = function
   | Disasm.Fallthrough | Disasm.Syscall -> false
@@ -32,8 +43,10 @@ let of_disasm dis =
   let n = Disasm.count dis in
   let addrs = Array.make n 0 and ends = Array.make n 0 in
   let flows = Array.make n Disasm.Fallthrough in
+  let insns = Array.make n { Disasm.addr = 0; inst = Inst.C_nop; size = 0 } in
   let k = ref 0 in
   Disasm.iter dis (fun i ->
+      insns.(!k) <- i;
       addrs.(!k) <- i.addr;
       ends.(!k) <- i.addr + i.size;
       flows.(!k) <- Disasm.flow_of i;
@@ -69,74 +82,85 @@ let of_disasm dis =
   done;
   let nb = !nb in
   starts.(nb) <- n;
-  let is_start a =
-    let k = Slots.find index a in
-    k >= 0 && starts.(block_of.(k)) = k
-  in
-  (* A direct successor that is not a known block start becomes unknown
-     (decode gap) — except the fallthrough of a syscall at the end of the
-     text, which is a program-exit boundary, not an unknown continuation
-     (treating it as unknown would make every register live at the end of
-     the program). *)
-  let block b b_insns =
-    let last = starts.(b + 1) - 1 in
-    let fall = ends.(last) in
-    let direct a rest =
-      if is_start a then Sblock a :: rest
-      else match flows.(last) with Disasm.Syscall -> rest | _ -> Sunknown :: rest
-    in
-    let b_succs, b_call =
-      match flows.(last) with
-      | Disasm.Fallthrough | Disasm.Syscall | Disasm.Indirect_call -> (direct fall [], None)
-      | Disasm.Branch t -> (direct t (direct fall []), None)
-      | Disasm.Jump t -> (direct t [], None)
-      | Disasm.Call t -> (direct fall [], Some t)
-      | Disasm.Indirect_jump -> ([ Sunknown ], None)
-      | Disasm.Ret -> ([ Sreturn ], None)
-      | Disasm.Halt -> ([], None)
-    in
-    { b_addr = addrs.(starts.(b)); b_insns; b_succs; b_call }
-  in
-  let blocks = Array.make nb { b_addr = 0; b_insns = []; b_succs = []; b_call = None } in
-  let b = ref 0 and k = ref 0 and cur = ref [] in
-  Disasm.iter dis (fun i ->
-      cur := i :: !cur;
-      incr k;
-      if !k = starts.(!b + 1) then begin
-        blocks.(!b) <- block !b (List.rev !cur);
-        cur := [];
-        incr b
-      end);
-  let predecessors = Array.make nb [] in
-  Array.iter
-    (fun b ->
-      List.iter
-        (function
-          | Sblock a ->
-              let s = block_of.(Slots.find index a) in
-              predecessors.(s) <- b.b_addr :: predecessors.(s)
-          | Sunknown | Sreturn -> ())
-        b.b_succs)
-    blocks;
-  { blocks; ordered = Array.to_list blocks; index; block_of; predecessors }
+  { insns; addrs; ends; flows; index; nb; starts; block_of;
+    built = Array.make nb unbuilt; predecessors = None }
 
-let blocks t = t.ordered
+let unknown = -1
+let return = -2
+let no_succ = -3
+
+(* A direct successor that is not a known block start becomes unknown
+   (decode gap) — except the fallthrough of a syscall at the end of the
+   text, which is a program-exit boundary, not an unknown continuation
+   (treating it as unknown would make every register live at the end of
+   the program). *)
+let direct t last a =
+  let k = Slots.find t.index a in
+  if k >= 0 && t.starts.(t.block_of.(k)) = k then t.block_of.(k)
+  else match t.flows.(last) with Disasm.Syscall -> no_succ | _ -> unknown
+
+let succ t b j =
+  let last = t.starts.(b + 1) - 1 in
+  match t.flows.(last) with
+  | Disasm.Fallthrough | Disasm.Syscall | Disasm.Indirect_call | Disasm.Call _ ->
+      if j = 0 then direct t last t.ends.(last) else no_succ
+  | Disasm.Branch a ->
+      if j = 0 then direct t last a
+      else if j = 1 then direct t last t.ends.(last)
+      else no_succ
+  | Disasm.Jump a -> if j = 0 then direct t last a else no_succ
+  | Disasm.Indirect_jump -> if j = 0 then unknown else no_succ
+  | Disasm.Ret -> if j = 0 then return else no_succ
+  | Disasm.Halt -> no_succ
+
+let block_count t = t.nb
+let block_first t b = t.starts.(b)
+let position t addr = Slots.find t.index addr
+let block_of_position t k = t.block_of.(k)
+let flow_at t k = t.flows.(k)
+
+let insn_at t k = t.insns.(k)
+
+let block t b =
+  match t.built.(b) with
+  | { b_insns = []; _ } ->
+      let insns = ref [] in
+      for k = t.starts.(b + 1) - 1 downto t.starts.(b) do
+        insns := insn_at t k :: !insns
+      done;
+      let to_succ s =
+        if s >= 0 then Some (Sblock t.addrs.(t.starts.(s)))
+        else if s = unknown then Some Sunknown
+        else if s = return then Some Sreturn
+        else None
+      in
+      let b_call =
+        match t.flows.(t.starts.(b + 1) - 1) with Disasm.Call a -> Some a | _ -> None
+      in
+      let blk =
+        { b_addr = t.addrs.(t.starts.(b));
+          b_insns = !insns;
+          b_succs = List.filter_map to_succ [ succ t b 0; succ t b 1 ];
+          b_call }
+      in
+      t.built.(b) <- blk;
+      blk
+  | blk -> blk
+
+let blocks t = List.init t.nb (block t)
 
 (* Block index of the block starting exactly at [addr], or -1. *)
 let block_index t addr =
   let k = Slots.find t.index addr in
-  if k < 0 then -1
-  else
-    let b = t.block_of.(k) in
-    if t.blocks.(b).b_addr = addr then b else -1
+  if k >= 0 && t.starts.(t.block_of.(k)) = k then t.block_of.(k) else -1
 
 let block_at t addr =
   let b = block_index t addr in
-  if b < 0 then None else Some t.blocks.(b)
+  if b < 0 then None else Some (block t b)
 
 let block_containing t addr =
   let k = Slots.find t.index addr in
-  if k < 0 then None else Some t.blocks.(t.block_of.(k))
+  if k < 0 then None else Some (block t t.block_of.(k))
 
 let block_end b =
   let rec last = function
@@ -146,9 +170,23 @@ let block_end b =
   in
   last b.b_insns
 
+let predecessors t =
+  match t.predecessors with
+  | Some p -> p
+  | None ->
+      let p = Array.make t.nb [] in
+      for b = 0 to t.nb - 1 do
+        for j = 0 to 1 do
+          let s = succ t b j in
+          if s >= 0 then p.(s) <- t.addrs.(t.starts.(b)) :: p.(s)
+        done
+      done;
+      t.predecessors <- Some p;
+      p
+
 let preds t addr =
   let b = block_index t addr in
-  if b < 0 then [] else t.predecessors.(b)
+  if b < 0 then [] else (predecessors t).(b)
 
 let pp_dot fmt t =
   Format.fprintf fmt "digraph cfg {@.  node [shape=box, fontname=monospace];@.";
@@ -169,5 +207,5 @@ let pp_dot fmt t =
               Format.fprintf fmt "  b%x -> unknown [style=dashed];@." b.b_addr
           | Sreturn -> Format.fprintf fmt "  b%x -> ret [style=dotted];@." b.b_addr)
         b.b_succs)
-    t.ordered;
+    (blocks t);
   Format.fprintf fmt "}@."

@@ -20,6 +20,13 @@ type block = {
 }
 
 type t
+(** A CFG fills itself in lazily: {!of_disasm} cuts the blocks into flat
+    arrays, and a block's record (its instruction list and successors) and
+    the predecessor table are built and kept the first time a query asks
+    for them. So a [t] is mutable even behind read-only queries: it is a
+    single-domain value, and two domains must not query one [t]. [Chbp]
+    builds one per rewrite or lazy extension and keeps none in a
+    [Chbp.t], so concurrent rewrites share no CFG. *)
 
 val of_disasm : Disasm.t -> t
 
@@ -37,6 +44,34 @@ val block_end : block -> int
 
 val preds : t -> int -> int list
 (** Addresses of predecessor blocks of the block starting at [addr]. *)
+
+(** {2 Dense view}
+
+    Blocks are numbered [0 .. block_count t - 1] in address order and
+    instructions by their position in address order. A solver that reads
+    the graph through these builds no block records ({!Liveness}). *)
+
+val block_count : t -> int
+
+val block_first : t -> int -> int
+(** Position of the block's first instruction; [block_first t (block_count
+    t)] is the instruction count. *)
+
+val position : t -> int -> int
+(** Position of the instruction at the address, or [-1]. *)
+
+val block_of_position : t -> int -> int
+val insn_at : t -> int -> Disasm.insn
+val flow_at : t -> int -> Disasm.flow
+
+val succ : t -> int -> int -> int
+(** [succ t b j] is block [b]'s successor [j] ([0] or [1]): a block index,
+    or {!unknown}, {!return} or {!no_succ}. The successors that are not
+    [no_succ] are [b_succs] in order. *)
+
+val unknown : int
+val return : int
+val no_succ : int
 
 val pp_dot : Format.formatter -> t -> unit
 (** Graphviz rendering: one node per basic block (instruction listing),

@@ -1,27 +1,48 @@
+(* Liveness is solved on demand. A block's live-out depends only on the
+   blocks reachable forward from it: a call does not enter its callee, and
+   an unknown or return successor is a fixed mask. So the first query in a
+   block solves the forward closure of that block, minus the blocks earlier
+   queries already solved (their live-ins are final), and marks it solved.
+   Each closure is solved to its least fixpoint from empty sets, so the
+   answers do not depend on which queries come first. *)
+
+let unseen = '\000'
+let open_ = '\001'  (* in the closure being solved *)
+let solved = '\002'
+let walked = '\003'  (* solved, and its insns' live-ins stored *)
+
 type t = {
-  index : Slots.t;  (* insn addr -> position in address order *)
-  first : int array;  (* per block: position of its first insn *)
-  block_of : int array;  (* insn position -> block *)
-  live_out : Regmask.t array;  (* per block *)
-  live_in : Regmask.t array;  (* per insn *)
+  cfg : Cfg.t;
+  state : Bytes.t;  (* per block *)
+  next : Bytes.t;  (* per block on the search stack: next successor to visit *)
+  succs : int array;  (* per block, two [Cfg.succ] codes, filled once seen *)
+  gen : Regmask.t array;  (* per block, once seen: live_in = gen ∪ (live_out \ kill) *)
+  kill : Regmask.t array;
+  live_in : Regmask.t array;  (* per block, final once solved *)
+  live_out : Regmask.t array;
+  insn_live_in : Regmask.t array;  (* per insn, once its block is walked *)
+  stack : int array;  (* depth-first search over the closure *)
+  order : int array;  (* the closure, successors before predecessors *)
 }
 
-let is_call (i : Disasm.insn) =
-  match Disasm.flow_of i with
+let is_call = function
   | Disasm.Call _ | Disasm.Indirect_call -> true
   | Disasm.Fallthrough | Disasm.Branch _ | Disasm.Jump _ | Disasm.Indirect_jump
   | Disasm.Ret | Disasm.Syscall | Disasm.Halt ->
       false
 
-let insn_uses (i : Disasm.insn) =
-  let own = Regmask.of_list (Inst.uses i.inst) in
+let uses inst flow =
+  let own = Inst.uses_mask inst in
   (* the callee may read its arguments, plus the target register *)
-  if is_call i then Regmask.union Regmask.arg_regs own else own
+  if is_call flow then Regmask.union Regmask.arg_regs own else own
 
-let insn_defs (i : Disasm.insn) =
-  let own = Regmask.of_list (Inst.defs i.inst) in
+let defs inst flow =
+  let own = Inst.defs_mask inst in
   (* the callee may clobber every caller-saved register *)
-  if is_call i then Regmask.union Regmask.caller_saved own else own
+  if is_call flow then Regmask.union Regmask.caller_saved own else own
+
+let insn_uses (i : Disasm.insn) = uses i.inst (Disasm.flow_of i)
+let insn_defs (i : Disasm.insn) = defs i.inst (Disasm.flow_of i)
 
 (* At a return the ABI pins the caller-visible state: the return values,
    the stack pointer and the callee-saved registers; every caller-saved
@@ -30,113 +51,117 @@ let abi_return_live =
   Regmask.of_list
     ([ Reg.a0; Reg.a1; Reg.sp; Reg.gp; Reg.tp; Reg.ra ] @ Reg.callee_saved)
 
-(* Successors as block indices, with these two markers for the rest. *)
-let unknown = -1
-let return = -2
-
 let compute cfg =
-  let blocks = Array.of_list (Cfg.blocks cfg) in
-  let nb = Array.length blocks in
-  let first = Array.make (nb + 1) 0 in
-  Array.iteri
-    (fun b (blk : Cfg.block) -> first.(b + 1) <- first.(b) + List.length blk.b_insns)
-    blocks;
-  let n = first.(nb) in
-  (* per-insn transfer masks: live_in = uses ∪ (live_out \ defs) *)
-  let addrs = Array.make n 0 and uses = Array.make n 0 and defs = Array.make n 0 in
-  let block_of = Array.make n 0 in
-  Array.iteri
-    (fun b (blk : Cfg.block) ->
-      List.iteri
-        (fun j (i : Disasm.insn) ->
-          let k = first.(b) + j in
-          addrs.(k) <- i.addr;
-          uses.(k) <- insn_uses i;
-          defs.(k) <- insn_defs i;
-          block_of.(k) <- b)
-        blk.b_insns)
-    blocks;
-  let index = Slots.of_sorted addrs in
-  (* Each block's transfer folded into one gen/kill pair:
-     live_in = gen ∪ (live_out \ kill). *)
-  let gen = Array.make nb 0 and kill = Array.make nb 0 in
-  for b = 0 to nb - 1 do
-    for k = first.(b + 1) - 1 downto first.(b) do
-      gen.(b) <- Regmask.union uses.(k) (Regmask.diff gen.(b) defs.(k));
-      kill.(b) <- Regmask.union kill.(b) defs.(k)
+  let nb = Cfg.block_count cfg in
+  let ints () = Array.make nb 0 in
+  { cfg;
+    state = Bytes.make nb unseen;
+    next = Bytes.make nb '\000';
+    succs = Array.make (2 * nb) 0;
+    gen = ints ();
+    kill = ints ();
+    live_in = ints ();
+    live_out = ints ();
+    insn_live_in = Array.make (Cfg.block_first cfg nb) 0;
+    stack = ints ();
+    order = ints () }
+
+let enter t b =
+  Bytes.set t.state b open_;
+  t.succs.(2 * b) <- Cfg.succ t.cfg b 0;
+  t.succs.((2 * b) + 1) <- Cfg.succ t.cfg b 1;
+  (* the block's transfer folded into one gen/kill pair *)
+  let gen = ref Regmask.empty and kill = ref Regmask.empty in
+  for k = Cfg.block_first t.cfg (b + 1) - 1 downto Cfg.block_first t.cfg b do
+    let i = Cfg.insn_at t.cfg k and flow = Cfg.flow_at t.cfg k in
+    let d = defs i.inst flow in
+    gen := Regmask.union (uses i.inst flow) (Regmask.diff !gen d);
+    kill := Regmask.union !kill d
+  done;
+  t.gen.(b) <- !gen;
+  t.kill.(b) <- !kill
+
+let out_of t b =
+  let out = ref Regmask.empty in
+  for j = 2 * b to (2 * b) + 1 do
+    let s = t.succs.(j) in
+    if s >= 0 then out := Regmask.union !out t.live_in.(s)
+    else if s = Cfg.unknown then out := Regmask.all
+    else if s = Cfg.return then out := Regmask.union !out abi_return_live
+  done;
+  !out
+
+let solve t b0 =
+  if Bytes.get t.state b0 < solved then begin
+    (* the unsolved forward closure of [b0], in depth-first postorder *)
+    enter t b0;
+    t.stack.(0) <- b0;
+    let depth = ref 1 and m = ref 0 in
+    while !depth > 0 do
+      let b = t.stack.(!depth - 1) in
+      let j = Char.code (Bytes.get t.next b) in
+      if j < 2 then begin
+        Bytes.set t.next b (Char.chr (j + 1));
+        let s = t.succs.((2 * b) + j) in
+        if s >= 0 && Bytes.get t.state s = unseen then begin
+          enter t s;
+          t.stack.(!depth) <- s;
+          incr depth
+        end
+      end
+      else begin
+        decr depth;
+        t.order.(!m) <- b;
+        incr m
+      end
+    done;
+    (* round-robin passes from empty sets until nothing changes: the least
+       fixpoint *)
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for i = 0 to !m - 1 do
+        let b = t.order.(i) in
+        let out = out_of t b in
+        t.live_out.(b) <- out;
+        let inn = Regmask.union t.gen.(b) (Regmask.diff out t.kill.(b)) in
+        if inn <> t.live_in.(b) then begin
+          t.live_in.(b) <- inn;
+          changed := true
+        end
+      done
+    done;
+    for i = 0 to !m - 1 do
+      Bytes.set t.state t.order.(i) solved
     done
-  done;
-  let succs =
-    Array.map
-      (fun (blk : Cfg.block) ->
-        Array.of_list
-          (List.map
-             (function
-               | Cfg.Sblock a -> block_of.(Slots.find index a)
-               | Cfg.Sunknown -> unknown
-               | Cfg.Sreturn -> return)
-             blk.b_succs))
-      blocks
-  in
-  let preds = Array.make nb [] in
-  Array.iteri
-    (fun b ss -> Array.iter (fun s -> if s >= 0 then preds.(s) <- b :: preds.(s)) ss)
-    succs;
-  let block_in = Array.make nb Regmask.empty and live_out = Array.make nb Regmask.empty in
-  let out_of b =
-    Array.fold_left
-      (fun acc s ->
-        if s = unknown then Regmask.all
-        else if s = return then Regmask.union acc abi_return_live
-        else Regmask.union acc block_in.(s))
-      Regmask.empty succs.(b)
-  in
-  (* Backward worklist fixpoint: a FIFO ring holding each block at most
-     once, seeded last block first. *)
-  let ring = Array.make (max nb 1) 0 and queued = Bytes.make nb '\001' in
-  for b = 0 to nb - 1 do
-    ring.(b) <- nb - 1 - b
-  done;
-  let head = ref 0 and size = ref nb in
-  while !size > 0 do
-    let b = ring.(!head) in
-    head := (!head + 1) mod nb;
-    decr size;
-    Bytes.set queued b '\000';
-    let out = out_of b in
-    live_out.(b) <- out;
-    let inn = Regmask.union gen.(b) (Regmask.diff out kill.(b)) in
-    if inn <> block_in.(b) then begin
-      block_in.(b) <- inn;
-      List.iter
-        (fun p ->
-          if Bytes.get queued p = '\000' then begin
-            Bytes.set queued p '\001';
-            ring.((!head + !size) mod nb) <- p;
-            incr size
-          end)
-        preds.(b)
-    end
-  done;
-  (* Every instruction's live-in, one backward pass per block. *)
-  let insn_live_in = Array.make n 0 in
-  for b = 0 to nb - 1 do
-    let live = ref live_out.(b) in
-    for k = first.(b + 1) - 1 downto first.(b) do
-      live := Regmask.union uses.(k) (Regmask.diff !live defs.(k));
-      insn_live_in.(k) <- !live
-    done
-  done;
-  { index; first; block_of; live_out; live_in = insn_live_in }
+  end
 
 let live_out t addr =
-  let k = Slots.find t.index addr in
-  if k >= 0 && t.first.(t.block_of.(k)) = k then t.live_out.(t.block_of.(k))
-  else raise Not_found
+  let k = Cfg.position t.cfg addr in
+  if k < 0 then raise Not_found;
+  let b = Cfg.block_of_position t.cfg k in
+  if Cfg.block_first t.cfg b <> k then raise Not_found;
+  solve t b;
+  t.live_out.(b)
 
+(* The first query inside a block stores the live-in of each of its
+   insns, one backward walk from the block's live-out. *)
 let live_in_at t addr =
-  let k = Slots.find t.index addr in
-  if k < 0 then None else Some t.live_in.(k)
+  let k = Cfg.position t.cfg addr in
+  if k < 0 then None
+  else
+    let b = Cfg.block_of_position t.cfg k in
+    if Bytes.get t.state b <> walked then begin
+      solve t b;
+      let live = ref t.live_out.(b) in
+      for j = Cfg.block_first t.cfg (b + 1) - 1 downto Cfg.block_first t.cfg b do
+        let i = Cfg.insn_at t.cfg j and flow = Cfg.flow_at t.cfg j in
+        live := Regmask.union (uses i.inst flow) (Regmask.diff !live (defs i.inst flow));
+        t.insn_live_in.(j) <- !live
+      done;
+      Bytes.set t.state b walked
+    end;
+    Some t.insn_live_in.(k)
 
 let never_clobber = Regmask.of_list [ Reg.x0; Reg.sp; Reg.gp; Reg.tp ]
 

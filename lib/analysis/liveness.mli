@@ -13,6 +13,13 @@
     shifting then recovers almost all of them. *)
 
 type t
+(** Liveness is solved on demand. {!compute} only sizes per-block state;
+    the first query that lands in a block solves the forward closure of
+    that block (the blocks reachable from it, minus those already solved)
+    to its least fixpoint and keeps the result. Answers are the same
+    whatever order queries arrive in. A [t], and the {!Cfg.t} it reads, is
+    mutable behind its queries: it is a single-domain value. [Chbp] keeps
+    none in a [Chbp.t]. *)
 
 val compute : Cfg.t -> t
 
@@ -22,8 +29,9 @@ val live_out : t -> int -> Regmask.t
 
 val live_in_at : t -> int -> Regmask.t option
 (** Registers live immediately before the instruction at the address
-    (recomputed by a backward walk inside its block); [None] if the address
-    is not a known instruction. *)
+    (the first query inside a block walks it backward once and keeps every
+    instruction's live-in); [None] if the address is not a known
+    instruction. *)
 
 val dead_at : t -> ?avoid:Reg.t list -> int -> Reg.t option
 (** A register that is not live before the instruction at the address and is

@@ -123,68 +123,67 @@ let is_bitmanip = function
   | Vmv_v_x _ | Vmv_x_s _ | Vredsum _ | Xcheck_jalr _ | P_add16 _ | P_smaqa _ ->
       false
 
-let no_x0 regs = List.filter (fun r -> not (Reg.equal r Reg.x0)) regs
+(* Register facts as masks in [Regmask]'s layout: bit [i] is [xi], and
+   bit 0 is cleared, so [x0] is never reported. *)
+let bit r = (1 lsl Reg.to_int r) land lnot 1
+let bit2 a b = bit a lor bit b
 
-let defs i =
-  no_x0
-    (match i with
-    | Lui (rd, _) | Auipc (rd, _) | Jal (rd, _) -> [ rd ]
-    | Jalr (rd, _, _) | Xcheck_jalr (rd, _, _) -> [ rd ]
-    | Ecall -> [ Reg.a0 ]
-    | Branch _ | Store _ | Ebreak -> []
-    | Load { rd; _ } -> [ rd ]
-    | Op (_, rd, _, _) | Opi (_, rd, _, _) -> [ rd ]
-    | C_nop | C_ebreak -> []
-    | C_addi (rd, _) | C_li (rd, _) | C_mv (rd, _) | C_add (rd, _) -> [ rd ]
-    | C_j _ | C_jr _ -> []
-    | C_jalr _ -> [ Reg.ra ]
-    | C_beqz _ | C_bnez _ -> []
-    | C_ld (rd, _, _) | C_lw (rd, _, _) -> [ rd ]
-    | C_sd _ | C_sw _ -> []
-    | C_lui (rd, _) -> [ rd ]
-    | C_addiw (rd, _) | C_andi (rd, _) -> [ rd ]
-    | C_alu (_, rd, _) -> [ rd ]
-    | C_slli (rd, _) -> [ rd ]
-    | Vsetvli (rd, _, _) -> [ rd ]
-    | Vle _ | Vlse _ | Vse _ | Vsse _ | Vop_vv _ | Vop_vx _ | Vmv_v_x _ | Vredsum _ -> []
-    | Vmv_x_s (rd, _) -> [ rd ]
-    | P_add16 (rd, _, _) | P_smaqa (rd, _, _) -> [ rd ])
+let defs_mask = function
+  | Lui (rd, _) | Auipc (rd, _) | Jal (rd, _) -> bit rd
+  | Jalr (rd, _, _) | Xcheck_jalr (rd, _, _) -> bit rd
+  | Ecall -> bit Reg.a0
+  | Branch _ | Store _ | Ebreak -> 0
+  | Load { rd; _ } -> bit rd
+  | Op (_, rd, _, _) | Opi (_, rd, _, _) -> bit rd
+  | C_nop | C_ebreak -> 0
+  | C_addi (rd, _) | C_li (rd, _) | C_mv (rd, _) | C_add (rd, _) -> bit rd
+  | C_j _ | C_jr _ -> 0
+  | C_jalr _ -> bit Reg.ra
+  | C_beqz _ | C_bnez _ -> 0
+  | C_ld (rd, _, _) | C_lw (rd, _, _) -> bit rd
+  | C_sd _ | C_sw _ -> 0
+  | C_lui (rd, _) -> bit rd
+  | C_addiw (rd, _) | C_andi (rd, _) -> bit rd
+  | C_alu (_, rd, _) -> bit rd
+  | C_slli (rd, _) -> bit rd
+  | Vsetvli (rd, _, _) -> bit rd
+  | Vle _ | Vlse _ | Vse _ | Vsse _ | Vop_vv _ | Vop_vx _ | Vmv_v_x _ | Vredsum _ -> 0
+  | Vmv_x_s (rd, _) -> bit rd
+  | P_add16 (rd, _, _) | P_smaqa (rd, _, _) -> bit rd
 
-let uses i =
-  no_x0
-    (match i with
-    | Lui _ | Auipc _ | Jal _ -> []
-    | Jalr (_, rs1, _) | Xcheck_jalr (_, rs1, _) -> [ rs1 ]
-    | Branch (_, rs1, rs2, _) -> [ rs1; rs2 ]
-    | Load { rs1; _ } -> [ rs1 ]
-    | Store { rs2; rs1; _ } -> [ rs2; rs1 ]
-    | Op (_, _, rs1, rs2) -> [ rs1; rs2 ]
-    | Opi (_, _, rs1, _) -> [ rs1 ]
-    | Ecall -> [ Reg.a0; Reg.a1; Reg.a2; Reg.a7 ]
-    | Ebreak -> []
-    | C_nop | C_ebreak -> []
-    | C_addi (rd, _) -> [ rd ]
-    | C_li _ -> []
-    | C_mv (_, rs2) -> [ rs2 ]
-    | C_add (rd, rs2) -> [ rd; rs2 ]
-    | C_j _ -> []
-    | C_jr rs1 | C_jalr rs1 -> [ rs1 ]
-    | C_beqz (rs1, _) | C_bnez (rs1, _) -> [ rs1 ]
-    | C_ld (_, rs1, _) | C_lw (_, rs1, _) -> [ rs1 ]
-    | C_sd (rs2, rs1, _) | C_sw (rs2, rs1, _) -> [ rs2; rs1 ]
-    | C_lui _ -> []
-    | C_addiw (rd, _) | C_andi (rd, _) -> [ rd ]
-    | C_alu (_, rd, rs2) -> [ rd; rs2 ]
-    | C_slli (rd, _) -> [ rd ]
-    | Vsetvli (_, rs1, _) -> [ rs1 ]
-    | Vle (_, _, rs1) | Vse (_, _, rs1) -> [ rs1 ]
-    | Vlse (_, _, rs1, rs2) | Vsse (_, _, rs1, rs2) -> [ rs1; rs2 ]
-    | Vop_vv _ -> []
-    | Vop_vx (_, _, _, rs1) -> [ rs1 ]
-    | Vmv_v_x (_, rs1) -> [ rs1 ]
-    | Vmv_x_s _ | Vredsum _ -> []
-    | P_add16 (_, rs1, rs2) -> [ rs1; rs2 ]
-    | P_smaqa (rd, rs1, rs2) -> [ rd; rs1; rs2 ])
+let uses_mask = function
+  | Lui _ | Auipc _ | Jal _ -> 0
+  | Jalr (_, rs1, _) | Xcheck_jalr (_, rs1, _) -> bit rs1
+  | Branch (_, rs1, rs2, _) -> bit2 rs1 rs2
+  | Load { rs1; _ } -> bit rs1
+  | Store { rs2; rs1; _ } -> bit2 rs2 rs1
+  | Op (_, _, rs1, rs2) -> bit2 rs1 rs2
+  | Opi (_, _, rs1, _) -> bit rs1
+  | Ecall -> bit2 Reg.a0 Reg.a1 lor bit2 Reg.a2 Reg.a7
+  | Ebreak -> 0
+  | C_nop | C_ebreak -> 0
+  | C_addi (rd, _) -> bit rd
+  | C_li _ -> 0
+  | C_mv (_, rs2) -> bit rs2
+  | C_add (rd, rs2) -> bit2 rd rs2
+  | C_j _ -> 0
+  | C_jr rs1 | C_jalr rs1 -> bit rs1
+  | C_beqz (rs1, _) | C_bnez (rs1, _) -> bit rs1
+  | C_ld (_, rs1, _) | C_lw (_, rs1, _) -> bit rs1
+  | C_sd (rs2, rs1, _) | C_sw (rs2, rs1, _) -> bit2 rs2 rs1
+  | C_lui _ -> 0
+  | C_addiw (rd, _) | C_andi (rd, _) -> bit rd
+  | C_alu (_, rd, rs2) -> bit2 rd rs2
+  | C_slli (rd, _) -> bit rd
+  | Vsetvli (_, rs1, _) -> bit rs1
+  | Vle (_, _, rs1) | Vse (_, _, rs1) -> bit rs1
+  | Vlse (_, _, rs1, rs2) | Vsse (_, _, rs1, rs2) -> bit2 rs1 rs2
+  | Vop_vv _ -> 0
+  | Vop_vx (_, _, _, rs1) -> bit rs1
+  | Vmv_v_x (_, rs1) -> bit rs1
+  | Vmv_x_s _ | Vredsum _ -> 0
+  | P_add16 (_, rs1, rs2) -> bit2 rs1 rs2
+  | P_smaqa (rd, rs1, rs2) -> bit rd lor bit2 rs1 rs2
 
 let vdefs = function
   | Vle (_, vd, _) | Vlse (_, vd, _, _) | Vop_vv (_, vd, _, _) | Vop_vx (_, vd, _, _)

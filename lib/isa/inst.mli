@@ -119,11 +119,13 @@ val is_vector : t -> bool
 val is_bitmanip : t -> bool
 val is_packed_simd : t -> bool
 
-val defs : t -> Reg.t list
-(** Integer registers written. [x0] is never reported. *)
+val defs_mask : t -> int
+(** Integer registers written, as a mask: bit [i] is set when [xi] is
+    written (the layout of [Regmask.t]). [x0] is never reported. *)
 
-val uses : t -> Reg.t list
-(** Integer registers read. [x0] is never reported. *)
+val uses_mask : t -> int
+(** Integer registers read, as a mask in the same layout. [x0] is never
+    reported. *)
 
 val vdefs : t -> Reg.v list
 val vuses : t -> Reg.v list

@@ -57,7 +57,7 @@ type t = {
   processed : (int, unit) Hashtbl.t;  (* source addresses already handled *)
   overwritten : (int, unit) Hashtbl.t;  (* non-site-start overwritten insts *)
   mutable cursor : int;
-  mutable chunks : (int * bytes) list;  (* ascending target-code chunks *)
+  mutable chunks : (int * bytes) list;  (* target-code chunks, newest first *)
   mutable pending : patch list;
   mutable recording : bool;
   mutable gregs : (int * Reg.t) list;  (* jalr addr, link register *)
@@ -363,9 +363,7 @@ let compute_run_ctx t live (region_insns : Disasm.insn list) =
                   List.fold_left
                     (fun acc (i : Disasm.insn) ->
                       Regmask.union acc
-                        (Regmask.union
-                           (Regmask.of_list (Inst.uses i.inst))
-                           (Regmask.of_list (Inst.defs i.inst))))
+                        (Regmask.union (Inst.uses_mask i.inst) (Inst.defs_mask i.inst)))
                     Regmask.empty run
                 in
                 let candidates =
@@ -532,7 +530,7 @@ let process_batch t dis live plan =
           plan
       in
       let bytes = Codebuf.link cb ~base:b ~resolve:(fun _ -> None) in
-      t.chunks <- t.chunks @ [ (b, bytes) ];
+      t.chunks <- (b, bytes) :: t.chunks;
       t.cursor <- b + Bytes.length bytes;
       t.st.target_bytes <- t.st.target_bytes + Bytes.length bytes;
       (* write entry trampolines *)
@@ -835,7 +833,7 @@ let process_greg_site t dis cfg live (sources : Disasm.insn list) =
         let cb = Codebuf.create () in
         emit_body cb b si.addr;
         let bytes = Codebuf.link cb ~base:b ~resolve:(fun _ -> None) in
-        t.chunks <- t.chunks @ [ (b, bytes) ];
+        t.chunks <- (b, bytes) :: t.chunks;
         t.cursor <- b + Bytes.length bytes;
         t.st.target_bytes <- t.st.target_bytes + Bytes.length bytes;
         ignore (Encode.write scratch 0 Inst.Ebreak);
@@ -870,7 +868,7 @@ let process_greg_site t dis cfg live (sources : Disasm.insn list) =
             between;
           emit_body cb b si.addr;
           let bytes = Codebuf.link cb ~base:b ~resolve:(fun _ -> None) in
-          t.chunks <- t.chunks @ [ (b, bytes) ];
+          t.chunks <- (b, bytes) :: t.chunks;
           t.cursor <- b + Bytes.length bytes;
           t.st.target_bytes <- t.st.target_bytes + Bytes.length bytes;
           (* the trampoline over the pair: auipc rd, hi; jalr rd, lo(rd) *)
@@ -917,7 +915,7 @@ let process_upgrade t dis live (c : Upgrade.candidate) =
       ignore (resolve_exit t cb dis live ~chunk_base:b ~start:(c.c_addr + 8))
   | None -> ());
   let bytes = Codebuf.link cb ~base:b ~resolve:(fun _ -> None) in
-  t.chunks <- t.chunks @ [ (b, bytes) ];
+  t.chunks <- (b, bytes) :: t.chunks;
   t.cursor <- b + Bytes.length bytes;
   t.st.target_bytes <- t.st.target_bytes + Bytes.length bytes;
   let scratch = Bytes.make 10 '\000' in
@@ -940,6 +938,20 @@ let process_upgrade t dis live (c : Upgrade.candidate) =
 (* Pipeline                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Sources, in address order, grouped per containing basic block. A block
+   is one contiguous address range, so its sources are consecutive. *)
+let group_by_block cfg sources =
+  let block (s : Disasm.insn) = Cfg.block_of_position cfg (Cfg.position cfg s.addr) in
+  let close acc cur = match cur with [] -> acc | _ -> List.rev cur :: acc in
+  let rec go acc cur = function
+    | [] -> List.rev (close acc cur)
+    | s :: rest -> (
+        match cur with
+        | c :: _ when block c <> block s -> go (close acc cur) [ s ] rest
+        | _ -> go acc (s :: cur) rest)
+  in
+  go [] [] sources
+
 let process t dis =
   let cfg = Cfg.of_disasm dis in
   let live = Liveness.compute cfg in
@@ -949,60 +961,24 @@ let process t dis =
       |> List.filter (fun c -> not (Hashtbl.mem t.processed c.Upgrade.c_addr))
       |> List.iter (fun c -> process_upgrade t dis live c)
   | Downgrade | Empty ->
-      let sources =
-        Disasm.to_list dis
-        |> List.filter (fun i ->
-               is_source t i && not (Hashtbl.mem t.processed i.Disasm.addr))
-      in
-      if not t.opts.use_gp then begin
-        let tbl = Hashtbl.create 32 in
-        let order = ref [] in
-        List.iter
-          (fun (s : Disasm.insn) ->
-            let key =
-              match Cfg.block_containing cfg s.addr with
-              | Some blk -> blk.Cfg.b_addr
-              | None -> s.addr
-            in
-            match Hashtbl.find_opt tbl key with
-            | None ->
-                order := key :: !order;
-                Hashtbl.replace tbl key [ s ]
-            | Some l -> Hashtbl.replace tbl key (s :: l))
-          sources;
-        List.iter
-          (fun k -> process_greg_site t dis cfg live (List.rev (Hashtbl.find tbl k)))
-          (List.rev !order)
-      end
+      let sources = ref [] in
+      Disasm.iter dis (fun i ->
+          if is_source t i && not (Hashtbl.mem t.processed i.Disasm.addr) then
+            sources := i :: !sources);
+      let sources = List.rev !sources in
+      if not t.opts.use_gp then
+        List.iter (process_greg_site t dis cfg live) (group_by_block cfg sources)
       else
-      (* group per containing basic block, preserving address order *)
-      let batches =
-        if not t.opts.batch then List.map (fun s -> [ s ]) sources
-        else begin
-          let tbl = Hashtbl.create 64 in
-          let order = ref [] in
-          List.iter
-            (fun (s : Disasm.insn) ->
-              let key =
-                match Cfg.block_containing cfg s.addr with
-                | Some blk -> blk.Cfg.b_addr
-                | None -> s.addr
-              in
-              (match Hashtbl.find_opt tbl key with
-              | None ->
-                  order := key :: !order;
-                  Hashtbl.replace tbl key [ s ]
-              | Some l -> Hashtbl.replace tbl key (s :: l)))
-            sources;
-          List.rev_map (fun k -> List.rev (Hashtbl.find tbl k)) !order
-        end
-      in
-      let covered = ref 0 in
-      let plans =
-        List.map (fun srcs -> plan_entries ~style:t.opts.style dis covered srcs) batches
-      in
-      List.iter (note_overwritten t dis) plans;
-      List.iter (process_batch t dis live) plans
+        let batches =
+          if t.opts.batch then group_by_block cfg sources
+          else List.map (fun s -> [ s ]) sources
+        in
+        let covered = ref 0 in
+        let plans =
+          List.map (fun srcs -> plan_entries ~style:t.opts.style dis covered srcs) batches
+        in
+        List.iter (note_overwritten t dis) plans;
+        List.iter (process_batch t dis live) plans
 
 let rewrite ?options (bin : Binfile.t) =
   let opts = match options with Some o -> o | None -> default_options Downgrade in
@@ -1037,7 +1013,7 @@ let rewrite ?options (bin : Binfile.t) =
 
 (* Merge the target-code chunks into page-disjoint sections. *)
 let chunk_sections t =
-  let chunks = List.sort (fun (a, _) (b, _) -> compare a b) t.chunks in
+  let chunks = List.sort (fun (a, _) (b, _) -> compare a b) (List.rev t.chunks) in
   let rec group acc cur = function
     | [] -> List.rev (match cur with None -> acc | Some c -> c :: acc)
     | (addr, bytes) :: rest -> (
@@ -1112,9 +1088,10 @@ let extend t ~root =
   let dis = Disasm.of_binfile_at t.orig ~roots:[ root ] in
   process t dis;
   t.st.lazy_sites <- t.st.lazy_sites + (t.st.sites + t.st.trap_entries - sites_before);
+  let fresh = List.length t.chunks - before_chunks in
   let new_chunks =
-    List.filteri (fun i _ -> i >= before_chunks) t.chunks
-    |> List.map (fun (addr, bytes) -> Patch_section { addr; bytes })
+    List.filteri (fun i _ -> i < fresh) t.chunks
+    |> List.rev_map (fun (addr, bytes) -> Patch_section { addr; bytes })
   in
   let patches = List.rev t.pending @ new_chunks in
   t.pending <- [];

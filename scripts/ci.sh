@@ -234,15 +234,10 @@ echo "ci: serve smoke passed ($admitted requests, each tenant's replicas identic
 # disassembly, CFG, liveness and CHBP rewrite, then a first run, for each
 # of the 26 Specgen profiles). The seed fixes the work, so the counts are
 # exact: a change to what the analysis discovers, what CHBP patches or
-# what the guests retire moves them. The allocation is gated as well:
-# analysis and the rewriter may each allocate at most 2% more minor words
-# than the recorded 37.75 and 11.65 Mwords, plus 0.5 Mwords. The slack is
-# two minor heaps: the benchmark reads minor words from Gc.quick_stat,
-# which OCaml 5.1 advances only at minor collections, so a figure moves
-# by about 0.25 Mwords whenever a collection lands on the other side of
-# a span edge. Unrelated allocation elsewhere in the pass, or even the
-# checkout's path, does that: one tree gave 37.06-37.28 and 11.99-12.48
-# Mwords in different directories.
+# what the guests retire moves them. The cold rewrite's allocation is
+# gated by test_analysis's "allocation" suite, which counts minor words
+# exactly; the benchmark's per-layer figures read Gc.quick_stat, which
+# OCaml 5.1 advances only at minor collections.
 deploy_out=$(python3 perfbench/run.py --workload deploy --seed 1 --seconds 4 --trace 1 | tail -1)
 python3 - "$deploy_out" <<'PY'
 import json
@@ -253,18 +248,13 @@ metrics = result["metrics"]
 want = {"analysis.insns": 891429, "rewriter.sites": 4211, "machine.retired": 4509070}
 bad = [f"{k} = {metrics[k]['value']} (want {v})"
        for k, v in want.items() if metrics[k]["value"] != v]
-budget = {"analysis.alloc_mwords": 37.75, "rewriter.alloc_mwords": 11.65}
-bad += [f"{k} = {metrics[k]['value']:.2f} (want <= {v * 1.02 + 0.5:.2f})"
-        for k, v in budget.items() if metrics[k]["value"] > v * 1.02 + 0.5]
 if result["correct"] is not True or result["failed"] != 0:
     bad.append(f"correct = {result['correct']}, failed = {result['failed']}")
 if bad:
     print("ci: deploy smoke failed: " + "; ".join(bad), file=sys.stderr)
     sys.exit(1)
 print(f"ci: deploy smoke passed (analysis {metrics['analysis.busy_ms']['value']:.0f} ms, "
-      f"load {metrics['load.busy_ms']['value']:.0f} ms, counts exact, "
-      f"{metrics['analysis.alloc_mwords']['value']:.2f} + "
-      f"{metrics['rewriter.alloc_mwords']['value']:.2f} Mwords)")
+      f"load {metrics['load.busy_ms']['value']:.0f} ms, counts exact)")
 PY
 
 # Steady smoke: one traced pass of the benchmark's steady workload (warm,

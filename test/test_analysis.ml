@@ -300,11 +300,16 @@ let test_regmask () =
    instructions, block boundaries, successor or predecessor order, or a
    single liveness bit changes a digest. *)
 
+let all_profiles = Specgen.spec_profiles @ Specgen.realworld_profiles
+
+(* The rewriter's roots (entry + symbols) plus every 32-byte-aligned
+   address of every code section. *)
 let sweep_roots (bin : Binfile.t) =
-  List.concat_map
-    (fun (s : Binfile.section) ->
-      List.init (Bytes.length s.sec_data / 32) (fun k -> s.sec_addr + (32 * k)))
-    (Binfile.code_sections bin)
+  (bin.Binfile.entry :: List.map (fun s -> s.Binfile.sym_addr) bin.Binfile.symbols)
+  @ List.concat_map
+      (fun (s : Binfile.section) ->
+        List.init (Bytes.length s.sec_data / 32) (fun k -> s.sec_addr + (32 * k)))
+      (Binfile.code_sections bin)
 
 let hex_digest s = Digest.to_hex (Digest.string s)
 
@@ -379,11 +384,7 @@ let profile_digests (pr : Specgen.profile) =
   let bin = Specgen.build pr in
   let buf = Buffer.create (1 lsl 20) in
   let d1, c1, l1 = analysis_digests buf (Disasm.of_binfile bin) in
-  let roots =
-    (bin.Binfile.entry :: List.map (fun s -> s.Binfile.sym_addr) bin.Binfile.symbols)
-    @ sweep_roots bin
-  in
-  let d2, c2, l2 = analysis_digests buf (Disasm.of_binfile_at bin ~roots) in
+  let d2, c2, l2 = analysis_digests buf (Disasm.of_binfile_at bin ~roots:(sweep_roots bin)) in
   [ hex_digest (d1 ^ d2); hex_digest (c1 ^ c2); hex_digest (l1 ^ l2); chbp_digest bin ]
 
 (* name, [disasm; cfg; liveness; chbp]. Captured from the hash-table
@@ -477,11 +478,176 @@ let test_golden_equivalence () =
         else
           [ Printf.sprintf "    (%S, [ %s ]);" pr.sp_name
               (String.concat "; " (List.map (Printf.sprintf "%S") got)) ])
-      (Specgen.spec_profiles @ Specgen.realworld_profiles)
+      all_profiles
   in
   if mismatches <> [] then
     Alcotest.failf "analysis digests differ from the golden table; got:\n%s"
       (String.concat "\n" mismatches)
+
+(* --- demand-driven liveness against an eager oracle ------------------------
+
+   A [Liveness.t] solves a block's forward closure on the first query that
+   lands in it. Its answers must equal a plain whole-CFG fixpoint whatever
+   order the queries come in: here a seeded shuffle of every query, and a
+   random subset of live-ins queried before all the rest in address order. *)
+
+let abi_return_live =
+  Regmask.of_list ([ Reg.a0; Reg.a1; Reg.sp; Reg.gp; Reg.tp; Reg.ra ] @ Reg.callee_saved)
+
+(* Every block's live-out and every insn's live-in, keyed by address. *)
+let eager_liveness cfg =
+  let blocks = Array.of_list (Cfg.blocks cfg) in
+  let nb = Array.length blocks in
+  let index = Hashtbl.create nb in
+  Array.iteri (fun k (b : Cfg.block) -> Hashtbl.replace index b.b_addr k) blocks;
+  let block_in = Array.make nb 0 and block_out = Array.make nb 0 in
+  let step (i : Disasm.insn) live =
+    Regmask.union (Liveness.insn_uses i) (Regmask.diff live (Liveness.insn_defs i))
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for k = nb - 1 downto 0 do
+      block_out.(k) <-
+        List.fold_left
+          (fun acc -> function
+            | Cfg.Sblock a -> Regmask.union acc block_in.(Hashtbl.find index a)
+            | Cfg.Sunknown -> Regmask.all
+            | Cfg.Sreturn -> Regmask.union acc abi_return_live)
+          Regmask.empty blocks.(k).b_succs;
+      let inn = List.fold_right step blocks.(k).b_insns block_out.(k) in
+      if inn <> block_in.(k) then begin
+        block_in.(k) <- inn;
+        changed := true
+      end
+    done
+  done;
+  let live_in = Hashtbl.create (4 * nb) and live_out = Hashtbl.create nb in
+  Array.iteri
+    (fun k (b : Cfg.block) ->
+      Hashtbl.replace live_out b.b_addr block_out.(k);
+      List.fold_right
+        (fun (i : Disasm.insn) live ->
+          let live = step i live in
+          Hashtbl.replace live_in i.addr live;
+          live)
+        b.b_insns block_out.(k)
+      |> ignore)
+    blocks;
+  (live_in, live_out)
+
+let dead_candidates =
+  Regmask.of_list
+    (Reg.temporaries
+    @ [ Reg.ra; Reg.a0; Reg.a1; Reg.a2; Reg.a3; Reg.a4; Reg.a5; Reg.a6; Reg.a7; Reg.s8;
+        Reg.s9; Reg.s10; Reg.s11 ])
+
+(* [At a] asks for the live-in and the dead registers before the insn. *)
+type query = Out of int | At of int
+
+let check_query live (oracle_in, oracle_out) q =
+  match q with
+  | Out a ->
+      let want = Hashtbl.find oracle_out a and got = Liveness.live_out live a in
+      if want = got then None
+      else Some (Printf.sprintf "live_out %x = %x, want %x" a got want)
+  | At a ->
+      let want = Hashtbl.find oracle_in a in
+      let got = Option.value ~default:(-1) (Liveness.live_in_at live a) in
+      let dead = Regmask.of_list (Liveness.dead_regs_at live a) in
+      if want <> got then Some (Printf.sprintf "live_in_at %x = %x, want %x" a got want)
+      else if dead <> Regmask.diff dead_candidates want then
+        Some (Printf.sprintf "dead_regs_at %x = %x with live-in %x" a dead want)
+      else None
+
+let shuffle rng a =
+  for k = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (k + 1) in
+    let x = a.(k) in
+    a.(k) <- a.(j);
+    a.(j) <- x
+  done
+
+(* The first failing query of each order, as "seed profile roots order: ..." *)
+let demand_failures ~seed ~name ~roots dis =
+  let oracle = eager_liveness (Cfg.of_disasm dis) in
+  let queries = ref [] in
+  List.iter
+    (fun (b : Cfg.block) ->
+      queries := Out b.b_addr :: !queries;
+      List.iter (fun (i : Disasm.insn) -> queries := At i.addr :: !queries) b.b_insns)
+    (Cfg.blocks (Cfg.of_disasm dis));
+  let in_order = Array.of_list (List.rev !queries) in
+  let rng = Random.State.make [| seed |] in
+  let first_failure live qs = Array.find_map (check_query live oracle) qs in
+  let shuffled = Array.copy in_order in
+  shuffle rng shuffled;
+  let subset_first =
+    let live = Liveness.compute (Cfg.of_disasm dis) in
+    Array.iter
+      (function
+        | At a when Random.State.int rng 8 = 0 -> ignore (Liveness.live_in_at live a)
+        | Out _ | At _ -> ())
+      in_order;
+    first_failure live in_order
+  in
+  List.filter_map
+    (fun (order, failure) ->
+      Option.map (Printf.sprintf "seed %d %s %s %s: %s" seed name roots order) failure)
+    [ ("shuffled", first_failure (Liveness.compute (Cfg.of_disasm dis)) shuffled);
+      ("subset first", subset_first) ]
+
+let test_demand_matches_eager () =
+  let failures =
+    List.concat
+      (List.mapi
+         (fun k (pr : Specgen.profile) ->
+           let bin = Specgen.build pr in
+           demand_failures ~seed:(2 * k) ~name:pr.sp_name ~roots:"symbols" (Disasm.of_binfile bin)
+           @ demand_failures ~seed:((2 * k) + 1) ~name:pr.sp_name ~roots:"sweep"
+               (Disasm.of_binfile_at bin ~roots:(sweep_roots bin)))
+         all_profiles)
+  in
+  if failures <> [] then
+    Alcotest.failf "demand-solved liveness differs from the eager fixpoint:\n%s"
+      (String.concat "\n" failures)
+
+(* --- exact allocation of the cold rewrite ------------------------------------
+
+   What a cold deploy request pays before its first run: disassembly, CFG and
+   liveness, then the CHBP rewrite (which solves the liveness its sites ask
+   for), over every Specgen profile. [Gc.minor_words ()] is exact, so the
+   budgets are the recorded words plus 2%. *)
+
+let analysis_budget = 15_909_873 * 102 / 100
+let rewrite_budget = 28_704_934 * 102 / 100
+
+let test_cold_rewrite_allocation () =
+  let analysis = ref 0. and rewrite = ref 0. in
+  List.iter
+    (fun pr ->
+      let bin = Specgen.build pr in
+      let w0 = Gc.minor_words () in
+      let live = Liveness.compute (Cfg.of_disasm (Disasm.of_binfile bin)) in
+      let w1 = Gc.minor_words () in
+      let r = Chbp.rewrite bin in
+      let w2 = Gc.minor_words () in
+      ignore (Sys.opaque_identity (live, r));
+      analysis := !analysis +. (w1 -. w0);
+      rewrite := !rewrite +. (w2 -. w1))
+    all_profiles;
+  let over name words budget =
+    if words > float budget then
+      [ Printf.sprintf "%s allocated %.0f minor words over %d profiles (budget %d)" name
+          words (List.length all_profiles) budget ]
+    else []
+  in
+  match
+    over "Disasm.of_binfile + Cfg.of_disasm + Liveness.compute" !analysis analysis_budget
+    @ over "Chbp.rewrite" !rewrite rewrite_budget
+  with
+  | [] -> ()
+  | errors -> Alcotest.fail (String.concat "; " errors)
 
 let () =
   Alcotest.run "riscv_analysis"
@@ -509,4 +675,9 @@ let () =
          Alcotest.test_case "dot rendering" `Quick test_cfg_dot_render ]);
       ("golden",
        [ Alcotest.test_case "every profile matches its digests" `Quick
-           test_golden_equivalence ]) ]
+           test_golden_equivalence;
+         Alcotest.test_case "demand liveness matches an eager fixpoint" `Quick
+           test_demand_matches_eager ]);
+      ("allocation",
+       [ Alcotest.test_case "cold rewrite within its minor-word budget" `Quick
+           test_cold_rewrite_allocation ]) ]

@@ -475,7 +475,7 @@ let enters_victim_mid_strip (b : Cfg.block) =
       Reg.equal rd Reg.ra && Reg.equal rs1 Reg.t6
   | _ -> false)
   && List.exists
-       (fun (i : Disasm.insn) -> List.exists (Reg.equal Reg.t0) (Inst.defs i.inst))
+       (fun (i : Disasm.insn) -> Regmask.mem Reg.t0 (Inst.defs_mask i.inst))
        b.b_insns
 
 type liveness_probe = {
