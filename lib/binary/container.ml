@@ -51,6 +51,17 @@ let write ~path ~magic ~version v =
      raise e);
   Sys.rename tmp path
 
+(* Files are read into a buffer owned by the calling domain and grown on
+   demand, not into a fresh file-sized [Bytes]: a warm cache request checks
+   two or three frames, and a fresh buffer per check would put every one
+   of them on the major heap. A frame therefore aliases the buffer and
+   lives until the next [check] on its domain; [gen] counts the checks, so
+   a stale frame is refused rather than read. *)
+type buf = { mutable bytes : bytes; mutable gen : int }
+
+let buf_key =
+  Domain.DLS.new_key (fun () -> { bytes = Bytes.create 65536; gen = 0 })
+
 let read_all path =
   match open_in_bin path with
   | exception Sys_error _ -> Error "missing"
@@ -59,20 +70,30 @@ let read_all path =
         ~finally:(fun () -> close_in_noerr ic)
         (fun () ->
           let len = in_channel_length ic in
-          let b = Bytes.create len in
-          really_input ic b 0 len;
-          Ok b)
+          let buf = Domain.DLS.get buf_key in
+          buf.gen <- buf.gen + 1;
+          if len > Bytes.length buf.bytes then
+            buf.bytes <- Bytes.create (max len (2 * Bytes.length buf.bytes));
+          match really_input ic buf.bytes 0 len with
+          | () -> Ok (buf, len)
+          | exception End_of_file -> Error "truncated")
 
 (* A file whose frame checked out: magic, version, length and MD5 all
-   verified, payload not yet unmarshaled. *)
-type frame = { raw : bytes; plen : int }
+   verified, payload not yet unmarshaled, in the buffer of the domain
+   that checked it. *)
+type frame = { buf : buf; gen : int; plen : int }
+
+let raw f =
+  if f.gen <> f.buf.gen then
+    invalid_arg "Container: frame used after a later check on its domain";
+  f.buf.bytes
 
 let check ~path ~magic ~version =
   check_magic magic;
   match read_all path with
   | Error _ as e -> e
-  | Ok b ->
-      let len = Bytes.length b in
+  | Ok (buf, len) ->
+      let b = buf.bytes in
       if len < header_len + digest_len then Error "truncated"
       else if Bytes.sub_string b 0 8 <> magic then Error "magic"
       else if Int32.to_int (Bytes.get_int32_be b 8) <> version then
@@ -87,14 +108,21 @@ let check ~path ~magic ~version =
           in
           let computed = Digest.subbytes b 0 (header_len + plen) in
           if not (String.equal stored computed) then Error "checksum"
-          else Ok { raw = b; plen }
+          else Ok { buf; gen = buf.gen; plen }
 
-let frame_digest f = Bytes.sub_string f.raw (header_len + f.plen) digest_len
+let frame_digest f = Bytes.sub_string (raw f) (header_len + f.plen) digest_len
 
+(* The buffer outlives the file, so Marshal's own bounds check is against
+   the buffer: the payload's Marshal header must claim exactly [plen]
+   bytes, or stale bytes past the frame could be read as payload. *)
 let decode f =
-  match Marshal.from_bytes f.raw header_len with
-  | v -> Ok v
-  | exception _ -> Error "decode"
+  let b = raw f in
+  match Marshal.total_size b header_len with
+  | n when n = f.plen -> (
+      match Marshal.from_bytes b header_len with
+      | v -> Ok v
+      | exception _ -> Error "decode")
+  | _ | (exception _) -> Error "decode"
 
 let read ~path ~magic ~version = Result.bind (check ~path ~magic ~version) decode
 
@@ -102,7 +130,7 @@ let peek_version ~path ~magic =
   check_magic magic;
   match read_all path with
   | Error _ -> None
-  | Ok b ->
-      if Bytes.length b >= 12 && Bytes.sub_string b 0 8 = magic then
-        Some (Int32.to_int (Bytes.get_int32_be b 8))
+  | Ok (buf, len) ->
+      if len >= 12 && Bytes.sub_string buf.bytes 0 8 = magic then
+        Some (Int32.to_int (Bytes.get_int32_be buf.bytes 8))
       else None

@@ -32,10 +32,16 @@ val read : path:string -> magic:string -> version:int -> ('a, string) result
     the unmarshal when {!frame_digest} matches the digest it saw then. *)
 
 type frame
-(** A container whose magic, version, length and checksum verified. *)
+(** A container whose magic, version, length and checksum verified. Its
+    bytes live in a buffer owned by the domain that checked it, grown on
+    demand and reused by that domain's next check, so a frame is valid
+    only until the next {!check} (or {!read}) on the same domain: using
+    it later raises [Invalid_argument]. *)
 
 val check : path:string -> magic:string -> version:int -> (frame, string) result
-(** Every check {!read} makes except unmarshaling; the same reasons. *)
+(** Every check {!read} makes except unmarshaling; the same reasons. The
+    file is read into the calling domain's buffer, so checking a warm
+    cache entry allocates no file-sized block. *)
 
 val frame_digest : frame -> string
 (** The MD5 trailer (raw 16 bytes): equal digests mean equal payloads. *)

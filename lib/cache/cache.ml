@@ -29,21 +29,24 @@
    observation), never an exception — the caller falls back to the cold
    path. *)
 
-let schema_version = 4
+let schema_version = 5
 let magic = "CHIMCAC1"
 
-(* Translation templates, memoized in process: a plan key maps to the
-   checksum of the file a template was replayed from and the template
-   ({!Machine.template}). The file stays the source of truth — a seed uses
-   the template only while the file's frame verifies with the same
+(* Artifacts memoized in process, keyed by file path: a plan's
+   translation template ({!Machine.template}, left by its first replay)
+   or a decoded, {!Chbp.share}d rewrite context, each with the checksum of
+   the file it came from. The file stays the source of truth — a load uses
+   the memoized value only while the file's frame verifies with the same
    checksum. Pool workers share one [t], so the table is guarded by [mu];
    [memo_capacity] bounds it, least recently used out first. *)
-type memo = {
-  sum : string;
-  tpl : Machine.template;
-  entries : int;  (** the plan's blocks + decode entries, for telemetry *)
-  mutable used : int;
-}
+type art =
+  | Template of {
+      tpl : Machine.template;
+      entries : int;  (** the plan's blocks + decode entries, for telemetry *)
+    }
+  | Context of Chbp.t
+
+type memo = { sum : string; art : art; mutable used : int }
 
 type t = {
   dir : string;
@@ -67,18 +70,18 @@ let open_dir dir =
   mkdirs dir;
   { dir; mu = Mutex.create (); memo = Hashtbl.create memo_capacity; tick = 0 }
 
-let memo_find c ~key ~sum =
+let memo_find c ~path ~sum =
   Mutex.protect c.mu (fun () ->
-      match Hashtbl.find_opt c.memo key with
+      match Hashtbl.find_opt c.memo path with
       | Some e when String.equal e.sum sum ->
           c.tick <- c.tick + 1;
           e.used <- c.tick;
-          Some (e.tpl, e.entries)
+          Some e.art
       | _ -> None)
 
-let memo_add c ~key ~sum ~entries tpl =
+let memo_add c ~path ~sum art =
   Mutex.protect c.mu (fun () ->
-      if Hashtbl.length c.memo >= memo_capacity && not (Hashtbl.mem c.memo key)
+      if Hashtbl.length c.memo >= memo_capacity && not (Hashtbl.mem c.memo path)
       then begin
         let lru =
           Hashtbl.fold
@@ -91,7 +94,7 @@ let memo_add c ~key ~sum ~entries tpl =
         Option.iter (fun (k, _) -> Hashtbl.remove c.memo k) lru
       end;
       c.tick <- c.tick + 1;
-      Hashtbl.replace c.memo key { sum; tpl; entries; used = c.tick })
+      Hashtbl.replace c.memo path { sum; art; used = c.tick })
 
 (* ------------------------------------------------------------------ *)
 (* Content digests                                                     *)
@@ -232,15 +235,17 @@ let m_shared =
    previous process populated the directory — skip the export, the
    Marshal and the tmp + rename entirely. Only a *valid* entry
    short-circuits: its frame must verify, and its payload must either
-   carry a checksum [known] to have decoded before or decode now. A
+   carry a checksum the memo holds (it decoded before) or decode now. A
    truncated or version-skewed file is overwritten as before. [export]
    runs only when the store actually writes. *)
-let store_raw ?(known = fun _ -> false) c ~key ~kind export =
+let store_raw c ~key ~kind export =
   let path = path_of c ~key ~kind in
   let valid =
     match Container.check ~path ~magic ~version:schema_version with
     | Error _ -> false
-    | Ok f -> known (Container.frame_digest f) || Result.is_ok (Container.decode f)
+    | Ok f ->
+        Option.is_some (memo_find c ~path ~sum:(Container.frame_digest f))
+        || Result.is_ok (Container.decode f)
   in
   if valid then (if !Metrics.enabled then Metrics.incr m_dedups)
   else begin
@@ -263,8 +268,7 @@ let miss ~key ~reason =
   if !Obs.enabled then Obs.emit (Obs.Cache_reject { key; reason });
   Error reason
 
-let load_frame c ~key ~kind =
-  let path = path_of c ~key ~kind in
+let load_frame ~key ~path =
   match Container.check ~path ~magic ~version:schema_version with
   | Ok f -> Ok (f, file_size path)
   | Error "missing" -> miss ~key ~reason:"miss"
@@ -277,24 +281,34 @@ let load_frame c ~key ~kind =
 let store_rewrite c ~key (ctx : Chbp.t) =
   store_raw c ~key ~kind:"rewrite" (fun () -> (ctx, 1))
 
+(* The frame is verified on every load; a checksum the memo holds a
+   context for skips the unmarshal and returns that shared context, and
+   any other valid file is decoded, shared and memoized. *)
 let load_rewrite c ~key : (Chbp.t, string) result =
-  match load_frame c ~key ~kind:"rewrite" with
+  let path = path_of c ~key ~kind:"rewrite" in
+  match load_frame ~key ~path with
   | Error _ as e -> e
   | Ok (f, bytes) -> (
-      match Container.decode f with
-      | Ok ctx ->
+      let sum = Container.frame_digest f in
+      match memo_find c ~path ~sum with
+      | Some (Context ctx) ->
           hit ~key ~entries:1 ~bytes;
           Ok ctx
-      | Error reason -> miss ~key ~reason)
+      | Some (Template _) | None -> (
+          match (Container.decode f : (Chbp.t, string) result) with
+          | Ok ctx ->
+              Chbp.share ctx;
+              memo_add c ~path ~sum (Context ctx);
+              hit ~key ~entries:1 ~bytes;
+              Ok ctx
+          | Error reason -> miss ~key ~reason))
 
 (* ------------------------------------------------------------------ *)
 (* Translation plans                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let store_plan c ~key (m : Machine.t) =
-  store_raw c ~key ~kind:"plan"
-    ~known:(fun sum -> Option.is_some (memo_find c ~key ~sum))
-    (fun () ->
+  store_raw c ~key ~kind:"plan" (fun () ->
       let plan = Machine.export_plan m in
       let blocks, insts = Machine.plan_stats plan in
       (plan, blocks + insts))
@@ -307,7 +321,8 @@ let store_plan c ~key (m : Machine.t) =
    skips the unmarshal and the replay, and any other valid file is
    replayed and becomes the key's template. *)
 let seed_plan c ~key (m : Machine.t) =
-  match load_frame c ~key ~kind:"plan" with
+  let path = path_of c ~key ~kind:"plan" in
+  match load_frame ~key ~path with
   | Error _ as e -> e
   | Ok (f, bytes) -> (
       let sum = Container.frame_digest f in
@@ -319,15 +334,17 @@ let seed_plan c ~key (m : Machine.t) =
             | Ok (n, tpl) ->
                 let blocks, insts = Machine.plan_stats plan in
                 let entries = blocks + insts in
-                Option.iter (memo_add c ~key ~sum ~entries) tpl;
+                Option.iter
+                  (fun tpl -> memo_add c ~path ~sum (Template { tpl; entries }))
+                  tpl;
                 hit ~key ~entries ~bytes;
                 Ok n
             | Error reason -> miss ~key ~reason
             | exception _ -> miss ~key ~reason:"seed")
       in
-      match memo_find c ~key ~sum with
-      | None -> replay ()
-      | Some (tpl, entries) -> (
+      match memo_find c ~path ~sum with
+      | Some (Context _) | None -> replay ()
+      | Some (Template { tpl; entries }) -> (
           match Machine.seed_template m tpl with
           | Ok n ->
               if !Metrics.enabled then Metrics.incr m_shared;

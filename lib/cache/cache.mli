@@ -12,7 +12,10 @@
 
     Every load is total — corrupt, truncated, version-skewed or missing
     entries return [Error reason] (and emit [Obs.Cache_reject]) so the
-    caller can fall back to the cold path; they never raise. *)
+    caller can fall back to the cold path; they never raise. Every load,
+    seed and store-dedup check verifies the file's magic, version, length
+    and MD5 ({!Container.check}), in a buffer owned by the calling domain,
+    so a warm load allocates no file-sized block. *)
 
 type t
 
@@ -47,7 +50,19 @@ val digest_bin : Binfile.t -> extra:string -> string
 (** {1 Rewrite contexts} *)
 
 val store_rewrite : t -> key:string -> Chbp.t -> unit
+(** Store a context under [key], unless a valid entry already holds it
+    (see {!store_plan}). *)
+
 val load_rewrite : t -> key:string -> (Chbp.t, string) result
+(** The context stored under [key]; a load failure is [Error reason] with
+    {!seed_plan}'s load reasons.
+
+    The file is read and its frame checked on every call. The first load
+    of a file decodes it, {!Chbp.share}s the context and keeps it in this
+    [t] with the file's checksum; later loads of the key whose file still
+    has that checksum return the same, read-only context, on any domain.
+    A runtime copies it before rewriting lazily ([Chimera_rt.create]).
+    Contexts and plan templates share one memo of at most 16 entries. *)
 
 (** {1 Translation plans} *)
 
@@ -55,7 +70,7 @@ val store_plan : t -> key:string -> Machine.t -> unit
 (** Store the machine's translation plan under [key] — call after a
     recording run, with [key] digested from the machine's {e current}
     memory. A valid entry already under [key] (its frame verifies and its
-    checksum is one this cache seeded from, or it decodes) is kept as it
+    checksum is one this cache memoized, or it decodes) is kept as it
     is, and the plan is then not even exported ({!Machine.export_plan}
     runs only when the store writes). *)
 
@@ -72,8 +87,9 @@ val seed_plan : t -> key:string -> Machine.t -> (int, string) result
     of the same key whose file still has that checksum clone the template
     ({!Machine.seed_template}) instead of unmarshaling and replaying —
     same blocks, counters and events, a fraction of the time and
-    allocation. At most 16 keys keep a template, least recently used out
-    first. A [t] may be shared by domains. *)
+    allocation. At most 16 entries — templates and {!load_rewrite}'s
+    contexts together — are kept, least recently used out first. A [t]
+    may be shared by domains. *)
 
 (** {1 Telemetry and maintenance}
 
@@ -91,4 +107,4 @@ val stat : t -> int * int
 
 val clear : t -> int
 (** Remove every cache entry (and stray temp file) and drop the in-process
-    templates; returns the count of files removed. *)
+    templates and contexts; returns the count of files removed. *)

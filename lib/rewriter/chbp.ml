@@ -61,6 +61,8 @@ type t = {
   mutable pending : patch list;
   mutable recording : bool;
   mutable gregs : (int * Reg.t) list;  (* jalr addr, link register *)
+  mutable bin : Binfile.t option;  (* [result], remembered until [extend] *)
+  mutable shared : bool;  (* [share]d: read-only from then on *)
 }
 
 let original t = t.orig
@@ -1006,7 +1008,9 @@ let rewrite ?options (bin : Binfile.t) =
       chunks = [];
       pending = [];
       recording = false;
-      gregs = [] }
+      gregs = [];
+      bin = None;
+      shared = false }
   in
   process t (Disasm.of_binfile bin);
   t
@@ -1043,7 +1047,7 @@ let chunk_sections t =
         sec_perm = Memory.perm_rx })
     groups
 
-let result t =
+let build_result t =
   let bin = t.orig in
   let patched =
     List.map
@@ -1080,7 +1084,38 @@ let result t =
     isa;
     sections = patched @ extra }
 
+let result t =
+  match t.bin with
+  | Some b -> b
+  | None ->
+      let b = build_result t in
+      t.bin <- Some b;
+      b
+
+let share t =
+  ignore (result t);
+  t.shared <- true
+
+let is_shared t = t.shared
+
+(* Everything [extend] mutates is duplicated: the tables, the stats, the
+   processed sets and the working text copies. Target chunks are never
+   written after they are emitted, so the copy shares them. *)
+let copy t =
+  { t with
+    table = Fault_table.copy t.table;
+    trap_tbl = Fault_table.copy t.trap_tbl;
+    st = { t.st with sites = t.st.sites };
+    sec_copies = List.map (fun (n, a, b) -> (n, a, Bytes.copy b)) t.sec_copies;
+    processed = Hashtbl.copy t.processed;
+    overwritten = Hashtbl.copy t.overwritten;
+    pending = [];
+    bin = None;
+    shared = false }
+
 let extend t ~root =
+  if t.shared then invalid_arg "Chbp.extend: shared context; extend a copy";
+  t.bin <- None;
   t.recording <- true;
   t.pending <- [];
   let before_chunks = List.length t.chunks in

@@ -71,7 +71,8 @@ val rewrite : ?options:options -> Binfile.t -> t
 
 val result : t -> Binfile.t
 (** The rewritten binary: patched code sections, [.chimera.text.*] target
-    sections, and (for downgrades) the [.chimera.vregs] section. *)
+    sections, and (for downgrades) the [.chimera.vregs] section. Built on
+    the first call and remembered until {!extend} changes the context. *)
 
 val fault_table : t -> Fault_table.t
 
@@ -96,4 +97,24 @@ val extend : t -> root:int -> patch list
 (** Lazy rewriting (paper §4.1/§4.3): disassemble from a faulting address
     that static analysis missed, rewrite the newly found source
     instructions, extend the fault/trap tables in place, and return the
-    patches the runtime must apply to the loaded image. *)
+    patches the runtime must apply to the loaded image. Apart from
+    {!result} remembering its value, the only operation that mutates a
+    context.
+    @raise Invalid_argument on a {!share}d context. *)
+
+(** {1 Sharing}
+
+    A context that several runs read at once — a cache's memoized copy of
+    a stored artifact, on any number of domains — is {!share}d. Runs read
+    its tables and its remembered {!result}; one that needs to rewrite
+    lazily {!copy}s it first. *)
+
+val share : t -> unit
+(** Build and remember {!result}, then make the context read-only:
+    {!extend} refuses it from now on. *)
+
+val is_shared : t -> bool
+
+val copy : t -> t
+(** A private, unshared context equal to [t]: everything {!extend}
+    mutates is duplicated. *)

@@ -8,6 +8,7 @@ let add t ~key ~redirect =
   if !Obs.enabled then Obs.emit (Obs.Table_add { key; redirect; table = t.name });
   Hashtbl.replace t.tbl key redirect
 
+let copy t = { t with tbl = Hashtbl.copy t.tbl }
 let find t key = Hashtbl.find_opt t.tbl key
 let count t = Hashtbl.length t.tbl
 let iter t f = Hashtbl.iter f t.tbl

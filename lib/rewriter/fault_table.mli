@@ -16,6 +16,9 @@ val add : t -> key:int -> redirect:int -> unit
 (** @raise Invalid_argument on a duplicate key (each original address has
     exactly one copy). *)
 
+val copy : t -> t
+(** An independent table with the same entries and name. *)
+
 val find : t -> int -> int option
 val count : t -> int
 val iter : t -> (int -> int -> unit) -> unit

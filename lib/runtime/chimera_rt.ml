@@ -7,7 +7,7 @@ let m_traps =
     "chimera_traps_total"
 
 type t = {
-  ctx : Chbp.t;
+  mutable ctx : Chbp.t;  (* a shared one is copied at the first lazy rewrite *)
   bin : Binfile.t;  (* rewritten *)
   costs : Costs.t;
   counters : Counters.t;
@@ -81,6 +81,8 @@ let lazy_rewrite t m pc =
     ->
       Counters.lazy_at t.counters ~site:pc;
       Machine.charge m t.costs.Costs.lazy_rewrite;
+      (* a shared context is never mutated: rewrite a private copy *)
+      if Chbp.is_shared t.ctx then t.ctx <- Chbp.copy t.ctx;
       let patches = Chbp.extend t.ctx ~root:pc in
       if !Obs.enabled then
         Obs.emit (Obs.Lazy_discovered { root = pc; patches = List.length patches });
@@ -89,9 +91,10 @@ let lazy_rewrite t m pc =
       if patches = [] then None else Some pc
   | Some _ | None -> None
 
+(* The tables are read from [t.ctx] when a fault or trap arrives, never
+   captured: a lazy rewrite extends them, and replaces a shared context
+   with a private copy, while the handlers are live. *)
 let handlers t =
-  let table = Chbp.fault_table t.ctx in
-  let traps = Chbp.trap_table t.ctx in
   let gp_value = Chbp.gp_value t.ctx in
   let recover m ~site ~cause redirect =
     Counters.fault_at t.counters ~site;
@@ -104,9 +107,9 @@ let handlers t =
     Machine.set_reg m Reg.gp (Int64.of_int gp_value);
     Machine.Resume redirect
   in
-  let greg_sites = Chbp.greg_sites t.ctx in
   let on_fault m fault =
     note_machine t m;
+    let table = Chbp.fault_table t.ctx in
     match fault with
     | Fault.Segfault { access = Fault.Execute; _ } -> (
         (* potential partial SMILE execution: the jalr stored pc+4 in gp *)
@@ -120,7 +123,7 @@ let handlers t =
               List.find_opt
                 (fun (jaddr, r) ->
                   Int64.equal (Machine.get_reg m r) (Int64.of_int (jaddr + 4)))
-                greg_sites
+                (Chbp.greg_sites t.ctx)
             with
             | Some (jaddr, r) -> (
                 match Fault_table.find table jaddr with
@@ -156,7 +159,7 @@ let handlers t =
   in
   let on_ebreak m ~pc ~size:_ =
     note_machine t m;
-    match Fault_table.find traps pc with
+    match Fault_table.find (Chbp.trap_table t.ctx) pc with
     | Some target ->
         Counters.trap_at t.counters ~site:pc;
         if !Metrics.enabled then Metrics.incr m_traps;

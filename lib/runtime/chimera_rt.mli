@@ -14,7 +14,9 @@
 type t
 
 val create : ?costs:Costs.t -> Chbp.t -> t
-(** Wrap a completed rewriting context. *)
+(** Wrap a completed rewriting context. A {!Chbp.share}d context (a
+    cache's memoized one) is only read: the first lazy rewrite replaces it
+    with a private {!Chbp.copy} and extends that. *)
 
 val load : t -> Memory.t
 (** A fresh address-space view with the rewritten binary and a stack. *)
@@ -22,11 +24,16 @@ val load : t -> Memory.t
 val counters : t -> Counters.t
 val rewritten : t -> Binfile.t
 val chbp : t -> Chbp.t
+(** The current context: the one given to {!create}, or its private copy
+    once a lazy rewrite has replaced a shared one. *)
 
 val handlers : t -> Machine.handlers
 (** Fault/trap handlers implementing the runtime mechanisms. Lazy rewriting
     patches every memory view this runtime has loaded and the machine's
-    decode caches. *)
+    decode caches. The handlers read the fault table, the trap table and
+    the general-register sites from the runtime's current context ({!chbp})
+    when a fault or trap arrives, so entries a lazy rewrite adds — and the
+    private copy it may switch to — take effect at once. *)
 
 val run : t -> ?isa:Ext.t -> fuel:int -> Machine.t -> Machine.stop
 (** Convenience: point the machine at [load t]'s view (loading one if none

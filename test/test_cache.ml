@@ -20,7 +20,9 @@
      (truncation at several depths, magic/version skew, payload bit flips,
      a well-framed but unmarshalable payload) must surface as a clean
      [Error reason] plus a [cache_reject] observation, with the run falling
-     back cold and still retiring bit-identically;
+     back cold and still retiring bit-identically — and the same damage to
+     a rewrite context the cache has memoized must surface the same way,
+     never serving the memoized context past the file;
 
    - digest goldens: the keys of a few fixed binaries and images are pinned
      as hex, so a change to how digests are computed cannot orphan (or,
@@ -384,6 +386,80 @@ let test_corruption_falls_back_cold () =
   | Ok _ -> ignore (Cache.clear c)
   | Error r -> Alcotest.failf "restored entry rejected: %s" r
 
+(* --- memoized rewrite contexts ------------------------------------------ *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+(* A warm [load_rewrite] serves the context it decoded before only while
+   the file still verifies with that checksum. Every damage mode of the
+   corruption suite, applied after the memo holds the context, must
+   surface with the suite's reason, and the request must fall back cold
+   and run like its solo run; a valid file with another checksum must be
+   decoded again and replace the memoized context. *)
+let test_context_memo_obeys_file () =
+  let bin = Programs.matmul `Ext ~n:8 in
+  let isa = base_isa and mode = Chbp.Downgrade and tiered = true in
+  let run ?cache () =
+    let stop, retired, cycles, _ =
+      Serve.execute ?cache ~isa ~mode ~tiered ~fuel:5_000_000 bin
+    in
+    (stop, retired, cycles)
+  in
+  let solo = run () in
+  let c = temp_cache () in
+  let key = Cache.digest_bin bin ~extra:(Serve.cfg_tag ~mode ~tiered) in
+  let path = Filename.concat (Cache.dir c) (key ^ ".rewrite") in
+  let load () =
+    match Cache.load_rewrite c ~key with
+    | Ok ctx -> ctx
+    | Error r -> Alcotest.failf "stored context rejected: %s" r
+  in
+  let check_solo what got =
+    Alcotest.(check bool) (what ^ ": runs like the solo run") true (got = solo)
+  in
+  check_solo "cold" (run ~cache:c ());
+  let memoized = load () in
+  Alcotest.(check bool) "decoded context is shared" true (Chbp.is_shared memoized);
+  Alcotest.(check bool) "warm load serves the memoized context" true
+    (load () == memoized);
+  check_solo "warm" (run ~cache:c ());
+  let pristine = read_file path in
+  List.iter
+    (fun (name, expected, mutate) ->
+      write_file path (Bytes.to_string (mutate (Bytes.of_string pristine)));
+      let result, evs = with_captured_events (fun () -> Cache.load_rewrite c ~key) in
+      (match result with
+      | Error r -> Alcotest.(check string) (name ^ ": reject reason") expected r
+      | Ok ctx ->
+          Alcotest.failf "%s: damaged entry loaded (%s the memoized context)" name
+            (if ctx == memoized then "served" else "not"));
+      Alcotest.(check (list string)) (name ^ ": cache_reject event") [ expected ]
+        (reject_reasons evs);
+      check_solo (name ^ " fallback") (run ~cache:c ()))
+    mutations;
+  let other =
+    Chbp.rewrite ~options:{ (Chbp.default_options mode) with Chbp.batch = false } bin
+  in
+  Sys.remove path;
+  Cache.store_rewrite c ~key other;
+  Alcotest.(check bool) "the other context has another checksum" true
+    (read_file path <> pristine);
+  let decoded = load () in
+  Alcotest.(check bool) "another checksum is decoded, not served from the memo" true
+    (decoded != memoized && Chbp.stats decoded = Chbp.stats other);
+  Alcotest.(check bool) "the new context replaces it in the memo" true
+    (load () == decoded);
+  ignore (Cache.clear c)
+
 (* --- engine mismatch ---------------------------------------------------- *)
 
 (* A plan exported under one engine and offered, under the same key, to a
@@ -436,11 +512,11 @@ let test_engine_mismatch_falls_back_cold () =
    bytes: a mismatch means the digest changed, not the test. *)
 let golden_inputs () =
   [ ("fibonacci", Programs.fibonacci ~rounds:1000 (),
-     ("8eca16e9169daecd252ac67b6a8f9b8c", "84f29f015ce815091b1653588a2c21f2",
-      "f7c9b3060fd83c8faaca022a884829c1"));
+     ("4cdccabf9fa9de4d731147cac3abdda0", "b235727786ce2d38898127a4a0237b9a",
+      "9080a938044f8b0f62c19fe7d579acab"));
     ("perlbench_r", Specgen.build (Specgen.find "perlbench_r"),
-     ("cee5586937fad508f3847cf15e73d053", "7f33752dd3fcb8a9e5f59f2971829c87",
-      "5a77b094a379818ba6e6340921ce4872")) ]
+     ("cbfb2f8ee9891face4ea6db9b236ab0f", "9ebadeb64981c9d4154e90567ac93743",
+      "6265ae4c8ecf1ecdde04376ab7720f8e")) ]
 
 let rewritten_image bin =
   let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in
@@ -518,6 +594,9 @@ let () =
       ( "corruption",
         [ Alcotest.test_case "every damage mode falls back cold" `Quick
             test_corruption_falls_back_cold ] );
+      ( "memo",
+        [ Alcotest.test_case "memoized contexts obey the file" `Quick
+            test_context_memo_obeys_file ] );
       ( "engine",
         [ Alcotest.test_case "engine mismatch falls back cold" `Quick
             test_engine_mismatch_falls_back_cold ] );

@@ -584,6 +584,94 @@ let test_greg_lazy_backward_pair () =
      the resident trap once; later calls enter through the trampoline *)
   Alcotest.(check int) "later calls bypass the trap table" 1 c.Counters.traps
 
+(* The hidden kernel's idiom pair becomes a general-register site only when
+   its first call rewrites it lazily; a later erroneous entry aimed at the
+   pair's load then runs the site's jalr alone. Recovering it needs the
+   site the lazy rewrite added — and, from a shared context, the private
+   copy that rewrite went to — so the handlers must read the current
+   context when the fault arrives. *)
+let greg_lazy_entry_program () =
+  let a = Asm.create ~name:"greg-lazy-entry" () in
+  let v1 = Reg.v_of_int 1 and v2 = Reg.v_of_int 2 in
+  let data_hi = Encode.hi20 Layout.data_base in
+  let call table =
+    Asm.la a Reg.t3 table;
+    Asm.inst a
+      (Inst.Load { width = Inst.D; unsigned = false; rd = Reg.t4; rs1 = Reg.t3; imm = 0 });
+    Asm.li a Reg.a3 4;
+    Asm.inst a (Inst.Jalr (Reg.ra, Reg.t4, 0))
+  in
+  Asm.func a "_start";
+  call "jtf";
+  (* re-establish the idiom's precondition, then enter at the load *)
+  Asm.inst a (Inst.Lui (Reg.a0, data_hi));
+  call "jtp";
+  Asm.inst a (Inst.Lui (Reg.a0, data_hi));
+  Asm.inst a (Inst.Opi (Inst.Addi, Reg.a0, Reg.a0, 64));
+  Asm.li a Reg.a1 4;
+  Asm.li a Reg.a2 0;
+  Asm.label a "cks";
+  Asm.inst a
+    (Inst.Load { width = Inst.D; unsigned = false; rd = Reg.t0; rs1 = Reg.a0; imm = 0 });
+  Asm.inst a (Inst.Op (Inst.Add, Reg.a2, Reg.a2, Reg.t0));
+  Asm.inst a (Inst.Opi (Inst.Addi, Reg.a0, Reg.a0, 8));
+  Asm.inst a (Inst.Opi (Inst.Addi, Reg.a1, Reg.a1, -1));
+  Asm.branch_to a Inst.Bne Reg.a1 Reg.x0 "cks";
+  Asm.inst a (Inst.Opi (Inst.Andi, Reg.a0, Reg.a2, 255));
+  Asm.li a Reg.a7 93;
+  Asm.inst a Inst.Ecall;
+  Asm.ret a;
+  Asm.hidden_func a "hidden_kernel";
+  Asm.inst a (Inst.Lui (Reg.a0, data_hi));
+  Asm.label a "p1";
+  Asm.inst a
+    (Inst.Load { width = Inst.D; unsigned = false; rd = Reg.a1; rs1 = Reg.a0; imm = 0 });
+  Asm.inst a (Inst.Opi (Inst.Addi, Reg.t1, Reg.a0, 64));
+  Asm.inst a (Inst.Vsetvli (Reg.t0, Reg.a3, Inst.E64));
+  Asm.inst a (Inst.Vle (Inst.E64, v1, Reg.a0));
+  Asm.inst a (Inst.Vop_vx (Inst.Vmul, v2, v1, Reg.a1));
+  Asm.inst a (Inst.Vse (Inst.E64, v2, Reg.t1));
+  Asm.ret a;
+  Asm.rlabel a "jtf";
+  Asm.rword_label a "hidden_kernel";
+  Asm.rlabel a "jtp";
+  Asm.rword_label a "p1";
+  Asm.dlabel a "vals";
+  List.iter (fun x -> Asm.dword64 a (Int64.of_int x)) [ 3; 4; 5; 6 ];
+  Asm.assemble a
+
+let test_greg_lazy_site_recovered () =
+  let bin = greg_lazy_entry_program () in
+  let expected =
+    match run_bin ~isa:ext_isa bin ~fuel:100_000 with
+    | Machine.Exited c -> c
+    | _ -> Alcotest.fail "native run failed"
+  in
+  List.iter
+    (fun shared ->
+      let what = if shared then "shared context" else "own context" in
+      let ctx =
+        Chbp.rewrite
+          ~options:{ (Chbp.default_options Chbp.Downgrade) with use_gp = false }
+          bin
+      in
+      if shared then Chbp.share ctx;
+      let rt = Chimera_rt.create ctx in
+      let m = Machine.create ~mem:(Chimera_rt.load rt) ~isa:base_isa () in
+      (match Chimera_rt.run rt ~fuel:2_000_000 m with
+      | Machine.Exited c -> Alcotest.(check int) (what ^ ": exit preserved") expected c
+      | Machine.Faulted f -> Alcotest.failf "%s: fault: %s" what (Fault.to_string f)
+      | Machine.Fuel_exhausted -> Alcotest.failf "%s: fuel" what);
+      let c = Chimera_rt.counters rt in
+      Alcotest.(check int) (what ^ ": one lazy extension") 1 c.Counters.lazy_rewrites;
+      Alcotest.(check bool) (what ^ ": the lazy site's partial entry recovered") true
+        (c.Counters.faults_recovered > 0);
+      Alcotest.(check bool) (what ^ ": the site lives in the runtime's context") true
+        (Chbp.greg_sites (Chimera_rt.chbp rt) <> []);
+      Alcotest.(check bool) (what ^ ": a shared context is left as it was") shared
+        (Chbp.greg_sites ctx = []))
+    [ false; true ]
+
 let test_greg_mode_on_compressed_falls_back_to_traps () =
   (* compressed binaries cannot use the fixed-immediate trick with an
      arbitrary register: every entry must be trap-based *)
@@ -829,6 +917,8 @@ let () =
            test_greg_midblock_entry_uses_resident_trap;
          Alcotest.test_case "lazy backward pair discovery" `Quick
            test_greg_lazy_backward_pair;
+         Alcotest.test_case "lazy site's partial entry recovered" `Quick
+           test_greg_lazy_site_recovered;
          Alcotest.test_case "compressed falls back to traps" `Quick
            test_greg_mode_on_compressed_falls_back_to_traps ]);
       ("concurrency",

@@ -1,4 +1,4 @@
-(* Multi-tenant serving, checked five ways:
+(* Multi-tenant serving, checked six ways:
 
    - a tenant-isolation differential: N tenants submit a mixed population
      (jalr/branch-dense fuzz programs on a base hart, plus RVV programs the
@@ -25,8 +25,13 @@
      valid entry skips the write and bumps the dedup counter; the second
      warm seed is served by a template;
 
+   - shared rewrite contexts: lazily rewriting guests served warm on two
+     domains at once match their solo runs and leave the cache's memoized
+     context as it was;
+
    - no warm-up on warm requests: a warm tiered request translates nothing
-     but its profile-guided relayouts. *)
+     but its profile-guided relayouts, and allocates an exactly budgeted
+     number of words on the major heap. *)
 
 let base_isa = Ext.rv64gc
 let ext_isa = Ext.rv64gcv
@@ -428,6 +433,121 @@ let test_warm_translates_only_relayouts () =
         (counter "chimera_translations_total" - t0))
     guests
 
+(* --- lazy rewrites leave shared contexts untouched ----------------------- *)
+
+(* A warm request's rewrite context is the one the cache memoized, shared by
+   every request of its digest on every domain. A guest with hidden
+   functions (steady's omnetpp_r, on fewer rounds) rewrites lazily, so
+   each of its runs must switch to a private copy before extending it:
+   runs on two domains at once retire and cycle exactly like the solo
+   uncached run, and the memoized context's stats and rewritten sections
+   are unchanged afterwards. *)
+let test_lazy_copies_shared_context () =
+  let isa = base_isa and mode = Chbp.Downgrade and tiered = true in
+  let bin =
+    Specgen.build
+      { (Specgen.find "omnetpp_r") with Specgen.sp_seed = 105; sp_rounds = 16 }
+  in
+  let run ?cache () =
+    let stop, retired, cycles, _ = Serve.execute ?cache ~isa ~mode ~tiered ~fuel bin in
+    (exit_of_stop stop, retired, cycles)
+  in
+  let solo = run () in
+  let cache = temp_cache () in
+  Alcotest.(check bool) "cold run matches solo" true (run ~cache () = solo);
+  let key = Cache.digest_bin bin ~extra:(Serve.cfg_tag ~mode ~tiered) in
+  let load () =
+    match Cache.load_rewrite cache ~key with
+    | Ok ctx -> ctx
+    | Error r -> Alcotest.failf "rewrite context missing (%s)" r
+  in
+  let shared = load () in
+  let stats () = { (Chbp.stats shared) with Chbp.sites = (Chbp.stats shared).Chbp.sites } in
+  let sections () =
+    List.map
+      (fun s -> (s.Binfile.sec_name, s.Binfile.sec_addr, Bytes.to_string s.Binfile.sec_data))
+      (Chbp.result shared).Binfile.sections
+  in
+  let stats0 = stats () and result0 = Chbp.result shared and sections0 = sections () in
+  (match Chbp.extend shared ~root:(Chbp.original shared).Binfile.entry with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a shared context accepted a lazy rewrite");
+  (* one run on the shared context, by hand, to see the copy it rewrote *)
+  let rt = Chimera_rt.create shared in
+  let m =
+    Machine.create ~engine:(Serve.engine ~tiered ~record:false)
+      ~mem:(Chimera_rt.load rt) ~isa ()
+  in
+  let stop = Chimera_rt.run rt ~fuel m in
+  Alcotest.(check bool) "hand-made run matches solo" true
+    ((exit_of_stop stop, Machine.retired m, Machine.cycles m) = solo);
+  let own = Chimera_rt.chbp rt in
+  Alcotest.(check bool) "the run rewrote lazily, in a private copy" true
+    (own != shared && (Chbp.stats own).Chbp.lazy_sites > 0);
+  let requests () = List.init 4 (fun _ -> run ~cache ()) in
+  let other = Domain.spawn requests in
+  let mine = requests () in
+  List.iter
+    (fun got ->
+      Alcotest.(check bool) "concurrent warm run matches solo" true (got = solo))
+    (mine @ Domain.join other);
+  Alcotest.(check bool) "the cache still serves the same context" true (load () == shared);
+  Alcotest.(check bool) "its stats are unchanged" true (stats () = stats0);
+  Alcotest.(check bool) "its rewritten binary is the one it remembered" true
+    (Chbp.result shared == result0);
+  Alcotest.(check bool) "its rewritten sections are unchanged" true
+    (sections () = sections0)
+
+(* --- major-heap allocation of warm requests ------------------------------ *)
+
+(* Words a warm [Serve.execute] allocates directly on the major heap of the
+   calling domain: [Gc.counters]' major words less its promoted words,
+   which is exact and repeats from request to request. The guests are
+   serve-mix-sized perlbench_r#3 and fib2000. Frames are checked in the
+   domain's buffer and the rewrite context is the cache's memoized one,
+   so what is left is mostly the request's guest pages and TLB arrays.
+   When each request read its files into fresh file-sized buffers and
+   unmarshaled its context, these read 127,584 and 12,110 words. The
+   budgets are the recorded counts plus 2%. *)
+let major_budgets = [ ("perlbench_r#3", 28_746 * 102 / 100); ("fib2000", 9_742 * 102 / 100) ]
+
+let test_warm_major_words () =
+  let cache = temp_cache () in
+  let guests =
+    [ ("perlbench_r#3",
+       Specgen.build
+         { (Specgen.find "perlbench_r") with
+           Specgen.sp_hidden = 0.;
+           sp_rounds = 16;
+           sp_seed = 3 });
+      ("fib2000", Programs.fibonacci ~rounds:2000 ()) ]
+  in
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let request bin =
+    let w0 = direct () in
+    let _, _, _, warm =
+      Serve.execute ~cache ~isa:base_isa ~mode:Chbp.Downgrade ~tiered:true ~fuel bin
+    in
+    let w1 = direct () in
+    Alcotest.(check bool) "request is warm" true warm;
+    int_of_float (w1 -. w0)
+  in
+  List.iter
+    (fun (name, bin) ->
+      (* cold, then the replaying and decoding first warm request *)
+      ignore (Serve.execute ~cache ~isa:base_isa ~mode:Chbp.Downgrade ~tiered:true ~fuel bin);
+      ignore (request bin);
+      let first = request bin in
+      Alcotest.(check int) (name ^ ": warm requests allocate the same") first (request bin);
+      let budget = List.assoc name major_budgets in
+      if first > budget then
+        Alcotest.failf "%s: a warm request allocated %d major-heap words (budget %d)"
+          name first budget)
+    guests
+
 let () =
   Alcotest.run "chimera_serve"
     [ ( "isolation",
@@ -447,6 +567,12 @@ let () =
       ( "dedup",
         [ Alcotest.test_case "valid entries are not rewritten" `Quick
             test_dedup ] );
+      ( "contexts",
+        [ Alcotest.test_case "lazy rewrites leave shared contexts untouched" `Quick
+            test_lazy_copies_shared_context ] );
+      ( "heap",
+        [ Alcotest.test_case "warm request major-heap budget" `Quick
+            test_warm_major_words ] );
       ( "warm",
         [ Alcotest.test_case "warm tiered requests translate only relayouts" `Quick
             test_warm_translates_only_relayouts ] ) ]
