@@ -219,9 +219,44 @@ let ic_hit_rate s =
   let h = cv s.st_m "chimera_ic_hits_total" in
   rate h (h + cv s.st_m "chimera_ic_misses_total")
 
+(* The machine a stats file was measured on, as perfbench stamps its
+   results: the processors and first CPU model listed in /proc/cpuinfo,
+   and the OCaml version. *)
+let machine_stamp () =
+  let lines =
+    match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+    | text -> String.split_on_char '\n' text
+    | exception Sys_error _ -> []
+  in
+  let field key l =
+    match String.index_opt l ':' with
+    | Some i when String.trim (String.sub l 0 i) = key ->
+        Some (String.trim (String.sub l (i + 1) (String.length l - i - 1)))
+    | _ -> None
+  in
+  let nproc = List.length (List.filter_map (field "processor") lines) in
+  let cpu = Option.value (List.find_map (field "model name") lines) ~default:"unknown" in
+  (nproc, cpu, Sys.ocaml_version)
+
+(* A JSON string literal: [%S] would write OCaml escapes. *)
+let json_string v =
+  let b = Buffer.create (String.length v + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | ('"' | '\\') as c -> Buffer.add_char b '\\'; Buffer.add_char b c
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    v;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
 let write_json file (stats : stat list) =
   let oc = open_out file in
-  output_string oc "{\n  \"experiments\": [\n";
+  let nproc, cpu, ocaml = machine_stamp () in
+  Printf.fprintf oc
+    "{\n  \"machine\": { \"nproc\": %d, \"cpu\": %s, \"ocaml\": %s },\n  \"experiments\": [\n"
+    nproc (json_string cpu) (json_string ocaml);
   let n = List.length stats in
   List.iteri
     (fun i s ->

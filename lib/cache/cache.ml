@@ -7,9 +7,9 @@
      <key>.rewrite   the CHBP rewrite context (Chbp.t): site tables, SMILE
                      layouts, scavenge results — everything Chbp.rewrite
                      decided about the binary
-     <key>.plan      a Machine.plan: decoded runs and post-optimize TIR ops
-                     in pre-closure form, superblock shapes and relayout
-                     decisions, and inline-cache seed profiles
+     <key>.plan      a Machine.plan: post-optimize TIR ops in pre-closure
+                     form, superblock shapes and relayout decisions, and
+                     inline-cache seed profiles
 
    The key is the whole correctness story. It digests the guest code bytes
    (executable pages only — data pages mutate during every run) together
@@ -29,7 +29,7 @@
    observation), never an exception — the caller falls back to the cold
    path. *)
 
-let schema_version = 5
+let schema_version = 6
 let magic = "CHIMCAC1"
 
 (* Artifacts memoized in process, keyed by file path: a plan's
@@ -42,7 +42,7 @@ let magic = "CHIMCAC1"
 type art =
   | Template of {
       tpl : Machine.template;
-      entries : int;  (** the plan's blocks + decode entries, for telemetry *)
+      entries : int;  (** the plan's blocks, for telemetry *)
     }
   | Context of Chbp.t
 
@@ -310,8 +310,7 @@ let load_rewrite c ~key : (Chbp.t, string) result =
 let store_plan c ~key (m : Machine.t) =
   store_raw c ~key ~kind:"plan" (fun () ->
       let plan = Machine.export_plan m in
-      let blocks, insts = Machine.plan_stats plan in
-      (plan, blocks + insts))
+      (plan, Machine.plan_stats plan))
 
 (* Load-and-seed as one operation, so the hit/miss accounting reflects
    whether the machine actually went warm: a plan that loads but is then
@@ -332,8 +331,7 @@ let seed_plan c ~key (m : Machine.t) =
         | Ok plan -> (
             match Machine.seed_plan m plan with
             | Ok (n, tpl) ->
-                let blocks, insts = Machine.plan_stats plan in
-                let entries = blocks + insts in
+                let entries = Machine.plan_stats plan in
                 Option.iter
                   (fun tpl -> memo_add c ~path ~sum (Template { tpl; entries }))
                   tpl;

@@ -533,12 +533,16 @@ let vop_apply op acc a b =
 
 let vlmax t sew = t.vlen / Inst.sew_bytes sew
 
+(* Whether the low parcel of an instruction starts a 32-bit encoding, so
+   the high parcel must be fetched too. *)
+let needs_hi lo = lo land 0b11 = 0b11 && lo land 0b11111 <> 0b11111
+
 (* Decode at [pc] through the current view's cache. Entries are validated
    against the page generations of the bytes they cover, so a patched range
    is simply re-decoded — [invalidate_code] never walks the cache. *)
 let decode_fresh t pc =
   let lo = Memory.fetch_u16 t.cur.vmem pc in
-  let needs_hi = lo land 0b11 = 0b11 && lo land 0b11111 <> 0b11111 in
+  let needs_hi = needs_hi lo in
   let hi = if needs_hi then Memory.fetch_u16 t.cur.vmem (pc + 2) else 0 in
   match Decode.decode ~lo ~hi with
   | Decode.Ok (i, n) ->
@@ -565,12 +569,15 @@ let decode_at t pc =
 
 let fetch_decode t = decode_at t t.pc
 
-(* Whether [decode_at t pc] would be served from the cache (no fetch). *)
-let decode_cached t pc =
-  match Hashtbl.find_opt t.cur.cache pc with
-  | Some (Cok (_, n, st)) -> Tblock.Gen.stamp t.gens ~lo:pc ~hi:(pc + n - 1) = st
-  | Some (Cill (_, hi, st)) -> Tblock.Gen.stamp t.gens ~lo:pc ~hi = st
-  | None -> false
+(* Decode at [pc] from the guest's bytes, bypassing the decode cache and
+   the TLB: a plan replay fills neither, so it leaves the machine as a
+   template clone does. It faults where [decode_fresh] would. *)
+let decode_direct t pc =
+  let lo = Memory.fetch_u16_direct t.cur.vmem pc in
+  let hi = if needs_hi lo then Memory.fetch_u16_direct t.cur.vmem (pc + 2) else 0 in
+  match Decode.decode ~lo ~hi with
+  | Decode.Ok (i, n) -> (i, n)
+  | Decode.Illegal reason -> raise (Efault (Fault.Illegal_instruction { pc; reason }))
 
 (* Execute one decoded instruction; updates pc; may raise Efault.
    Returns the [stop] if the instruction is a control event the caller's
@@ -1843,17 +1850,14 @@ let emit_run t stats ir_units tlb_elided (ops : Tir.op array) =
 let top_tier t = if t.icache = None then 3 else 2
 
 (* One [Tblock.translate] of [entry] under the recompile plan [relayout]:
-   decoding goes through the view's decode cache (each pc shown to
-   [on_decode] first), [lower] picks the IR-lowered instructions, every
-   other one is compiled by [compile_op] (and shown to [on_compile]), and
-   [emit] turns IR runs into execution units. Cold translation and plan
-   replay differ only in those callbacks. *)
-let translate_with ?(on_decode = ignore) t ~relayout ~lower ~on_compile
-    ~emit entry =
+   [decode] reads each instruction, [lower] picks the IR-lowered ones,
+   every other one is compiled by [compile_op] (and shown to
+   [on_compile]), and [emit] turns IR runs into execution units. Cold
+   translation and plan replay differ only in those callbacks. *)
+let translate_with t ~decode ~relayout ~lower ~on_compile ~emit entry =
   Tblock.translate ~gens:t.gens ~epoch:t.code_epoch ~isa:t.isa
     ~decode:(fun pc ->
-      on_decode pc;
-      match decode_at t pc with
+      match decode t pc with
       | d -> Some d
       | exception Efault _ -> None
       | exception Memory.Violation _ -> None)
@@ -1873,7 +1877,7 @@ let translate_block ?(relayout = []) t entry =
   let tier = top_tier t in
   let ir = tier = 3 in
   let b =
-    translate_with t ~relayout
+    translate_with t ~decode:decode_at ~relayout
       ~lower:(fun ~pc inst size ->
         (* capability gating here: only instructions this hart can execute
            reach the IR; anything else falls through to [compile], whose
@@ -2508,12 +2512,13 @@ let ic_infos t =
 (* ------------------------------------------------------------------ *)
 
 (* A plan is the marshalable residue of a recording machine's current view:
-   the decode cache in pre-closure form, every live block's replay skeleton
-   with its layout and dispatch count, and the live inline-cache targets.
-   It deliberately contains no closures and no stamps — stamps are
-   recomputed against the seeding machine's generation table, which is
-   sound because the cache layer only offers a plan to a machine whose
-   guest code bytes hash to the digest the plan was stored under. *)
+   every live block's replay skeleton with its layout and dispatch count,
+   and the live inline-cache targets. It deliberately contains no
+   closures, no stamps and no decodes — stamps are recomputed against the
+   seeding machine's generation table and instructions are decoded from
+   its guest bytes, which is sound because the cache layer only offers a
+   plan to a machine whose guest code bytes hash to the digest the plan
+   was stored under. *)
 type config = Engine.t * Icache.geometry option
 
 let config t : config = (t.engine, Option.map Icache.geometry t.icache)
@@ -2522,7 +2527,6 @@ type plan = {
   pl_config : config;
       (** the engine and the icache model fix every block's shape and tier:
           a plan seeds only a machine created with the same configuration *)
-  pl_insts : (int * Inst.t * int) array;
   pl_blocks : plan_block array;
   pl_ics : (int * int list) array;
 }
@@ -2535,16 +2539,6 @@ and plan_block = {
 }
 
 let export_plan t =
-  let insts =
-    Hashtbl.fold
-      (fun pc e acc ->
-        match e with
-        | Cok (inst, n, st)
-          when Tblock.Gen.stamp t.gens ~lo:pc ~hi:(pc + n - 1) = st ->
-            (pc, inst, n) :: acc
-        | _ -> acc)
-      t.cur.cache []
-  in
   let unpacked = ref [] in
   let skel_of = function
     | Recorded sk -> sk
@@ -2586,34 +2580,26 @@ let export_plan t =
       t.cur.ics []
   in
   { pl_config = config t;
-    pl_insts = Array.of_list insts;
     pl_blocks = Array.of_list blocks;
     pl_ics = Array.of_list ics }
 
-let plan_stats p = (Array.length p.pl_blocks, Array.length p.pl_insts)
+let plan_stats p = Array.length p.pl_blocks
 
-(* A side effect of one block's replay that a template clone repeats, in
-   order: a decode the cache did not serve (it fetched guest bytes through
-   the TLB and filled the decode cache), or a fused unit (a [Tb_fuse]
-   event under tracing). *)
-type replay_step = Fetched of int | Fused of int * string
-
-(* Replay one skeleton through [Tblock.translate]: decode comes from the
-   (prefabbed) decode cache, the lower callback plays back the recorded
-   decisions positionally — persisted post-optimize ops for IR runs, a
-   deterministic recompile via [compile_op] for everything else — and the
-   emitter skips [Tir.optimize]. Any divergence (a consumed-out skeleton,
-   an unexpected fault) raises and the caller skips the entry, leaving it
-   to the normal cold path. The replay's side effects go to [log], newest
-   first. *)
+(* Replay one skeleton through [Tblock.translate]: decode reads the guest's
+   bytes directly (no decode cache, no TLB), the lower callback plays back
+   the recorded decisions positionally — persisted post-optimize ops for
+   IR runs, a deterministic recompile via [compile_op] for everything else
+   — and the emitter skips [Tir.optimize]. Any divergence (a consumed-out
+   skeleton, an unexpected fault) raises and the caller skips the entry,
+   leaving it to the normal cold path. The replay's fused units, the one
+   side effect a template clone repeats (a [Tb_fuse] event under tracing),
+   go to [log] as (pc, kind), newest first. *)
 let rebuild_block t (pb : plan_block) log =
   let sk = pb.pb_skel in
   let cursor = ref 0 in
   let ir_units = ref 0 and tlb_elided = ref 0 in
   let b =
-    translate_with t ~relayout:sk.sk_relayout
-      ~on_decode:(fun pc ->
-        if not (decode_cached t pc) then log := Fetched pc :: !log)
+    translate_with t ~decode:decode_direct ~relayout:sk.sk_relayout
       ~lower:(fun ~pc:_ _inst _size ->
         if !cursor >= Array.length sk.sk_steps then raise Exit;
         let s = sk.sk_steps.(!cursor) in
@@ -2622,7 +2608,7 @@ let rebuild_block t (pb : plan_block) log =
       ~on_compile:(fun ~pc:_ _ _ _ -> ())
       ~emit:(fun ops ->
         emit_units
-          ~on_fuse:(fun pc kind -> log := Fused (pc, kind) :: !log)
+          ~on_fuse:(fun pc kind -> log := (pc, kind) :: !log)
           ir_units tlb_elided ops)
       pb.pb_entry
   in
@@ -2633,30 +2619,19 @@ let rebuild_block t (pb : plan_block) log =
 (* A template is what one replay seeded, kept to seed later machines with
    the same plan without replaying it: every block as a clone with cleared
    links, run state and terminator closure, next to its recompile plan and
-   the side effects its replay had; the decode-cache prefab as (pc,
-   instruction parcels), re-decoded on each seed; the blocks' skeletons,
-   marshaled; and the inline-cache seeds. A template lives as long as its
-   cache entry, so it keeps the plan's bulk in flat arrays and bytes
-   rather than as a graph of small records, which the major GC would walk
-   every cycle. It is never executed or mutated, so one template serves
+   the units its replay fused; the blocks' skeletons, marshaled; and the
+   inline-cache seeds. A template lives as long as its cache entry, so it
+   keeps the plan's bulk in flat arrays and bytes rather than as a graph
+   of small records, which the major GC would walk every cycle. It is never executed or mutated, so one template serves
    machines on any domain. *)
 type template = {
   tp_config : config;
   tp_isa : Ext.t;
-  tp_code : int array;
-  tp_blocks : (t Tblock.t * (int * bool) list * replay_step list) array;
-      (** block, recompile plan, replay side effects *)
+  tp_blocks : (t Tblock.t * (int * bool) list * (int * string) list) array;
+      (** block, recompile plan, fused units (pc, kind) in replay order *)
   tp_skels : bytes;  (** a [skel array] in [tp_blocks] order *)
   tp_ics : (int * int list) array;
 }
-
-(* Decode-cache prefab. Entries are stamped against the seeding machine's
-   current generations: the caller's content-digest check proved the guest
-   bytes equal the exporting run's, so the persisted decodes are decodes
-   of the current bytes. *)
-let seed_decode t pc inst n =
-  Hashtbl.replace t.cur.cache pc
-    (Cok (inst, n, Tblock.Gen.stamp t.gens ~lo:pc ~hi:(pc + n - 1)))
 
 let seed_block t b skel =
   t.fused_pairs <- t.fused_pairs + b.Tblock.n_fused;
@@ -2685,44 +2660,16 @@ let seed_finish t ~ics =
       ics;
   flush_run_stats t
 
-(* The instruction parcels at [pc], read without the TLB: the low halfword
-   and, for a 4-byte instruction, the high one above it. *)
-let parcels mem pc n =
-  let lo = Memory.peek_u16 mem pc in
-  if n = 2 then lo else lo lor (Memory.peek_u16 mem (pc + 2) lsl 16)
-
-(* A template's decode table holds one int per entry: a pc below 2^30
-   above the 32-bit instruction parcels. *)
-let pack pc v = (pc lsl 32) lor v
-let packable pc v = pc >= 0 && pc < 1 lsl 30 && v >= 0 && v < 1 lsl 32
-
 let template t p kept =
-  let exact = ref true in
-  let code =
-    Array.map
-      (fun (pc, inst, n) ->
-        let w = parcels t.cur.vmem pc n in
-        (match Decode.decode ~lo:(w land 0xFFFF) ~hi:(w lsr 16) with
-        | Decode.Ok (i', n') when n' = n && i' = inst && packable pc w -> ()
-        | _ -> exact := false);
-        pack pc w)
-      p.pl_insts
-  in
-  if not !exact then None
-  else
-    Some
-      { tp_config = p.pl_config;
-        tp_isa = t.isa;
-        tp_code = code;
-        tp_blocks =
-          Array.map (fun (pb, b, log) -> (b, pb.pb_skel.sk_relayout, log)) kept;
-        tp_skels = Marshal.to_bytes (Array.map (fun (pb, _, _) -> pb.pb_skel) kept) [];
-        tp_ics = p.pl_ics }
+  { tp_config = p.pl_config;
+    tp_isa = t.isa;
+    tp_blocks = Array.map (fun (pb, b, log) -> (b, pb.pb_skel.sk_relayout, log)) kept;
+    tp_skels = Marshal.to_bytes (Array.map (fun (pb, _, _) -> pb.pb_skel) kept) [];
+    tp_ics = p.pl_ics }
 
 let seed_plan t (p : plan) =
   if p.pl_config <> config t then Error "flags"
   else begin
-    Array.iter (fun (pc, inst, n) -> seed_decode t pc inst n) p.pl_insts;
     let kept = ref [] and complete = ref true in
     Array.iter
       (fun pb ->
@@ -2738,7 +2685,7 @@ let seed_plan t (p : plan) =
     seed_finish t ~ics:p.pl_ics;
     let blocks = Array.of_list (List.rev !kept) in
     (* a skipped block may have left side effects no clone would repeat *)
-    Ok (Array.length blocks, if !complete then template t p blocks else None)
+    Ok (Array.length blocks, if !complete then Some (template t p blocks) else None)
   end
 
 (* The terminator closure of template block [b] for this machine. Body
@@ -2758,22 +2705,10 @@ let seed_template t tp =
   if tp.tp_config <> config t then Error "flags"
   else if not (Ext.equal t.isa tp.tp_isa) then Error "isa"
   else begin
-    Array.iter
-      (fun e ->
-        match Decode.decode ~lo:(e land 0xFFFF) ~hi:((e lsr 16) land 0xFFFF) with
-        | Decode.Ok (inst, n) -> seed_decode t (e lsr 32) inst n
-        | Decode.Illegal _ -> ())
-      tp.tp_code;
     Array.iteri
-      (fun i (b, relayout, log) ->
-        List.iter
-          (function
-            | Fetched pc -> (
-                try ignore (decode_at t pc)
-                with Efault _ | Memory.Violation _ -> ())
-            | Fused (pc, kind) ->
-                if !Obs.enabled then Obs.emit (Obs.Tb_fuse { pc; kind }))
-          log;
+      (fun i (b, relayout, fused) ->
+        if !Obs.enabled then
+          List.iter (fun (pc, kind) -> Obs.emit (Obs.Tb_fuse { pc; kind })) fused;
         seed_block t
           (Tblock.clone t.gens ~epoch:t.code_epoch
              ~term_fn:(rebind_term t ~relayout b) b)

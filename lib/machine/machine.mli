@@ -202,11 +202,15 @@ val ic_infos : t -> ic_info list
     A recording machine (one whose {!Engine.t} has [record] set) keeps, next to every translated block, the replay
     skeleton of the translation that produced it: the positional sequence
     of lower/compile decisions with the post-optimize IR ops. {!export_plan}
-    joins those skeletons with the live decode cache, relayout state,
-    dispatch counts and inline-cache targets into a closure-free,
-    [Marshal]-safe value; {!seed_plan} replays one into a fresh machine so
-    a warm start re-emits execution units directly — no decoding, no IR
-    lowering, no optimizer passes. A replay also yields a
+    joins those skeletons with the relayout state, dispatch counts and
+    inline-cache targets into a closure-free, [Marshal]-safe value;
+    {!seed_plan} replays one into a fresh machine so a warm start re-emits
+    execution units directly — no IR lowering, no optimizer passes. A plan
+    carries no decoded instructions: the replay decodes each block's
+    instructions from the guest's bytes, without the TLB or the decode
+    cache, and later decodes (cold translation, relayouts, the step path)
+    fill the decode cache on demand, as on a cold machine. A replay also
+    yields a
     {!template} from which {!seed_template} seeds further machines with the
     same plan without replaying it at all.
 
@@ -218,27 +222,28 @@ val ic_infos : t -> ic_info list
     their entries become unreachable rather than wrong. *)
 
 type plan
-(** Marshalable translation plan (no closures; contains only decoded
-    instructions, IR ops, pcs, layouts and counters). *)
+(** Marshalable translation plan (no closures; contains only IR ops, pcs,
+    layouts and counters). *)
 
 val export_plan : t -> plan
-(** Snapshot the current view's replayable state: valid decode-cache
-    entries, every epoch-valid block that has a recorded skeleton (with its
-    layout and dispatch count), and non-megamorphic inline-cache
-    targets. *)
+(** Snapshot the current view's replayable state: every epoch-valid block
+    that has a recorded skeleton (with its layout and dispatch count), and
+    non-megamorphic inline-cache targets. *)
 
 type template
 (** What one {!seed_plan} seeded, taken before the machine ran: its blocks
     (without links, run state or terminator closures), their replay
-    skeletons, decode-cache prefab and inline-cache seeds, and the
-    side effects the replay had (decodes it fetched, fused units it
-    traced). Never executed or mutated: one template may seed machines on
-    several domains at once. *)
+    skeletons and inline-cache seeds, and the units the replay fused (for
+    their [Obs] events). Never executed or mutated: one template may seed
+    machines on several domains at once. *)
 
 val seed_plan : t -> plan -> (int * template option, string) result
-(** Replay a plan into this machine: prefab the decode cache, rebuild and
-    publish every block with its exported layout and dispatch count, and
-    retrain inline caches. Returns [Ok (n, template)] with the
+(** Replay a plan into this machine: rebuild and publish every block with
+    its exported layout and dispatch count, decoding from the guest's
+    bytes with {!Memory.fetch_u16}'s permission checks, and retrain inline
+    caches. The replay counts no TLB access and leaves the decode cache
+    empty.
+    Returns [Ok (n, template)] with the
     number of blocks seeded and, when every block replayed, a {!template}
     of them taken before any run; [Error "flags"] if the plan was exported
     under a different {!Engine.t} or icache geometry — nothing is seeded
@@ -247,9 +252,10 @@ val seed_plan : t -> plan -> (int * template option, string) result
     published; execution then translates it on demand. *)
 
 val seed_template : t -> template -> (int, string) result
-(** Seed this machine from a template: the same blocks, decode cache,
-    inline caches, counters and [Obs] events as {!seed_plan} of the
-    template's plan, without the replay. Each block is a {!Tblock.clone}:
+(** Seed this machine from a template: the same blocks, inline caches,
+    counters and [Obs] events as {!seed_plan} of the template's plan,
+    without the replay, and likewise no TLB access and an empty decode
+    cache. Each block is a {!Tblock.clone}:
     its execution units are shared with the template (their closures take
     the machine as an argument), and its terminator is recompiled for this
     machine, because a tiered indirect terminator captures its machine's
@@ -257,5 +263,5 @@ val seed_template : t -> template -> (int, string) result
     seeded, when the machine's configuration or ISA differs from that of
     the machine the template was taken on. *)
 
-val plan_stats : plan -> int * int
-(** [(blocks, decode entries)] in a plan — for cache telemetry. *)
+val plan_stats : plan -> int
+(** The number of blocks in a plan — for cache telemetry. *)

@@ -309,6 +309,21 @@ let fetch_u16 t addr =
   if off + 2 <= page_size then Bytes.get_uint16_le (exec_data t addr) off
   else Int64.to_int (load_multi t addr 2 Fault.Execute)
 
+(* [fetch_u16] through the page table: the same permission checks and
+   violations, in the same address order, but no TLB count, no TLB fill
+   and no storage for an untouched page (it reads as zeros). *)
+let fetch_u8_direct t addr =
+  match Hashtbl.find t.pages (page_index addr) with
+  | p when p.perm.x ->
+      if Bytes.length p.data = 0 then 0
+      else Bytes.get_uint8 p.data (page_offset addr)
+  | _ -> violate addr Fault.Execute
+  | exception Not_found -> violate addr Fault.Execute
+
+let fetch_u16_direct t addr =
+  let lo = fetch_u8_direct t addr in
+  lo lor (fetch_u8_direct t (addr + 1) lsl 8)
+
 let peek_u8 t addr = Bytes.get_uint8 (peek_data t addr) (page_offset addr)
 
 let peek_u16 t addr = peek_u8 t addr lor (peek_u8 t (addr + 1) lsl 8)

@@ -81,6 +81,13 @@ val store_u64 : t -> int -> int64 -> unit
 val fetch_u16 : t -> int -> int
 (** 16-bit instruction fetch: requires execute permission. *)
 
+val fetch_u16_direct : t -> int -> int
+(** {!fetch_u16} through the page table instead of the TLB: the same
+    permission checks and {!Violation}s, but it counts no TLB hit or miss,
+    fills no TLB slot and gives an untouched page no storage (it reads as
+    zeros). A plan replay decodes through it, so seeding a machine leaves
+    its TLB as it was. *)
+
 (** {1 Check-elision-safe page access}
 
     [read_data]/[write_data] perform one full TLB-checked translation of

@@ -36,7 +36,8 @@ type metrics = {
 
 val load_baseline : string -> (string * metrics) list
 (** Parse a bench [--json] file into per-experiment metrics, in file order.
-    Unknown fields are ignored so newer stats files load as baselines.
+    Unknown fields are ignored so newer stats files load as baselines, and
+    so is every top-level field but [experiments] (the [machine] stamp).
     @raise Failure on malformed JSON or a missing required field. *)
 
 val compare_run :

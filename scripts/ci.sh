@@ -270,12 +270,14 @@ PY
 # the dispatch loop alone reads 354. Translations are gated at the
 # recorded 848: every entry is translated once, at the top tier, plus its
 # relayouts; the climb read 2664. The major-collection count is exact for
-# a tree (7) and gated at 9: cache frames are checked in a per-domain
-# buffer, warm requests share the cache's memoized rewrite contexts,
-# guest pages are demand-zero and digests use a scratch buffer, so
-# per-request setup stays off the major heap. Reading each cache file into
-# a fresh buffer and unmarshaling every request's context read 16; an
-# eagerly zeroed 1 MiB stack and copying digests on top of that read 35.
+# a tree (5) and gated at 7: cache frames are checked in a per-domain
+# buffer, warm requests share the cache's memoized rewrite contexts, plan
+# seeds decode nothing, guest pages are demand-zero and digests use a
+# scratch buffer, so per-request setup stays off the major heap.
+# Re-decoding every plan's saved instructions into each warm machine's
+# decode cache read 7; reading each cache file into a fresh buffer and
+# unmarshaling every request's context on top of that read 16; an eagerly
+# zeroed 1 MiB stack and copying digests on top of that read 35.
 steady_out=$(python3 perfbench/run.py --workload steady --seed 1 --seconds 4 --trace 1 | tail -1)
 python3 - "$steady_out" <<'PY'
 import json
@@ -293,8 +295,8 @@ translations = metrics["machine.translations"]["value"]
 if translations > 848:
     bad.append(f"machine.translations = {translations} (want <= 848)")
 majors = metrics["gc.major_collections"]["value"]
-if majors > 9:
-    bad.append(f"gc.major_collections = {majors} (want <= 9)")
+if majors > 7:
+    bad.append(f"gc.major_collections = {majors} (want <= 7)")
 if result["correct"] is not True or result["failed"] != 0:
     bad.append(f"correct = {result['correct']}, failed = {result['failed']}")
 if bad:
@@ -303,6 +305,40 @@ if bad:
 print(f"ci: steady smoke passed (exec {metrics['exec.busy_ms']['value']:.0f} ms, "
       f"{alloc:.1f} words/kinst, {translations} translations, {majors} major GCs, "
       f"counts exact)")
+PY
+
+# Serve-mix smoke: one traced pass of the benchmark's serve-mix workload
+# (warm guests through the server on one base and one ext worker, two
+# closed-loop clients). The seed fixes the work, so the retired and
+# recovered-fault counts are exact; every request seeds its plan from the
+# cache (plan_hit_rate 1.0), and translations stay at the recorded 40.
+# The allocation bound sits 10% above the recorded 85.7 words/kinst,
+# mostly per-request setup; when every plan seed re-decoded the plan's
+# saved instructions into the machine's decode cache it read 159.1.
+servemix_out=$(python3 perfbench/run.py --workload serve-mix --seed 1 --seconds 4 --trace 1 | tail -1)
+python3 - "$servemix_out" <<'PY'
+import json
+import sys
+
+result = json.loads(sys.argv[1])
+metrics = result["metrics"]
+want = {"machine.retired": 78549200, "runtime.faults_recovered": 800,
+        "cache.plan_hit_rate": 1.0}
+bad = [f"{k} = {metrics[k]['value']} (want {v})"
+       for k, v in want.items() if metrics[k]["value"] != v]
+translations = metrics["machine.translations"]["value"]
+if translations > 40:
+    bad.append(f"machine.translations = {translations} (want <= 40)")
+alloc = metrics["machine.alloc_words_per_kinst"]["value"]
+if alloc > 94.2:
+    bad.append(f"machine.alloc_words_per_kinst = {alloc:.1f} (want <= 94.2)")
+if result["correct"] is not True or result["failed"] != 0:
+    bad.append(f"correct = {result['correct']}, failed = {result['failed']}")
+if bad:
+    print("ci: serve-mix smoke failed: " + "; ".join(bad), file=sys.stderr)
+    sys.exit(1)
+print(f"ci: serve-mix smoke passed (service {metrics['serve.service_ms']['value']:.0f} ms, "
+      f"{alloc:.1f} words/kinst, {translations} translations, counts exact)")
 PY
 
 # Perf-regression gate: diff a fresh full fig13 against the committed

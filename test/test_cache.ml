@@ -512,11 +512,11 @@ let test_engine_mismatch_falls_back_cold () =
    bytes: a mismatch means the digest changed, not the test. *)
 let golden_inputs () =
   [ ("fibonacci", Programs.fibonacci ~rounds:1000 (),
-     ("4cdccabf9fa9de4d731147cac3abdda0", "b235727786ce2d38898127a4a0237b9a",
-      "9080a938044f8b0f62c19fe7d579acab"));
+     ("88f095c3c18c3047ec4e8676889ad000", "f219c9c25a86341b0f894936e7cf7c3c",
+      "ff19f56a12e8517c83884118ae538c5c"));
     ("perlbench_r", Specgen.build (Specgen.find "perlbench_r"),
-     ("cbfb2f8ee9891face4ea6db9b236ab0f", "9ebadeb64981c9d4154e90567ac93743",
-      "6265ae4c8ecf1ecdde04376ab7720f8e")) ]
+     ("87f1483c1b17917e73efda3190ae207b", "ce2095206432e5f17ccaed90e651fa72",
+      "bdfeaddcf0d927dc586b86191d26e040")) ]
 
 let rewritten_image bin =
   let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in

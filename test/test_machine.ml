@@ -120,6 +120,37 @@ let test_demand_zero () =
   Alcotest.(check (list (pair int int)))
     "ranges" [ (0x1000, 8192); (0x10000, 4096) ] (Memory.mapped_ranges mem)
 
+(* [fetch_u16_direct] reads and faults exactly like [fetch_u16] (an
+   executable page with and without storage, a page without execute
+   permission, an unmapped page, a fetch running into an unmapped page),
+   and counts no TLB access. *)
+let test_direct_fetch () =
+  let layout () =
+    let mem = Memory.create () in
+    Memory.map mem ~addr:0x1000 ~len:4096 Memory.perm_rx;
+    Memory.poke_u16 mem 0x1002 0xBEEF;
+    Memory.map mem ~addr:0x2000 ~len:4096 Memory.perm_rw;
+    Memory.map mem ~addr:0x4000 ~len:4096 Memory.perm_rx;
+    Memory.map mem ~addr:0x5000 ~len:4096 Memory.perm_rx;
+    Memory.poke_u8 mem 0x5FFF 0x12;
+    mem
+  in
+  let outcome fetch addr =
+    match fetch addr with
+    | v -> Ok v
+    | exception Memory.Violation { addr; access } ->
+        Error (addr, match access with Fault.Read -> "r" | Fault.Write -> "w" | Fault.Execute -> "x")
+  in
+  let checked = layout () and direct = layout () in
+  List.iter
+    (fun addr ->
+      Alcotest.(check (result int (pair int string)))
+        (Printf.sprintf "fetch at %#x" addr)
+        (outcome (Memory.fetch_u16 checked) addr)
+        (outcome (Memory.fetch_u16_direct direct) addr))
+    [ 0x1002; 0x1FFE; 0x2000; 0x3000; 0x4002; 0x5FFF ];
+  Alcotest.(check (pair int int)) "no TLB traffic" (0, 0) (Memory.tlb_stats direct)
+
 (* An untouched page shared between two memories is one page: a write
    through either memory reads back through the other. *)
 let test_demand_zero_share () =
@@ -862,6 +893,7 @@ let () =
          Alcotest.test_case "peek maps nothing" `Quick test_peek_maps_nothing;
          Alcotest.test_case "demand-zero reads" `Quick test_demand_zero;
          Alcotest.test_case "demand-zero sharing" `Quick test_demand_zero_share;
+         Alcotest.test_case "direct fetch" `Quick test_direct_fetch;
          Alcotest.test_case "load major words" `Quick test_load_major_words ]);
       ("semantics",
        [ Alcotest.test_case "arithmetic" `Quick test_arith;

@@ -340,8 +340,11 @@ let test_stack_depth_cap () =
 
 (* --- regression gate ----------------------------------------------------------- *)
 
+(* shaped like a bench --json file, machine stamp included: the gate reads
+   only the experiments *)
 let baseline_json =
   {|{
+  "machine": { "nproc": 2, "cpu": "Example CPU \"v2\"", "ocaml": "5.1.1" },
   "experiments": [
     { "name": "fig13", "wall_s": 10.0, "retired": 409005173, "mips": 29.3,
       "tlb_hit_rate": 0.9604, "chain_hit_rate": 0.9934 },
