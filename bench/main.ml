@@ -274,7 +274,7 @@ let write_json file (stats : stat list) =
              \"tb_dispatches\": %d, \
              \"superblock_len_avg\": %.2f, \"side_exit_rate\": %.4f, \"fused_ops\": %d, \
              \"ic_hit_rate\": %.4f, \"ic_hits\": %d, \"ic_misses\": %d, \
-             \"ic_mega_dispatches\": %d, \"recompiles\": %d, \
+             \"ic_mega_dispatches\": %d, \
              \"ir_units\": %d, \"ir_folded\": %d, \"ir_dead\": %d, \
              \"pc_writes_elided\": %d, \"tlb_checks_elided\": %d, \
              \"regs_cached_avg\": %.2f, \"translate_s\": %.4f, \"translations\": %d, \
@@ -285,7 +285,7 @@ let write_json file (stats : stat list) =
             (c "chimera_fused_total") (ic_hit_rate s) (c "chimera_ic_hits_total")
             (c "chimera_ic_misses_total")
             (c "chimera_ic_mega_dispatches_total")
-            (c "chimera_recompiles_total") (c "chimera_ir_units_total")
+            (c "chimera_ir_units_total")
             (c "chimera_ir_folded_total") (c "chimera_ir_dead_total")
             (c "chimera_ir_pc_elided_total") (c "chimera_ir_tlb_elided_total")
             (rate (c "chimera_ir_cached_total") (c "chimera_ir_blocks_total"))
@@ -1376,11 +1376,10 @@ let engine_arg =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Execution engine for every machine the benchmarks create: \
-           $(b,tiered) (default; top-tier translation on first touch, \
-           jalr inline caches and one profile-guided relayout of hot \
-           blocks), $(b,untiered) (top-tier translation on first touch, no \
-           inline caches, no relayout) or $(b,step) (reference single-step \
-           path). Simulated counters are identical for all three — CI \
+           $(b,tiered) (default; top-tier translation on first touch and \
+           jalr inline caches), $(b,untiered) (top-tier translation on \
+           first touch, no inline caches) or $(b,step) (reference \
+           single-step path). Simulated counters are identical for all three — CI \
            compares them.")
 
 let json_arg =

@@ -207,10 +207,7 @@ let cmd_run file isa fuel plain show_counters steps trace_file profile_file tier
          each hot block ended at and how its call sites resolved *)
       let tiers =
         List.map
-          (fun b ->
-            ( b.Machine.bi_entry,
-              Printf.sprintf "t%d%s" b.Machine.bi_tier
-                (if b.Machine.bi_relaid then "*" else "") ))
+          (fun b -> (b.Machine.bi_entry, Printf.sprintf "t%d" b.Machine.bi_tier))
           (Machine.block_infos m)
       in
       let ics =
@@ -536,10 +533,9 @@ let run_cmd =
   in
   let tiered =
     Arg.(value & flag & info [ "tiered" ]
-         ~doc:"Tiered execution: jalr inline caches and one profile-guided \
-               relayout of hot blocks on top of first-touch top-tier \
-               translation (results are bit-identical, only dispatch \
-               changes). The $(b,--profile) report then annotates \
+         ~doc:"Tiered execution: jalr inline caches on top of first-touch \
+               top-tier translation (results are bit-identical, only \
+               dispatch changes). The $(b,--profile) report then annotates \
                hot blocks with their tier and lists inline-cache sites.")
   in
   Cmd.v (Cmd.info "run" ~doc:"Execute a binary on a simulated hart")
@@ -567,8 +563,8 @@ let metrics_cmd =
   let fuel = Arg.(value & opt int 100_000_000 & info [ "fuel" ] ~doc:"Instruction budget.") in
   let tiered =
     Arg.(value & flag & info [ "tiered" ]
-         ~doc:"Tiered execution with jalr inline caches (the relayout and \
-               inline-cache counters are then live).")
+         ~doc:"Tiered execution with jalr inline caches (the inline-cache \
+               counters are then live).")
   in
   let fmt =
     Arg.(value & opt string "prometheus" & info [ "format" ] ~docv:"FMT"

@@ -8,8 +8,8 @@
                      layouts, scavenge results — everything Chbp.rewrite
                      decided about the binary
      <key>.plan      a Machine.plan: post-optimize TIR ops in pre-closure
-                     form, superblock shapes and relayout decisions, and
-                     inline-cache seed profiles
+                     form, superblock shapes and inline-cache seed
+                     profiles
 
    The key is the whole correctness story. It digests the guest code bytes
    (executable pages only — data pages mutate during every run) together
@@ -29,7 +29,7 @@
    observation), never an exception — the caller falls back to the cold
    path. *)
 
-let schema_version = 6
+let schema_version = 7
 let magic = "CHIMCAC1"
 
 (* Artifacts memoized in process, keyed by file path: a plan's

@@ -3,8 +3,8 @@
     Warm starts load two artifacts instead of recomputing them: the CHBP
     rewrite context ({!Chbp.t} — site tables, SMILE layouts, scavenge
     results) and a translation plan ({!Machine.plan} — post-optimize TIR
-    ops, superblock shapes, relayout decisions and inline-cache seeds; no
-    decoded instructions, which a seed reads from the guest's bytes).
+    ops, superblock shapes and inline-cache seeds; no decoded
+    instructions, which a seed reads from the guest's bytes).
     Artifacts are addressed by an MD5 digest of the guest code bytes, the
     ISA, a caller-supplied configuration tag and {!schema_version}, so
     stale entries are unreachable by construction:

@@ -27,15 +27,12 @@ type t =
           bench's [--engine step]). *)
   | Untiered of { record : bool }
       (** Every entry is translated on first touch at the top tier, with
-          no inline caches and no relayout (the bench's
-          [--engine untiered]). *)
+          no inline caches (the bench's [--engine untiered]). *)
   | Tiered of { record : bool }
-      (** Every entry is translated on first touch at the top tier, like
-          [Untiered]; on top of that, register-indirect jumps predict their
-          successor through per-site inline caches, and a block whose
-          observed side-exit profile, once hot, contradicts the static
-          layout is recompiled once with trace-style layout (the bench's
-          default, [--engine tiered]). *)
+      (** [Untiered] plus inline caches: every entry is translated on first
+          touch at the top tier, and register-indirect jumps predict their
+          successor through per-site inline caches (the bench's default,
+          [--engine tiered]). *)
 
 val default : t
 (** [Untiered {record = false}]: what a machine created without [?engine]

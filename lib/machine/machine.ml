@@ -28,12 +28,7 @@ type view = {
    recompiles it from the decoded instruction, which is deterministic. *)
 and step = Slower of Tir.op | Scompile
 
-and skel = {
-  sk_steps : step array;
-  sk_relayout : (int * bool) list;
-      (** the recompile plan the translation ran under, so replay drives
-          [relayout_of] to the same cut/flip decisions *)
-}
+and skel = step array
 
 (* A block seeded from a template finds its skeleton in the template's
    marshaled skeleton array ([Packed (bytes, index)]), unmarshaled only if
@@ -103,19 +98,16 @@ and t = {
       (** instructions merged into multi-instruction units at translation
           time (Σ (unit width − 1) over translated blocks) *)
   tiered : bool;
-      (** [Tiered], unpacked once so the dispatch loop reads a plain
-          boolean: indirect terminators carry inline caches, and a hot
-          block whose observed side-exit profile contradicts the static
-          BTFN layout is recompiled once with trace-style layout. Every
-          translating machine translates at its top tier on first touch. *)
+      (** [Tiered], unpacked once so translation reads a plain boolean:
+          indirect terminators carry inline caches. Every translating
+          machine translates at its top tier on first touch. *)
   mutable pending_ic : icsite option;
       (** set by an indirect terminator closure as it completes; the next
           dispatch consumes it to predict the successor block through the
-          site's inline cache instead of the single [link_taken] slot *)
+          site's inline cache instead of the [link_taken] slot *)
   mutable ic_hits : int;  (** dispatches predicted by an inline cache *)
   mutable ic_misses : int;  (** IC probes that fell back to the block table *)
   mutable ic_mega_d : int;  (** dispatches through megamorphic sites *)
-  mutable recompiles : int;  (** profile-guided layout recompilations *)
   (* per-translation IR pass statistics, flushed to the metrics registry
      once per [run] like the other counters *)
   mutable ir_blocks : int;  (** translations that produced IR units *)
@@ -193,10 +185,6 @@ let m_fused =
   Metrics.counter "chimera_fused_total"
     ~help:"Instructions merged into multi-instruction execution units"
 
-let m_recompiles =
-  Metrics.counter "chimera_recompiles_total"
-    ~help:"Profile-guided recompiles from observed side-exit profiles"
-
 let m_ic_hits =
   Metrics.counter "chimera_ic_hits_total"
     ~help:"Inline-cache hits at indirect-terminator sites"
@@ -257,25 +245,6 @@ let new_view mem =
     ics = Hashtbl.create 64;
     skels = Hashtbl.create 64 }
 
-(* Dispatches of a block before its observed exit profile is checked
-   against the static layout (tiered machines only). *)
-let recompile_hot = 256
-
-(* Observed-exit-rate policy for profile-guided relayout: a branch whose
-   conditional taken rate reaches [relayout_cut_rate] contradicts the BTFN
-   assumption and is cut out of the block (compiled as a terminator, which
-   chains through both link slots instead of side-exiting); at
-   [relayout_flip_rate] the branch is so lopsided that the block is laid
-   out through the taken path instead (inverted guard, trace layout). *)
-let relayout_cut_rate = 0.25
-let relayout_flip_rate = 0.70
-
-(* Minimum dispatches that must have reached a unit before its observed
-   exit rate is trusted — below this the rate is noise (a wrapped
-   superblock's late units see only the dispatches that survived every
-   earlier exit, often just one or two). *)
-let relayout_min_sample = 16
-
 (* Polymorphic inline-cache capacity: distinct live targets beyond the
    monomorphic slot plus this many table entries turn the site
    megamorphic. *)
@@ -314,7 +283,6 @@ let create ?(engine = Engine.default) ?icache ?(vlen = 32) ?(costs = Costs.defau
     ic_hits = 0;
     ic_misses = 0;
     ic_mega_d = 0;
-    recompiles = 0;
     ir_blocks = 0;
     ir_units = 0;
     ir_folded = 0;
@@ -990,7 +958,7 @@ let target_aligned t target =
 (* Find-or-create the inline-cache site record for an indirect terminator
    at [pc] in the current view. The record is captured by the terminator
    closure at translation time and shared by every translation of the site
-   (re-translation after invalidation, relayout), so the learned
+   (re-translation after invalidation), so the learned
    targets survive block churn; only the per-target block links are
    re-validated, through the usual epoch guard. *)
 let ic_for t pc =
@@ -1008,13 +976,6 @@ let ic_for t pc =
       in
       Hashtbl.add t.cur.ics pc s;
       s
-
-(* Recompile-plan lookup for a branch at [pc]; a plan holds at most the
-   branches of one block, so a list scan is fine at translation time. *)
-let rec relayout_of relayout pc =
-  match relayout with
-  | [] -> None
-  | (p, flip) :: tl -> if p = pc then Some flip else relayout_of tl pc
 
 (* 32-bit sign extension of a [0, 2^32) int in native arithmetic. *)
 let[@inline] sext32_int v = (v lxor 0x8000_0000) - 0x8000_0000
@@ -1306,11 +1267,7 @@ let emit_effect (o : Tir.op) : t -> unit =
    cannot execute stops the block so the slow path raises the precise
    illegal-instruction fault. Every compiled closure replicates [exec]
    exactly and then retires, with operands partially evaluated at
-   translation time. [relayout] is the translation's recompile plan:
-   [(branch pc, flip)] pairs from the observed exit profile — [flip =
-   false] cuts the block at the branch (terminator), [flip = true] inverts
-   it and continues decoding at the taken target; empty outside
-   recompilation.
+   translation time.
 
    pc is maintained lazily: straight-line closures that cannot fault do
    not write [t.pc] at all; fault-capable closures (memory accesses, the
@@ -1319,7 +1276,7 @@ let emit_effect (o : Tir.op) : t -> unit =
    [run_blocks] re-synchronizes pc at every dispatch end (terminator pc,
    fall-through, or the fuel-limited resume point), so pc is exact at
    every point the machine state is observable. *)
-let compile_op t ~relayout ~pc inst size =
+let compile_op t ~pc inst size =
   match inst with
   | Inst.Ecall | Inst.Ebreak | Inst.C_ebreak | Inst.Xcheck_jalr _ ->
       Tblock.Term
@@ -1442,129 +1399,70 @@ let compile_op t ~relayout ~pc inst size =
       let target = pc + off in
       if not (target_aligned t target) then Tblock.Term
       else begin
-        let fall = pc + size in
-        let as_term () =
-          (* loop backedge or a profile-guided cut:
-             terminator, but both targets are static and aligned so it
-             cannot fault — direct closure (chains through both link
-             slots, never side-exits) *)
+        if off <= 0 then
+          (* loop backedge: terminator, but both targets are static and
+             aligned so it cannot fault — direct closure (chains through
+             both link slots, never side-exits) *)
+          let fall = pc + size in
           Tblock.Term_fn
             (fun t ->
               if branch_taken c (get_reg t rs1) (get_reg t rs2) then
                 t.pc <- target
               else t.pc <- fall;
               retire_scalar t)
-        in
-        match relayout_of relayout pc with
-        | Some true when off > 0 ->
-            (* observed mostly-taken: trace layout — invert the guard so
-               the hot taken path falls through into the rest of the block
-               (decoding continues at the target); the now-cold
-               fall-through leaves via the side exit *)
-            Tblock.Jump
-              ( (fun t ->
-                  if branch_taken c (get_reg t rs1) (get_reg t rs2) then begin
-                    t.pc <- target;
-                    retire_scalar t
-                  end
-                  else begin
-                    t.pc <- fall;
-                    retire_scalar t;
-                    raise_notrace Side_exit
-                  end),
-                target )
-        | Some _ -> as_term ()
-        | None ->
-            if off <= 0 then as_term ()
-            else
-              Tblock.Brcond
-                (fun t ->
-                  if branch_taken c (get_reg t rs1) (get_reg t rs2) then begin
-                    t.pc <- target;
-                    retire_scalar t;
-                    raise_notrace Side_exit
-                  end
-                  else retire_scalar t)
+        else
+          Tblock.Brcond
+            (fun t ->
+              if branch_taken c (get_reg t rs1) (get_reg t rs2) then begin
+                t.pc <- target;
+                retire_scalar t;
+                raise_notrace Side_exit
+              end
+              else retire_scalar t)
       end
   | Inst.C_beqz (rs1, off) ->
       let target = pc + off in
       if not (Ext.supports t.isa inst) || not (target_aligned t target) then
         Tblock.Term
       else begin
-        let fall = pc + size in
-        let as_term () =
+        if off <= 0 then
+          let fall = pc + size in
           Tblock.Term_fn
             (fun t ->
               if Int64.equal (get_reg t rs1) 0L then t.pc <- target
               else t.pc <- fall;
               retire_scalar t)
-        in
-        match relayout_of relayout pc with
-        | Some true when off > 0 ->
-            Tblock.Jump
-              ( (fun t ->
-                  if Int64.equal (get_reg t rs1) 0L then begin
-                    t.pc <- target;
-                    retire_scalar t
-                  end
-                  else begin
-                    t.pc <- fall;
-                    retire_scalar t;
-                    raise_notrace Side_exit
-                  end),
-                target )
-        | Some _ -> as_term ()
-        | None ->
-            if off <= 0 then as_term ()
-            else
-              Tblock.Brcond
-                (fun t ->
-                  if Int64.equal (get_reg t rs1) 0L then begin
-                    t.pc <- target;
-                    retire_scalar t;
-                    raise_notrace Side_exit
-                  end
-                  else retire_scalar t)
+        else
+          Tblock.Brcond
+            (fun t ->
+              if Int64.equal (get_reg t rs1) 0L then begin
+                t.pc <- target;
+                retire_scalar t;
+                raise_notrace Side_exit
+              end
+              else retire_scalar t)
       end
   | Inst.C_bnez (rs1, off) ->
       let target = pc + off in
       if not (Ext.supports t.isa inst) || not (target_aligned t target) then
         Tblock.Term
       else begin
-        let fall = pc + size in
-        let as_term () =
+        if off <= 0 then
+          let fall = pc + size in
           Tblock.Term_fn
             (fun t ->
               if Int64.equal (get_reg t rs1) 0L then t.pc <- fall
               else t.pc <- target;
               retire_scalar t)
-        in
-        match relayout_of relayout pc with
-        | Some true when off > 0 ->
-            Tblock.Jump
-              ( (fun t ->
-                  if Int64.equal (get_reg t rs1) 0L then begin
-                    t.pc <- fall;
-                    retire_scalar t;
-                    raise_notrace Side_exit
-                  end
-                  else begin
-                    t.pc <- target;
-                    retire_scalar t
-                  end),
-                target )
-        | Some _ -> as_term ()
-        | None ->
-            if off <= 0 then as_term ()
-            else
-              Tblock.Brcond
-                (fun t ->
-                  if Int64.equal (get_reg t rs1) 0L then retire_scalar t
-                  else begin
-                    t.pc <- target;
-                    retire_scalar t;
-                    raise_notrace Side_exit
-                  end)
+        else
+          Tblock.Brcond
+            (fun t ->
+              if Int64.equal (get_reg t rs1) 0L then retire_scalar t
+              else begin
+                t.pc <- target;
+                retire_scalar t;
+                raise_notrace Side_exit
+              end)
       end
   | _ -> (
       if not (Ext.supports t.isa inst) then Tblock.Stop
@@ -1849,13 +1747,13 @@ let emit_run t stats ir_units tlb_elided (ops : Tir.op array) =
    needs per-instruction units, keeps it at tier 2. *)
 let top_tier t = if t.icache = None then 3 else 2
 
-(* One [Tblock.translate] of [entry] under the recompile plan [relayout]:
-   [decode] reads each instruction, [lower] picks the IR-lowered ones,
-   every other one is compiled by [compile_op] (and shown to
-   [on_compile]), and [emit] turns IR runs into execution units. Cold
-   translation and plan replay differ only in those callbacks. *)
-let translate_with t ~decode ~relayout ~lower ~on_compile ~emit entry =
-  Tblock.translate ~gens:t.gens ~epoch:t.code_epoch ~isa:t.isa
+(* One [Tblock.translate] of [entry] at the machine's top tier: [decode]
+   reads each instruction, [lower] picks the IR-lowered ones, every other
+   one is compiled by [compile_op] (and shown to [on_compile]), and [emit]
+   turns IR runs into execution units. Cold translation and plan replay
+   differ only in those callbacks. *)
+let translate_with t ~decode ~lower ~on_compile ~emit entry =
+  Tblock.translate ~gens:t.gens ~epoch:t.code_epoch ~isa:t.isa ~tier:(top_tier t)
     ~decode:(fun pc ->
       match decode t pc with
       | d -> Some d
@@ -1863,21 +1761,20 @@ let translate_with t ~decode ~relayout ~lower ~on_compile ~emit entry =
       | exception Memory.Violation _ -> None)
     ~lower
     ~compile:(fun ~pc inst size ->
-      let c = compile_op t ~relayout ~pc inst size in
+      let c = compile_op t ~pc inst size in
       on_compile ~pc inst size c;
       c)
     ~emit entry
 
-let translate_block ?(relayout = []) t entry =
+let translate_block t entry =
   let t0 = Unix.gettimeofday () in
   let stats = Tir.stats_create () in
   let ir_units = ref 0 and tlb_elided = ref 0 in
   let steps = ref [] in
   Tir.state_reset t.ir_state;
-  let tier = top_tier t in
-  let ir = tier = 3 in
+  let ir = top_tier t = 3 in
   let b =
-    translate_with t ~decode:decode_at ~relayout
+    translate_with t ~decode:decode_at
       ~lower:(fun ~pc inst size ->
         (* capability gating here: only instructions this hart can execute
            reach the IR; anything else falls through to [compile], whose
@@ -1908,10 +1805,8 @@ let translate_block ?(relayout = []) t entry =
       ~emit:(fun ops -> emit_run t stats ir_units tlb_elided ops)
       entry
   in
-  Tblock.set_tier b ~tier ~relaid:(relayout <> []);
   if t.rec_on then
-    Hashtbl.replace t.cur.skels entry
-      (Recorded { sk_steps = Array.of_list (List.rev !steps); sk_relayout = relayout });
+    Hashtbl.replace t.cur.skels entry (Recorded (Array.of_list (List.rev !steps)));
   t.fused_pairs <- t.fused_pairs + b.Tblock.n_fused;
   if !ir_units > 0 then begin
     t.ir_blocks <- t.ir_blocks + 1;
@@ -1966,85 +1861,11 @@ let block_at t =
       publish_block t t.pc b;
       b
 
-(* Derive the recompile plan from a block's observed exit profile: for
-   each inlined branch, the conditional taken rate is its side-exit count
-   over the dispatches that actually reached it (dispatches minus the
-   exits taken earlier in the block). Branches that contradict BTFN get
-   cut (terminator) or, when lopsided enough, flipped (trace layout). *)
-let relayout_plan b =
-  let x = b.Tblock.xexits in
-  if b.Tblock.hot <= 0 || Array.length x = 0 then []
-  else begin
-    let plan = ref [] in
-    let reached = ref b.Tblock.hot in
-    for u = 0 to Array.length x - 1 do
-      let e = Array.unsafe_get x u in
-      (* a superblock can wrap a loop and decode the same branch several
-         times; late occurrences see only the few dispatches that survived
-         every earlier exit, so their rates are noise. Keep the first
-         (best-sampled) occurrence of each pc and ignore units whose
-         sample is below the floor. *)
-      if e > 0 && !reached >= relayout_min_sample then begin
-        let rate = float_of_int e /. float_of_int !reached in
-        if rate >= relayout_cut_rate then begin
-          let ipc = b.Tblock.pcs.(b.Tblock.starts.(u)) in
-          if not (List.mem_assoc ipc !plan) then
-            plan := (ipc, rate >= relayout_flip_rate) :: !plan
-        end
-      end;
-      reached := !reached - e
-    done;
-    List.rev !plan
-  end
-
-(* Replace a block with a profile-relaid translation of the same entry.
-   The old block is retired — its epoch check can never pass again — and
-   dropped from the table, so every chain link and inline-cache entry into
-   it fails its guard on the next follow and re-resolves to the
-   replacement. No global epoch bump: unrelated links stay intact. *)
-let replace_block t b ~relayout =
-  let entry = b.Tblock.entry in
-  Tblock.retire b;
-  Hashtbl.remove t.cur.blocks entry;
-  let nb = translate_block ~relayout t entry in
-  publish_block t entry nb;
-  nb
-
-(* Relayout driver, run once per dispatch on tiered machines: a block with
-   inlined branches that is not yet relaid has its observed exit profile
-   checked once, after [recompile_hot] dispatches, and is recompiled with
-   trace-style layout when the profile contradicts the static one. Either
-   way the block ends up relaid, so the check never runs again. *)
-let maybe_relayout t b =
-  let hot = Tblock.tick_hot b in
-  if (not b.Tblock.relaid) && hot >= recompile_hot && b.Tblock.n_branches > 0
-  then begin
-    match relayout_plan b with
-    | [] ->
-        (* the observed profile agrees with the static layout: mark the
-           block checked so the scan never runs again *)
-        Tblock.set_tier b ~tier:b.Tblock.tier ~relaid:true;
-        b
-    | plan ->
-        let exits = Tblock.exits_total b in
-        let nb = replace_block t b ~relayout:plan in
-        t.recompiles <- t.recompiles + 1;
-        if !Obs.enabled then
-          Obs.emit
-            (Obs.Tb_recompile
-               { entry = nb.Tblock.entry;
-                 hot;
-                 exits;
-                 relaid = List.length plan });
-        nb
-  end
-  else b
-
 (* Train an inline-cache site after a miss resolved [pc] to [nb]. A miss
-   on the predicted target (stale block: SMC, relayout) re-binds the
-   monomorphic slot in place; a genuinely new target demotes the old
-   binding into the polymorphic table (shedding entries that died under
-   it) until the table overflows and the site goes megamorphic. *)
+   on the predicted target (stale block: SMC) re-binds the monomorphic
+   slot in place; a genuinely new target demotes the old binding into the
+   polymorphic table (shedding entries that died under it) until the
+   table overflows and the site goes megamorphic. *)
 let ic_train t s pc nb =
   match s.site_tb with
   | None ->
@@ -2152,25 +1973,29 @@ let run_step ~handlers ~fuel t =
    mid-block.
 
    Hot transfers are direct-chained: when a block completes normally, the
-   next dispatch first tries the finished block's successor link (fall
-   slot when the new pc is the fall-through, taken slot otherwise) and only
-   falls back to the block-table probe — overwriting the link — when the
-   guard fails. The guard is entry-pc equality, the one-compare epoch check,
+   next dispatch first tries the finished block's successor link (the
+   raising unit's own slot after a side exit; after the terminator, the
+   fall slot when the new pc is the fall-through, the taken slot
+   otherwise) and only falls back to the block-table probe — overwriting
+   the link — when the guard fails. The guard is entry-pc equality, the one-compare epoch check,
    and same-view identity (a handler may have switched views mid-run, and
    links never cross views), so a chain hit proves exactly what a
    revalidated table hit proves.
 
-   A chained dispatch allocates nothing: the previous block and its view
-   sit in two plain variables, and a link or inline-cache hit returns the
-   option cell already stored in the slot rather than a fresh [Some]. *)
+   A chained dispatch allocates nothing: the previous block, its side
+   exit and its view sit in plain variables, and a link or inline-cache
+   hit returns the option cell already stored in the slot rather than a
+   fresh [Some]. *)
 let run_blocks ~handlers ~fuel t =
   let remaining = ref fuel in
   let result = ref None in
   let apply = function Resume pc -> t.pc <- pc | Stop s -> result := Some s in
   (* the block that just completed normally, as the option cell it was
-     dispatched from, and the view it ran in; [prev] is cleared on any
-     other path so faults/handler redirects re-enter through the table *)
-  let prev = ref None and prev_view = ref t.cur in
+     dispatched from, the unit whose side exit it left through (-1 when it
+     completed through its terminator or fall-through) and the view it ran
+     in; [prev] is cleared on any other path so faults/handler redirects
+     re-enter through the table *)
+  let prev = ref None and prev_exit = ref (-1) and prev_view = ref t.cur in
   while !result = None && !remaining > 0 do
     (* an indirect terminator publishes its inline-cache site as it
        completes; consume it here (or drop it, if this dispatch is not a
@@ -2185,9 +2010,14 @@ let run_blocks ~handlers ~fuel t =
           match pic with
           | Some s -> ic_dispatch t s pc
           | None -> (
-              let to_fall = pc = pb.Tblock.fall in
+              let x = !prev_exit in
+              let to_fall = x < 0 && pc = pb.Tblock.fall in
               match
-                (if to_fall then pb.Tblock.link_fall else pb.Tblock.link_taken)
+                if x >= 0 then
+                  let a = pb.Tblock.link_exits in
+                  if x < Array.length a then Array.unsafe_get a x else None
+                else if to_fall then pb.Tblock.link_fall
+                else pb.Tblock.link_taken
               with
               | Some nb as link
                 when nb.Tblock.entry = pc && nb.Tblock.echeck = t.code_epoch ->
@@ -2198,7 +2028,8 @@ let run_blocks ~handlers ~fuel t =
                   link
               | _ ->
                   let nb = block_at t in
-                  if to_fall then Tblock.set_link_fall pb nb
+                  if x >= 0 then Tblock.set_link_exit pb x nb
+                  else if to_fall then Tblock.set_link_fall pb nb
                   else Tblock.set_link_taken pb nb;
                   if !Obs.enabled then
                     Obs.emit (Obs.Tb_chain { src = pb.Tblock.entry; dst = pc });
@@ -2207,11 +2038,9 @@ let run_blocks ~handlers ~fuel t =
     in
     prev_view := t.cur;
     prev := None;
+    prev_exit := -1;
     (* every path above yields a block *)
-    let b0 = Option.get bo in
-    let b = if t.tiered then maybe_relayout t b0 else b0 in
-    (* a relayout replaced the block: the one allocation is its new cell *)
-    let bo = if b == b0 then bo else Some b in
+    let b = Option.get bo in
     t.tb_dispatches <- t.tb_dispatches + 1;
     if Tblock.degenerate b then begin
       (* illegal, unsupported, or unmapped entry: the slow path raises the
@@ -2338,15 +2167,13 @@ let run_blocks ~handlers ~fuel t =
           if !side then begin
             (* taken inlined branch: a normal completion — pc is already at
                the taken target, so the next iteration chains through the
-               taken slot *)
+               raising unit's own exit slot *)
             t.side_exits <- t.side_exits + 1;
-            (* the raising unit's index is the observed exit profile that
-               profile-guided recompilation reads *)
-            if t.tiered then Tblock.note_exit b !u;
             if !Obs.enabled then
               Obs.emit
                 (Obs.Tb_side_exit { entry = b.Tblock.entry; target = t.pc });
-            prev := bo
+            prev := bo;
+            prev_exit := !u
           end
           else if full then (
             (* closures write pc lazily (only fault-capable ones set their
@@ -2418,7 +2245,6 @@ let flush_run_stats t =
     Metrics.add m_ic_hits t.ic_hits;
     Metrics.add m_ic_misses t.ic_misses;
     Metrics.add m_ic_mega t.ic_mega_d;
-    Metrics.add m_recompiles t.recompiles;
     Metrics.add m_translations t.translations;
     Metrics.add m_ir_blocks t.ir_blocks;
     Metrics.add m_ir_units t.ir_units;
@@ -2435,7 +2261,6 @@ let flush_run_stats t =
   t.ic_hits <- 0;
   t.ic_misses <- 0;
   t.ic_mega_d <- 0;
-  t.recompiles <- 0;
   t.translations <- 0;
   t.ir_blocks <- 0;
   t.ir_units <- 0;
@@ -2461,23 +2286,11 @@ let run ?(handlers = default_handlers) ~fuel t =
 (* Tier / inline-cache introspection (profile report, CLI)             *)
 (* ------------------------------------------------------------------ *)
 
-type block_info = {
-  bi_entry : int;
-  bi_tier : int;
-  bi_relaid : bool;
-  bi_hot : int;
-  bi_exits : int;
-}
+type block_info = { bi_entry : int; bi_tier : int }
 
 let block_infos t =
   Hashtbl.fold
-    (fun entry b acc ->
-      { bi_entry = entry;
-        bi_tier = b.Tblock.tier;
-        bi_relaid = b.Tblock.relaid;
-        bi_hot = b.Tblock.hot;
-        bi_exits = Tblock.exits_total b }
-      :: acc)
+    (fun entry b acc -> { bi_entry = entry; bi_tier = b.Tblock.tier } :: acc)
     t.cur.blocks []
 
 type ic_info = {
@@ -2512,8 +2325,7 @@ let ic_infos t =
 (* ------------------------------------------------------------------ *)
 
 (* A plan is the marshalable residue of a recording machine's current view:
-   every live block's replay skeleton with its layout and dispatch count,
-   and the live inline-cache targets. It deliberately contains no
+   every live block's replay skeleton and the live inline-cache targets. It deliberately contains no
    closures, no stamps and no decodes — stamps are recomputed against the
    seeding machine's generation table and instructions are decoded from
    its guest bytes, which is sound because the cache layer only offers a
@@ -2531,12 +2343,7 @@ type plan = {
   pl_ics : (int * int list) array;
 }
 
-and plan_block = {
-  pb_entry : int;
-  pb_relaid : bool;
-  pb_hot : int;
-  pb_skel : skel;
-}
+and plan_block = { pb_entry : int; pb_skel : skel }
 
 let export_plan t =
   let unpacked = ref [] in
@@ -2558,11 +2365,7 @@ let export_plan t =
       (fun entry b acc ->
         match Hashtbl.find_opt t.cur.skels entry with
         | Some src when Tblock.revalidate t.gens ~isa:t.isa ~epoch:t.code_epoch b ->
-            { pb_entry = entry;
-              pb_relaid = b.Tblock.relaid;
-              pb_hot = b.Tblock.hot;
-              pb_skel = skel_of src }
-            :: acc
+            { pb_entry = entry; pb_skel = skel_of src } :: acc
         | _ -> acc)
       t.cur.blocks []
   in
@@ -2598,11 +2401,10 @@ let rebuild_block t (pb : plan_block) log =
   let sk = pb.pb_skel in
   let cursor = ref 0 in
   let ir_units = ref 0 and tlb_elided = ref 0 in
-  let b =
-    translate_with t ~decode:decode_direct ~relayout:sk.sk_relayout
+  translate_with t ~decode:decode_direct
       ~lower:(fun ~pc:_ _inst _size ->
-        if !cursor >= Array.length sk.sk_steps then raise Exit;
-        let s = sk.sk_steps.(!cursor) in
+        if !cursor >= Array.length sk then raise Exit;
+        let s = sk.(!cursor) in
         incr cursor;
         match s with Slower op -> Some op | Scompile -> None)
       ~on_compile:(fun ~pc:_ _ _ _ -> ())
@@ -2611,15 +2413,11 @@ let rebuild_block t (pb : plan_block) log =
           ~on_fuse:(fun pc kind -> log := (pc, kind) :: !log)
           ir_units tlb_elided ops)
       pb.pb_entry
-  in
-  Tblock.set_tier b ~tier:(top_tier t) ~relaid:pb.pb_relaid;
-  Tblock.set_hot b pb.pb_hot;
-  b
 
 (* A template is what one replay seeded, kept to seed later machines with
    the same plan without replaying it: every block as a clone with cleared
-   links, run state and terminator closure, next to its recompile plan and
-   the units its replay fused; the blocks' skeletons, marshaled; and the
+   links, run state and terminator closure, next to the units its replay
+   fused; the blocks' skeletons, marshaled; and the
    inline-cache seeds. A template lives as long as its cache entry, so it
    keeps the plan's bulk in flat arrays and bytes rather than as a graph
    of small records, which the major GC would walk every cycle. It is never executed or mutated, so one template serves
@@ -2627,8 +2425,8 @@ let rebuild_block t (pb : plan_block) log =
 type template = {
   tp_config : config;
   tp_isa : Ext.t;
-  tp_blocks : (t Tblock.t * (int * bool) list * (int * string) list) array;
-      (** block, recompile plan, fused units (pc, kind) in replay order *)
+  tp_blocks : (t Tblock.t * (int * string) list) array;
+      (** block, fused units (pc, kind) in replay order *)
   tp_skels : bytes;  (** a [skel array] in [tp_blocks] order *)
   tp_ics : (int * int list) array;
 }
@@ -2663,7 +2461,7 @@ let seed_finish t ~ics =
 let template t p kept =
   { tp_config = p.pl_config;
     tp_isa = t.isa;
-    tp_blocks = Array.map (fun (pb, b, log) -> (b, pb.pb_skel.sk_relayout, log)) kept;
+    tp_blocks = Array.map (fun (_, b, log) -> (b, log)) kept;
     tp_skels = Marshal.to_bytes (Array.map (fun (pb, _, _) -> pb.pb_skel) kept) [];
     tp_ics = p.pl_ics }
 
@@ -2693,11 +2491,11 @@ let seed_plan t (p : plan) =
    tiered indirect terminator captures its machine's inline-cache site, so
    a template keeps no terminator closure and every seed recompiles the
    decoded terminator against its own machine. *)
-let rebind_term t ~relayout b =
+let rebind_term t b =
   match b.Tblock.term with
   | None -> None
   | Some (inst, size) -> (
-      match compile_op t ~relayout ~pc:(b.Tblock.fall - size) inst size with
+      match compile_op t ~pc:(b.Tblock.fall - size) inst size with
       | Tblock.Term_fn f -> Some f
       | _ -> None)
 
@@ -2706,12 +2504,12 @@ let seed_template t tp =
   else if not (Ext.equal t.isa tp.tp_isa) then Error "isa"
   else begin
     Array.iteri
-      (fun i (b, relayout, fused) ->
+      (fun i (b, fused) ->
         if !Obs.enabled then
           List.iter (fun (pc, kind) -> Obs.emit (Obs.Tb_fuse { pc; kind })) fused;
         seed_block t
           (Tblock.clone t.gens ~epoch:t.code_epoch
-             ~term_fn:(rebind_term t ~relayout b) b)
+             ~term_fn:(rebind_term t b) b)
           (Packed (tp.tp_skels, i)))
       tp.tp_blocks;
     seed_finish t ~ics:tp.tp_ics;

@@ -139,11 +139,12 @@ val run : ?handlers:handlers -> fuel:int -> t -> stop
     The machine's {!Engine.t} picks the path. [Step] interprets one
     instruction at a time. [Untiered] and [Tiered] decode code once into
     arrays of closures ({!Tblock}), execute them whole between
-    handler-visible events and chain each block to its successors. Both
-    translate an entry at the top tier on first touch; [Tiered] adds
-    inline caches and a one-time profile-guided relayout of hot blocks. Counters, faults and handler
-    interactions are observably identical to the single-step path (the
-    differential property tests assert this).
+    handler-visible events and chain each block to its successors: the
+    fall-through, the terminator's other target and every side exit keep a
+    link of their own. Both translate an entry at the top tier on first
+    touch; [Tiered] adds inline caches at register-indirect jumps.
+    Counters, faults and handler interactions are observably identical to
+    the single-step path (the differential property tests assert this).
 
     With {!Metrics.enabled}, each completed run adds what it retired,
     dispatched, translated and optimized to the process-wide [chimera_*]
@@ -178,9 +179,6 @@ val profile : t -> Profile.t option
 type block_info = {
   bi_entry : int;
   bi_tier : int;  (** 2 = superblock, 3 = IR-optimized superblock *)
-  bi_relaid : bool;  (** layout came from an observed exit profile *)
-  bi_hot : int;  (** dispatches since (re)translation *)
-  bi_exits : int;  (** side exits observed since (re)translation *)
 }
 
 val block_infos : t -> block_info list
@@ -199,20 +197,19 @@ val ic_infos : t -> ic_info list
 
 (** {1 Persistent translation plans}
 
-    A recording machine (one whose {!Engine.t} has [record] set) keeps, next to every translated block, the replay
-    skeleton of the translation that produced it: the positional sequence
-    of lower/compile decisions with the post-optimize IR ops. {!export_plan}
-    joins those skeletons with the relayout state, dispatch counts and
-    inline-cache targets into a closure-free, [Marshal]-safe value;
-    {!seed_plan} replays one into a fresh machine so a warm start re-emits
-    execution units directly — no IR lowering, no optimizer passes. A plan
-    carries no decoded instructions: the replay decodes each block's
-    instructions from the guest's bytes, without the TLB or the decode
-    cache, and later decodes (cold translation, relayouts, the step path)
-    fill the decode cache on demand, as on a cold machine. A replay also
-    yields a
-    {!template} from which {!seed_template} seeds further machines with the
-    same plan without replaying it at all.
+    A recording machine (one whose {!Engine.t} has [record] set) keeps,
+    next to every translated block, the replay skeleton of the translation
+    that produced it: the positional sequence of lower/compile decisions
+    with the post-optimize IR ops. {!export_plan} joins those skeletons
+    with the inline-cache targets into a closure-free, [Marshal]-safe
+    value; {!seed_plan} replays one into a fresh machine so a warm start
+    re-emits execution units directly — no IR lowering, no optimizer
+    passes. A plan carries no decoded instructions: the replay decodes each
+    block's instructions from the guest's bytes, without the TLB or the
+    decode cache, and later decodes (cold translation, the step path) fill
+    the decode cache on demand, as on a cold machine. A replay also yields
+    a {!template} from which {!seed_template} seeds further machines with
+    the same plan without replaying it at all.
 
     Soundness contract: a plan carries no byte checksums of its own. The
     caller (the [lib/cache] content-addressed store) must only offer a plan
@@ -222,13 +219,13 @@ val ic_infos : t -> ic_info list
     their entries become unreachable rather than wrong. *)
 
 type plan
-(** Marshalable translation plan (no closures; contains only IR ops, pcs,
-    layouts and counters). *)
+(** Marshalable translation plan (no closures; contains only IR ops and
+    pcs). *)
 
 val export_plan : t -> plan
 (** Snapshot the current view's replayable state: every epoch-valid block
-    that has a recorded skeleton (with its layout and dispatch count), and
-    non-megamorphic inline-cache targets. *)
+    that has a recorded skeleton, and non-megamorphic inline-cache
+    targets. *)
 
 type template
 (** What one {!seed_plan} seeded, taken before the machine ran: its blocks
@@ -238,12 +235,10 @@ type template
     machines on several domains at once. *)
 
 val seed_plan : t -> plan -> (int * template option, string) result
-(** Replay a plan into this machine: rebuild and publish every block with
-    its exported layout and dispatch count, decoding from the guest's
-    bytes with {!Memory.fetch_u16}'s permission checks, and retrain inline
-    caches. The replay counts no TLB access and leaves the decode cache
-    empty.
-    Returns [Ok (n, template)] with the
+(** Replay a plan into this machine: rebuild and publish every block,
+    decoding from the guest's bytes with {!Memory.fetch_u16}'s permission
+    checks, and retrain inline caches. The replay counts no TLB access and
+    leaves the decode cache empty. Returns [Ok (n, template)] with the
     number of blocks seeded and, when every block replayed, a {!template}
     of them taken before any run; [Error "flags"] if the plan was exported
     under a different {!Engine.t} or icache geometry — nothing is seeded

@@ -159,27 +159,18 @@ type 'm t = {
           with the current epoch certifies the stamp without re-summing *)
   mutable link_fall : 'm t option;  (** chained successor at [fall] *)
   mutable link_taken : 'm t option;
-      (** chained successor for any other target (side exit, terminator) *)
+      (** chained successor at any other terminator target *)
+  mutable link_exits : 'm t option array;
+      (** chained successor of each side exit, indexed by the raising unit;
+          [[||]] until the block's first side exit, then one slot per unit
+          (see {!set_link_exit}) *)
   mutable prow : Profile.row option;
       (** cached profiler row for [entry]; valid only while
           [Profile.row_live] holds for the machine's attached profile *)
-  mutable tier : int;
+  tier : int;
       (** execution tier this block was translated at: 2 = superblock,
           3 = IR-optimized superblock. Every machine translates at the top
           tier its configuration allows. *)
-  mutable relaid : bool;
-      (** profile-guided layout already applied: the block was recompiled
-          from its observed side-exit profile and must not be recompiled
-          again (the relayout driver's convergence guarantee) *)
-  mutable hot : int;
-      (** dispatches since translation — the hotness counter driving the
-          recompile trigger; also the denominator of the
-          per-branch observed taken rates in [xexits] *)
-  mutable xexits : int array;
-      (** per-unit side-exit counts ([xexits.(u)] = side exits raised by
-          unit [u]); [|])] until the first side exit, then length
-          [Array.length ops]. Together with [hot] this is the observed
-          exit profile that profile-guided recompilation reads. *)
 }
 
 (* One byte per element of a list built in reverse. *)
@@ -201,7 +192,7 @@ let default_max_pages = 8
    terminator) still covers the entry bytes so that patching them
    invalidates it. *)
 let translate ?(max_insts = default_max_insts) ?(max_pages = default_max_pages)
-    ~gens ~epoch ~isa ~decode ~lower ~compile ~emit entry =
+    ~gens ~epoch ~isa ~tier ~decode ~lower ~compile ~emit entry =
   (* Units and per-instruction metadata accumulate separately: the emitter
      groups instructions into units, never metadata. *)
   let units = ref [] and widths = ref [] and selfs = ref [] and nunits = ref 0 in
@@ -365,11 +356,9 @@ let translate ?(max_insts = default_max_insts) ?(max_pages = default_max_pages)
     echeck = epoch;
     link_fall = None;
     link_taken = None;
+    link_exits = [||];
     prow = None;
-    tier = 3;
-    relaid = false;
-    hot = 0;
-    xexits = [||] }
+    tier }
 
 (* Fast validity: a block checked under the current code epoch is valid by
    construction (the epoch advances on every generation bump). On an epoch
@@ -386,8 +375,8 @@ let revalidate gens ~isa ~epoch b =
       (b.echeck <- epoch;
        true))
 
-(* Stamp and epoch are the cloning machine's; links, the profiler row and
-   the exit profile start empty; tier, layout and heat are copied. *)
+(* Stamp and epoch are the cloning machine's; links and the profiler row
+   start empty. *)
 let clone gens ~epoch ~term_fn b =
   { b with
     stamp = Gen.stamp_pages gens b.pages;
@@ -395,48 +384,21 @@ let clone gens ~epoch ~term_fn b =
     echeck = epoch;
     link_fall = None;
     link_taken = None;
-    prow = None;
-    xexits = [||] }
+    link_exits = [||];
+    prow = None }
 
 let epoch_current b epoch = b.echeck = epoch
 let set_link_fall b next = b.link_fall <- Some next
 let set_link_taken b next = b.link_taken <- Some next
+
+(* The slot array is sized on the first side exit, so blocks that never
+   side-exit (and every clone) carry the shared empty array. *)
+let set_link_exit b u next =
+  if Array.length b.link_exits = 0 then
+    b.link_exits <- Array.make (Array.length b.ops) None;
+  if u >= 0 && u < Array.length b.link_exits then b.link_exits.(u) <- Some next
+
 let set_prow b r = b.prow <- r
-
-(* A replaced block (profile-guided recompile) must never
-   pass a chain or inline-cache epoch guard again. Epochs only grow from 0,
-   so [min_int] is unreachable; and since the block is simultaneously
-   dropped from the block table, nothing ever calls [revalidate] on it to
-   refresh [echeck]. This severs every link into the block lazily without
-   bumping the global epoch (which would sever everyone's links). *)
-let retire b =
-  b.echeck <- min_int;
-  b.link_fall <- None;
-  b.link_taken <- None
-
-let set_tier b ~tier ~relaid =
-  b.tier <- tier;
-  b.relaid <- relaid
-
-(* Restoring a persisted heat count when a cached translation is seeded, so a
-   warm start resumes at the block's exported temperature instead of re-earning
-   the relayout check from zero. *)
-let set_hot b hot = b.hot <- hot
-
-(* Pre-increment so the first dispatch reads 1: threshold compares stay
-   off-by-one-proof ([tick_hot b >= threshold]). *)
-let tick_hot b =
-  b.hot <- b.hot + 1;
-  b.hot
-
-let note_exit b u =
-  if Array.length b.xexits = 0 then b.xexits <- Array.make (Array.length b.ops) 0;
-  if u >= 0 && u < Array.length b.xexits then
-    b.xexits.(u) <- b.xexits.(u) + 1
-
-let exit_count b u = if u < Array.length b.xexits then b.xexits.(u) else 0
-
-let exits_total b = Array.fold_left ( + ) 0 b.xexits
 
 let body_length b = Array.length b.pcs
 

@@ -123,23 +123,18 @@ type 'm t = private {
   mutable link_fall : 'm t option;
       (** direct-chained successor at [fall] (set via {!set_link_fall}) *)
   mutable link_taken : 'm t option;
-      (** direct-chained successor for any other target ({!set_link_taken}) *)
+      (** direct-chained successor at any other terminator target
+          ({!set_link_taken}) *)
+  mutable link_exits : 'm t option array;
+      (** direct-chained successor of each side exit, indexed by the unit
+          that raised it ({!set_link_exit}); [[||]] until the block's first
+          side exit *)
   mutable prow : Profile.row option;
       (** cached profiler row for [entry] (set via {!set_prow}); valid only
           while [Profile.row_live] holds for the machine's profile *)
-  mutable tier : int;
+  tier : int;
       (** execution tier the block was translated at (2 = superblock,
-          3 = IR-optimized superblock); set via {!set_tier} *)
-  mutable relaid : bool;
-      (** profile-guided layout applied — the block is the product of a
-          recompile and is never recompiled again *)
-  mutable hot : int;
-      (** dispatches since translation ({!tick_hot}) — the hotness counter
-          behind the recompile trigger *)
-  mutable xexits : int array;
-      (** per-unit side-exit counts ({!note_exit}); [[||]] until the first
-          side exit. [xexits.(u) / hot] is unit [u]'s observed taken rate —
-          the signal profile-guided recompilation lays the block out from. *)
+          3 = IR-optimized superblock) *)
 }
 
 val translate :
@@ -148,16 +143,18 @@ val translate :
   gens:Gen.t ->
   epoch:int ->
   isa:Ext.t ->
+  tier:int ->
   decode:(int -> (Inst.t * int) option) ->
   lower:(pc:int -> Inst.t -> int -> Tir.op option) ->
   compile:(pc:int -> Inst.t -> int -> 'm compiled) ->
   emit:(Tir.op array -> 'm emitted list) ->
   int ->
   'm t
-(** [translate ~gens ~epoch ~isa ~decode ~lower ~compile ~emit entry]
-    decodes the superblock at [entry]. [decode pc] returns [None] when the
-    bytes at [pc] cannot be decoded or fetched (the block ends there; the
-    slow path will raise the precise fault when execution reaches it).
+(** [translate ~gens ~epoch ~isa ~tier ~decode ~lower ~compile ~emit entry]
+    decodes the superblock at [entry] and records [tier] as its tier.
+    [decode pc] returns [None] when the bytes at [pc] cannot be decoded or
+    fetched (the block ends there; the slow path will raise the precise
+    fault when execution reaches it).
     [lower] turns a straight-line instruction into an IR op ([None] routes
     it to [compile] instead — control flow, terminators, instructions the
     machine keeps on its legacy path). Buffered IR runs are flushed
@@ -178,8 +175,8 @@ val clone : Gen.t -> epoch:int -> term_fn:('m -> unit) option -> 'm t -> 'm t
 (** [clone gens ~epoch ~term_fn b] is a new block sharing [b]'s immutable
     parts (units, per-instruction metadata, page set, decoded terminator)
     with [term_fn] as its compiled terminator, stamped against [gens] and
-    validated at [epoch]. Links, the profiler row and the exit profile
-    start empty; tier, layout and heat are copied from [b]. A persisted
+    validated at [epoch]. Links and the profiler row start empty; the
+    tier is copied from [b]. A persisted
     plan's blocks are cloned this way into every machine the plan seeds. *)
 
 val epoch_current : 'm t -> int -> bool
@@ -188,46 +185,21 @@ val epoch_current : 'm t -> int -> bool
 
 val set_link_fall : 'm t -> 'm t -> unit
 val set_link_taken : 'm t -> 'm t -> unit
-(** Record a direct-chained successor. Links are hints, not invariants:
-    every follow is guarded by entry-pc equality and {!epoch_current}, and a
-    failed guard falls back to the block table and overwrites the link. *)
+
+val set_link_exit : 'm t -> int -> 'm t -> unit
+(** [set_link_exit b u next] records [next] as the successor of the side
+    exit raised by unit [u], sizing [link_exits] on first use;
+    out-of-range units are ignored. A unit's side exit always lands on the
+    same static target, so each exit keeps its own link instead of
+    sharing [link_taken] with the terminator and the other exits.
+
+    Links are hints, not invariants: every follow is guarded by entry-pc
+    equality and {!epoch_current}, and a failed guard falls back to the
+    block table and overwrites the link. *)
 
 val set_prow : 'm t -> Profile.row option -> unit
 (** Cache the profiler row for this block (the record is private; this is
     the one sanctioned mutation of [prow]). *)
-
-val retire : 'm t -> unit
-(** Permanently invalidate a block that has been {e replaced} by a
-    profile-guided recompile: [echeck] is forced to an
-    unreachable epoch and the outgoing links are dropped. Every chain link
-    or inline-cache entry still pointing at the block fails its
-    {!epoch_current} guard on the next follow and re-resolves through the
-    block table — precise, lazy severing with no global epoch bump. The
-    caller must drop the block from its table in the same breath, or
-    {!revalidate} would resurrect it. *)
-
-val set_tier : 'm t -> tier:int -> relaid:bool -> unit
-(** Record the tier a block was translated at and whether its layout came
-    from an observed exit profile (see [tier] / [relaid]). *)
-
-val set_hot : 'm t -> int -> unit
-(** Overwrite the hotness counter — used when seeding a block from a
-    persisted translation plan so the warm start resumes at the exported
-    temperature instead of re-earning the relayout check from zero. *)
-
-val tick_hot : 'm t -> int
-(** Increment the hotness counter and return the new value (the first
-    dispatch reads 1). Called once per dispatch by tiered machines. *)
-
-val note_exit : 'm t -> int -> unit
-(** Count a side exit raised by unit [u] (allocates the per-unit count
-    array on first use; out-of-range units are ignored). *)
-
-val exit_count : 'm t -> int -> int
-(** Side exits observed from unit [u] since translation. *)
-
-val exits_total : 'm t -> int
-(** Total side exits observed from the block since translation. *)
 
 val body_length : 'm t -> int
 (** Body instruction count (not unit count — fusion does not change it). *)

@@ -502,15 +502,15 @@ module Watchdog = struct
             };
       };
       {
-        r_name = "side_exit_regression";
-        r_what = "taken side exits per superblock dispatch";
+        r_name = "chain_collapse";
+        r_what = "block dispatches served by a chain link or inline cache";
         r_check =
-          Rate_above
+          Rate_below
             {
-              num = Counter "chimera_side_exits_total";
+              num = Counter "chimera_chain_hits_total";
               den = Counter "chimera_dispatches_total";
               min_den = 10_000;
-              ceil = 0.5;
+              floor = 0.5;
             };
       };
       {

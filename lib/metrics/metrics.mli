@@ -183,7 +183,7 @@ module Watchdog : sig
 
   val default_rules : rule list
   (** [dispatch_stall] (retired advances but no block dispatches),
-      [side_exit_regression] (taken side exits over dispatches),
+      [chain_collapse] (chain and inline-cache hits over dispatches),
       [cache_reject_burst], [queue_saturation] (net scheduler-queue growth
       per admitted serve request, active once at least 64 requests were
       admitted in the window), [tlb_collapse] (TLB hit rate floor). *)

@@ -25,7 +25,6 @@ type event =
       tlb_elided : int;
       cached : int;
     }
-  | Tb_recompile of { entry : int; hot : int; exits : int; relaid : int }
   | Ic_hit of { site : int; target : int }
   | Ic_miss of { site : int; target : int }
   | Ic_mega of { site : int; targets : int }
@@ -70,7 +69,7 @@ type event =
   | Serve_done of { tenant : string; id : int; retired : int }
   | Serve_reject of { tenant : string; id : int; reason : string }
 
-let schema_version = 9
+let schema_version = 10
 
 (* Ring sink: a fixed array filled front-to-back; when full it is handed to
    the sink and refilled from index 0. "Ring" in the double-buffer-less
@@ -245,14 +244,6 @@ module Json = struct
             ("pc_elided", i pc_elided);
             ("tlb_elided", i tlb_elided);
             ("cached", i cached);
-          ]
-    | Tb_recompile { entry; hot; exits; relaid } ->
-        obj "tb_recompile"
-          [
-            ("entry", i entry);
-            ("hot", i hot);
-            ("exits", i exits);
-            ("relaid", i relaid);
           ]
     | Ic_hit { site; target } ->
         obj "ic_hit" [ ("site", i site); ("target", i target) ]
@@ -508,15 +499,6 @@ module Json = struct
                   tlb_elided = geti "tlb_elided";
                   cached = geti "cached";
                 }
-          | "tb_recompile" ->
-              arity 4;
-              Tb_recompile
-                {
-                  entry = geti "entry";
-                  hot = geti "hot";
-                  exits = geti "exits";
-                  relaid = geti "relaid";
-                }
           | "ic_hit" ->
               arity 2;
               Ic_hit { site = geti "site"; target = geti "target" }
@@ -689,7 +671,6 @@ module Agg = struct
     mutable steals : int;
     mutable migrations : int;
     mutable signals : int;
-    mutable recompiles : int;
     mutable ic_hits : int;
     mutable ic_misses : int;
     mutable ic_megamorphic : int;
@@ -718,7 +699,6 @@ module Agg = struct
           steals = 0;
           migrations = 0;
           signals = 0;
-          recompiles = 0;
           ic_hits = 0;
           ic_misses = 0;
           ic_megamorphic = 0;
@@ -742,7 +722,6 @@ module Agg = struct
     | Cache_reject _ | Health_ok _ | Health_degraded _ | Serve_admit _
     | Serve_done _ | Serve_reject _ ->
         ()
-    | Tb_recompile _ -> g.recompiles <- g.recompiles + 1
     | Ic_hit _ -> g.ic_hits <- g.ic_hits + 1
     | Ic_miss _ -> g.ic_misses <- g.ic_misses + 1
     | Ic_mega _ -> g.ic_megamorphic <- g.ic_megamorphic + 1

@@ -31,10 +31,10 @@
 
     Emission points, by layer:
     - machine: {{!constructor-Tb_compile}Tb_compile}/[Tb_hit]/[Tb_invalidate]/
-      [Tb_chain] (translation-block engine), [Tb_recompile]
-      (profile-guided relayout), [Ic_hit]/[Ic_miss]/[Ic_mega] (indirect-jump
-      inline caches), [Tlb_flush] (software TLB), [Fault_raised]
-      (deterministic faults, both engines), [Icache_burst] (L1i model);
+      [Tb_chain] (translation-block engine), [Ic_hit]/[Ic_miss]/[Ic_mega]
+      (indirect-jump inline caches), [Tlb_flush] (software TLB),
+      [Fault_raised] (deterministic faults, both engines), [Icache_burst]
+      (L1i model);
     - rewriter: [Rw_site]/[Rw_exit] (trampoline placement and exit-register
       resolution), [Smile_write] (trampoline bytes written),
       [Table_add] (fault/trap-table entries);
@@ -95,11 +95,6 @@ type event =
           (substituting [cached] operand reads), [dead] ops were killed by
           dead-write elimination, [pc_elided] ops were emitted without a pc
           write, and [tlb_elided] paired accesses shared one TLB check. *)
-  | Tb_recompile of { entry : int; hot : int; exits : int; relaid : int }
-      (** Profile-guided recompile: the block at [entry], dispatched [hot]
-          times with [exits] observed side exits, was relaid out from its
-          exit profile; [relaid] is the number of branches whose static BTFN
-          layout was overridden (cut or inverted). *)
   | Ic_hit of { site : int; target : int }
       (** The inline cache at indirect-jump site [site] predicted [target]
           and its cached block passed the epoch guard — the dispatch skipped
@@ -298,7 +293,6 @@ module Agg : sig
     mutable steals : int;
     mutable migrations : int;
     mutable signals : int;
-    mutable recompiles : int;
     mutable ic_hits : int;
     mutable ic_misses : int;
     mutable ic_megamorphic : int;  (** sites that went megamorphic *)

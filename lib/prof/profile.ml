@@ -477,11 +477,3 @@ let write_folded t oc =
   in
   walk "" t.root;
   Buffer.output_buffer oc buf
-
-let hot_entries ?(limit = max_int) t =
-  snapshot t
-  |> List.filter_map (fun s ->
-         if s.s_hits > 0 then Some (s.s_entry, s.s_hits) else None)
-  |> List.sort (fun (ea, ha) (eb, hb) ->
-         if ha <> hb then compare hb ha else compare ea eb)
-  |> List.filteri (fun k _ -> k < limit)

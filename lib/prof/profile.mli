@@ -172,13 +172,6 @@ val snaps_of_events : Obs.event list -> snap list
 (** Inverse of {!to_events}: the [Tb_profile] lines of a trace, in order;
     non-profile events are ignored. *)
 
-val hot_entries : ?limit:int -> t -> (int * int) list
-(** The profile's hotness export: [(entry, dispatch hits)] per row with at
-    least one hit, hottest first (ties broken by entry pc), truncated to
-    [limit] rows. This is the dispatch-time signal tiered machines consume —
-    the profiler sees exactly the per-block dispatch counts the relayout
-    check is driven by, so "what the tiering saw" is answerable offline. *)
-
 val write_folded : t -> out_channel -> unit
 (** Write the shadow-stack weights in folded-stack format, one
     ["frame;frame;... count"] line per distinct stack, ready for

@@ -54,7 +54,6 @@ let render ?(top = 20) ?disasm ?tiers ?ics ?totals oc snaps =
       (match totals with
       | None -> ()
       | Some (t : Obs.Agg.totals) ->
-          Report.note (Printf.sprintf "recompiles        %d" t.Obs.Agg.recompiles);
           Report.note
             (Printf.sprintf "ic hits/misses    %d/%d" t.Obs.Agg.ic_hits
                t.Obs.Agg.ic_misses);

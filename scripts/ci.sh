@@ -33,9 +33,9 @@ else
 fi
 
 # Engine correctness smoke: the tiered engine (the default: top tier on
-# first touch, jalr inline caches and one profile-guided relayout of hot
-# blocks), the untiered engine (top tier on first touch, nothing else)
-# and the single-step reference must retire bit-identical
+# first touch and jalr inline caches), the untiered engine (top tier on
+# first touch, no inline caches) and the single-step reference must
+# retire bit-identical
 # instruction counts across every rewriting experiment (the
 # fault-determinism contract, end to end). The ablation experiment's L1i
 # model also runs both translating engines at IR-less superblocks.
@@ -77,21 +77,28 @@ if [ "$agree" != 1 ]; then
 fi
 echo "ci: tiered/untiered/step engines agree over [$engine_exps]"
 
-# Tiering quality gates on the micro deterministic tail: with profile-guided
-# relayout and inline caches on, chained dispatch must dominate
-# (chain_hit_rate >= 0.80 — the untiered engine sits near 0.43 on
-# the branch-dense workload) and the inline caches must resolve nearly every
-# indirect terminator (ic_hit_rate >= 0.90).
+# Chaining quality gates on the micro deterministic tail, whose
+# branch-dense workload leaves about 65% of its dispatches through side
+# exits. Every side exit keeps its own chain link, so chained dispatch
+# must dominate on both translating engines (chain_hit_rate >= 0.80; the
+# tiered engine reads 0.9998, the untiered one 0.88, with its indirect
+# terminators going through the block table), and the tiered engine's
+# inline caches must resolve nearly every indirect terminator
+# (ic_hit_rate >= 0.90). With one link slot shared by a block's
+# terminator and all its side exits, the untiered engine read 0.46.
 micro_line=$(grep '"name": "micro"' "$enginedir/tiered.json")
 chain=$(echo "$micro_line" | grep -o '"chain_hit_rate": [0-9.]*' | grep -o '[0-9.]*$')
 ichit=$(echo "$micro_line" | grep -o '"ic_hit_rate": [0-9.]*' | grep -o '[0-9.]*$')
-test -n "$chain" && test -n "$ichit"
-if ! awk "BEGIN { exit !($chain >= 0.80 && $ichit >= 0.90) }"; then
-  echo "ci: tiering gates failed: chain_hit_rate=$chain (need >= 0.80)," >&2
-  echo "    ic_hit_rate=$ichit (need >= 0.90)" >&2
+micro_untiered=$(grep '"name": "micro"' "$enginedir/untiered.json")
+chain_u=$(echo "$micro_untiered" | grep -o '"chain_hit_rate": [0-9.]*' | grep -o '[0-9.]*$')
+test -n "$chain" && test -n "$ichit" && test -n "$chain_u"
+if ! awk "BEGIN { exit !($chain >= 0.80 && $ichit >= 0.90 && $chain_u >= 0.80) }"; then
+  echo "ci: chaining gates failed: chain_hit_rate=$chain (need >= 0.80)," >&2
+  echo "    ic_hit_rate=$ichit (need >= 0.90)," >&2
+  echo "    untiered chain_hit_rate=$chain_u (need >= 0.80)" >&2
   exit 1
 fi
-echo "ci: tiering gates passed (chain_hit_rate=$chain, ic_hit_rate=$ichit)"
+echo "ci: chaining gates passed (chain_hit_rate=$chain, ic_hit_rate=$ichit, untiered chain_hit_rate=$chain_u)"
 
 # Observability smoke test: trace a quick table2 run and let the driver's
 # validator cross-check the per-site counts against the event stream
@@ -265,11 +272,13 @@ PY
 # clone in-process templates, so the words left are the cold omnetpp_r
 # run's translation and lazy rewrite, template seeding, plan replay and
 # fault recovery. The allocation bound sits 10% above the recorded 57.9
-# words/kinst; the interpret-and-climb warm-up the tiered engine used to
-# run on every cold-plan request read 151, and one tuple per dispatch in
-# the dispatch loop alone reads 354. Translations are gated at the
-# recorded 848: every entry is translated once, at the top tier, plus its
-# relayouts; the climb read 2664. The major-collection count is exact for
+# words/kinst (48.9 since every side exit chains through its own link);
+# the interpret-and-climb warm-up the tiered engine used to run on every
+# cold-plan request read 151, and one tuple per dispatch in the dispatch
+# loop alone reads 354. Translations are exact at 824: every entry the
+# cold request touches is translated once, at the top tier, and nothing
+# else is; the hot-block relayout this engine once had added 24, and the
+# climb read 2664. The major-collection count is exact for
 # a tree (5) and gated at 7: cache frames are checked in a per-domain
 # buffer, warm requests share the cache's memoized rewrite contexts, plan
 # seeds decode nothing, guest pages are demand-zero and digests use a
@@ -292,8 +301,8 @@ alloc = metrics["machine.alloc_words_per_kinst"]["value"]
 if alloc > 63.7:
     bad.append(f"machine.alloc_words_per_kinst = {alloc:.1f} (want <= 63.7)")
 translations = metrics["machine.translations"]["value"]
-if translations > 848:
-    bad.append(f"machine.translations = {translations} (want <= 848)")
+if translations != 824:
+    bad.append(f"machine.translations = {translations} (want 824)")
 majors = metrics["gc.major_collections"]["value"]
 if majors > 7:
     bad.append(f"gc.major_collections = {majors} (want <= 7)")
@@ -311,7 +320,8 @@ PY
 # (warm guests through the server on one base and one ext worker, two
 # closed-loop clients). The seed fixes the work, so the retired and
 # recovered-fault counts are exact; every request seeds its plan from the
-# cache (plan_hit_rate 1.0), and translations stay at the recorded 40.
+# cache (plan_hit_rate 1.0), so no request translates anything (the 40
+# translations this workload once read were all hot-block relayouts).
 # The allocation bound sits 10% above the recorded 85.7 words/kinst,
 # mostly per-request setup; when every plan seed re-decoded the plan's
 # saved instructions into the machine's decode cache it read 159.1.
@@ -327,8 +337,8 @@ want = {"machine.retired": 78549200, "runtime.faults_recovered": 800,
 bad = [f"{k} = {metrics[k]['value']} (want {v})"
        for k, v in want.items() if metrics[k]["value"] != v]
 translations = metrics["machine.translations"]["value"]
-if translations > 40:
-    bad.append(f"machine.translations = {translations} (want <= 40)")
+if translations != 0:
+    bad.append(f"machine.translations = {translations} (want 0)")
 alloc = metrics["machine.alloc_words_per_kinst"]["value"]
 if alloc > 94.2:
     bad.append(f"machine.alloc_words_per_kinst = {alloc:.1f} (want <= 94.2)")

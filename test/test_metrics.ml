@@ -175,7 +175,7 @@ let engine_counters =
   List.map
     (fun n -> "chimera_" ^ n ^ "_total")
     [ "retired"; "dispatches"; "chain_hits"; "side_exits"; "fused"; "ic_hits";
-      "ic_misses"; "recompiles"; "translations"; "ir_blocks";
+      "ic_misses"; "translations"; "ir_blocks";
       "ir_units"; "ir_folded"; "ir_dead"; "ir_pc_elided"; "ir_tlb_elided";
       "ir_cached" ]
 
@@ -364,6 +364,7 @@ let test_exposition () =
    registry hands back the same metrics the machine layers feed. *)
 let m_retired = Metrics.counter "chimera_retired_total"
 let m_dispatches = Metrics.counter "chimera_dispatches_total"
+let m_chain_hits = Metrics.counter "chimera_chain_hits_total"
 let m_tlb_hits = Metrics.counter "chimera_tlb_hits_total"
 let m_tlb_misses = Metrics.counter "chimera_tlb_misses_total"
 let m_rejects = Metrics.counter "chimera_cache_rejects_total"
@@ -381,6 +382,7 @@ let test_watchdog_healthy () =
   with_metrics (fun () ->
       Metrics.add m_retired 2_000_000;
       Metrics.add m_dispatches 40_000;
+      Metrics.add m_chain_hits 39_000;
       Metrics.add m_tlb_hits 900_000;
       Metrics.add m_tlb_misses 100_000;
       let vs = eval () in
@@ -411,13 +413,22 @@ let test_watchdog_degraded () =
           if not v.Metrics.v_ok then
             Alcotest.(check bool) ("detail nonempty for " ^ v.Metrics.v_rule) true
               (String.length v.Metrics.v_detail > 0))
-        vs)
+        vs);
+  with_metrics (fun () ->
+      (* blocks dispatch, but almost none through a chain link or inline
+         cache: every transfer goes back to the block table *)
+      Metrics.add m_retired 2_000_000;
+      Metrics.add m_dispatches 40_000;
+      Metrics.add m_chain_hits 1_000;
+      Alcotest.(check bool) "chain_collapse fires" false
+        (verdict_of "chain_collapse" (eval ())).Metrics.v_ok)
 
 let test_watchdog_floors () =
   with_metrics (fun () ->
       (* the same shapes below their activity floors must stay quiet:
          an idle process is healthy, not degraded *)
       Metrics.add m_retired 500_000;  (* < min_active *)
+      Metrics.add m_dispatches 5_000;  (* unchained, but den < min_den *)
       Metrics.add m_tlb_hits 10;
       Metrics.add m_tlb_misses 190;  (* den < min_den *)
       let vs = eval () in

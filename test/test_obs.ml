@@ -116,7 +116,7 @@ let event_gen =
           (oneofl [ "dispatch_stall"; "tlb_collapse" ]);
         map2
           (fun rule reason -> Obs.Health_degraded { rule; reason })
-          (oneofl [ "side_exit_regression"; "cache_reject_burst" ])
+          (oneofl [ "chain_collapse"; "cache_reject_burst" ])
           name;
         map2
           (fun tenant id -> Obs.Serve_admit { tenant; id })

@@ -1,9 +1,9 @@
 (* Block-boundary edge cases for superblock translation, each checked
    differentially: the single-step engine is the bit-exact oracle, and both
    translating engines — tiered (top-tier superblocks from the first
-   touch, relaid once hot, with inline caches) and untiered (the same
-   superblocks, static layout only) — must reproduce its stop state, registers, pc and counters exactly. The
-   edges covered:
+   touch, with inline caches) and untiered (the same superblocks, no
+   inline caches) — must reproduce its stop state, registers, pc and
+   counters exactly. The edges covered:
 
    - a block body hitting [max_insts] exactly, with fuel running out just
      before / at / after the cap;
@@ -13,7 +13,11 @@
      alignment once C is in the ISA: whatever the bytes there decode to,
      all engines must agree);
    - the branch-dense workload, plus fuel sweeps that cut blocks at every
-     prefix length (exercising partial dispatch across fused pairs). *)
+     prefix length (exercising partial dispatch across fused pairs).
+
+   A last check pins per-exit chaining: once warm, the branch-dense
+   workload's side exits follow their own chain links on both translating
+   engines. *)
 
 let ext_isa = Ext.rv64gcv
 
@@ -49,8 +53,8 @@ let run engine ~fuel ?(isa = ext_isa) bin =
   snapshot m (Machine.run ~fuel m)
 
 (* The core check: step / tiered / superblock triple agreement. The
-   tiered machine runs the same superblocks, relaid once hot and
-   dispatched through inline caches. *)
+   tiered machine runs the same superblocks, dispatched through inline
+   caches. *)
 let tri ?isa ~fuel what bin =
   let step = run Engine.Step ~fuel ?isa bin in
   let tiered = run (Engine.Tiered { record = false }) ~fuel ?isa bin in
@@ -153,6 +157,42 @@ let test_branchy () =
   Alcotest.(check bool) "side exits observed" true (side_exits > 0);
   Alcotest.(check bool) "fused pairs observed" true (fused > 0)
 
+(* --- per-exit chaining -------------------------------------------------- *)
+
+(* Every side exit keeps a chain link of its own, apart from the
+   terminator's: once the branch-dense loop is warm, nearly every dispatch
+   must follow a link or inline cache rather than go back to the block
+   table. Here nearly every dispatch leaves through a side exit (the
+   superblock unrolls the loop, and each iteration takes some random
+   branch), so one exit slot shared by every exit, which each
+   differently-targeted exit overwrites, reads 0.43 on both engines. *)
+let test_side_exits_chain () =
+  let bin = Programs.branchy ~rounds:1_000_000 () in
+  Metrics.enable ();
+  List.iter
+    (fun (label, engine) ->
+      let mem = Loader.load bin in
+      let m = Machine.create ~engine ~mem ~isa:ext_isa () in
+      Loader.init_machine m bin;
+      ignore (Machine.run ~fuel:200_000 m);
+      let snap0 = Metrics.Snapshot.take () in
+      (match Machine.run ~fuel:1_000_000 m with
+      | Machine.Fuel_exhausted -> ()
+      | s -> Alcotest.failf "%s: measured run stopped early: %s" label
+               (pp_snap (snapshot m s)));
+      let d = Metrics.Snapshot.delta ~cur:(Metrics.Snapshot.take ()) ~prev:snap0 in
+      let c = Metrics.Snapshot.counter_value d in
+      let dispatches = c "chimera_dispatches_total" in
+      let rate n = float_of_int n /. float_of_int (max 1 dispatches) in
+      let side = rate (c "chimera_side_exits_total")
+      and chain = rate (c "chimera_chain_hits_total") in
+      if side < 0.2 then
+        Alcotest.failf "%s: side exits are %.4f of dispatches (want >= 0.2)" label side;
+      if chain < 0.99 then
+        Alcotest.failf "%s: chain hits are %.4f of %d dispatches (want >= 0.99)" label
+          chain dispatches)
+    [ ("tiered", Engine.Tiered { record = false }); ("untiered", Engine.default) ]
+
 let () =
   Alcotest.run "chimera_superblock"
     [ ("boundaries",
@@ -162,4 +202,7 @@ let () =
            test_mid_instruction_branch ]);
       ("branchy",
        [ Alcotest.test_case "branch-dense differential + stats" `Quick
-           test_branchy ]) ]
+           test_branchy ]);
+      ("chaining",
+       [ Alcotest.test_case "warm side exits follow their own links" `Quick
+           test_side_exits_chain ]) ]

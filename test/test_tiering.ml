@@ -19,8 +19,7 @@
      observed Mono, then Poly, then Mega — the same site pc across all three
      checkpoints;
 
-   - first touch: a tiered machine translates every block at tier 3 and
-     relays out at least one hot block from its exit profile;
+   - first touch: a tiered machine translates every block at tier 3;
 
    - a page-boundary property: 64- and 32-bit loads and stores (single,
      paired and read-modify-write) at every offset of a page's last 16
@@ -69,8 +68,8 @@ let check_snaps ~what oracle got =
 (* A loop mixing data-dependent branches (xorshift state bits) with an
    indirect call through a four-entry function-pointer table indexed by
    fresh state bits: the call site is polymorphic and the branches are
-   effectively random, so tiered machines relay out and fill inline caches
-   while the oracle just steps. *)
+   effectively random, so translated machines side-exit often and tiered
+   ones fill inline caches while the oracle just steps. *)
 let tier_program rng =
   let a = Asm.create ~name:"tierfuzz" () in
   Asm.func a "_start";
@@ -134,14 +133,14 @@ let tier_program rng =
 let tiered = Engine.Tiered { record = false }
 
 (* Runs the three phases and reports, per tier, whether the machine
-   dispatched a block at it: a block with a nonzero dispatch count after a
-   phase was dispatched at its tier. Only tiered machines count
-   dispatches, so the others report none. *)
+   holds a block translated at it after some phase: a block enters the
+   table only when it is first dispatched, so every tier found there was
+   dispatched at. The step engine translates nothing and reports none. *)
 let run_tier_phases ?icache engine bin ~patch_addr ~f1 ~f2 =
   let dispatched = Array.make 4 false in
   let note_blocks m =
     List.iter
-      (fun b -> if b.Machine.bi_hot > 0 then dispatched.(b.Machine.bi_tier) <- true)
+      (fun b -> dispatched.(b.Machine.bi_tier) <- true)
       (Machine.block_infos m)
   in
   let mem = Loader.load bin in
@@ -149,9 +148,9 @@ let run_tier_phases ?icache engine bin ~patch_addr ~f1 ~f2 =
   Loader.init_machine m bin;
   let s1 = snapshot m (Machine.run ~fuel:f1 m) in
   note_blocks m;
-  (* SMC: flip the xori's immediate under cached (and, tiered, hot) blocks;
-     the invalidation retires them and severs every IC and chain link into
-     them — re-resolution must be transparent *)
+  (* SMC: flip the xori's immediate under cached blocks; the invalidation
+     retires them and severs every IC and chain link into them —
+     re-resolution must be transparent *)
   let buf = Bytes.create 4 in
   ignore (Encode.write buf 0 (Inst.Opi (Inst.Xori, Reg.s2, Reg.s2, 0xAA)));
   Memory.poke_bytes mem patch_addr buf;
@@ -160,7 +159,7 @@ let run_tier_phases ?icache engine bin ~patch_addr ~f1 ~f2 =
   note_blocks m;
   (* warm-TLB permission downgrade: writable pages turn read-only mid-loop;
      the next store must fault at the same pc in every engine, through any
-     tier, relaid layout or inline-cached dispatch *)
+     tier, side-exit link or inline-cached dispatch *)
   List.iter
     (fun (s : Binfile.section) ->
       if s.Binfile.sec_perm.Memory.w then
@@ -377,8 +376,7 @@ let test_ic_transitions () =
     (List.exists (fun i -> i.Machine.ici_state = `Mono) (Machine.ic_infos m))
 
 (* a tiered machine translates at the top tier on first touch: every block
-   it holds is at tier 3, and a block hot enough has been recompiled
-   (relaid) from its exit profile *)
+   it holds is at tier 3 *)
 let test_top_tier_first_touch () =
   let bin = Programs.branchy ~rounds:20_000 () in
   let mem = Loader.load bin in
@@ -392,9 +390,7 @@ let test_top_tier_first_touch () =
   Alcotest.(check (list int)) "no block below tier 3" []
     (List.filter_map
        (fun b -> if b.Machine.bi_tier <> 3 then Some b.Machine.bi_entry else None)
-       infos);
-  Alcotest.(check bool) "a hot block was relaid from its exit profile" true
-    (List.exists (fun b -> b.Machine.bi_relaid) infos)
+       infos)
 
 (* an icache model caps translation at tier 2: an untiered machine with
    one translates superblocks, never IR-optimized blocks *)
@@ -420,8 +416,8 @@ let test_icache_caps_untiered () =
 (* --- page-boundary fault equivalence ------------------------------------ *)
 
 (* A loop walks one memory access up a data page a byte at a time, so the
-   access runs translated (and, on the tiered machine, relaid once hot),
-   and its last trips land on the page's final offsets. The page's successor is
+   access runs translated, and its last trips land on the page's final
+   offsets. The page's successor is
    unmapped, read-only or mapped. Whatever the access does there (complete
    in-page, cross the boundary, fault at the successor's first byte after a
    partial store), every engine must leave the same registers, pc, retired
@@ -449,7 +445,7 @@ let pb_cases =
 
 let pb_text = 0x10000
 let pb_page = 0x40000
-let pb_span = 400  (* trips before the last one: enough for the relayout check *)
+let pb_span = 400  (* trips before the last one *)
 
 (* s4 walks the page, t0 counts trips down, loads sum into s2, stores
    write t1 (stepped as xorshift, so every store writes a fresh value) *)
@@ -553,9 +549,8 @@ let prop_page_boundary =
 (* Minor words allocated per retired instruction by a fuel-limited run of
    an already warm tiered machine. [Gc.minor_words] counts the calling
    domain only, and the whole measurement runs on the test's own domain.
-   The warm-up run translates the hot loop, relays it out and fills its
-   chain links and inline caches; the measured run is then pure steady
-   state. *)
+   The warm-up run translates the hot loop and fills its chain links and
+   inline caches; the measured run is then pure steady state. *)
 let warm_alloc_per_inst bin ~warm ~fuel =
   let mem = Loader.load bin in
   let m = Machine.create ~engine:tiered ~mem ~isa:base_isa () in
@@ -589,7 +584,7 @@ let () =
        [ Alcotest.test_case "mono -> poly -> mega transition" `Quick
            test_ic_transitions ]);
       ("first-touch",
-       [ Alcotest.test_case "top-tier first touch and relayout observable" `Quick
+       [ Alcotest.test_case "top-tier first touch observable" `Quick
            test_top_tier_first_touch ]);
       ("allocation",
        [ Alcotest.test_case "warm tiered run allocation budget" `Quick
