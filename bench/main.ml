@@ -826,6 +826,22 @@ let ablation engine quick =
       ("spill-everything translation", { d with spill_all = true });
       ("trap trampolines (strawman)", { d with style = `Trap }) ]
   in
+  (* Translation quality: the downgraded vector kernel against the scalar
+     build MELF picks for a base hart (the paper's end-to-end gaps imply
+     translated code near native-scalar speed, a ratio near 1.0) *)
+  Report.table ~title:"Translation quality (downgraded / scalar cycles on a base hart, n = 48)"
+    ~header:[ "kernel"; "downgraded"; "scalar"; "ratio" ]
+    ~rows:
+      (List.map
+         (fun (name, vec, scal) ->
+           let down = run_down d vec in
+           let sc = (Measure.native ~engine scal ~isa:base_isa).Measure.cycles in
+           [ name; string_of_int down; string_of_int sc;
+             Printf.sprintf "%.2f" (float_of_int down /. float_of_int sc) ])
+         [ ("matmul", Programs.matmul `Ext ~n:48, Programs.matmul `Base ~n:48);
+           ( "gemv",
+             Programs.gemv `Ext ~sew:Inst.E64 ~n:48,
+             Programs.gemv `Base ~sew:Inst.E64 ~n:48 ) ]);
   Report.table ~title:"Downgraded run time, relative to full CHBP"
     ~header:("variant" :: List.map fst bins)
     ~rows:

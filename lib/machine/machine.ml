@@ -1850,16 +1850,20 @@ let publish_block t entry b =
 (* Block-table probe at the current pc. A missing or stale entry is
    translated there and then, at the machine's top tier: no entry is ever
    interpreted while it warms up. *)
+let translate_at t =
+  let b = translate_block t t.pc in
+  publish_block t t.pc b;
+  b
+
 let block_at t =
-  match Hashtbl.find_opt t.cur.blocks t.pc with
-  | Some b when Tblock.revalidate t.gens ~isa:t.isa ~epoch:t.code_epoch b ->
+  (* [find], not [find_opt]: a hit allocates no option *)
+  match Hashtbl.find t.cur.blocks t.pc with
+  | b when Tblock.revalidate t.gens ~isa:t.isa ~epoch:t.code_epoch b ->
       if !Obs.enabled then
         Obs.emit (Obs.Tb_hit { entry = t.pc; body = Tblock.body_length b });
       b
-  | Some _ | None ->
-      let b = translate_block t t.pc in
-      publish_block t t.pc b;
-      b
+  | _ -> translate_at t
+  | exception Not_found -> translate_at t
 
 (* Train an inline-cache site after a miss resolved [pc] to [nb]. A miss
    on the predicted target (stale block: SMC) re-binds the monomorphic
@@ -1869,9 +1873,9 @@ let block_at t =
 let ic_train t s pc nb =
   match s.site_tb with
   | None ->
-      s.site_tb <- Some nb;
+      s.site_tb <- nb.Tblock.cell;
       s.site_target <- pc
-  | Some _ when s.site_target = pc -> s.site_tb <- Some nb
+  | Some _ when s.site_target = pc -> s.site_tb <- nb.Tblock.cell
   | Some ob ->
       let keep = ref [] and nkeep = ref 0 in
       Array.iter
@@ -1898,7 +1902,7 @@ let ic_train t s pc nb =
       end
       else begin
         s.site_poly <- Array.of_list !keep;
-        s.site_tb <- Some nb;
+        s.site_tb <- nb.Tblock.cell;
         s.site_target <- pc
       end
 
@@ -1950,7 +1954,7 @@ let ic_dispatch t s pc =
               Obs.emit (Obs.Ic_miss { site = s.site_pc; target = pc });
             ic_train t s pc nb
           end;
-          Some nb)
+          nb.Tblock.cell)
 
 (* ------------------------------------------------------------------ *)
 (* Run loops                                                           *)
@@ -1982,10 +1986,10 @@ let run_step ~handlers ~fuel t =
    links never cross views), so a chain hit proves exactly what a
    revalidated table hit proves.
 
-   A chained dispatch allocates nothing: the previous block, its side
-   exit and its view sit in plain variables, and a link or inline-cache
-   hit returns the option cell already stored in the slot rather than a
-   fresh [Some]. *)
+   A dispatch allocates nothing: the previous block, its side exit and its
+   view sit in plain variables, and every path (link or inline-cache hit,
+   table probe) yields a block's own option cell ([Tblock.cell]) rather
+   than a fresh [Some]. *)
 let run_blocks ~handlers ~fuel t =
   let remaining = ref fuel in
   let result = ref None in
@@ -2033,8 +2037,8 @@ let run_blocks ~handlers ~fuel t =
                   else Tblock.set_link_taken pb nb;
                   if !Obs.enabled then
                     Obs.emit (Obs.Tb_chain { src = pb.Tblock.entry; dst = pc });
-                  Some nb))
-      | _ -> Some (block_at t)
+                  nb.Tblock.cell))
+      | _ -> (block_at t).Tblock.cell
     in
     prev_view := t.cur;
     prev := None;

@@ -167,6 +167,10 @@ type 'm t = {
   mutable prow : Profile.row option;
       (** cached profiler row for [entry]; valid only while
           [Profile.row_live] holds for the machine's attached profile *)
+  mutable cell : 'm t option;
+      (** [Some] of the block itself, made once at translation or
+          {!clone}: links, inline caches and the dispatch loop store and
+          return this cell, so no dispatch allocates an option *)
   tier : int;
       (** execution tier this block was translated at: 2 = superblock,
           3 = IR-optimized superblock. Every machine translates at the top
@@ -178,6 +182,10 @@ let bytes_of_rev l =
   let n = List.length l in
   let b = Bytes.create n in
   List.iteri (fun i v -> Bytes.set_uint8 b (n - 1 - i) v) l;
+  b
+
+let with_cell b =
+  b.cell <- Some b;
   b
 
 let default_max_insts = 256
@@ -336,6 +344,7 @@ let translate ?(max_insts = default_max_insts) ?(max_pages = default_max_pages)
     auto.(i + 1) <- auto.(i) + (if selfs.(i) then 0 else widths.(i))
   done;
   let pages = Array.of_list !pages in
+  with_cell
   { entry;
     pages;
     isa;
@@ -358,6 +367,7 @@ let translate ?(max_insts = default_max_insts) ?(max_pages = default_max_pages)
     link_taken = None;
     link_exits = [||];
     prow = None;
+    cell = None;
     tier }
 
 (* Fast validity: a block checked under the current code epoch is valid by
@@ -378,6 +388,7 @@ let revalidate gens ~isa ~epoch b =
 (* Stamp and epoch are the cloning machine's; links and the profiler row
    start empty. *)
 let clone gens ~epoch ~term_fn b =
+  with_cell
   { b with
     stamp = Gen.stamp_pages gens b.pages;
     term_fn;
@@ -385,18 +396,19 @@ let clone gens ~epoch ~term_fn b =
     link_fall = None;
     link_taken = None;
     link_exits = [||];
-    prow = None }
+    prow = None;
+    cell = None }
 
 let epoch_current b epoch = b.echeck = epoch
-let set_link_fall b next = b.link_fall <- Some next
-let set_link_taken b next = b.link_taken <- Some next
+let set_link_fall b next = b.link_fall <- next.cell
+let set_link_taken b next = b.link_taken <- next.cell
 
 (* The slot array is sized on the first side exit, so blocks that never
    side-exit (and every clone) carry the shared empty array. *)
 let set_link_exit b u next =
   if Array.length b.link_exits = 0 then
     b.link_exits <- Array.make (Array.length b.ops) None;
-  if u >= 0 && u < Array.length b.link_exits then b.link_exits.(u) <- Some next
+  if u >= 0 && u < Array.length b.link_exits then b.link_exits.(u) <- next.cell
 
 let set_prow b r = b.prow <- r
 

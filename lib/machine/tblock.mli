@@ -132,6 +132,11 @@ type 'm t = private {
   mutable prow : Profile.row option;
       (** cached profiler row for [entry] (set via {!set_prow}); valid only
           while [Profile.row_live] holds for the machine's profile *)
+  mutable cell : 'm t option;
+      (** [Some] of the block itself, made once by {!translate} and
+          {!clone} and never changed after: links, inline caches and the
+          dispatch loop store and return this cell, so a dispatch that
+          misses its link allocates no option *)
   tier : int;
       (** execution tier the block was translated at (2 = superblock,
           3 = IR-optimized superblock) *)

@@ -16,6 +16,12 @@ val pick_free : n:int -> exclude:Regmask.t -> free:Reg.t list -> Reg.t list * Re
     at the site — no save/restore needed). Returns [(regs, to_spill)] where
     [to_spill] is the subset not covered by [free]. *)
 
+val save : Codebuf.t -> Reg.t list -> unit
+(** [addi sp,-8n; sd...]: push the registers (nothing for an empty list). *)
+
+val restore : Codebuf.t -> Reg.t list -> unit
+(** The FILO restores matching {!save} of the same list. *)
+
 val with_spills : Codebuf.t -> Reg.t list -> (unit -> unit) -> unit
 (** [with_spills cb regs body] emits [addi sp,-8n; sd...]; runs [body] (which
     emits the computation); then emits the FILO restores. *)

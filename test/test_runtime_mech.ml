@@ -114,11 +114,22 @@ let test_signals_hit_clobbered_gp () =
      where gp was overwritten — proving the restoration logic engages *)
   let bin = signal_program ~n in
   let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in
+  let total_retired =
+    let probe_rt = Chimera_rt.create ctx in
+    let m = Machine.create ~mem:(Chimera_rt.load probe_rt) ~isa:base_isa () in
+    match Chimera_rt.run probe_rt ~fuel:5_000_000 m with
+    | Machine.Exited _ -> Machine.retired m
+    | _ -> Alcotest.fail "probe run failed"
+  in
   let rt = Chimera_rt.create ctx in
   (* spaced >= handler length so handlers never nest (a nested handler
      would legitimately lose a counter increment to the load-modify-store
-     race, as on real hardware) *)
-  let deliveries = List.init 100 (fun i -> 10 + (i * 31)) in
+     race, as on real hardware), and all before the program's last 10
+     instructions: a signal after its final read of the counter would
+     legitimately go uncounted in the exit code *)
+  let deliveries =
+    List.filter (fun k -> k < total_retired - 10) (List.init 100 (fun i -> 10 + (i * 31)))
+  in
   let sg = Signals.create rt ~handler_sym:"sig_handler" ~deliver_after:deliveries in
   let m = Machine.create ~mem:(Chimera_rt.load rt) ~isa:base_isa () in
   (match Signals.run sg ~fuel:5_000_000 m with

@@ -577,6 +577,29 @@ let test_alloc_budget () =
     [ ("fibonacci", Programs.fibonacci ~rounds:1_000_000 ());
       ("branchy", Programs.branchy ~rounds:1_000_000 ()) ]
 
+(* A warm untiered machine misses its chain link on every indirect
+   terminator of [Programs.indirecty] and probes the block table: each
+   block's own option cell keeps those dispatches allocation-free too.
+   Two runs of different lengths from the same warm state cancel the
+   fixed cost of a [Machine.run] call, so the difference is the words the
+   extra dispatches allocate: exactly 0. *)
+let test_untiered_dispatch_allocates_nothing () =
+  let words fuel =
+    let bin = Programs.indirecty ~rounds:1_000_000 () in
+    let m = Machine.create ~engine:(Engine.Untiered { record = false }) ~mem:(Loader.load bin)
+        ~isa:base_isa ()
+    in
+    Loader.init_machine m bin;
+    ignore (Machine.run ~fuel:100_000 m);
+    let w0 = Gc.minor_words () in
+    (match Machine.run ~fuel m with
+    | Machine.Fuel_exhausted -> ()
+    | s -> Alcotest.failf "indirecty stopped early: %s" (pp_snap (snapshot m s)));
+    Gc.minor_words () -. w0
+  in
+  Alcotest.(check (float 0.)) "minor words of 900,000 more instructions" 0.
+    (words 1_000_000 -. words 100_000)
+
 let () =
   Alcotest.run "chimera_tiering"
     [ ("differential", [ test_tier_differential ]);
@@ -588,7 +611,9 @@ let () =
            test_top_tier_first_touch ]);
       ("allocation",
        [ Alcotest.test_case "warm tiered run allocation budget" `Quick
-           test_alloc_budget ]);
+           test_alloc_budget;
+         Alcotest.test_case "untiered dispatch allocates nothing" `Quick
+           test_untiered_dispatch_allocates_nothing ]);
       ("shapes",
        [ Alcotest.test_case "untiered icache machine stays at tier 2" `Quick
            test_icache_caps_untiered ]);
