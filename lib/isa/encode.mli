@@ -32,6 +32,9 @@ val hi20 : int -> int
 val lo12 : int -> int
 (** Lower part: [lo12 v = v - (hi20 v lsl 12)], a signed 12-bit value. *)
 
+val sew_code : Inst.sew -> int
+(** The [vsew] field of a [vtype]: E8 0, E16 1, E32 2, E64 3. *)
+
 val alu_fields : Inst.alu_op -> int * int * int
 (** [(funct7, funct3, opcode)] of an R-type ALU operation (used by the
     decoder to share one table with the encoder). *)
