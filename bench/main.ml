@@ -822,7 +822,6 @@ let ablation engine quick =
   let variants =
     [ ("full CHBP", d);
       ("no basic-block batching", { d with batch = false });
-      ("no static-sew specialization", { d with static_sew = false });
       ("spill-everything translation", { d with spill_all = true });
       ("trap trampolines (strawman)", { d with style = `Trap }) ]
   in

@@ -7,15 +7,13 @@ type mode = Downgrade | Upgrade | Empty
 type options = {
   mode : mode;
   batch : bool;
-  static_sew : bool;
   style : [ `Smile | `Trap ];
   spill_all : bool;
   use_gp : bool;
 }
 
 let default_options mode =
-  { mode; batch = true; static_sew = true; style = `Smile; spill_all = false;
-    use_gp = true }
+  { mode; batch = true; style = `Smile; spill_all = false; use_gp = true }
 
 type stats = {
   mutable source_insts : int;
@@ -473,18 +471,13 @@ let insns_between dis start stop =
   in
   go start []
 
-(* One source through its per-instruction template (the slow path).
-   [static_sew] is the SEW of the walk's last vsetvli before it, when the
-   walk specializes. *)
-let translate_source t cb live (run_ctx, member_ctx) ~full_strip static_sew (i : Disasm.insn) =
+(* One source through its per-instruction template (the slow path). Its
+   templates dispatch on the simulated vsew, so a redirect may enter any
+   of them whatever the SEW. *)
+let translate_source t cb live (run_ctx, member_ctx) ~full_strip (i : Disasm.insn) =
   match t.opts.mode with
   | Empty -> Codebuf.inst cb i.inst
   | Downgrade ->
-      let static_sew =
-        match i.inst with
-        | Inst.Vsetvli _ -> None
-        | _ -> if t.opts.static_sew then static_sew else None
-      in
       (match Hashtbl.find_opt run_ctx i.addr with
       | Some (rb, rv) -> (
           Codebuf.la_abs cb rb Vregs.base;
@@ -514,19 +507,16 @@ let translate_source t cb live (run_ctx, member_ctx) ~full_strip static_sew (i :
           in
           List.filter (fun r -> not (Regmask.mem r banned)) (Liveness.dead_regs_at live i.addr)
       in
-      Translate.downgrade cb ~static_sew ~free ?vctx:ctx ~full_strip i.inst
+      Translate.downgrade cb ~static_sew:None ~free ?vctx:ctx ~full_strip i.inst
   | Upgrade -> assert false
 
 (* Per-instruction emission from [addr] up to [stop]: sources through their
    templates, the rest copied, a control transfer resolved in place. Every
-   instruction is labeled: it is a redirect target. With [specialize], a
-   template after a vsetvli of the walk specializes on its SEW (a redirect
-   past that vsetvli enters through an entry check, see
-   [emit_entry_checks]). The tail after a terminator is reachable again
-   through the next label. Returns whether the code falls through at
-   [stop]. *)
-let emit_walk t cb env ~chunk_base ~is_src ~ctx ~full_strip ~specialize addr stop =
-  let rec go addr sew open_tail =
+   instruction is labeled: it is a redirect target. The tail after a
+   terminator is reachable again through the next label. Returns whether
+   the code falls through at [stop]. *)
+let emit_walk t cb env ~chunk_base ~is_src ~ctx ~full_strip addr stop =
+  let rec go addr open_tail =
     if addr >= stop then open_tail
     else
       match Disasm.find env.dis addr with
@@ -537,129 +527,23 @@ let emit_walk t cb env ~chunk_base ~is_src ~ctx ~full_strip ~specialize addr sto
       | Some i ->
           Codebuf.label cb (site_label addr);
           if is_src i then begin
-            translate_source t cb env.live ctx ~full_strip sew i;
-            let sew =
-              match i.inst with Inst.Vsetvli (_, _, s) when specialize -> Some s | _ -> sew
-            in
-            go (addr + i.size) sew true
+            translate_source t cb env.live ctx ~full_strip i;
+            go (addr + i.size) true
           end
           else (
             match Disasm.flow_of i with
             | Disasm.Fallthrough | Disasm.Syscall ->
                 copy_straight cb i;
-                go (addr + i.size) sew true
+                go (addr + i.size) true
             | Disasm.Branch _ | Disasm.Jump _ | Disasm.Call _ | Disasm.Indirect_jump
             | Disasm.Indirect_call | Disasm.Ret | Disasm.Halt ->
                 ignore (resolve_exit t cb env.dis env.live ~chunk_base ~start:addr);
-                go (addr + i.size) sew false)
+                go (addr + i.size) false)
   in
-  go addr None true
-
-let check_label addr = Codebuf.name "c" addr
-let generic_label addr = Codebuf.name "g" addr
-
-(* The span instructions a redirect can enter past one of the span's
-   vsetvlis, each with that vsetvli's SEW. The slow path's templates after
-   a vsetvli specialize on its SEW, but a hidden entry that skips the
-   vsetvli may arrive with another vsew. Redirects land on overwritten
-   instructions and on every source but the first; an entry counts when a
-   SEW-reading template follows it before the next vsetvli. *)
-let guarded_entries t ~is_src ~first (span : Disasm.insn list) =
-  let g = Hashtbl.create 8 in
-  if t.opts.mode = Downgrade && t.opts.static_sew then begin
-    (* backwards: whether a SEW-reading source follows in the segment *)
-    let _, reads =
-      List.fold_left
-        (fun (later, acc) (i : Disasm.insn) ->
-          let later =
-            if not (is_src i) then later
-            else
-              match i.inst with
-              | Inst.Vsetvli _ -> false
-              | inst -> later || Translate.uses_sew inst
-          in
-          (later, later :: acc))
-        (false, []) (List.rev span)
-    in
-    ignore
-      (List.fold_left2
-         (fun sew (i : Disasm.insn) reads ->
-           (match sew with
-           | Some s
-             when reads && (Hashtbl.mem t.overwritten i.addr || (is_src i && i.addr <> first)) ->
-               Hashtbl.replace g i.addr s
-           | Some _ | None -> ());
-           match i.inst with Inst.Vsetvli (_, _, s) when is_src i -> Some s | _ -> sew)
-         None span reads)
-  end;
-  g
-
-(* For each guarded entry, a check: when the simulated vsew is the SEW the
-   slow path specializes on there, enter the slow path; otherwise enter
-   the generic copy, which runs the span's instructions from the entry to
-   the end of its segment with templates that dispatch on vsew, then
-   continues in the slow path at the next vsetvli, or at [after]. A
-   context-run member's fixup stub runs before its check, so the check
-   keeps clear of the context registers. *)
-let emit_entry_checks t cb env ~is_src ~ctx ~full_strip ~after guarded (span : Disasm.insn list) =
-  let run_ctx, member_ctx = ctx in
-  List.iter
-    (fun (i : Disasm.insn) ->
-      match Hashtbl.find_opt guarded i.addr with
-      | None -> ()
-      | Some sew -> (
-          let addr = i.addr in
-          Codebuf.label cb (check_label addr);
-          let exclude =
-            match Hashtbl.find_opt member_ctx addr with
-            | Some (rb, rv) -> Regmask.of_list [ rb; rv ]
-            | None -> (
-                match Hashtbl.find_opt run_ctx addr with
-                | Some (rb, rv) -> Regmask.of_list [ rb; rv ]
-                | None -> Regmask.empty)
-          in
-          let free = if t.opts.spill_all then [] else Liveness.dead_regs_at env.live addr in
-          match Scavenge.pick_free ~n:1 ~exclude ~free with
-          | [ r ], spill ->
-              let ok = Codebuf.name "k" addr in
-              Scavenge.save cb spill;
-              Codebuf.la_abs cb r Vregs.base;
-              Codebuf.inst cb
-                (Inst.Load
-                   { width = Inst.D; unsigned = false; rd = r; rs1 = r; imm = Vregs.vsew_off });
-              (match Encode.sew_code sew with
-              | 0 -> ()
-              | c -> Codebuf.inst cb (Inst.Opi (Inst.Addi, r, r, -c)));
-              Codebuf.branch_l cb Inst.Beq r Reg.x0 ok;
-              Scavenge.restore cb spill;
-              Codebuf.j_l cb (generic_label addr);
-              Codebuf.label cb ok;
-              Scavenge.restore cb spill;
-              Codebuf.j_l cb (site_label addr)
-          | _ -> assert false))
-    span;
-  let rec copy copying = function
-    | [] -> if copying then Codebuf.j_l cb after
-    | (i : Disasm.insn) :: rest -> (
-        match i.inst with
-        | Inst.Vsetvli _ when is_src i ->
-            if copying then Codebuf.j_l cb (site_label i.addr);
-            copy false rest
-        | _ ->
-            let entry = Hashtbl.mem guarded i.addr in
-            let copying = copying || entry in
-            if copying then begin
-              if entry then Codebuf.label cb (generic_label i.addr);
-              if is_src i then translate_source t cb env.live ctx ~full_strip None i
-              else copy_straight cb i
-            end;
-            copy copying rest)
-  in
-  if Hashtbl.length guarded > 0 then copy false span
+  go addr true
 
 (* Fixup stubs: redirecting into the middle of a context run must first
-   re-establish the shared registers, then go through the entry check if
-   the instruction has one. *)
+   re-establish the shared registers. *)
 let emit_ctx_stubs cb (_, member_ctx) =
   Hashtbl.iter
     (fun maddr (rb, rv) ->
@@ -668,19 +552,14 @@ let emit_ctx_stubs cb (_, member_ctx) =
         Codebuf.la_abs cb rb Vregs.base;
         Codebuf.inst cb
           (Inst.Load { width = Inst.D; unsigned = false; rd = rv; rs1 = rb; imm = Vregs.vl_off });
-        Codebuf.j_l cb
-          (if Codebuf.has_label cb (check_label maddr) then check_label maddr
-           else site_label maddr)
+        Codebuf.j_l cb (site_label maddr)
       end)
     member_ctx
 
 (* The label a redirect to [addr] lands on: the slow path's instruction,
-   through its fixup stub inside a context run, and through its entry
-   check past a vsetvli. *)
+   through its fixup stub inside a context run. *)
 let entry_label cb addr =
-  if Codebuf.has_label cb (stub_label addr) then stub_label addr
-  else if Codebuf.has_label cb (check_label addr) then check_label addr
-  else site_label addr
+  if Codebuf.has_label cb (stub_label addr) then stub_label addr else site_label addr
 
 (* The batch fast path's plan: the SEW of its first segment (when that
    segment needs a guard), its registers, and the ones it must save. *)
@@ -795,30 +674,19 @@ let emit_fast cb ~is_src plan (span : Disasm.insn list) =
    guard-failure stubs, close enough for the guards' conditional branches;
    then the slow path for the span, jumping back to the tail. Only the
    slow path and the tail carry site labels, so every fault-table redirect
-   and fixup stub lands in per-instruction code. Only without a fast path
-   do the span's templates specialize on the SEW of a vsetvli before them
-   (behind entry checks); the tail's never do. [pads] emits the later sites' landing pads, given the label a redirect
-   to an address lands on; it runs before the slow path, so that the pads'
-   SMILE targets are sought as early in the chunk as possible. Returns
-   whether a fast path was built (its entry is the label "fast"). *)
+   and fixup stub lands in per-instruction code. [pads] emits the later
+   sites' landing pads, given the label a redirect to an address lands on;
+   it runs before the slow path, so that the pads' SMILE targets are sought
+   as early in the chunk as possible. Returns whether a fast path was built
+   (its entry is the label "fast"). *)
 let emit_batch t cb env ~chunk_base ~is_src ~first ~span_end ~region_end ~pads =
   let span = insns_between env.dis first span_end in
   let span_ctx = compute_run_ctx t env.live span in
   let tail_ctx = compute_run_ctx t env.live (insns_between env.dis span_end region_end) in
   let plan = if t.opts.mode = Downgrade then plan_fast t env ~is_src span else None in
-  (* Specialize only where the slow path is the main path. Behind a fast
-     path it runs guard failures (strip tails) and redirects only, and its
-     templates dispatch. The span lies inside one basic block, so it is
-     straight-line code, which the generic copies can replay. *)
-  let specialize = plan = None in
-  let guarded =
-    if specialize then guarded_entries t ~is_src ~first span else Hashtbl.create 1
-  in
-  (* a context-run member is entered through its fixup stub, an
-     instruction past a vsetvli through its entry check *)
+  (* a context-run member is entered through its fixup stub *)
   let entry addr =
     if Hashtbl.mem (snd span_ctx) addr || Hashtbl.mem (snd tail_ctx) addr then stub_label addr
-    else if Hashtbl.mem guarded addr then check_label addr
     else site_label addr
   in
   let finish open_tail =
@@ -826,16 +694,12 @@ let emit_batch t cb env ~chunk_base ~is_src ~first ~span_end ~region_end ~pads =
   in
   let tail () =
     Codebuf.label cb "tail";
-    finish
-      (emit_walk t cb env ~chunk_base ~is_src ~ctx:tail_ctx ~full_strip:true ~specialize:false
-         span_end region_end)
+    finish (emit_walk t cb env ~chunk_base ~is_src ~ctx:tail_ctx ~full_strip:true span_end region_end)
   in
   let slow ~full_strip =
-    ignore
-      (emit_walk t cb env ~chunk_base ~is_src ~ctx:span_ctx ~full_strip ~specialize first span_end)
+    ignore (emit_walk t cb env ~chunk_base ~is_src ~ctx:span_ctx ~full_strip first span_end)
   in
-  let rest ~full_strip =
-    emit_entry_checks t cb env ~is_src ~ctx:span_ctx ~full_strip ~after:"tail" guarded span;
+  let ctx_stubs () =
     emit_ctx_stubs cb span_ctx;
     emit_ctx_stubs cb tail_ctx
   in
@@ -843,7 +707,7 @@ let emit_batch t cb env ~chunk_base ~is_src ~first ~span_end ~region_end ~pads =
   | None ->
       slow ~full_strip:true;
       tail ();
-      rest ~full_strip:true;
+      ctx_stubs ();
       pads entry
   | Some plan ->
       Codebuf.label cb "fast";
@@ -858,7 +722,7 @@ let emit_batch t cb env ~chunk_base ~is_src ~first ~span_end ~region_end ~pads =
       pads entry;
       slow ~full_strip:false;
       Codebuf.j_l cb "tail";
-      rest ~full_strip:false);
+      ctx_stubs ());
   plan <> None
 
 let process_batch t env plan =

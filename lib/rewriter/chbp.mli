@@ -12,8 +12,9 @@
       element code for the whole batch, element values forwarded in dead
       registers, every vector-register write stored through), falling
       back at a failed guard to the per-instruction templates, which stay
-      the only target of fault-table redirects (a redirect that may skip an
-      in-batch [vsetvli] never runs a template specialized on its SEW);
+      the only target of fault-table redirects and dispatch on the
+      simulated [vsew], so a redirect past an in-batch [vsetvli] stays
+      correct;
     + patches each source site with a SMILE trampoline — batching all source
       instructions of a basic block behind the first site's trampoline —
       at congruence-admissible target addresses (a later site's landing
@@ -33,12 +34,6 @@ type mode = Downgrade | Upgrade | Empty
 type options = {
   mode : mode;
   batch : bool;  (** batch sources per basic block (paper's optimization) *)
-  static_sew : bool;
-      (** specialize the per-instruction templates of a batch without a
-          fast path on the SEW of an in-batch [vsetvli] before them (a
-          redirect past it checks the simulated [vsew] first). Without
-          it, every template dispatches on [vsew]. Fast paths do not
-          depend on it: their guards check the SEW. *)
   style : [ `Smile | `Trap ];
       (** [`Trap] replaces every entry and exit trampoline with a trap-based
           one — the paper's strawman binary-patching baseline. *)

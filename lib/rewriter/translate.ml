@@ -23,11 +23,6 @@ let mul_op = function Inst.E64 -> Inst.Mul | Inst.E32 | Inst.E16 | Inst.E8 -> In
 let vlmax sew = Vregs.vlen_bytes / Inst.sew_bytes sew
 let mv rd rs = Inst.Opi (Inst.Addi, rd, rs, 0)
 let addi rd rs imm = Inst.Opi (Inst.Addi, rd, rs, imm)
-(* The templates that read the SEW: the element width is not in the
-   instruction, so they specialize on a static one or dispatch on vsew *)
-let uses_sew = function
-  | Inst.Vop_vv _ | Inst.Vop_vx _ | Inst.Vmv_v_x _ | Inst.Vmv_x_s _ | Inst.Vredsum _ -> true
-  | _ -> false
 
 (* Emit [body sew] either once (static width) or under a dispatch on the
    simulated vsew CSR. [tmp] may be clobbered by the dispatch, which counts

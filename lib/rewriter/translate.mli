@@ -6,12 +6,14 @@
     to the simulated register file ({!Vregs}); scavenged base registers are
     saved/restored around the computation.
 
-    The element width of most vector operations ({!uses_sew}) is dynamic
-    state set by the last [vsetvli]. When the caller passes a static
-    width (CHBP: a [vsetvli] earlier in the batch, on every path into the
-    template) the template specializes; otherwise it emits a dispatch on
-    the simulated [vsew] with one loop per width (E64, the common width,
-    is the dispatch's fall-through).
+    The element width of most vector operations (.vv/.vx arithmetic,
+    [vmv.v.x], [vmv.x.s], [vredsum]) is dynamic state set by the last
+    [vsetvli]. When the caller passes a static width the template
+    specializes; only Safer does, for a [vsetvli] earlier in its
+    regenerated code. Otherwise, and always in CHBP, the template emits a
+    dispatch on the simulated [vsew] with one loop per width (E64, the
+    common width, is the dispatch's fall-through), so it is correct
+    whatever [vsetvli] an entry skipped.
 
     Two granularities share the element arithmetic:
     - {!downgrade}, one instruction at a time, correct for any [vl] and
@@ -23,11 +25,6 @@
 
 val can_downgrade : Inst.t -> bool
 (** True for every V-extension instruction and Zba/Zbb instruction. *)
-
-val uses_sew : Inst.t -> bool
-(** Whether the instruction's template reads the SEW, which its encoding
-    does not carry: it specializes on a [static_sew] or dispatches on the
-    simulated [vsew]. *)
 
 val vlmax : Inst.sew -> int
 (** Elements per vector register at the SEW. *)

@@ -48,7 +48,7 @@ json_full=$(mktemp /tmp/chimera-full-XXXXXX.json)
 trace=$(mktemp /tmp/chimera-trace-XXXXXX.jsonl)
 profdir=$(mktemp -d /tmp/chimera-prof-XXXXXX)
 trap 'rm -rf "$enginedir" "$json_full" "$trace" "$profdir"' EXIT
-engine_exps="table1 fig13 table2 table3 ablation micro"
+engine_exps="table1 fig11 fig13 table2 table3 fig14 ablation micro"
 engine_configs="tiered
 untiered --engine untiered
 step --engine step"
@@ -76,6 +76,23 @@ if [ "$agree" != 1 ]; then
   exit 1
 fi
 echo "ci: tiered/untiered/step engines agree over [$engine_exps]"
+
+# Downgraded code, pinned end to end: at -q, fig11, fig14 and the ablation
+# retire exactly these counts (the engines agree, so the tiered run
+# speaks for all three). A change to the templates, the batch fast path
+# or the chunk layout moves them: re-pin on purpose. Deleting the
+# ablation's static-sew row took it from 57934201 (that row retired
+# 4651273).
+for pin in fig11:274731 fig14:444534 ablation:53282928; do
+  exp=${pin%%:*}
+  want=${pin#*:}
+  got=$(grep "\"name\": \"$exp\"" "$enginedir/tiered.json" | grep -o '"retired": [0-9]*' | grep -o '[0-9]*$')
+  if [ "$got" != "$want" ]; then
+    echo "ci: $exp retired ${got:-?} at -q (want $want)" >&2
+    exit 1
+  fi
+done
+echo "ci: downgrading experiments retire their pinned counts"
 
 # Chaining quality gates on the micro deterministic tail, whose
 # branch-dense workload leaves about 65% of its dispatches through side

@@ -618,13 +618,14 @@ let test_demand_matches_eager () =
    liveness, then the CHBP rewrite (which solves the liveness its sites ask
    for), over every Specgen profile. [Gc.minor_words ()] is exact, so the
    budgets are the recorded words plus 2%. The rewrite read 28,704,934
-   words before batches got fast paths; building labels with [Printf]
-   instead of string concatenation would add about 2.8 M, and picking
-   scratch registers through list filters instead of register masks
-   about 4.9 M. *)
+   words before batches got fast paths, and 23,943,811 while a batch
+   without one specialized its templates on an in-batch vsetvli behind
+   entry checks; building labels with [Printf] instead of string
+   concatenation would add about 2.8 M, and picking scratch registers
+   through list filters instead of register masks about 4.9 M. *)
 
 let analysis_budget = 15_909_873 * 102 / 100
-let rewrite_budget = 23_943_811 * 102 / 100
+let rewrite_budget = 23_847_599 * 102 / 100
 
 let test_cold_rewrite_allocation () =
   let analysis = ref 0. and rewrite = ref 0. in

@@ -167,20 +167,6 @@ let test_downgrade_no_batching () =
   | Machine.Faulted f -> Alcotest.failf "fault: %s" (Fault.to_string f)
   | Machine.Fuel_exhausted -> Alcotest.fail "fuel"
 
-let test_downgrade_dynamic_sew () =
-  let bin = Asm.assemble (vector_add_program ()) in
-  let ctx =
-    Chbp.rewrite
-      ~options:{ (Chbp.default_options Chbp.Downgrade) with static_sew = false }
-      bin
-  in
-  let rt = Chimera_rt.create ctx in
-  let m = Machine.create ~mem:(Chimera_rt.load rt) ~isa:base_isa () in
-  match Chimera_rt.run rt ~fuel:2_000_000 m with
-  | Machine.Exited c -> Alcotest.(check int) "dynamic-sew exit" expected_exit c
-  | Machine.Faulted f -> Alcotest.failf "fault: %s" (Fault.to_string f)
-  | Machine.Fuel_exhausted -> Alcotest.fail "fuel"
-
 let test_empty_patching () =
   (* empty patching: rewrite RVV sites into identical copies; the binary
      still needs the extension core but goes through trampolines. *)
@@ -260,6 +246,75 @@ let test_lazy_rewriting () =
   Alcotest.(check bool) "lazy rewrites happened" true
     ((Chimera_rt.counters rt).Counters.lazy_rewrites > 0);
   Alcotest.(check bool) "lazy sites recorded" true ((Chbp.stats ctx).Chbp.lazy_sites > 0)
+
+(* Every hidden entry the rewriter knows of, entered directly: each key of
+   the fault table and of the trap table of every Specgen profile at
+   seeds 1 and 3 (9,792 fault keys, 27 trap keys). A step-engine hart
+   starts at the key from the ABI-initial state (fresh registers,
+   [Loader.init_machine]'s sp and gp). Its first stop must be a
+   deterministic fault (an ebreak for a trap key) that the runtime's
+   handlers resume at that key's own redirect. This checks where each
+   entry lands, not the state it goes on to compute. *)
+let test_every_table_key_resumes () =
+  let failures = ref [] and keys = ref 0 in
+  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  let profiles = Specgen.spec_profiles @ Specgen.realworld_profiles in
+  List.iter
+    (fun (pr : Specgen.profile) ->
+      List.iter
+        (fun seed ->
+          let pr = { pr with Specgen.sp_seed = seed } in
+          let name = Printf.sprintf "%s#%d" pr.sp_name seed in
+          let ctx = Chbp.rewrite (Specgen.build pr) in
+          let rt = Chimera_rt.create ctx in
+          let mem = Chimera_rt.load rt and h = Chimera_rt.handlers rt in
+          let enter key =
+            let m = Machine.create ~engine:Engine.Step ~mem ~isa:base_isa () in
+            Loader.init_machine m (Chimera_rt.rewritten rt);
+            Machine.set_pc m key;
+            m
+          in
+          (* a partially executed trampoline runs at most its jalr first *)
+          let rec first_stop ~handlers m n =
+            match Machine.step ~handlers m with
+            | Some stop -> Some stop
+            | None -> if n = 0 then None else first_stop ~handlers m (n - 1)
+          in
+          let check kind key redirect = function
+            | Machine.Resume r when r = redirect -> ()
+            | Machine.Resume r ->
+                fail "%s: %s key 0x%x resumed at 0x%x, not 0x%x" name kind key r redirect
+            | Machine.Stop _ -> fail "%s: %s key 0x%x not resumed" name kind key
+          in
+          Fault_table.iter (Chbp.fault_table ctx) (fun key redirect ->
+              incr keys;
+              let m = enter key in
+              match first_stop ~handlers:Machine.default_handlers m 2 with
+              | Some (Machine.Faulted f) -> check "fault" key redirect (h.on_fault m f)
+              | Some _ | None -> fail "%s: fault key 0x%x raised no fault" name key);
+          Fault_table.iter (Chbp.trap_table ctx) (fun key redirect ->
+              incr keys;
+              let m = enter key in
+              let trap = ref None in
+              let handlers =
+                { Machine.default_handlers with
+                  on_ebreak =
+                    (fun _ ~pc ~size ->
+                      trap := Some (pc, size);
+                      Machine.Stop Machine.Fuel_exhausted) }
+              in
+              ignore (first_stop ~handlers m 0);
+              match !trap with
+              | Some (pc, size) when pc = key -> check "trap" key redirect (h.on_ebreak m ~pc ~size)
+              | Some _ | None -> fail "%s: trap key 0x%x did not trap there" name key))
+        [ 1; 3 ])
+    profiles;
+  Alcotest.(check bool) "keys entered" true (!keys > 0);
+  match List.rev !failures with
+  | [] -> ()
+  | l ->
+      Alcotest.failf "%d of %d keys:\n%s" (List.length l) !keys
+        (String.concat "\n" (List.filteri (fun i _ -> i < 20) l))
 
 let test_upgrade_end_to_end () =
   (* Scalar canonical loop upgraded to RVV: same results, vector
@@ -1129,6 +1184,51 @@ let d_compare bin =
                       else None)
                     (List.init 32 Fun.id)))
 
+(* The first difference over the batch's entries (from the top, then at
+   every later op), or None. *)
+let d_first_failure p =
+  let entries = None :: List.init (max 0 (List.length p.ops - 1)) (fun k -> Some (k + 1)) in
+  List.find_map
+    (fun entry ->
+      match d_compare (build_dprog p ~entry) with
+      | Some (Some why) ->
+          Some
+            (Printf.sprintf "%s: %s"
+               (match entry with
+               | None -> "from the top"
+               | Some k -> Printf.sprintf "entered at op %d" k)
+               why)
+      | Some None | None -> None)
+    entries
+
+(* An entry that skips the batch's vsetvli: the predicting vsetvli leaves
+   the SEW at e32, the batch sets e16, and a redirect enters at the vadd,
+   which must run at e32. The batch gets a fast path; a copied
+   [addi sp, sp, 0] inside it rules the fast path out, so the redirect
+   lands in templates that are the batch's main path. *)
+let d_fixed =
+  let ops sp =
+    [ Setvl { rd = Reg.x0; avl = Some 1; sew = Inst.E16 } ]
+    @ (if sp then [ Scalar (Inst.Opi (Inst.Addi, Reg.sp, Reg.sp, 0)) ] else [])
+    @ [ Varith { op = Inst.Vadd; vd = 4; vs2 = 4; rhs = `X Reg.a4 } ]
+  in
+  List.map
+    (fun (name, sp) ->
+      (name, { pred = (Inst.E32, 8); helper = None; scalars = (5, 7); ops = ops sp }))
+    [ ("with a fast path", false); ("without a fast path", true) ]
+
+let test_downgrade_differential_fixed () =
+  List.iter
+    (fun (name, p) ->
+      (* the native run enters at the vadd without faulting *)
+      let last = Some (List.length p.ops - 1) in
+      if d_compare (build_dprog p ~entry:last) = None then
+        Alcotest.failf "%s: the native run faulted" name;
+      match d_first_failure p with
+      | None -> ()
+      | Some why -> Alcotest.failf "%s, %s\n%s" name why (pp_dprog p))
+    d_fixed
+
 let d_seed = 2029
 
 let prop_downgrade_differential =
@@ -1137,25 +1237,9 @@ let prop_downgrade_differential =
        ~shrink:(fun p -> QCheck.Iter.map (fun ops -> { p with ops }) (QCheck.Shrink.list p.ops))
        gen_dprog)
     (fun p ->
-      let entries =
-        None :: List.init (max 0 (List.length p.ops - 1)) (fun k -> Some (k + 1))
-      in
-      match
-        List.find_map
-          (fun entry ->
-            match d_compare (build_dprog p ~entry) with
-            | Some (Some why) ->
-                Some
-                  (Printf.sprintf "seed %d, %s: %s" d_seed
-                     (match entry with
-                     | None -> "from the top"
-                     | Some k -> Printf.sprintf "entered at op %d" k)
-                     why)
-            | Some None | None -> None)
-          entries
-      with
+      match d_first_failure p with
       | None -> true
-      | Some msg -> QCheck.Test.fail_report msg)
+      | Some msg -> QCheck.Test.fail_report (Printf.sprintf "seed %d, %s" d_seed msg))
 
 let () =
   Alcotest.run "chimera_rewriter"
@@ -1170,7 +1254,6 @@ let () =
       ("downgrade",
        [ Alcotest.test_case "end to end" `Quick test_downgrade_end_to_end;
          Alcotest.test_case "no batching" `Quick test_downgrade_no_batching;
-         Alcotest.test_case "dynamic sew" `Quick test_downgrade_dynamic_sew;
          Alcotest.test_case "bitmanip" `Quick test_bitmanip_downgrade;
          Alcotest.test_case "strided vector" `Quick test_strided_vector_downgrade;
          Alcotest.test_case "stats shape" `Quick test_stats_shape;
@@ -1187,7 +1270,9 @@ let () =
       ("runtime",
        [ Alcotest.test_case "erroneous jump recovered" `Quick
            test_erroneous_jump_recovered;
-         Alcotest.test_case "lazy rewriting" `Quick test_lazy_rewriting ]);
+         Alcotest.test_case "lazy rewriting" `Quick test_lazy_rewriting;
+         Alcotest.test_case "every table key resumes at its redirect" `Quick
+           test_every_table_key_resumes ]);
       ("general-register-smile",
        [ Alcotest.test_case "fig5 end to end" `Quick test_general_register_smile;
          Alcotest.test_case "mid-block hidden entry uses resident trap" `Quick
@@ -1199,7 +1284,9 @@ let () =
          Alcotest.test_case "compressed falls back to traps" `Quick
            test_greg_mode_on_compressed_falls_back_to_traps ]);
       ("differential templates",
-       [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| d_seed |])
+       [ Alcotest.test_case "entries past a vsetvli" `Quick
+           test_downgrade_differential_fixed;
+         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| d_seed |])
            prop_downgrade_differential ]);
       ("concurrency",
        [ Alcotest.test_case "two-domain rewrites match sequential" `Quick
