@@ -826,21 +826,33 @@ let ablation engine quick =
       ("trap trampolines (strawman)", { d with style = `Trap }) ]
   in
   (* Translation quality: the downgraded vector kernel against the scalar
-     build MELF picks for a base hart (the paper's end-to-end gaps imply
-     translated code near native-scalar speed, a ratio near 1.0) *)
-  Report.table ~title:"Translation quality (downgraded / scalar cycles on a base hart, n = 48)"
-    ~header:[ "kernel"; "downgraded"; "scalar"; "ratio" ]
+     build MELF picks for a base hart, and the upgraded scalar kernel
+     against the vector build MELF picks for a vector hart (the paper's
+     end-to-end gaps imply translated code near native speed, a ratio
+     near 1.0) *)
+  let run_up bin =
+    let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Upgrade) bin in
+    (fst (Measure.chimera ~engine ctx ~isa:ext_isa)).Measure.cycles
+  in
+  let native bin ~isa = (Measure.native ~engine bin ~isa).Measure.cycles in
+  Report.table ~title:"Translation quality (translated / native-build cycles, n = 48)"
+    ~header:[ "kernel"; "translated"; "native build"; "ratio" ]
     ~rows:
       (List.map
-         (fun (name, vec, scal) ->
-           let down = run_down d vec in
-           let sc = (Measure.native ~engine scal ~isa:base_isa).Measure.cycles in
-           [ name; string_of_int down; string_of_int sc;
-             Printf.sprintf "%.2f" (float_of_int down /. float_of_int sc) ])
-         [ ("matmul", Programs.matmul `Ext ~n:48, Programs.matmul `Base ~n:48);
-           ( "gemv",
-             Programs.gemv `Ext ~sew:Inst.E64 ~n:48,
-             Programs.gemv `Base ~sew:Inst.E64 ~n:48 ) ]);
+         (fun (name, translated, built) ->
+           let translated = translated () in
+           let built = built () in
+           [ name; string_of_int translated; string_of_int built;
+             Printf.sprintf "%.2f" (float_of_int translated /. float_of_int built) ])
+         [ ( "matmul downgraded / scalar",
+             (fun () -> run_down d (Programs.matmul `Ext ~n:48)),
+             fun () -> native (Programs.matmul `Base ~n:48) ~isa:base_isa );
+           ( "gemv downgraded / scalar",
+             (fun () -> run_down d (Programs.gemv `Ext ~sew:Inst.E64 ~n:48)),
+             fun () -> native (Programs.gemv `Base ~sew:Inst.E64 ~n:48) ~isa:base_isa );
+           ( "matmul upgraded / vector",
+             (fun () -> run_up (Programs.matmul `Base ~n:48)),
+             fun () -> native (Programs.matmul `Ext ~n:48) ~isa:ext_isa ) ]);
   Report.table ~title:"Downgraded run time, relative to full CHBP"
     ~header:("variant" :: List.map fst bins)
     ~rows:
@@ -956,7 +968,7 @@ let micro engine _quick =
      side-exit path on roughly half the inlined branches) and an
      indirect-call loop that stresses the inline caches. The counts are
      bit-identical across engines (ci.sh compares them across
-     tiered/untiered/step and gates the tiered chain and IC hit rates). *)
+     translated/step and gates the translated chain and IC hit rates). *)
   let det bin =
     let mem = Loader.load bin in
     let m = Machine.create ~engine ~mem ~isa:ext_isa () in
@@ -1115,8 +1127,7 @@ let main names quick jobs engine json_file trace_file chrome_file profile_dir
   let record = cache_dir <> None in
   let engine =
     match engine with
-    | `Tiered -> Engine.Tiered { record }
-    | `Untiered -> Engine.Untiered { record }
+    | `Translated -> Engine.Translated { record }
     | `Step -> Engine.Step
   in
   Par.jobs := (if jobs = 0 then Domain.recommended_domain_count () else max 1 jobs);
@@ -1350,13 +1361,12 @@ let main names quick jobs engine json_file trace_file chrome_file profile_dir
      [--cache] is excluded too: the cold pass's retires are not in the
      reported totals (only the warm pass's are) while its allocation is,
      and plan serialization (Marshal + page digests) swamps the
-     per-instruction signal. The budget only describes the default
+     per-instruction signal. The budget only describes the translating
      engine: the single-step interpreter allocates per instruction by
-     design (~32 words/inst), and [--engine untiered] dispatches every
-     register-indirect jump through the block table with no inline cache,
-     so only [Tiered] is checked (non-recording: recording is on only
-     under [--cache], already excluded). *)
-  if !Par.jobs = 1 && trace_file = None && engine = Engine.Tiered { record = false }
+     design (~32 words/inst), so only [Translated] is checked
+     (non-recording: recording is on only under [--cache], already
+     excluded). *)
+  if !Par.jobs = 1 && trace_file = None && engine = Engine.Translated { record = false }
   then
     check_gc_budget ~minor_words0
       ~retired:(List.fold_left (fun a s -> a + retired s) 0 !stats);
@@ -1387,15 +1397,13 @@ let jobs_arg =
 let engine_arg =
   Arg.(
     value
-    & opt (enum [ ("tiered", `Tiered); ("untiered", `Untiered); ("step", `Step) ]) `Tiered
+    & opt (enum [ ("translated", `Translated); ("step", `Step) ]) `Translated
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Execution engine for every machine the benchmarks create: \
-           $(b,tiered) (default; top-tier translation on first touch and \
-           jalr inline caches), $(b,untiered) (top-tier translation on \
-           first touch, no inline caches) or $(b,step) (reference \
-           single-step path). Simulated counters are identical for all three — CI \
-           compares them.")
+           $(b,translated) (default; top-tier translation on first touch and \
+           jalr inline caches) or $(b,step) (reference single-step path). \
+           Simulated counters are identical for both — CI compares them.")
 
 let json_arg =
   Arg.(

@@ -132,9 +132,8 @@ let trace_steps m handlers n fuel =
   done;
   match !stop with Some s -> s | None -> Machine.Fuel_exhausted
 
-let cmd_run file isa fuel plain show_counters steps trace_file profile_file tiered =
+let cmd_run file isa fuel plain show_counters steps trace_file profile_file =
   let bin = Binfile.load_file file in
-  let engine = Serve.engine ~tiered ~record:false in
   let prof =
     match profile_file with
     | None -> None
@@ -159,7 +158,7 @@ let cmd_run file isa fuel plain show_counters steps trace_file profile_file tier
   let stop, m, counters =
     if plain then begin
       let mem = Loader.load bin in
-      let m = Machine.create ~engine ~mem ~isa () in
+      let m = Machine.create ~mem ~isa () in
       Loader.init_machine m bin;
       let stop =
         if steps > 0 then trace_steps m Machine.default_handlers steps fuel
@@ -170,14 +169,14 @@ let cmd_run file isa fuel plain show_counters steps trace_file profile_file tier
     else if steps > 0 then begin
       let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in
       let rt = Chimera_rt.create ctx in
-      let m = Machine.create ~engine ~mem:(Chimera_rt.load rt) ~isa () in
+      let m = Machine.create ~mem:(Chimera_rt.load rt) ~isa () in
       Loader.init_machine m (Chimera_rt.rewritten rt);
       let stop = trace_steps m (Chimera_rt.handlers rt) steps fuel in
       (stop, m, Some (Chimera_rt.counters rt))
     end
     else
       let dep = Chimera_system.deploy bin ~cores:[ isa ] in
-      let stop, m = Chimera_system.run ~engine dep ~isa ~fuel in
+      let stop, m = Chimera_system.run dep ~isa ~fuel in
       (stop, m, Some (Chimera_system.counters dep))
   in
   (* append the profiler's tb_profile rows to the trace so the offline
@@ -292,16 +291,13 @@ let cmd_profile trace bin_file top out =
    down. --capture additionally keeps the most recent Obs events in a
    bounded in-memory ring for post-mortem context, counting (never hiding)
    what the ring overwrote. *)
-let cmd_metrics file isa fuel tiered fmt out capture =
+let cmd_metrics file isa fuel fmt out capture =
   let bin = Binfile.load_file file in
   Metrics.enable ();
   if capture > 0 then Obs.enable_memory ~capacity:capture ();
   let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in
   let rt = Chimera_rt.create ctx in
-  let m =
-    Machine.create ~engine:(Serve.engine ~tiered ~record:false)
-      ~mem:(Chimera_rt.load rt) ~isa ()
-  in
+  let m = Machine.create ~mem:(Chimera_rt.load rt) ~isa () in
   let stop = Chimera_rt.run rt ~fuel m in
   let snap = Metrics.Snapshot.take () in
   let health =
@@ -367,7 +363,7 @@ let cmd_cache_clear dir =
    same binary, ISA, mode and engine starts warm: it stores under exactly
    the keys the server reads (a prewarm of an already-cached binary seeds
    from them first). *)
-let cmd_cache_prewarm dir file isa fuel mode tiered =
+let cmd_cache_prewarm dir file isa fuel mode =
   let bin = Binfile.load_file file in
   let c = Cache.open_dir dir in
   let mode =
@@ -379,7 +375,7 @@ let cmd_cache_prewarm dir file isa fuel mode tiered =
         Printf.eprintf "unknown mode %s (downgrade, upgrade, empty)\n" m;
         exit 2
   in
-  match Serve.execute ~cache:c ~isa ~mode ~tiered ~fuel bin with
+  match Serve.execute ~cache:c ~isa ~mode ~fuel bin with
   | Machine.Exited code, retired, _, warm ->
       let entries, bytes = Cache.stat c in
       Format.printf
@@ -399,7 +395,7 @@ let cmd_cache_prewarm dir file isa fuel mode tiered =
    batch over the command line's guests, or a long-running daemon on a
    Unix-domain socket. Both share one Domain pool and (with --cache) one
    persistent translation cache across every tenant. *)
-let cmd_serve socket guests jobs cache_dir tiered repeat max_queue fuel isa
+let cmd_serve socket guests jobs cache_dir repeat max_queue fuel isa
     metrics_out max_requests =
   let cache = Option.map Cache.open_dir cache_dir in
   if metrics_out <> None then Metrics.enable ();
@@ -412,7 +408,7 @@ let cmd_serve socket guests jobs cache_dir tiered repeat max_queue fuel isa
   | Some path ->
       Format.printf "serving on %s: %d workers%s; RUN/SPEC/STAT/QUIT@." path jobs
         (match cache_dir with Some d -> ", cache " ^ d | None -> "");
-      Serve.Daemon.listen srv ~path ~isa ~tiered ?max_requests ()
+      Serve.Daemon.listen srv ~path ~isa ?max_requests ()
   | None ->
       if guests = [] then begin
         Printf.eprintf
@@ -434,7 +430,7 @@ let cmd_serve socket guests jobs cache_dir tiered repeat max_queue fuel isa
       for _ = 1 to max 1 repeat do
         List.iter
           (fun (tenant, bin) ->
-            match Serve.submit srv ~tenant ~isa ~tiered ~fuel bin with
+            match Serve.submit srv ~tenant ~isa ~fuel bin with
             | Ok _ -> ()
             | Error `Saturated ->
                 Printf.eprintf "rejected (queue saturated): %s\n" tenant;
@@ -531,16 +527,8 @@ let run_cmd =
                input). Combine with $(b,--trace) to embed the profile in the \
                trace for offline 'chimera profile'.")
   in
-  let tiered =
-    Arg.(value & flag & info [ "tiered" ]
-         ~doc:"Tiered execution: jalr inline caches on top of first-touch \
-               top-tier translation (results are bit-identical, only \
-               dispatch changes). The $(b,--profile) report then annotates \
-               hot blocks with their tier and lists inline-cache sites.")
-  in
   Cmd.v (Cmd.info "run" ~doc:"Execute a binary on a simulated hart")
-    Term.(const cmd_run $ file $ isa $ fuel $ plain $ counters $ steps $ trace $ profile
-          $ tiered)
+    Term.(const cmd_run $ file $ isa $ fuel $ plain $ counters $ steps $ trace $ profile)
 
 let profile_cmd =
   let trace = Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE") in
@@ -561,11 +549,6 @@ let metrics_cmd =
   let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
   let isa = Arg.(value & opt isa_conv Ext.rv64gcv & info [ "isa" ] ~doc:"Hart capabilities.") in
   let fuel = Arg.(value & opt int 100_000_000 & info [ "fuel" ] ~doc:"Instruction budget.") in
-  let tiered =
-    Arg.(value & flag & info [ "tiered" ]
-         ~doc:"Tiered execution with jalr inline caches (the inline-cache \
-               counters are then live).")
-  in
   let fmt =
     Arg.(value & opt string "prometheus" & info [ "format" ] ~docv:"FMT"
          ~doc:"Exposition format: $(b,prometheus) (text exposition, default) \
@@ -586,7 +569,7 @@ let metrics_cmd =
        ~doc:"Run a binary under the Chimera runtime with the always-on \
              metrics subsystem enabled and dump the final snapshot \
              (counters, latency quantiles, health watchdog verdicts)")
-    Term.(const cmd_metrics $ file $ isa $ fuel $ tiered $ fmt $ out $ capture)
+    Term.(const cmd_metrics $ file $ isa $ fuel $ fmt $ out $ capture)
 
 let cache_cmd =
   let dir = Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR") in
@@ -607,19 +590,13 @@ let cache_cmd =
     let mode =
       Arg.(value & opt string "downgrade" & info [ "m"; "mode" ] ~doc:"downgrade, upgrade or empty.")
     in
-    let tiered =
-      Arg.(value & flag & info [ "tiered" ]
-           ~doc:"Prewarm under tiered execution with inline caches (must \
-                 match the configuration of later runs: plans refuse to seed \
-                 across engine configurations).")
-    in
     Cmd.v
       (Cmd.info "prewarm"
          ~doc:"Run a binary once as a $(b,serve) request, recording, and \
                store its rewrite context and translation plan so later \
                $(b,serve --cache) runs of it against the same directory \
                start warm")
-      Term.(const cmd_cache_prewarm $ dir $ file $ isa $ fuel $ mode $ tiered)
+      Term.(const cmd_cache_prewarm $ dir $ file $ isa $ fuel $ mode)
   in
   Cmd.group
     (Cmd.info "cache" ~doc:"Persistent translation cache maintenance")
@@ -651,11 +628,6 @@ let serve_cmd =
                contexts and translation plans land in $(docv), so replicas \
                of one digest start warm whichever tenant runs first.")
   in
-  let tiered =
-    Arg.(value & flag & info [ "tiered" ]
-         ~doc:"Run guests under tiered execution with jalr inline caches \
-               (results are bit-identical, only dispatch changes).")
-  in
   let repeat =
     Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"N"
          ~doc:"Submit the batch guest list $(docv) times (replicas share \
@@ -684,7 +656,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Multi-tenant rewrite-and-execute server: admit guests into a \
              Domain pool sharing one persistent translation cache")
-    Term.(const cmd_serve $ socket $ guests $ jobs $ cache $ tiered $ repeat
+    Term.(const cmd_serve $ socket $ guests $ jobs $ cache $ repeat
           $ max_queue $ fuel $ isa $ metrics $ max_requests)
 
 let () =

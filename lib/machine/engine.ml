@@ -1,12 +1,7 @@
-type t = Step | Untiered of { record : bool } | Tiered of { record : bool }
+type t = Step | Translated of { record : bool }
 
-let default = Untiered { record = false }
+let default = Translated { record = false }
 
-let record = function
-  | Step -> false
-  | Untiered { record } | Tiered { record } -> record
+let record = function Step -> false | Translated { record } -> record
 
-let tag = function
-  | Step -> "step"
-  | Untiered _ -> "untiered"
-  | Tiered _ -> "tiered"
+let tag = function Step -> "step" | Translated _ -> "translated"

@@ -17,6 +17,8 @@ type view = {
           machines only): the positional lower/compile decisions of the
           {e latest} translation at that entry, joined with the live block
           at {!export_plan} time to form a persistable replay recipe *)
+  mutable code_seen : (int * int) list;
+      (** [Memory.code_log vmem] as of the last {!sync_code} *)
 }
 
 (* One recorded translation-callback decision, in program order. [Slower]
@@ -97,10 +99,6 @@ and t = {
   mutable fused_pairs : int;
       (** instructions merged into multi-instruction units at translation
           time (Σ (unit width − 1) over translated blocks) *)
-  tiered : bool;
-      (** [Tiered], unpacked once so translation reads a plain boolean:
-          indirect terminators carry inline caches. Every translating
-          machine translates at its top tier on first touch. *)
   mutable pending_ic : icsite option;
       (** set by an indirect terminator closure as it completes; the next
           dispatch consumes it to predict the successor block through the
@@ -243,7 +241,8 @@ let new_view mem =
     cache = Hashtbl.create 1024;
     blocks = Hashtbl.create 256;
     ics = Hashtbl.create 64;
-    skels = Hashtbl.create 64 }
+    skels = Hashtbl.create 64;
+    code_seen = Memory.code_log mem }
 
 (* Polymorphic inline-cache capacity: distinct live targets beyond the
    monomorphic slot plus this many table entries turn the site
@@ -275,10 +274,6 @@ let create ?(engine = Engine.default) ?icache ?(vlen = 32) ?(costs = Costs.defau
     tb_dispatches = 0;
     side_exits = 0;
     fused_pairs = 0;
-    tiered =
-      (match engine with
-       | Engine.Tiered _ -> true
-       | Engine.Step | Engine.Untiered _ -> false);
     pending_ic = None;
     ic_hits = 0;
     ic_misses = 0;
@@ -366,6 +361,23 @@ let invalidate_code t ~addr ~len =
      fast check and fall back to the full stamp check (or re-translation),
      and every chain link established before the patch stops matching *)
   t.code_epoch <- t.code_epoch + 1
+
+(* Invalidate what [Memory.patch_code] changed in the current view since
+   the machine last looked: at [run] and after every resuming handler,
+   which may have patched code or switched views. *)
+let sync_code t =
+  let v = t.cur in
+  let log = Memory.code_log v.vmem in
+  let rec replay l =
+    if l != v.code_seen then
+      match l with
+      | (addr, len) :: older ->
+          invalidate_code t ~addr ~len;
+          replay older
+      | [] -> ()
+  in
+  replay log;
+  v.code_seen <- log
 
 let icache_misses t =
   match t.icache with None -> 0 | Some ic -> Icache.misses ic
@@ -870,6 +882,7 @@ let exec_retire t inst size =
 let dispatch ~handlers t thunk =
   let apply_action = function
     | Resume pc ->
+        sync_code t;
         t.pc <- pc;
         None
     | Stop s -> Some s
@@ -1290,37 +1303,25 @@ let compile_op t ~pc inst size =
       else
         let im = Int64.of_int imm in
         let link = Int64.of_int (pc + size) in
-        if t.tiered then
-          (* the closure publishes its inline-cache site as it completes;
-             the dispatch loop consumes it to predict the successor block
-             (monomorphic slot → polymorphic table → block table). The
-             [Some] cell is allocated once here, not per execution. *)
-          let pic = Some (ic_for t pc) in
-          Tblock.Term_fn
-            (fun t ->
-              (* target before link write: rd may alias rs1 *)
-              let target =
-                addr_of (Int64.add (get_reg t rs1) im) land lnot 1
-              in
-              set_reg t rd link;
-              t.indirect_retired <- t.indirect_retired + 1;
-              t.pc <- target;
-              retire_scalar t;
-              t.pending_ic <- pic)
-        else
-          Tblock.Term_fn
-            (fun t ->
-              (* target before link write: rd may alias rs1 *)
-              let target =
-                addr_of (Int64.add (get_reg t rs1) im) land lnot 1
-              in
-              set_reg t rd link;
-              t.indirect_retired <- t.indirect_retired + 1;
-              t.pc <- target;
-              retire_scalar t)
+        (* the closure publishes its inline-cache site as it completes;
+           the dispatch loop consumes it to predict the successor block
+           (monomorphic slot → polymorphic table → block table). The
+           [Some] cell is allocated once here, not per execution. *)
+        let pic = Some (ic_for t pc) in
+        Tblock.Term_fn
+          (fun t ->
+            (* target before link write: rd may alias rs1 *)
+            let target =
+              addr_of (Int64.add (get_reg t rs1) im) land lnot 1
+            in
+            set_reg t rd link;
+            t.indirect_retired <- t.indirect_retired + 1;
+            t.pc <- target;
+            retire_scalar t;
+            t.pending_ic <- pic)
   | Inst.C_jr rs1 ->
       if not (Ext.mem Ext.C t.isa) then Tblock.Term
-      else if t.tiered then
+      else
         let pic = Some (ic_for t pc) in
         Tblock.Term_fn
           (fun t ->
@@ -1328,36 +1329,20 @@ let compile_op t ~pc inst size =
             t.pc <- addr_of (get_reg t rs1) land lnot 1;
             retire_scalar t;
             t.pending_ic <- pic)
-      else
-        Tblock.Term_fn
-          (fun t ->
-            t.indirect_retired <- t.indirect_retired + 1;
-            t.pc <- addr_of (get_reg t rs1) land lnot 1;
-            retire_scalar t)
   | Inst.C_jalr rs1 ->
       if not (Ext.mem Ext.C t.isa) then Tblock.Term
       else
         let link = Int64.of_int (pc + size) in
-        if t.tiered then
-          let pic = Some (ic_for t pc) in
-          Tblock.Term_fn
-            (fun t ->
-              (* target before the ra write: rs1 may be ra *)
-              let target = addr_of (get_reg t rs1) land lnot 1 in
-              t.indirect_retired <- t.indirect_retired + 1;
-              set_reg t Reg.ra link;
-              t.pc <- target;
-              retire_scalar t;
-              t.pending_ic <- pic)
-        else
-          Tblock.Term_fn
-            (fun t ->
-              (* target before the ra write: rs1 may be ra *)
-              let target = addr_of (get_reg t rs1) land lnot 1 in
-              t.indirect_retired <- t.indirect_retired + 1;
-              set_reg t Reg.ra link;
-              t.pc <- target;
-              retire_scalar t)
+        let pic = Some (ic_for t pc) in
+        Tblock.Term_fn
+          (fun t ->
+            (* target before the ra write: rs1 may be ra *)
+            let target = addr_of (get_reg t rs1) land lnot 1 in
+            t.indirect_retired <- t.indirect_retired + 1;
+            set_reg t Reg.ra link;
+            t.pc <- target;
+            retire_scalar t;
+            t.pending_ic <- pic)
   | Inst.Jal (rd, off) ->
       (* jal linking ra is a call: kept as a terminator so the profiler's
          shadow call stack sees it; any other link register is inlined *)
@@ -1993,7 +1978,12 @@ let run_step ~handlers ~fuel t =
 let run_blocks ~handlers ~fuel t =
   let remaining = ref fuel in
   let result = ref None in
-  let apply = function Resume pc -> t.pc <- pc | Stop s -> result := Some s in
+  let apply = function
+    | Resume pc ->
+        sync_code t;
+        t.pc <- pc
+    | Stop s -> result := Some s
+  in
   (* the block that just completed normally, as the option cell it was
      dispatched from, the unit whose side exit it left through (-1 when it
      completed through its terminator or fall-through) and the view it ran
@@ -2276,11 +2266,12 @@ let flush_run_stats t =
   List.iter (fun v -> Memory.flush_tlb_stats v.vmem) t.views
 
 let run ?(handlers = default_handlers) ~fuel t =
+  sync_code t;
   let r0 = t.retired in
   let s =
     match t.engine with
     | Engine.Step -> run_step ~handlers ~fuel t
-    | Engine.Untiered _ | Engine.Tiered _ -> run_blocks ~handlers ~fuel t
+    | Engine.Translated _ -> run_blocks ~handlers ~fuel t
   in
   if !Metrics.enabled then Metrics.add m_retired (t.retired - r0);
   flush_run_stats t;
@@ -2448,18 +2439,17 @@ let seed_block t b skel =
    warm_start_s) and the cold/warm translate_s ratio measures exactly the
    work the cache avoided. *)
 let seed_finish t ~ics =
-  if t.tiered then
-    Array.iter
-      (fun (site, targets) ->
-        let s = ic_for t site in
-        List.iter
-          (fun pc ->
-            match Hashtbl.find_opt t.cur.blocks pc with
-            | Some b when Tblock.epoch_current b t.code_epoch ->
-                ic_train t s pc b
-            | _ -> ())
-          targets)
-      ics;
+  Array.iter
+    (fun (site, targets) ->
+      let s = ic_for t site in
+      List.iter
+        (fun pc ->
+          match Hashtbl.find_opt t.cur.blocks pc with
+          | Some b when Tblock.epoch_current b t.code_epoch ->
+              ic_train t s pc b
+          | _ -> ())
+        targets)
+    ics;
   flush_run_stats t
 
 let template t p kept =
@@ -2491,8 +2481,8 @@ let seed_plan t (p : plan) =
   end
 
 (* The terminator closure of template block [b] for this machine. Body
-   units take the machine as an argument and are shared as they are, but a
-   tiered indirect terminator captures its machine's inline-cache site, so
+   units take the machine as an argument and are shared as they are, but an
+   indirect terminator captures its machine's inline-cache site, so
    a template keeps no terminator closure and every seed recompiles the
    decoded terminator against its own machine. *)
 let rebind_term t b =

@@ -137,12 +137,12 @@ val run : ?handlers:handlers -> fuel:int -> t -> stop
 (** Execute until a stop event, at most [fuel] instructions.
 
     The machine's {!Engine.t} picks the path. [Step] interprets one
-    instruction at a time. [Untiered] and [Tiered] decode code once into
-    arrays of closures ({!Tblock}), execute them whole between
-    handler-visible events and chain each block to its successors: the
-    fall-through, the terminator's other target and every side exit keep a
-    link of their own. Both translate an entry at the top tier on first
-    touch; [Tiered] adds inline caches at register-indirect jumps.
+    instruction at a time. [Translated] decodes code once into arrays of
+    closures ({!Tblock}), executes them whole between handler-visible
+    events and chains each block to its successors (the fall-through, the
+    terminator's other target and every side exit keep a link of their
+    own; register-indirect jumps go through per-site inline caches). It
+    translates an entry at the top tier on first touch.
     Counters, faults and handler interactions are observably identical to
     the single-step path (the differential property tests assert this).
 
@@ -253,7 +253,7 @@ val seed_template : t -> template -> (int, string) result
     cache. Each block is a {!Tblock.clone}:
     its execution units are shared with the template (their closures take
     the machine as an argument), and its terminator is recompiled for this
-    machine, because a tiered indirect terminator captures its machine's
+    machine, because an indirect terminator captures its machine's
     inline-cache site. [Error "flags"] or [Error "isa"], with nothing
     seeded, when the machine's configuration or ISA differs from that of
     the machine the template was taken on. *)

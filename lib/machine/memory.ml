@@ -70,6 +70,8 @@ type t = {
   mutable tlb_epoch : int;  (** [perm_epoch] value the TLB was filled under *)
   mutable tlb_hits : int;
   mutable tlb_misses : int;
+  mutable code_log : (int * int) list;
+      (** [(addr, len)] of every {!patch_code}, newest first *)
 }
 
 let create () =
@@ -82,7 +84,8 @@ let create () =
     tlb_x_data = Array.make tlb_size no_bytes;
     tlb_epoch = Atomic.get perm_epoch;
     tlb_hits = 0;
-    tlb_misses = 0 }
+    tlb_misses = 0;
+    code_log = [] }
 
 let page_index addr = addr lsr page_bits
 let page_offset addr = addr land (page_size - 1)
@@ -363,6 +366,12 @@ let poke_bytes t addr b =
     Bytes.blit b !i (poke_data t a) off n;
     i := !i + n
   done
+
+let patch_code t addr b =
+  poke_bytes t addr b;
+  t.code_log <- (addr, Bytes.length b) :: t.code_log
+
+let code_log t = t.code_log
 
 let peek_into t addr dst dst_off len =
   let i = ref 0 in

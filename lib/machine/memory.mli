@@ -129,6 +129,14 @@ val poke_u64 : t -> int -> int64 -> unit
 val poke_bytes : t -> int -> bytes -> unit
 val peek_bytes : t -> int -> int -> bytes
 
+val patch_code : t -> int -> bytes -> unit
+(** {!poke_bytes}, logged: every machine running this memory invalidates
+    the range before it next executes ({!Machine.run}). *)
+
+val code_log : t -> (int * int) list
+(** [(addr, len)] of every {!patch_code}, newest first; a read log stays a
+    physical suffix of every later one. *)
+
 val peek_into : t -> int -> bytes -> int -> int -> unit
 (** [peek_into t addr dst off len] copies [len] bytes at [addr] into [dst]
     at [off]: {!peek_bytes} without the fresh buffer. *)

@@ -12,7 +12,6 @@ type t = {
   costs : Costs.t;
   counters : Counters.t;
   mutable views : Memory.t list;
-  mutable machines : Machine.t list;  (* for decode-cache invalidation *)
 }
 
 let create ?(costs = Costs.default) ctx =
@@ -20,8 +19,7 @@ let create ?(costs = Costs.default) ctx =
     bin = Chbp.result ctx;
     costs;
     counters = Counters.create ();
-    views = [];
-    machines = [] }
+    views = [] }
 
 let load t =
   let mem = Loader.load t.bin in
@@ -32,15 +30,11 @@ let counters t = t.counters
 let rewritten t = t.bin
 let chbp t = t.ctx
 
-let note_machine t m =
-  if not (List.memq m t.machines) then t.machines <- m :: t.machines
-
-let apply_patch t mem = function
-  | Chbp.Patch_code { addr; bytes } ->
-      Memory.poke_bytes mem addr bytes;
-      List.iter
-        (fun m -> Machine.invalidate_code m ~addr ~len:(Bytes.length bytes))
-        t.machines
+(* A code patch goes into the memory's own log ([Memory.patch_code]):
+   every machine running that memory invalidates the range before it next
+   executes, so the runtime keeps no machine. *)
+let apply_patch mem = function
+  | Chbp.Patch_code { addr; bytes } -> Memory.patch_code mem addr bytes
   | Chbp.Patch_section { addr; bytes } ->
       (* map any missing pages, fill, and mark executable *)
       let len = Bytes.length bytes in
@@ -86,7 +80,7 @@ let lazy_rewrite t m pc =
       let patches = Chbp.extend t.ctx ~root:pc in
       if !Obs.enabled then
         Obs.emit (Obs.Lazy_discovered { root = pc; patches = List.length patches });
-      List.iter (fun mem -> List.iter (apply_patch t mem) patches) t.views;
+      List.iter (fun mem -> List.iter (apply_patch mem) patches) t.views;
       (* the site at pc is now a trampoline (or trap); re-execute it *)
       if patches = [] then None else Some pc
   | Some _ | None -> None
@@ -108,7 +102,6 @@ let handlers t =
     Machine.Resume redirect
   in
   let on_fault m fault =
-    note_machine t m;
     let table = Chbp.fault_table t.ctx in
     match fault with
     | Fault.Segfault { access = Fault.Execute; _ } -> (
@@ -158,7 +151,6 @@ let handlers t =
         Machine.Stop (Machine.Faulted fault)
   in
   let on_ebreak m ~pc ~size:_ =
-    note_machine t m;
     match Fault_table.find (Chbp.trap_table t.ctx) pc with
     | Some target ->
         Counters.trap_at t.counters ~site:pc;
@@ -178,7 +170,6 @@ let handlers t =
 let run t ?isa ~fuel m =
   let mem = match t.views with [] -> load t | mem :: _ -> mem in
   Machine.switch_view m mem;
-  note_machine t m;
   (match isa with Some i -> Machine.set_isa m i | None -> ());
   Loader.init_machine m t.bin;
   Machine.run ~handlers:(handlers t) ~fuel m

@@ -29,8 +29,10 @@ val chbp : t -> Chbp.t
 
 val handlers : t -> Machine.handlers
 (** Fault/trap handlers implementing the runtime mechanisms. Lazy rewriting
-    patches every memory view this runtime has loaded and the machine's
-    decode caches. The handlers read the fault table, the trap table and
+    patches every memory view this runtime has loaded through
+    {!Memory.patch_code}, so every machine running one of those views
+    invalidates the patched code before it next executes, the faulting
+    one included. The runtime keeps no machine. The handlers read the fault table, the trap table and
     the general-register sites from the runtime's current context ({!chbp})
     when a fault or trap arrives, so entries a lazy rewrite adds — and the
     private copy it may switch to — take effect at once. *)

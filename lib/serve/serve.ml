@@ -120,25 +120,22 @@ let mode_tag = function
   | Chbp.Upgrade -> "up"
   | Chbp.Empty -> "empty"
 
-(* A request's engine: tiered or untiered, recording whenever plans are
-   stored. *)
-let engine ~tiered ~record =
-  if tiered then Engine.Tiered { record } else Engine.Untiered { record }
-
 (* The configuration tag folded into every cache digest: two requests
    share an artifact only when the binary, ISA (already in the digest),
-   rewrite mode and engine all agree. *)
-let cfg_tag ~mode ~tiered =
+   rewrite mode and engine all agree. [?tiered] selects nothing (see the
+   interface); with no positional parameter it cannot be erased, so a
+   caller without it passes [?tiered:None]. *)
+let[@warning "-16"] cfg_tag ?tiered:_ ~mode =
   Printf.sprintf "serve|%s|%s" (mode_tag mode)
-    (Engine.tag (engine ~tiered ~record:false))
+    (Engine.tag (Engine.Translated { record = false }))
 
 (* Run one guest on the calling domain: rewrite-or-load, fresh runtime and
    memory view on the request's engine, optional plan seed/store against
    the shared cache. This is both the worker body and the solo oracle — the
    differential tests compare pool runs against [execute] with no cache on
    the main domain. *)
-let execute ?cache ~isa ~mode ~tiered ~fuel bin =
-  let tag = cfg_tag ~mode ~tiered in
+let execute ?cache ~isa ~mode ?tiered:_ ~fuel bin =
+  let tag = cfg_tag ?tiered:None ~mode in
   let options = Chbp.default_options mode in
   let ctx =
     match cache with
@@ -153,7 +150,7 @@ let execute ?cache ~isa ~mode ~tiered ~fuel bin =
             ctx)
   in
   let rt = Chimera_rt.create ctx in
-  let engine = engine ~tiered ~record:(cache <> None) in
+  let engine = Engine.Translated { record = cache <> None } in
   let m = Machine.create ~engine ~mem:(Chimera_rt.load rt) ~isa () in
   let warm = ref false in
   (match cache with
@@ -250,7 +247,7 @@ let finish t ~tenant ~id ~t_admit ~t_start ~stop:(s, exit_code) ~retired
   Mutex.unlock t.mu
 
 let submit t ~tenant ?(prefer_ext = false) ?(isa = Ext.rv64gc)
-    ?(mode = Chbp.Downgrade) ?(tiered = false) ?(fuel = default_fuel) bin =
+    ?(mode = Chbp.Downgrade) ?tiered:_ ?(fuel = default_fuel) bin =
   let id = t.next_id in
   t.next_id <- id + 1;
   let saturated =
@@ -270,7 +267,7 @@ let submit t ~tenant ?(prefer_ext = false) ?(isa = Ext.rv64gc)
     let t_admit = Unix.gettimeofday () in
     let body _cls =
       let t_start = Unix.gettimeofday () in
-      match execute ?cache:t.cache ~isa ~mode ~tiered ~fuel bin with
+      match execute ?cache:t.cache ~isa ~mode ~fuel bin with
       | stop, retired, cycles, warm ->
           finish t ~tenant ~id ~t_admit ~t_start ~stop:(stop_strings stop)
             ~retired ~cycles ~warm
@@ -391,12 +388,12 @@ module Daemon = struct
      request completes (the pool keeps serving other tenants meanwhile)
      and report the outcome inline. *)
 
-  let run_reply t ~tenant ~isa ~tiered load =
+  let run_reply t ~tenant ~isa load =
     match load () with
     | exception e ->
         Printf.sprintf "ERR load: %s" (Printexc.to_string e)
     | bin -> (
-        match submit t ~tenant ~isa ~tiered bin with
+        match submit t ~tenant ~isa bin with
         | Error `Saturated -> "ERR saturated"
         | Ok id ->
             let o = await t id in
@@ -404,7 +401,7 @@ module Daemon = struct
               "OK id=%d stop=%s retired=%d cycles=%d warm=%b latency_us=%d" o.o_id
               o.o_stop o.o_retired o.o_cycles o.o_warm o.o_latency_us)
 
-  let handle t ~isa ~tiered line =
+  let handle t ~isa line =
     let words =
       String.split_on_char ' ' (String.trim line)
       |> List.filter (fun s -> s <> "")
@@ -417,14 +414,14 @@ module Daemon = struct
           (Printf.sprintf "OK admitted=%d done=%d rejected=%d depth=%d peak=%d"
              s.admitted s.completed s.rejected s.queue_depth s.peak_depth)
     | [ "RUN"; tenant; path ] ->
-        `Ran (run_reply t ~tenant ~isa ~tiered (fun () -> Binfile.load_file path))
+        `Ran (run_reply t ~tenant ~isa (fun () -> Binfile.load_file path))
     | [ "SPEC"; tenant; profile ] ->
         `Ran
-          (run_reply t ~tenant ~isa ~tiered (fun () ->
+          (run_reply t ~tenant ~isa (fun () ->
                Specgen.build (Specgen.find profile)))
     | _ -> `Reply "ERR usage: RUN <tenant> <file.self> | SPEC <tenant> <profile> | STAT | QUIT"
 
-  let listen t ~path ?(isa = Ext.rv64gc) ?(tiered = false) ?max_requests () =
+  let listen t ~path ?(isa = Ext.rv64gc) ?max_requests () =
     (try Unix.unlink path with Unix.Unix_error _ -> ());
     let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Fun.protect
@@ -448,7 +445,7 @@ module Daemon = struct
                match input_line ic with
                | exception End_of_file -> conn_open := false
                | line -> (
-                   match handle t ~isa ~tiered line with
+                   match handle t ~isa line with
                    | `Quit ->
                        output_string oc "OK bye\n";
                        flush oc;

@@ -9,8 +9,8 @@
     translation plan warm every replica of the same content digest.
 
     {b Determinism contract.} A request's execution depends only on its
-    binary, ISA, rewrite mode, engine tier and fuel — never on scheduling,
-    co-tenants or cache temperature. Each machine is created with its own
+    binary, ISA, rewrite mode and fuel — never on scheduling, co-tenants
+    or cache temperature. Each machine is created with its own
     {!Engine.t}, so a pooled request retires bit-identically to {!execute} run solo;
     the tenant-isolation property test and the bench's solo-equality check
     enforce this end to end.
@@ -55,26 +55,29 @@ type tenant_stat = {
   ts_warm : int;  (** requests whose plan came warm from the cache *)
 }
 
-val engine : tiered:bool -> record:bool -> Engine.t
-(** The engine of every request: [Tiered] or [Untiered] as [tiered]
-    says, with [record] for runs whose translation plan is stored. The
-    CLI's [--tiered] flag means the same engine. *)
+(** Every request runs on [Engine.Translated], recording when a cache
+    stores its translation plan. {!cfg_tag}, {!execute} and {!submit} still
+    accept [?tiered], which selects nothing: perfbench passes it. Once a
+    benchmark change stops perfbench passing it, the follow-up on the
+    ROADMAP ("Drop the ignored [?tiered]") removes it. *)
 
-val cfg_tag : mode:Chbp.mode -> tiered:bool -> string
+val cfg_tag : ?tiered:bool -> mode:Chbp.mode -> string
 (** The configuration tag folded into every cache digest this server
     computes: artifacts are shared only between requests agreeing on
-    binary, ISA, rewrite mode and engine ({!Engine.tag}). *)
+    binary, ISA, rewrite mode and engine ({!Engine.tag}). With no
+    positional parameter, [?tiered] cannot be erased: a caller without it
+    writes [cfg_tag ?tiered:None ~mode]. *)
 
 val execute :
   ?cache:Cache.t ->
   isa:Ext.t ->
   mode:Chbp.mode ->
-  tiered:bool ->
+  ?tiered:bool ->
   fuel:int ->
   Binfile.t ->
   Machine.stop * int * int * bool
 (** Run one guest end to end on the calling domain: rewrite (or cache
-    load), fresh runtime + memory view on one {!Engine.t} ({!engine}),
+    load), fresh runtime + memory view on [Engine.Translated],
     optional plan seed/store. Returns [(stop, retired, cycles, warm)]. This is both the
     pool worker body and the solo oracle the differential tests compare
     against. *)
@@ -136,7 +139,6 @@ module Daemon : sig
     t ->
     path:string ->
     ?isa:Ext.t ->
-    ?tiered:bool ->
     ?max_requests:int ->
     unit ->
     unit

@@ -383,7 +383,7 @@ let branchy ?(name = "branchy") ~rounds () =
 (* indirecty                                                          *)
 (* ----------------------------------------------------------------- *)
 
-let indirecty ?(name = "indirecty") ~rounds () =
+let indirecty ?(name = "indirecty") ?(targets = 3) ~rounds () =
   let a = Asm.create ~name () in
   Asm.func a "_start";
   Asm.li a Reg.t0 rounds;
@@ -393,10 +393,10 @@ let indirecty ?(name = "indirecty") ~rounds () =
   (* rotating kernel index *)
   Asm.label a "Louter";
   Asm.branch_to a Inst.Beq Reg.t0 Reg.x0 "Ldone";
-  (* rotate the kernel index 0 -> 1 -> 2 -> 0: the call site cycles through
-     three targets (polymorphic), each kernel's return site sees one *)
+  (* rotate the kernel index 0 -> 1 -> ... -> targets - 1 -> 0: the call
+     site cycles through every target, each kernel's return site sees one *)
   Asm.inst a (Inst.Opi (Inst.Addi, Reg.s2, Reg.s2, 1));
-  Asm.li a Reg.t5 3;
+  Asm.li a Reg.t5 targets;
   Asm.branch_to a Inst.Blt Reg.s2 Reg.t5 "Lsel";
   Asm.li a Reg.s2 0;
   Asm.label a "Lsel";
@@ -412,17 +412,13 @@ let indirecty ?(name = "indirecty") ~rounds () =
   Asm.inst a (Inst.Opi (Inst.Andi, Reg.a0, Reg.t2, 255));
   Asm.li a Reg.a7 93;
   Asm.inst a Inst.Ecall;
-  Asm.func a "kern0";
-  Asm.inst a (Inst.Opi (Inst.Addi, Reg.t2, Reg.t2, 1));
-  Asm.ret a;
-  Asm.func a "kern1";
-  Asm.inst a (Inst.Opi (Inst.Addi, Reg.t2, Reg.t2, 3));
-  Asm.ret a;
-  Asm.func a "kern2";
-  Asm.inst a (Inst.Opi (Inst.Addi, Reg.t2, Reg.t2, 5));
-  Asm.ret a;
+  for k = 0 to targets - 1 do
+    Asm.func a (Printf.sprintf "kern%d" k);
+    Asm.inst a (Inst.Opi (Inst.Addi, Reg.t2, Reg.t2, (2 * k) + 1));
+    Asm.ret a
+  done;
   Asm.rlabel a "ktab";
-  Asm.rword_label a "kern0";
-  Asm.rword_label a "kern1";
-  Asm.rword_label a "kern2";
+  for k = 0 to targets - 1 do
+    Asm.rword_label a (Printf.sprintf "kern%d" k)
+  done;
   Asm.assemble a

@@ -27,11 +27,12 @@ val branchy : ?name:string -> rounds:int -> unit -> Binfile.t
     effectively random, stressing side-exit-heavy superblock dispatch (plus
     one compare+branch pair in fusable shape). *)
 
-val indirecty : ?name:string -> rounds:int -> unit -> Binfile.t
+val indirecty : ?name:string -> ?targets:int -> rounds:int -> unit -> Binfile.t
 (** Indirect-call-dense kernel: a tight loop dispatching through a
-    three-entry function-pointer table with a rotating index, one [jalr]
-    call plus return per iteration. The call site is polymorphic (three
-    targets) and each kernel's return site monomorphic — the stress test
+    [targets]-entry (default three) function-pointer table with a
+    rotating index, one [jalr] call plus return per iteration. The call
+    site is polymorphic (megamorphic beyond the inline cache's eight-entry
+    table) and each kernel's return site monomorphic — the stress test
     for the jalr inline caches. *)
 
 val gemv :

@@ -2,8 +2,8 @@
 
    - a cold/warm property test: random branch- and jalr-dense programs run
      cold (recording, plan stored) then warm (plan seeded) under every
-     engine — step, untiered with an icache model (its blocks stop at
-     tier 2), untiered, tiered — and must retire
+     engine — step, translated with an icache model (its blocks stop at
+     tier 2), translated — and must retire
      bit-identically: same stop, registers, pc, retired and cycle counts.
      The cache may only change how fast translations appear, never what
      executes. The first warm machine replays the plan and leaves an
@@ -60,7 +60,7 @@ let pp_snap s =
 
 (* A loop mixing data-dependent branches (xorshift bits) with an indirect
    call through a four-entry function-pointer table: polymorphic call site
-   plus effectively random branches, so superblock and tiered machines
+   plus effectively random branches, so translated machines
    translate, side-exit and fill inline caches — all of which must
    round-trip through the plan. The xori is 4-byte-encodable so the SMC test can
    overwrite it in place. *)
@@ -113,15 +113,14 @@ let cache_program rng =
   let bin = Asm.assemble a in
   (bin, (Binfile.symbol bin "_start").Binfile.sym_addr + patch_off)
 
-(* every translating engine records, so its runs can be exported *)
-let super = Engine.Untiered { record = true }
-let tiered = Engine.Tiered { record = true }
+(* the translating engine records, so its runs can be exported *)
+let translated = Engine.Translated { record = true }
 
 (* (engine, icache) pairs: the icache machine pins superblocks without
    the IR, the shape the tier cap gives it *)
 let engines =
-  [ (Engine.Step, None); (super, Some Icache.default_geometry); (super, None);
-    (tiered, None) ]
+  [ (Engine.Step, None); (translated, Some Icache.default_geometry);
+    (translated, None) ]
 
 (* fresh per-test cache directory under the system temp dir, removed at
    exit so manual runs outside the dune sandbox don't litter the cwd *)
@@ -173,7 +172,7 @@ let shared_seeds () =
 
 let prop_cold_warm =
   QCheck.Test.make
-    ~name:"cache: cold-then-warm bit-identical across step/block/super/tiered"
+    ~name:"cache: cold-then-warm bit-identical across step/translated/icache"
     ~count:8
     QCheck.(make Gen.(int_bound 100_000))
     (fun seed ->
@@ -248,7 +247,7 @@ let test_smc_unreachable () =
   let patched = Bytes.create 4 in
   ignore (Encode.write patched 0 (Inst.Opi (Inst.Xori, Reg.s2, Reg.s2, 0xAA)));
   let session () =
-    let m = machine_for bin tiered in
+    let m = machine_for bin translated in
     let mem = Machine.mem m in
     let stop1 = Machine.run ~fuel:5_000 m in
     Alcotest.(check bool) "phase 1 ran out of fuel" true (stop1 = Machine.Fuel_exhausted);
@@ -264,7 +263,7 @@ let test_smc_unreachable () =
   in
   Cache.store_plan c ~key:store_key m1;
   (* pristine reload: the lookup digest differs, so seeding must miss *)
-  let m2 = machine_for bin tiered in
+  let m2 = machine_for bin translated in
   let lookup_key =
     Cache.digest_mem (Machine.mem m2) ~isa:base_isa ~extra:"smc"
   in
@@ -329,7 +328,7 @@ let test_corruption_falls_back_cold () =
   let c = temp_cache () in
   let extra = "fuzz" in
   let cold =
-    let m = machine_for bin super in
+    let m = machine_for bin translated in
     let stop = Machine.run ~fuel:5_000_000 m in
     let key = Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra in
     Cache.store_plan c ~key m;
@@ -349,7 +348,7 @@ let test_corruption_falls_back_cold () =
         b)
   in
   (* sanity: the pristine entry seeds *)
-  (let m = machine_for bin super in
+  (let m = machine_for bin translated in
    match Cache.seed_plan c ~key m with
    | Ok n -> Alcotest.(check bool) "pristine entry seeds blocks" true (n > 0)
    | Error r -> Alcotest.failf "pristine entry rejected: %s" r);
@@ -358,7 +357,7 @@ let test_corruption_falls_back_cold () =
       let oc = open_out_bin path in
       output_bytes oc (mutate pristine);
       close_out oc;
-      let m = machine_for bin super in
+      let m = machine_for bin translated in
       let result, evs =
         with_captured_events (fun () -> Cache.seed_plan c ~key m)
       in
@@ -381,7 +380,7 @@ let test_corruption_falls_back_cold () =
   let oc = open_out_bin path in
   output_bytes oc pristine;
   close_out oc;
-  let m = machine_for bin super in
+  let m = machine_for bin translated in
   match Cache.seed_plan c ~key m with
   | Ok _ -> ignore (Cache.clear c)
   | Error r -> Alcotest.failf "restored entry rejected: %s" r
@@ -407,16 +406,16 @@ let write_file path s =
    decoded again and replace the memoized context. *)
 let test_context_memo_obeys_file () =
   let bin = Programs.matmul `Ext ~n:8 in
-  let isa = base_isa and mode = Chbp.Downgrade and tiered = true in
+  let isa = base_isa and mode = Chbp.Downgrade in
   let run ?cache () =
     let stop, retired, cycles, _ =
-      Serve.execute ?cache ~isa ~mode ~tiered ~fuel:5_000_000 bin
+      Serve.execute ?cache ~isa ~mode ~fuel:5_000_000 bin
     in
     (stop, retired, cycles)
   in
   let solo = run () in
   let c = temp_cache () in
-  let key = Cache.digest_bin bin ~extra:(Serve.cfg_tag ~mode ~tiered) in
+  let key = Cache.digest_bin bin ~extra:(Serve.cfg_tag ?tiered:None ~mode) in
   let path = Filename.concat (Cache.dir c) (key ^ ".rewrite") in
   let load () =
     match Cache.load_rewrite c ~key with
@@ -470,14 +469,14 @@ let test_engine_mismatch_falls_back_cold () =
   let bin, _ = cache_program (Random.State.make [| 11 |]) in
   let c = temp_cache () in
   let extra = "mismatch" in
-  (let m = machine_for bin tiered in
+  (let m = machine_for bin translated in
    ignore (Machine.run ~fuel:5_000_000 m);
    Cache.store_plan c ~key:(Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra) m);
   let cold =
-    let m = machine_for bin super in
+    let m = machine_for bin Engine.Step in
     snapshot m (Machine.run ~fuel:5_000_000 m)
   in
-  let m = machine_for bin super in
+  let m = machine_for bin Engine.Step in
   let key = Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra in
   (match Cache.seed_plan c ~key m with
   | Error "flags" -> ()
@@ -489,15 +488,15 @@ let test_engine_mismatch_falls_back_cold () =
     (Printf.sprintf "cold { %s } = fallback { %s }" (pp_snap cold) (pp_snap fallback))
     true (cold = fallback);
   (* the same entry still serves the engine it was made under *)
-  (match Cache.seed_plan c ~key (machine_for bin tiered) with
+  (match Cache.seed_plan c ~key (machine_for bin translated) with
   | Ok n -> Alcotest.(check bool) "matching engine seeds blocks" true (n > 0)
   | Error r -> Alcotest.failf "matching engine rejected: %s" r);
   (* the icache geometry is part of the configuration too *)
   let extra = "icache-mismatch" in
-  (let m = machine_for bin super in
+  (let m = machine_for bin translated in
    ignore (Machine.run ~fuel:5_000_000 m);
    Cache.store_plan c ~key:(Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra) m);
-  let m = machine_for ~icache:Icache.default_geometry bin super in
+  let m = machine_for ~icache:Icache.default_geometry bin translated in
   let key = Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra in
   match Cache.seed_plan c ~key m with
   | Error "flags" -> ()
@@ -512,11 +511,11 @@ let test_engine_mismatch_falls_back_cold () =
    bytes: a mismatch means the digest changed, not the test. *)
 let golden_inputs () =
   [ ("fibonacci", Programs.fibonacci ~rounds:1000 (),
-     ("f99540a1d2493c66f17a0eb23dd73acc", "8381cf16bcc4fdce685a99c18daf8a5a",
-      "c47840d01c057bd4c9ab186fef98c7bf"));
+     ("65fca927ef85d9ad18575f39f10d1de1", "6e1c78c3c52d5d1186a8f2a4ffa73488",
+      "1594a30884f1512c5f8cb11664741aea"));
     ("perlbench_r", Specgen.build (Specgen.find "perlbench_r"),
-     ("94ecb2ec04b5a7cf661fe1bc98b466c0", "be4aa354c3af92c96f892f6ec4fa016f",
-      "04c1e8692f167d7a38e53d15cc3f7dcc")) ]
+     ("14777a4c2a2c85fb4a1ec167d80844f4", "f62dc153e5942dbfce77d6cde9c053f5",
+      "79f9879e302f6abed2d0541cde4c6f2e")) ]
 
 let rewritten_image bin =
   let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in

@@ -179,15 +179,13 @@ let engine_counters =
       "ir_units"; "ir_folded"; "ir_dead"; "ir_pc_elided"; "ir_tlb_elided";
       "ir_cached" ]
 
-let tiered = Engine.Tiered { record = false }
-
-(* Each guest builds a fresh tiered machine with inline caches, and a
+(* Each guest builds a fresh translating machine with inline caches, and a
    runtime when it runs rewritten code: native Programs kernels, and
    CHBP-downgraded Specgen binaries under the Chimera runtime (trap and
    fault-recovery handlers, rewritten code's paired accesses). *)
 let engine_guests () =
   let native bin () =
-    let m = Machine.create ~engine:tiered ~mem:(Loader.load bin) ~isa:Ext.rv64gcv () in
+    let m = Machine.create ~mem:(Loader.load bin) ~isa:Ext.rv64gcv () in
     Loader.init_machine m bin;
     m
   in
@@ -197,7 +195,7 @@ let engine_guests () =
       (* a fresh rewrite per run: lazy rewriting extends the context *)
       let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in
       let rt = Chimera_rt.create ctx in
-      (Machine.create ~engine:tiered ~mem:(Chimera_rt.load rt) ~isa:Ext.rv64gc (), Some rt)
+      (Machine.create ~mem:(Chimera_rt.load rt) ~isa:Ext.rv64gc (), Some rt)
   in
   List.map (fun bin () -> (native bin (), None))
     [ Programs.matmul `Ext ~n:10;

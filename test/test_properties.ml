@@ -674,10 +674,6 @@ let check_snaps ~what step block =
       (pp_snap step) (pp_snap block)
   else true
 
-(* the tiered engine runs blocks at every tier: straight-line, superblock
-   and IR-optimized *)
-let tiered = Engine.Tiered { record = false }
-
 let run_native engine ~icache ~fuel bin isa =
   let mem = Loader.load bin in
   let icache = if icache then Some Icache.default_geometry else None in
@@ -700,10 +696,8 @@ let prop_block_engine_native =
       let bin = Specgen.build (fuzz_profile seed) in
       let what = Printf.sprintf "native seed=%d fuel=%d" seed fuel in
       let step = run_native Engine.Step ~icache ~fuel bin ext_isa in
-      let plain = run_native tiered ~icache ~fuel bin ext_isa in
       let chained = run_native Engine.default ~icache ~fuel bin ext_isa in
-      check_snaps ~what:(what ^ " (tiered)") step plain
-      && check_snaps ~what:(what ^ " (chained)") step chained)
+      check_snaps ~what:(what ^ " (chained)") step chained)
 
 (* Lazy rewriting: the runtime patches code on the first fault at each site,
    i.e. it overwrites bytes that a cached translation block (from executing
@@ -868,8 +862,7 @@ let prop_ir_pipeline_differential =
           check_snaps ~what:(what 1) r1 b1
           && check_snaps ~what:(what 2) r2 b2
           && check_snaps ~what:(what 3) r3 b3)
-        [ ("tiered", tiered, None);
-          ("super", Engine.default, None);
+        [ ("super", Engine.default, None);
           (* the icache model caps translation at IR-less superblocks *)
           ("super-noir", Engine.default, Some Icache.default_geometry) ])
 
@@ -880,10 +873,8 @@ let prop_block_engine_self_modifying =
     QCheck.(make Gen.(int_bound 100_000))
     (fun seed ->
       let step = run_chimera Engine.Step seed in
-      let plain = run_chimera tiered seed in
       let chained = run_chimera Engine.default seed in
-      check_snaps ~what:(Printf.sprintf "chimera seed=%d (tiered)" seed) step plain
-      && check_snaps ~what:(Printf.sprintf "chimera seed=%d (chained)" seed) step chained)
+      check_snaps ~what:(Printf.sprintf "chimera seed=%d (chained)" seed) step chained)
 
 let () =
   Alcotest.run "chimera_properties"

@@ -201,17 +201,24 @@ let test_erroneous_jump_recovered () =
   Alcotest.(check bool) "deterministic fault recovered" true
     (c.Counters.faults_recovered > 0)
 
-let test_lazy_rewriting () =
-  (* A vector function reachable only through a function pointer: recursive
-     descent misses it; the first execution on a base core faults and is
-     rewritten at runtime. *)
+(* A vector function reachable only through a function pointer: recursive
+   descent misses it; the first execution on a base core faults and is
+   rewritten at runtime. It is called [calls] times, and the program exits
+   with [calls] times the sum of [src] (48). *)
+let lazy_bin ?(calls = 1) () =
   let a = Asm.create ~name:"lazy" () in
   Asm.func a "_start";
+  Asm.li a Reg.s1 0;
+  Asm.li a Reg.s2 calls;
+  Asm.label a "Lcall";
   (* call hidden function via pointer from rodata *)
   Asm.la a Reg.t0 "fptr";
   Asm.inst a (Inst.Load { width = Inst.D; unsigned = false; rd = Reg.t1; rs1 = Reg.t0; imm = 0 });
   Asm.inst a (Inst.Jalr (Reg.ra, Reg.t1, 0));
-  Asm.inst a (Inst.Opi (Inst.Andi, Reg.a0, Reg.a0, 255));
+  Asm.inst a (Inst.Op (Inst.Add, Reg.s1, Reg.s1, Reg.a0));
+  Asm.inst a (Inst.Opi (Inst.Addi, Reg.s2, Reg.s2, -1));
+  Asm.branch_to a Inst.Bne Reg.s2 Reg.x0 "Lcall";
+  Asm.inst a (Inst.Opi (Inst.Andi, Reg.a0, Reg.s1, 255));
   Asm.li a Reg.a7 93;
   Asm.inst a Inst.Ecall;
   (* unreachable self-loop: stops recursive descent before the hidden code *)
@@ -231,7 +238,10 @@ let test_lazy_rewriting () =
   Asm.rword_label a "vecsum";
   Asm.dlabel a "src";
   List.iter (fun v -> Asm.dword64 a (Int64.of_int v)) [ 7; 11; 13; 17 ];
-  let bin = Asm.assemble a in
+  Asm.assemble a
+
+let test_lazy_rewriting () =
+  let bin = lazy_bin () in
   let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in
   let st = Chbp.stats ctx in
   let static_sources = st.Chbp.source_insts in
@@ -245,7 +255,92 @@ let test_lazy_rewriting () =
     (static_sources = 0);
   Alcotest.(check bool) "lazy rewrites happened" true
     ((Chimera_rt.counters rt).Counters.lazy_rewrites > 0);
-  Alcotest.(check bool) "lazy sites recorded" true ((Chbp.stats ctx).Chbp.lazy_sites > 0)
+  Alcotest.(check bool) "lazy sites recorded" true ((Chbp.stats ctx).Chbp.lazy_sites > 0);
+  (* called again in the same run, the function runs its patched code: the
+     faulting machine invalidated what it had translated before the patch,
+     so no site faults or is rewritten twice *)
+  let lazy_rewrites engine calls =
+    let rt =
+      Chimera_rt.create
+        (Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) (lazy_bin ~calls ()))
+    in
+    let m = Machine.create ~engine ~mem:(Chimera_rt.load rt) ~isa:base_isa () in
+    (match Chimera_rt.run rt ~fuel:1_000_000 m with
+    | Machine.Exited c -> Alcotest.(check int) "exit" (48 * calls) c
+    | Machine.Faulted f -> Alcotest.failf "fault: %s" (Fault.to_string f)
+    | Machine.Fuel_exhausted -> Alcotest.fail "fuel");
+    (Chimera_rt.counters rt).Counters.lazy_rewrites
+  in
+  List.iter
+    (fun engine ->
+      Alcotest.(check int) (Engine.tag engine ^ ": lazy rewrites of three calls")
+        (lazy_rewrites engine 1) (lazy_rewrites engine 3))
+    [ Engine.default; Engine.Step ]
+
+(* A runtime keeps no machine it has served: a few hundred fresh machines
+   entered through its handlers (each one traps once) are all collectable
+   once the test drops them, while the runtime lives on. *)
+let test_runtime_drops_machines () =
+  let rt =
+    Chimera_rt.create
+      (Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) (lazy_bin ()))
+  in
+  let mem = Chimera_rt.load rt in
+  let h = Chimera_rt.handlers rt in
+  let n = 300 in
+  let probe = Weak.create n in
+  let enter i =
+    let m = Machine.create ~mem ~isa:base_isa () in
+    (match h.Machine.on_ebreak m ~pc:0 ~size:4 with
+    | Machine.Stop (Machine.Faulted _) -> ()
+    | _ -> Alcotest.fail "an ebreak outside the trap table was resumed");
+    Weak.set probe i (Some m)
+  in
+  for i = 0 to n - 1 do
+    enter i
+  done;
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check probe i then incr live
+  done;
+  Alcotest.(check int) "machines the runtime keeps alive" 0 !live;
+  ignore (Sys.opaque_identity rt)
+
+(* A lazy patch invalidates every live machine that ran the runtime's
+   view, not only the one that faulted. Machine [a] runs the view on a
+   vector hart first, translating the hidden function as it stands; [b],
+   a base hart on the same view, faults there and patches it. Run again,
+   [a] must execute the patched code: it retires exactly what a fresh
+   vector hart retires on the patched view, more than its own first run
+   (the native vector instructions). *)
+let test_lazy_patch_reaches_earlier_machine () =
+  let rt =
+    Chimera_rt.create
+      (Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) (lazy_bin ()))
+  in
+  let mem = Chimera_rt.load rt in
+  let run m =
+    let r0 = Machine.retired m in
+    match Chimera_rt.run rt ~fuel:1_000_000 m with
+    | Machine.Exited c -> (c, Machine.retired m - r0)
+    | Machine.Faulted f -> Alcotest.failf "fault: %s" (Fault.to_string f)
+    | Machine.Fuel_exhausted -> Alcotest.fail "fuel"
+  in
+  let a = Machine.create ~mem ~isa:ext_isa () in
+  let native = run a in
+  Alcotest.(check int) "no lazy rewrite on a vector hart" 0
+    (Chimera_rt.counters rt).Counters.lazy_rewrites;
+  let b = Machine.create ~mem ~isa:base_isa () in
+  let patched = run b in
+  Alcotest.(check bool) "the base hart rewrote lazily" true
+    ((Chimera_rt.counters rt).Counters.lazy_rewrites > 0);
+  let again = run a in
+  let fresh = run (Machine.create ~mem ~isa:ext_isa ()) in
+  Alcotest.(check (pair int int)) "earlier machine = fresh machine" fresh again;
+  Alcotest.(check int) "same exit as the base hart" (fst patched) (fst again);
+  Alcotest.(check bool) "patched code retires more than the native run" true
+    (snd again > snd native)
 
 (* Every hidden entry the rewriter knows of, entered directly: each key of
    the fault table and of the trap table of every Specgen profile at
@@ -957,6 +1052,24 @@ let test_downgraded_cycles_pinned () =
             sp_rounds = 16;
             sp_seed = 3 }))
 
+(* Fig. 11c's upgradeable task (the scalar matmul build, n = 16, as
+   [Mixgen.costs] builds it) upgraded to RVV on a vector hart, next to the
+   vector build it competes with: exact simulated cycles, so any change to
+   the upgrade emitter shows here. *)
+let test_upgraded_cycles_pinned () =
+  let n = 16 in
+  let ctx =
+    Chbp.rewrite ~options:(Chbp.default_options Chbp.Upgrade)
+      (Programs.matmul ~name:"mm-base" `Base ~n)
+  in
+  Alcotest.(check bool) "a loop was upgraded" true ((Chbp.stats ctx).Chbp.sites > 0);
+  let up, _ = Measure.chimera ctx ~isa:ext_isa in
+  let vec = Measure.native (Programs.matmul ~name:"mm-ext" `Ext ~n) ~isa:ext_isa in
+  Alcotest.(check int) "same exit as the vector build" vec.Measure.exit_code
+    up.Measure.exit_code;
+  Alcotest.(check int) "upgraded matmul n=16" 28_548 up.Measure.cycles;
+  Alcotest.(check int) "vector matmul n=16" 20_979 vec.Measure.cycles
+
 (* --- differential templates ----------------------------------------------
 
    Random straight-line vector batches (with scalar and bit-manipulation
@@ -1262,7 +1375,9 @@ let () =
          Alcotest.test_case "cost model plumbing" `Quick
            test_cost_model_plumbs_through;
          Alcotest.test_case "downgraded cycles pinned" `Quick
-           test_downgraded_cycles_pinned ]);
+           test_downgraded_cycles_pinned;
+         Alcotest.test_case "upgraded cycles pinned" `Quick
+           test_upgraded_cycles_pinned ]);
       ("modes",
        [ Alcotest.test_case "packed-simd downgrade" `Quick test_packed_simd_downgrade;
          Alcotest.test_case "empty patching" `Quick test_empty_patching;
@@ -1271,6 +1386,10 @@ let () =
        [ Alcotest.test_case "erroneous jump recovered" `Quick
            test_erroneous_jump_recovered;
          Alcotest.test_case "lazy rewriting" `Quick test_lazy_rewriting;
+         Alcotest.test_case "runtime keeps no dropped machine" `Quick
+           test_runtime_drops_machines;
+         Alcotest.test_case "lazy patch reaches an earlier machine" `Quick
+           test_lazy_patch_reaches_earlier_machine;
          Alcotest.test_case "every table key resumes at its redirect" `Quick
            test_every_table_key_resumes ]);
       ("general-register-smile",

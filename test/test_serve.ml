@@ -3,8 +3,8 @@
    - a tenant-isolation differential: N tenants submit a mixed population
      (jalr/branch-dense fuzz programs on a base hart, plus RVV programs the
      rewriter downgrades through SMILE trampolines — runtime self-modifying
-     code) into one pooled server over one shared cache, tiered and
-     untiered. Every pooled outcome must match a solo, uncached
+     code) into one pooled server over one shared cache. Every pooled
+     outcome must match a solo, uncached
      [Serve.execute] of the same binary bit-for-bit: stop, retired and
      cycles. Scheduling, co-tenants and cache temperature must not leak
      into execution;
@@ -29,7 +29,7 @@
      domains at once match their solo runs and leave the cache's memoized
      context as it was;
 
-   - no warm-up on warm requests: a warm tiered request translates
+   - no warm-up on warm requests: a warm request translates
      nothing, and allocates an exactly budgeted number of words on the
      minor and on the major heap. *)
 
@@ -39,8 +39,8 @@ let fuel = 10_000_000
 
 (* A loop mixing data-dependent branches (xorshift bits) with an indirect
    call through a function-pointer table, like the cache tests use: the
-   superblock and tiered engines translate, side-exit and fill inline
-   caches, all of which must behave identically under the pool. *)
+   translated engine translates, side-exits and fills inline caches, all
+   of which must behave identically under the pool. *)
 let fuzz_program seed =
   let rng = Random.State.make [| 7000 + seed |] in
   let a = Asm.create ~name:(Printf.sprintf "servefuzz%d" seed) () in
@@ -126,14 +126,14 @@ let population () =
 
 let exit_of_stop = function Machine.Exited c -> Some c | _ -> None
 
-let run_isolation ~tiered () =
+let run_isolation () =
   let progs = population () in
   (* solo oracle: uncached, on this domain — the ground truth *)
   let expect =
     List.map
       (fun (tag, bin, isa) ->
         let stop, retired, cycles, _ =
-          Serve.execute ~isa ~mode:Chbp.Downgrade ~tiered ~fuel bin
+          Serve.execute ~isa ~mode:Chbp.Downgrade ~fuel bin
         in
         (tag, (exit_of_stop stop, retired, cycles)))
       progs
@@ -148,7 +148,7 @@ let run_isolation ~tiered () =
     List.iteri
       (fun ti (tag, bin, isa) ->
         let tenant = Printf.sprintf "tenant%d" ti in
-        match Serve.submit srv ~tenant ~isa ~tiered ~fuel bin with
+        match Serve.submit srv ~tenant ~isa ~fuel bin with
         | Ok id -> submitted := (id, tag) :: !submitted
         | Error `Saturated -> Alcotest.failf "unexpected saturation (%s)" tag)
       progs;
@@ -170,9 +170,9 @@ let run_isolation ~tiered () =
         || o.Serve.o_cycles <> cycles
       then
         Alcotest.failf
-          "tenant isolation broken (%s, tiered=%b): pooled %s retired=%d \
+          "tenant isolation broken (%s): pooled %s retired=%d \
            cycles=%d, solo retired=%d cycles=%d"
-          tag tiered o.Serve.o_stop o.Serve.o_retired o.Serve.o_cycles retired
+          tag o.Serve.o_stop o.Serve.o_retired o.Serve.o_cycles retired
           cycles)
     !submitted;
   (* per-tenant totals: each tenant ran its program twice *)
@@ -194,7 +194,7 @@ let run_isolation ~tiered () =
   List.iter
     (fun (tag, bin, isa) ->
       let stop, retired, _, warm =
-        Serve.execute ~cache:c ~isa ~mode:Chbp.Downgrade ~tiered ~fuel bin
+        Serve.execute ~cache:c ~isa ~mode:Chbp.Downgrade ~fuel bin
       in
       let exit_code, retired', _ = List.assoc tag expect in
       Alcotest.(check bool) (tag ^ " warm after pool run") true warm;
@@ -262,7 +262,7 @@ let counter name = Metrics.Snapshot.counter_value (Metrics.Snapshot.take ()) nam
    inline cache. Every request after the first seeds by cloning the
    template one replay left, on whichever domain it runs. *)
 let test_shared_templates () =
-  let isa = base_isa and mode = Chbp.Downgrade and tiered = true in
+  let isa = base_isa and mode = Chbp.Downgrade in
   let guests =
     [ ( "perlbench_r",
         let p = Specgen.find "perlbench_r" in
@@ -272,12 +272,12 @@ let test_shared_templates () =
   let oracle =
     List.map
       (fun (tag, bin) ->
-        let stop, retired, cycles, _ = Serve.execute ~isa ~mode ~tiered ~fuel bin in
+        let stop, retired, cycles, _ = Serve.execute ~isa ~mode ~fuel bin in
         (tag, (exit_of_stop stop, retired, cycles)))
       guests
   in
   let cache = temp_cache () in
-  List.iter (fun (_, bin) -> ignore (Serve.execute ~cache ~isa ~mode ~tiered ~fuel bin)) guests;
+  List.iter (fun (_, bin) -> ignore (Serve.execute ~cache ~isa ~mode ~fuel bin)) guests;
   Metrics.enable ();
   (* the template builders: one replayed seed per guest, made the way
      [Serve.execute] seeds, and run once to count a replayed run's
@@ -287,7 +287,7 @@ let test_shared_templates () =
      guest's bytes through the page table, and a clone decodes nothing.
      Every decode-cache fill fetches through the TLB, so no TLB traffic
      also means both seeds leave the decode cache empty *)
-  let tag = Serve.cfg_tag ~mode ~tiered in
+  let tag = Serve.cfg_tag ?tiered:None ~mode in
   let seeded name bin =
     let ctx =
       match Cache.load_rewrite cache ~key:(Cache.digest_bin bin ~extra:tag) with
@@ -296,7 +296,7 @@ let test_shared_templates () =
     in
     let rt = Chimera_rt.create ctx in
     let m =
-      Machine.create ~engine:(Serve.engine ~tiered ~record:true)
+      Machine.create ~engine:(Engine.Translated { record = true })
         ~mem:(Chimera_rt.load rt) ~isa ()
     in
     let key = Cache.digest_mem (Machine.mem m) ~isa ~extra:tag in
@@ -352,7 +352,7 @@ let test_shared_templates () =
   let requests () =
     List.init 20 (fun i ->
         let name, bin = List.nth guests (i mod 2) in
-        let stop, retired, cycles, warm = Serve.execute ~cache ~isa ~mode ~tiered ~fuel bin in
+        let stop, retired, cycles, warm = Serve.execute ~cache ~isa ~mode ~fuel bin in
         (name, (exit_of_stop stop, retired, cycles), warm))
   in
   let other = Domain.spawn requests in
@@ -380,8 +380,7 @@ let test_dedup () =
   let cache = temp_cache () in
   let bin = Programs.fibonacci ~name:"serve-test-dedup" ~rounds:400 () in
   let run () =
-    Serve.execute ~cache ~isa:base_isa ~mode:Chbp.Downgrade ~tiered:false ~fuel
-      bin
+    Serve.execute ~cache ~isa:base_isa ~mode:Chbp.Downgrade ~fuel bin
   in
   let dedups () = counter "chimera_cache_dedup_total" in
   let shared () = counter "chimera_cache_plan_shared_total" in
@@ -405,7 +404,7 @@ let test_dedup () =
 
 (* --- warm requests translate nothing ------------------------------------- *)
 
-(* A warm tiered request seeds its blocks at the top tier from the cached
+(* A warm request seeds its blocks at the top tier from the cached
    plan, which holds every block the cold run translated, so a second
    cached run of each guest translates exactly nothing. The guests are
    short, like a served request, so a block seeded below the top tier
@@ -424,7 +423,7 @@ let test_warm_translates_nothing () =
            sp_seed = 3 }) ]
   in
   let run bin =
-    Serve.execute ~cache ~isa:base_isa ~mode:Chbp.Downgrade ~tiered:true ~fuel bin
+    Serve.execute ~cache ~isa:base_isa ~mode:Chbp.Downgrade ~fuel bin
   in
   Metrics.enable ();
   List.iter (fun (_, bin) -> ignore (run bin)) guests;
@@ -449,19 +448,19 @@ let test_warm_translates_nothing () =
    uncached run, and the memoized context's stats and rewritten sections
    are unchanged afterwards. *)
 let test_lazy_copies_shared_context () =
-  let isa = base_isa and mode = Chbp.Downgrade and tiered = true in
+  let isa = base_isa and mode = Chbp.Downgrade in
   let bin =
     Specgen.build
       { (Specgen.find "omnetpp_r") with Specgen.sp_seed = 105; sp_rounds = 16 }
   in
   let run ?cache () =
-    let stop, retired, cycles, _ = Serve.execute ?cache ~isa ~mode ~tiered ~fuel bin in
+    let stop, retired, cycles, _ = Serve.execute ?cache ~isa ~mode ~fuel bin in
     (exit_of_stop stop, retired, cycles)
   in
   let solo = run () in
   let cache = temp_cache () in
   Alcotest.(check bool) "cold run matches solo" true (run ~cache () = solo);
-  let key = Cache.digest_bin bin ~extra:(Serve.cfg_tag ~mode ~tiered) in
+  let key = Cache.digest_bin bin ~extra:(Serve.cfg_tag ?tiered:None ~mode) in
   let load () =
     match Cache.load_rewrite cache ~key with
     | Ok ctx -> ctx
@@ -480,10 +479,7 @@ let test_lazy_copies_shared_context () =
   | _ -> Alcotest.fail "a shared context accepted a lazy rewrite");
   (* one run on the shared context, by hand, to see the copy it rewrote *)
   let rt = Chimera_rt.create shared in
-  let m =
-    Machine.create ~engine:(Serve.engine ~tiered ~record:false)
-      ~mem:(Chimera_rt.load rt) ~isa ()
-  in
+  let m = Machine.create ~mem:(Chimera_rt.load rt) ~isa () in
   let stop = Chimera_rt.run rt ~fuel m in
   Alcotest.(check bool) "hand-made run matches solo" true
     ((exit_of_stop stop, Machine.retired m, Machine.cycles m) = solo);
@@ -541,7 +537,7 @@ let test_warm_heap_words () =
   let request bin =
     let minor0, major0 = words () in
     let _, _, _, warm =
-      Serve.execute ~cache ~isa:base_isa ~mode:Chbp.Downgrade ~tiered:true ~fuel bin
+      Serve.execute ~cache ~isa:base_isa ~mode:Chbp.Downgrade ~fuel bin
     in
     let minor1, major1 = words () in
     Alcotest.(check bool) "request is warm" true warm;
@@ -550,7 +546,7 @@ let test_warm_heap_words () =
   List.iter
     (fun (name, bin) ->
       (* cold, then the replaying first warm request *)
-      ignore (Serve.execute ~cache ~isa:base_isa ~mode:Chbp.Downgrade ~tiered:true ~fuel bin);
+      ignore (Serve.execute ~cache ~isa:base_isa ~mode:Chbp.Downgrade ~fuel bin);
       ignore (request bin);
       let ((minor, major) as first) = request bin in
       Alcotest.(check (pair int int)) (name ^ ": warm requests allocate the same")
@@ -567,10 +563,8 @@ let test_warm_heap_words () =
 let () =
   Alcotest.run "chimera_serve"
     [ ( "isolation",
-        [ Alcotest.test_case "pooled tenants match solo runs (untiered)" `Quick
-            (run_isolation ~tiered:false);
-          Alcotest.test_case "pooled tenants match solo runs (tiered)" `Quick
-            (run_isolation ~tiered:true) ] );
+        [ Alcotest.test_case "pooled tenants match solo runs (tiered)" `Quick
+            run_isolation ] );
       ( "pool",
         [ Alcotest.test_case "jobs run once; shutdown fences" `Quick test_pool;
           Alcotest.test_case "no-steal routing avoids workerless classes"

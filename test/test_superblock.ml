@@ -1,8 +1,7 @@
 (* Block-boundary edge cases for superblock translation, each checked
-   differentially: the single-step engine is the bit-exact oracle, and both
-   translating engines — tiered (top-tier superblocks from the first
-   touch, with inline caches) and untiered (the same superblocks, no
-   inline caches) — must reproduce its stop state, registers, pc and
+   differentially: the single-step engine is the bit-exact oracle, and the
+   translating engine (top-tier superblocks from the first touch, with
+   inline caches) must reproduce its stop state, registers, pc and
    counters exactly. The edges covered:
 
    - a block body hitting [max_insts] exactly, with fuel running out just
@@ -16,8 +15,7 @@
      prefix length (exercising partial dispatch across fused pairs).
 
    A last check pins per-exit chaining: once warm, the branch-dense
-   workload's side exits follow their own chain links on both translating
-   engines. *)
+   workload's side exits follow their own chain links. *)
 
 let ext_isa = Ext.rv64gcv
 
@@ -52,19 +50,13 @@ let run engine ~fuel ?(isa = ext_isa) bin =
   Loader.init_machine m bin;
   snapshot m (Machine.run ~fuel m)
 
-(* The core check: step / tiered / superblock triple agreement. The
-   tiered machine runs the same superblocks, dispatched through inline
-   caches. *)
-let tri ?isa ~fuel what bin =
+(* The core check: the translated machine agrees with the step oracle. *)
+let agree ?isa ~fuel what bin =
   let step = run Engine.Step ~fuel ?isa bin in
-  let tiered = run (Engine.Tiered { record = false }) ~fuel ?isa bin in
-  let super = run Engine.default ~fuel ?isa bin in
-  if tiered <> step then
-    Alcotest.failf "%s (fuel %d): tiered { %s } <> step { %s }" what
-      fuel (pp_snap tiered) (pp_snap step);
-  if super <> step then
-    Alcotest.failf "%s (fuel %d): superblock { %s } <> step { %s }" what fuel
-      (pp_snap super) (pp_snap step)
+  let translated = run Engine.default ~fuel ?isa bin in
+  if translated <> step then
+    Alcotest.failf "%s (fuel %d): translated { %s } <> step { %s }" what fuel
+      (pp_snap translated) (pp_snap step)
 
 (* --- max_insts exactly reached ----------------------------------------- *)
 
@@ -88,7 +80,7 @@ let test_max_insts () =
      finish — the 256-instruction first block must split its dispatch at
      every one of these boundaries identically to single stepping *)
   List.iter
-    (fun fuel -> tri ~fuel "max_insts" bin)
+    (fun fuel -> agree ~fuel "max_insts" bin)
     [ 1; 2; 100; 255; 256; 257; 300; 10_000 ]
 
 (* --- degenerate entries ------------------------------------------------ *)
@@ -104,9 +96,9 @@ let test_degenerate () =
   (* unmapped entry: the indirect jump lands on an address no segment
      covers — translation produces an empty block and the slow path raises
      the precise fetch fault *)
-  tri ~fuel:1_000 "unmapped entry" (jump_to ~name:"unmapped" 0x7000_0000);
+  agree ~fuel:1_000 "unmapped entry" (jump_to ~name:"unmapped" 0x7000_0000);
   (* misaligned entry: odd target *)
-  tri ~fuel:1_000 "misaligned entry" (jump_to ~name:"misaligned" 0x7000_0001);
+  agree ~fuel:1_000 "misaligned entry" (jump_to ~name:"misaligned" 0x7000_0001);
   (* illegal entry: a vector instruction under an ISA without V — the
      block's first instruction cannot execute on this hart *)
   let a = Asm.create ~name:"illegal" () in
@@ -114,7 +106,7 @@ let test_degenerate () =
   Asm.inst a (Inst.Vsetvli (Reg.t0, Reg.a0, Inst.E64));
   Asm.li a Reg.a7 93;
   Asm.inst a Inst.Ecall;
-  tri ~isa:Ext.rv64gc ~fuel:1_000 "illegal entry" (Asm.assemble a)
+  agree ~isa:Ext.rv64gc ~fuel:1_000 "illegal entry" (Asm.assemble a)
 
 (* --- branch into the middle of an instruction -------------------------- *)
 
@@ -134,7 +126,7 @@ let test_mid_instruction_branch () =
   Asm.li a Reg.a7 93;
   Asm.inst a Inst.Ecall;
   let bin = Asm.assemble a in
-  List.iter (fun fuel -> tri ~fuel "mid-instruction branch" bin) [ 1; 2; 3; 1_000 ]
+  List.iter (fun fuel -> agree ~fuel "mid-instruction branch" bin) [ 1; 2; 3; 1_000 ]
 
 (* --- branch-dense workload + fuel sweep -------------------------------- *)
 
@@ -143,9 +135,9 @@ let test_branchy () =
   (* full run plus a dense fuel sweep: every prefix length of the loop
      body's superblock gets cut at least once, including inside the
      multi-instruction units the IR emitter fuses *)
-  tri ~fuel:1_000_000 "branchy" bin;
+  agree ~fuel:1_000_000 "branchy" bin;
   for fuel = 1 to 64 do
-    tri ~fuel "branchy sweep" bin
+    agree ~fuel "branchy sweep" bin
   done;
   (* the superblock machinery must actually fire on this workload *)
   Metrics.enable ();
@@ -165,33 +157,29 @@ let test_branchy () =
    table. Here nearly every dispatch leaves through a side exit (the
    superblock unrolls the loop, and each iteration takes some random
    branch), so one exit slot shared by every exit, which each
-   differently-targeted exit overwrites, reads 0.43 on both engines. *)
+   differently-targeted exit overwrites, reads 0.43. *)
 let test_side_exits_chain () =
   let bin = Programs.branchy ~rounds:1_000_000 () in
   Metrics.enable ();
-  List.iter
-    (fun (label, engine) ->
-      let mem = Loader.load bin in
-      let m = Machine.create ~engine ~mem ~isa:ext_isa () in
-      Loader.init_machine m bin;
-      ignore (Machine.run ~fuel:200_000 m);
-      let snap0 = Metrics.Snapshot.take () in
-      (match Machine.run ~fuel:1_000_000 m with
-      | Machine.Fuel_exhausted -> ()
-      | s -> Alcotest.failf "%s: measured run stopped early: %s" label
-               (pp_snap (snapshot m s)));
-      let d = Metrics.Snapshot.delta ~cur:(Metrics.Snapshot.take ()) ~prev:snap0 in
-      let c = Metrics.Snapshot.counter_value d in
-      let dispatches = c "chimera_dispatches_total" in
-      let rate n = float_of_int n /. float_of_int (max 1 dispatches) in
-      let side = rate (c "chimera_side_exits_total")
-      and chain = rate (c "chimera_chain_hits_total") in
-      if side < 0.2 then
-        Alcotest.failf "%s: side exits are %.4f of dispatches (want >= 0.2)" label side;
-      if chain < 0.99 then
-        Alcotest.failf "%s: chain hits are %.4f of %d dispatches (want >= 0.99)" label
-          chain dispatches)
-    [ ("tiered", Engine.Tiered { record = false }); ("untiered", Engine.default) ]
+  let mem = Loader.load bin in
+  let m = Machine.create ~mem ~isa:ext_isa () in
+  Loader.init_machine m bin;
+  ignore (Machine.run ~fuel:200_000 m);
+  let snap0 = Metrics.Snapshot.take () in
+  (match Machine.run ~fuel:1_000_000 m with
+  | Machine.Fuel_exhausted -> ()
+  | s -> Alcotest.failf "measured run stopped early: %s" (pp_snap (snapshot m s)));
+  let d = Metrics.Snapshot.delta ~cur:(Metrics.Snapshot.take ()) ~prev:snap0 in
+  let c = Metrics.Snapshot.counter_value d in
+  let dispatches = c "chimera_dispatches_total" in
+  let rate n = float_of_int n /. float_of_int (max 1 dispatches) in
+  let side = rate (c "chimera_side_exits_total")
+  and chain = rate (c "chimera_chain_hits_total") in
+  if side < 0.2 then
+    Alcotest.failf "side exits are %.4f of dispatches (want >= 0.2)" side;
+  if chain < 0.99 then
+    Alcotest.failf "chain hits are %.4f of %d dispatches (want >= 0.99)" chain
+      dispatches
 
 let () =
   Alcotest.run "chimera_superblock"

@@ -1,34 +1,35 @@
-(* Tiered execution and jalr inline caches, checked two ways:
+(* Translated execution and jalr inline caches, checked several ways:
 
    - a tier-differential property test: random branch- and jalr-dense
      programs run through three phases — a warm run cut by exact fuel, a
      continuation across an in-place SMC patch (which retires hot blocks and
      forces every epoch-guarded inline cache to re-resolve), and a
      continuation across a warm-TLB permission downgrade that makes the next
-     store fault. Step, untiered, tiered and tiered-with-icache machines
+     store fault. Step, translated and translated-with-icache machines
      must agree bit-for-bit on stop state, registers, pc and counters at
-     every phase boundary; the tiered machine must dispatch its blocks at
-     tier 3 only, and the tiered machine with an icache model at tier 2,
-     so both translation shapes stay checked against the oracle;
+     every phase boundary; the translated machine must dispatch its blocks
+     at tier 3 only, and the one with an icache model at tier 2, so both
+     translation shapes stay checked against the oracle;
 
-   - a shape cap: an untiered machine with an icache model never
-     translates above tier 2;
+   - a shape cap: a machine with an icache model never translates above
+     tier 2;
 
    - a golden test pinning the inline-cache state machine: one call site
      driven through one, then three, then nine distinct targets must be
      observed Mono, then Poly, then Mega — the same site pc across all three
      checkpoints;
 
-   - first touch: a tiered machine translates every block at tier 3;
+   - first touch: a translated machine translates every block at tier 3;
 
    - a page-boundary property: 64- and 32-bit loads and stores (single,
      paired and read-modify-write) at every offset of a page's last 16
      bytes, with the next page unmapped, read-only or mapped, leave
      bit-identical state and faults in every engine;
 
-   - an allocation budget: once a tiered machine is warm, translated code
-     and chained dispatch allocate (next to) nothing per retired
-     instruction. *)
+   - an allocation budget: once a machine is warm, translated code and
+     chained dispatch allocate (next to) nothing per retired instruction,
+     and dispatch through the block table (a megamorphic call site)
+     allocates nothing at all. *)
 
 let base_isa = Ext.rv64gc
 
@@ -68,8 +69,8 @@ let check_snaps ~what oracle got =
 (* A loop mixing data-dependent branches (xorshift state bits) with an
    indirect call through a four-entry function-pointer table indexed by
    fresh state bits: the call site is polymorphic and the branches are
-   effectively random, so translated machines side-exit often and tiered
-   ones fill inline caches while the oracle just steps. *)
+   effectively random, so translated machines side-exit often and fill
+   inline caches while the oracle just steps. *)
 let tier_program rng =
   let a = Asm.create ~name:"tierfuzz" () in
   Asm.func a "_start";
@@ -130,8 +131,6 @@ let tier_program rng =
   let bin = Asm.assemble a in
   (bin, (Binfile.symbol bin "_start").Binfile.sym_addr + patch_off)
 
-let tiered = Engine.Tiered { record = false }
-
 (* Runs the three phases and reports, per tier, whether the machine
    holds a block translated at it after some phase: a block enters the
    table only when it is first dispatched, so every tier found there was
@@ -170,15 +169,15 @@ let run_tier_phases ?icache engine bin ~patch_addr ~f1 ~f2 =
   note_blocks m;
   ((s1, s2, s3), dispatched)
 
-(* per tier, the cases in which the tiered arm (without and with the
+(* per tier, the cases in which the translated arm (without and with the
    icache model) dispatched a block there *)
-let tiered_cases_at = Array.make 4 0
+let translated_cases_at = Array.make 4 0
 let icache_cases_at = Array.make 4 0
 
 let prop_tier_differential =
   QCheck.Test.make
     ~name:
-      "tiering: step/untiered/tiered/no-ic bit-identical across SMC and TLB downgrade"
+      "tiering: step/translated/icache bit-identical across SMC and TLB downgrade"
     ~count:12
     QCheck.(
       make
@@ -205,17 +204,16 @@ let prop_tier_differential =
           let note cases =
             Array.iteri (fun k d -> if d then cases.(k) <- cases.(k) + 1) dispatched
           in
-          if label = "tiered" then note tiered_cases_at
-          else if label = "tiered-icache" then note icache_cases_at;
+          if label = "translated" then note translated_cases_at
+          else note icache_cases_at;
           check_snaps ~what:(what 1) r1 b1
           && check_snaps ~what:(what 2) r2 b2
           && check_snaps ~what:(what 3) r3 b3)
-        [ ("super", Engine.default, None);
-          ("tiered", tiered, None);
+        [ ("translated", Engine.default, None);
           (* the icache model keeps translation at tier 2 *)
-          ("tiered-icache", tiered, Some Icache.default_geometry) ])
+          ("translated-icache", Engine.default, Some Icache.default_geometry) ])
 
-(* The property, then a shape-coverage check over its cases: the tiered
+(* The property, then a shape-coverage check over its cases: the translated
    arm must have run blocks at tier 3 and nowhere else (no entry climbs
    through a lower tier), and the icache arm at tier 2, so the IR and the
    IR-less superblock shapes both stay differential-tested against the
@@ -225,16 +223,19 @@ let test_tier_differential =
   ( name,
     speed,
     fun () ->
-      Array.fill tiered_cases_at 0 4 0;
+      Array.fill translated_cases_at 0 4 0;
       Array.fill icache_cases_at 0 4 0;
       run ();
       let counts a = String.concat "/" (List.map string_of_int (Array.to_list a)) in
-      if tiered_cases_at.(3) = 0 || tiered_cases_at.(1) + tiered_cases_at.(2) > 0 then
-        Alcotest.failf "tiered arm dispatched at tiers 0/1/2/3 in %s cases (want tier 3 only)"
-          (counts tiered_cases_at);
+      if translated_cases_at.(3) = 0
+         || translated_cases_at.(1) + translated_cases_at.(2) > 0
+      then
+        Alcotest.failf
+          "translated arm dispatched at tiers 0/1/2/3 in %s cases (want tier 3 only)"
+          (counts translated_cases_at);
       if icache_cases_at.(2) = 0 || icache_cases_at.(1) + icache_cases_at.(3) > 0 then
         Alcotest.failf
-          "tiered-icache arm dispatched at tiers 0/1/2/3 in %s cases (want tier 2 only)"
+          "translated-icache arm dispatched at tiers 0/1/2/3 in %s cases (want tier 2 only)"
           (counts icache_cases_at) )
 
 (* --- IC state machine golden ------------------------------------------- *)
@@ -308,7 +309,7 @@ let test_ic_transitions () =
   let rounds = 2_000 in
   let bin = ic_stages_bin ~rounds in
   let mem = Loader.load bin in
-  let m = Machine.create ~engine:tiered ~mem ~isa:base_isa () in
+  let m = Machine.create ~mem ~isa:base_isa () in
   Loader.init_machine m bin;
   (* each stage retires well over 20k instructions (>= 10 per round), so a
      checkpoint 20k into a stage is past its warm-up but inside it *)
@@ -375,12 +376,12 @@ let test_ic_transitions () =
   Alcotest.(check bool) "return sites stayed monomorphic" true
     (List.exists (fun i -> i.Machine.ici_state = `Mono) (Machine.ic_infos m))
 
-(* a tiered machine translates at the top tier on first touch: every block
-   it holds is at tier 3 *)
+(* a machine translates at the top tier on first touch: every block it
+   holds is at tier 3 *)
 let test_top_tier_first_touch () =
   let bin = Programs.branchy ~rounds:20_000 () in
   let mem = Loader.load bin in
-  let m = Machine.create ~engine:tiered ~mem ~isa:Ext.rv64gcv () in
+  let m = Machine.create ~mem ~isa:Ext.rv64gcv () in
   Loader.init_machine m bin;
   (match Machine.run ~fuel:2_000_000 m with
   | Machine.Exited _ -> ()
@@ -392,14 +393,13 @@ let test_top_tier_first_touch () =
        (fun b -> if b.Machine.bi_tier <> 3 then Some b.Machine.bi_entry else None)
        infos)
 
-(* an icache model caps translation at tier 2: an untiered machine with
-   one translates superblocks, never IR-optimized blocks *)
-let test_icache_caps_untiered () =
+(* an icache model caps translation at tier 2: a machine with one
+   translates superblocks, never IR-optimized blocks *)
+let test_icache_caps () =
   let bin = Programs.branchy ~rounds:20_000 () in
   let mem = Loader.load bin in
   let m =
-    Machine.create ~engine:Engine.default ~icache:Icache.default_geometry ~mem
-      ~isa:Ext.rv64gcv ()
+    Machine.create ~icache:Icache.default_geometry ~mem ~isa:Ext.rv64gcv ()
   in
   Loader.init_machine m bin;
   (match Machine.run ~fuel:2_000_000 m with
@@ -543,17 +543,17 @@ let prop_page_boundary =
                    else if oracle.sn_regs <> got.sn_regs then " (registers differ)"
                    else "")
               else true)
-            [ ("super", Engine.default); ("tiered", tiered) ])
+            [ ("translated", Engine.default) ])
         pb_cases)
 
 (* Minor words allocated per retired instruction by a fuel-limited run of
-   an already warm tiered machine. [Gc.minor_words] counts the calling
+   an already warm machine. [Gc.minor_words] counts the calling
    domain only, and the whole measurement runs on the test's own domain.
    The warm-up run translates the hot loop and fills its chain links and
    inline caches; the measured run is then pure steady state. *)
 let warm_alloc_per_inst bin ~warm ~fuel =
   let mem = Loader.load bin in
-  let m = Machine.create ~engine:tiered ~mem ~isa:base_isa () in
+  let m = Machine.create ~mem ~isa:base_isa () in
   Loader.init_machine m bin;
   let expect_fuel what = function
     | Machine.Fuel_exhausted -> ()
@@ -577,25 +577,27 @@ let test_alloc_budget () =
     [ ("fibonacci", Programs.fibonacci ~rounds:1_000_000 ());
       ("branchy", Programs.branchy ~rounds:1_000_000 ()) ]
 
-(* A warm untiered machine misses its chain link on every indirect
-   terminator of [Programs.indirecty] and probes the block table: each
-   block's own option cell keeps those dispatches allocation-free too.
-   Two runs of different lengths from the same warm state cancel the
-   fixed cost of a [Machine.run] call, so the difference is the words the
-   extra dispatches allocate: exactly 0. *)
-let test_untiered_dispatch_allocates_nothing () =
+(* An indirect call site cycling through twelve targets, more than an
+   inline cache's polymorphic table holds (eight), goes megamorphic: a
+   warm machine then dispatches every call through the block table
+   ([block_at]), the path an inline-cache miss also takes: each block's own option cell keeps those dispatches
+   allocation-free. Two runs of different lengths from the same warm state
+   cancel the fixed cost of a [Machine.run] call, so the difference is the
+   words the extra dispatches allocate: exactly 0. *)
+let test_block_table_dispatch_allocates_nothing () =
   let words fuel =
-    let bin = Programs.indirecty ~rounds:1_000_000 () in
-    let m = Machine.create ~engine:(Engine.Untiered { record = false }) ~mem:(Loader.load bin)
-        ~isa:base_isa ()
-    in
+    let bin = Programs.indirecty ~targets:12 ~rounds:1_000_000 () in
+    let m = Machine.create ~mem:(Loader.load bin) ~isa:base_isa () in
     Loader.init_machine m bin;
     ignore (Machine.run ~fuel:100_000 m);
     let w0 = Gc.minor_words () in
     (match Machine.run ~fuel m with
     | Machine.Fuel_exhausted -> ()
     | s -> Alcotest.failf "indirecty stopped early: %s" (pp_snap (snapshot m s)));
-    Gc.minor_words () -. w0
+    let w = Gc.minor_words () -. w0 in
+    Alcotest.(check bool) "the call site went megamorphic" true
+      (List.exists (fun i -> i.Machine.ici_state = `Mega) (Machine.ic_infos m));
+    w
   in
   Alcotest.(check (float 0.)) "minor words of 900,000 more instructions" 0.
     (words 1_000_000 -. words 100_000)
@@ -612,11 +614,11 @@ let () =
       ("allocation",
        [ Alcotest.test_case "warm tiered run allocation budget" `Quick
            test_alloc_budget;
-         Alcotest.test_case "untiered dispatch allocates nothing" `Quick
-           test_untiered_dispatch_allocates_nothing ]);
+         Alcotest.test_case "block-table dispatch allocates nothing" `Quick
+           test_block_table_dispatch_allocates_nothing ]);
       ("shapes",
-       [ Alcotest.test_case "untiered icache machine stays at tier 2" `Quick
-           test_icache_caps_untiered ]);
+       [ Alcotest.test_case "icache machine stays at tier 2" `Quick
+           test_icache_caps ]);
       ("page-boundary",
        [ QCheck_alcotest.to_alcotest
            ~rand:(Random.State.make [| pb_qcheck_seed |])
