@@ -894,9 +894,10 @@ let ablation engine quick =
      cycles even on the hot path — the component of the paper's 5.3% the
      event-cost model alone cannot see. *)
   let icache = Icache.default_geometry in
+  (* the L1i model charges every fetch, so it runs on the step engine *)
   let icache_native bin =
     let mem = Loader.load bin in
-    let m = Machine.create ~engine ~icache ~mem ~isa:ext_isa () in
+    let m = Machine.create ~engine:Engine.Step ~icache ~mem ~isa:ext_isa () in
     Loader.init_machine m bin;
     match Machine.run ~fuel:50_000_000 m with
     | Machine.Exited _ -> (Machine.cycles m, Machine.icache_misses m)
@@ -905,7 +906,9 @@ let ablation engine quick =
   let icache_chbp bin =
     let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Empty) bin in
     let rt = Chimera_rt.create ctx in
-    let m = Machine.create ~engine ~icache ~mem:(Chimera_rt.load rt) ~isa:ext_isa () in
+    let m =
+      Machine.create ~engine:Engine.Step ~icache ~mem:(Chimera_rt.load rt) ~isa:ext_isa ()
+    in
     match Chimera_rt.run rt ~fuel:50_000_000 m with
     | Machine.Exited _ -> (Machine.cycles m, Machine.icache_misses m)
     | _ -> failwith "icache ablation: chbp run failed"
@@ -1401,9 +1404,10 @@ let engine_arg =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Execution engine for every machine the benchmarks create: \
-           $(b,translated) (default; top-tier translation on first touch and \
-           jalr inline caches) or $(b,step) (reference single-step path). \
-           Simulated counters are identical for both — CI compares them.")
+           $(b,translated) (default; translation on first touch and jalr \
+           inline caches) or $(b,step) (reference single-step path). \
+           Simulated counters are identical for both — CI compares them. \
+           The ablation's L1i table runs on $(b,step) either way.")
 
 let json_arg =
   Arg.(

@@ -201,14 +201,9 @@ let cmd_run file isa fuel plain show_counters steps trace_file profile_file =
           Printf.eprintf "cannot open profile file: %s\n" e;
           exit 2
       in
-      (* annotate with the live machine's tier and inline-cache state: the
-         translations are still resident, so the report can say which tier
-         each hot block ended at and how its call sites resolved *)
-      let tiers =
-        List.map
-          (fun b -> (b.Machine.bi_entry, Printf.sprintf "t%d" b.Machine.bi_tier))
-          (Machine.block_infos m)
-      in
+      (* annotate with the live machine's inline-cache state: the
+         translations are still resident, so the report can say how each
+         call site resolved *)
       let ics =
         List.map
           (fun i ->
@@ -227,7 +222,7 @@ let cmd_run file isa fuel plain show_counters steps trace_file profile_file =
       Fun.protect
         ~finally:(fun () -> close_out oc)
         (fun () ->
-          Prof_report.render ~disasm:(Disasm.of_binfile bin) ~tiers ~ics oc snaps);
+          Prof_report.render ~disasm:(Disasm.of_binfile bin) ~ics oc snaps);
       let folded = f ^ ".folded" in
       let foc = open_out folded in
       Fun.protect ~finally:(fun () -> close_out foc) (fun () -> Profile.write_folded p foc);

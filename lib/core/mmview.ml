@@ -141,14 +141,14 @@ let fill_vector_state t v =
       List.iter
         (fun vr ->
           Machine.set_vreg t.m vr
-            (Memory.peek_bytes v.v_mem (base + Vregs.vreg_off vr) (Machine.vlen t.m)))
+            (Memory.peek_bytes v.v_mem (base + Vregs.vreg_off vr) Machine.vlen_bytes))
         Reg.all_v;
       let vl = Int64.to_int (Memory.peek_u64 v.v_mem (base + Vregs.vl_off)) in
       let vsew =
         match Int64.to_int (Memory.peek_u64 v.v_mem (base + Vregs.vsew_off)) with
         | 0 -> Inst.E8 | 1 -> Inst.E16 | 2 -> Inst.E32 | _ -> Inst.E64
       in
-      Machine.set_vstate t.m ~vl:(min vl (Machine.vlen t.m)) ~vsew
+      Machine.set_vstate t.m ~vl:(min vl Machine.vlen_bytes) ~vsew
 
 let migrate t ~to_ =
   let target = find_view t to_ in

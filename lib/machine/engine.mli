@@ -7,14 +7,13 @@
     counters translated code reports. The values are exactly the
     configurations something runs: the step oracle and the translator.
 
-    [Translated] translates an entry the first time it is dispatched, at
-    the top tier the machine's configuration allows: tier 3, a superblock
-    (inlined direct jumps and forward branches with guarded side exits,
-    cross-page blocks) whose straight-line runs are lowered through the
-    linear IR ({!Tir}). A machine created with an icache model
-    ([Machine.create ?icache]) translates at tier 2, the same superblock
-    without the IR, because the model's per-fetch accounting needs
-    per-instruction units. No entry is interpreted while it warms up.
+    [Translated] translates an entry the first time it is dispatched into
+    one shape: a superblock (inlined direct jumps and forward branches with
+    guarded side exits, cross-page blocks) whose straight-line runs are
+    lowered through the linear IR ({!Tir}). No entry is interpreted while
+    it warms up. The L1i model ([Machine.create ?icache]) charges every
+    fetch, so it runs on [Step] only: [Machine.create] raises
+    [Invalid_argument] for an icache with [Translated].
 
     [record] keeps the replay skeleton of every translation so the
     machine's state can be exported as a persistent plan
@@ -25,7 +24,7 @@ type t =
       (** The single-step reference interpreter: no translation at all (the
           bench's [--engine step]). *)
   | Translated of { record : bool }
-      (** Every entry is translated on first touch at the top tier, and
+      (** Every entry is translated on first touch, and
           register-indirect jumps predict their successor through per-site
           inline caches (the default everywhere, the bench's
           [--engine translated]). *)

@@ -41,7 +41,6 @@ let access t addr =
     false
   end
 
-let geometry (t : t) = { sets = t.sets; line = t.line }
 let misses t = t.misses
 let accesses t = t.accesses
 

@@ -4,8 +4,8 @@
     microarchitectural: trampolines split a hot region between the original
     text and a far target section, doubling its instruction-cache footprint.
     The simulator's default cost model charges nothing for that; enabling
-    this model (a machine created with [Machine.create ?icache]) makes it
-    measurable. The default geometry is 512 sets of one 64-byte line
+    this model (a step-engine machine created with [Machine.create ?icache])
+    makes it measurable. The default geometry is 512 sets of one 64-byte line
     (32 KiB), roughly an in-order core's L1i. *)
 
 type t
@@ -17,8 +17,6 @@ val default_geometry : geometry
 
 val create : geometry -> t
 (** [sets] and [line] must be powers of two. *)
-
-val geometry : t -> geometry
 
 val access : t -> int -> bool
 (** [access t addr] is [true] on a hit; a miss fills the line. When tracing

@@ -68,7 +68,6 @@ and t = {
           aliased between views, so a patch invalidates everywhere *)
   mutable isa : Ext.t;
   costs : Costs.t;
-  vlen : int;
   xregs : bytes;
       (** the 32 integer registers, 8 bytes each in native byte order,
           read and written unboxed (see {!get_reg}); [x0]'s slot stays 0 *)
@@ -85,8 +84,8 @@ and t = {
      instruction (vector ops, icache misses, runtime events) lands here *)
   mutable cycles_extra : int;
   icache : Icache.t option;
-      (** the L1i model, fixed at creation like the engine; it caps
-          translation at tier 2 (see {!top_tier}) *)
+      (** the L1i model, fixed at creation like the engine; only a [Step]
+          machine has one (see {!create}) *)
   engine : Engine.t;
   mutable code_epoch : int;
       (** advanced on every {!invalidate_code} and ISA change; blocks whose
@@ -249,17 +248,22 @@ let new_view mem =
    megamorphic. *)
 let ic_poly_limit = 8
 
-let create ?(engine = Engine.default) ?icache ?(vlen = 32) ?(costs = Costs.default)
-    ~mem ~isa () =
+let vlen_bytes = 32
+
+let create ?(engine = Engine.default) ?icache ?(costs = Costs.default) ~mem ~isa
+    () =
+  (match (engine, icache) with
+  | Engine.Translated _, Some _ ->
+      invalid_arg "Machine.create: the icache model needs the Step engine"
+  | _ -> ());
   let view = new_view mem in
   { cur = view;
     views = [ view ];
     gens = Tblock.Gen.create ();
     isa;
     costs;
-    vlen;
     xregs = Bytes.make (32 * 8) '\000';
-    vregs = Bytes.make (32 * vlen) '\000';
+    vregs = Bytes.make (32 * vlen_bytes) '\000';
     vl = 0;
     vsew = Inst.E64;
     pc = 0;
@@ -301,7 +305,6 @@ let set_isa t isa =
     t.code_epoch <- t.code_epoch + 1
   end
 let costs t = t.costs
-let vlen t = t.vlen
 let pc t = t.pc
 let set_pc t pc = t.pc <- pc
 (* The register file is a flat byte string accessed with the unboxed
@@ -321,11 +324,11 @@ let[@inline] set_reg t (r : Reg.t) v =
   let i = (r :> int) in
   if i <> 0 then bytes_set64u t.xregs (i lsl 3) v
 
-let get_vreg t v = Bytes.sub t.vregs (Reg.v_to_int v * t.vlen) t.vlen
+let get_vreg t v = Bytes.sub t.vregs (Reg.v_to_int v * vlen_bytes) vlen_bytes
 
 let set_vreg t v b =
-  if Bytes.length b <> t.vlen then invalid_arg "Machine.set_vreg: wrong width";
-  Bytes.blit b 0 t.vregs (Reg.v_to_int v * t.vlen) t.vlen
+  if Bytes.length b <> vlen_bytes then invalid_arg "Machine.set_vreg: wrong width";
+  Bytes.blit b 0 t.vregs (Reg.v_to_int v * vlen_bytes) vlen_bytes
 
 let vl t = t.vl
 let vsew t = t.vsew
@@ -489,7 +492,7 @@ let store_value mem width addr v =
 (* Vector element accessors at the current sew. *)
 
 let vget t vr i =
-  let base = (Reg.v_to_int vr * t.vlen) in
+  let base = Reg.v_to_int vr * vlen_bytes in
   match t.vsew with
   | Inst.E64 -> Bytes.get_int64_le t.vregs (base + (i * 8))
   | Inst.E32 -> Int64.of_int32 (Bytes.get_int32_le t.vregs (base + (i * 4)))
@@ -497,7 +500,7 @@ let vget t vr i =
   | Inst.E8 -> Int64.of_int (Encode.sext (Bytes.get_uint8 t.vregs (base + i)) 8)
 
 let vset t vr i v =
-  let base = (Reg.v_to_int vr * t.vlen) in
+  let base = Reg.v_to_int vr * vlen_bytes in
   match t.vsew with
   | Inst.E64 -> Bytes.set_int64_le t.vregs (base + (i * 8)) v
   | Inst.E32 -> Bytes.set_int32_le t.vregs (base + (i * 4)) (Int64.to_int32 v)
@@ -511,7 +514,7 @@ let vop_apply op acc a b =
   | Inst.Vmul -> Int64.mul a b
   | Inst.Vmacc -> Int64.add acc (Int64.mul a b)
 
-let vlmax t sew = t.vlen / Inst.sew_bytes sew
+let vlmax sew = vlen_bytes / Inst.sew_bytes sew
 
 (* Whether the low parcel of an instruction starts a 32-bit encoding, so
    the high parcel must be fetched too. *)
@@ -705,7 +708,7 @@ let exec t inst size =
       t.pc <- next;
       Enone
   | Inst.Vsetvli (rd, rs1, sew) ->
-      let vlmax = vlmax t sew in
+      let vlmax = vlmax sew in
       let avl =
         if Reg.equal rs1 Reg.x0 then
           if Reg.equal rd Reg.x0 then t.vl else vlmax
@@ -1726,19 +1729,14 @@ let emit_run t stats ir_units tlb_elided (ops : Tir.op array) =
   Tir.optimize t.ir_state stats ops;
   emit_units ir_units tlb_elided ops
 
-(* The one translation shape of this machine, fixed by its configuration:
-   a superblock (tier 2) whose straight-line runs go through the IR
-   pipeline (tier 3), unless the icache model, whose per-fetch accounting
-   needs per-instruction units, keeps it at tier 2. *)
-let top_tier t = if t.icache = None then 3 else 2
-
-(* One [Tblock.translate] of [entry] at the machine's top tier: [decode]
-   reads each instruction, [lower] picks the IR-lowered ones, every other
-   one is compiled by [compile_op] (and shown to [on_compile]), and [emit]
-   turns IR runs into execution units. Cold translation and plan replay
-   differ only in those callbacks. *)
+(* One [Tblock.translate] of [entry], the one translation shape: a
+   superblock whose straight-line runs go through the IR pipeline.
+   [decode] reads each instruction, [lower] picks the IR-lowered ones,
+   every other one is compiled by [compile_op] (and shown to
+   [on_compile]), and [emit] turns IR runs into execution units. Cold
+   translation and plan replay differ only in those callbacks. *)
 let translate_with t ~decode ~lower ~on_compile ~emit entry =
-  Tblock.translate ~gens:t.gens ~epoch:t.code_epoch ~isa:t.isa ~tier:(top_tier t)
+  Tblock.translate ~gens:t.gens ~epoch:t.code_epoch ~isa:t.isa
     ~decode:(fun pc ->
       match decode t pc with
       | d -> Some d
@@ -1757,17 +1755,13 @@ let translate_block t entry =
   let ir_units = ref 0 and tlb_elided = ref 0 in
   let steps = ref [] in
   Tir.state_reset t.ir_state;
-  let ir = top_tier t = 3 in
   let b =
     translate_with t ~decode:decode_at
       ~lower:(fun ~pc inst size ->
         (* capability gating here: only instructions this hart can execute
            reach the IR; anything else falls through to [compile], whose
            legacy path stops the block with the precise fault semantics *)
-        let r =
-          if ir && Ext.supports t.isa inst then Tir.lower ~pc inst size
-          else None
-        in
+        let r = if Ext.supports t.isa inst then Tir.lower ~pc inst size else None in
         (* record the lower/compile decision positionally: the op records
            pushed here are the very ones the closures capture, so by
            export time their [k] fields hold the post-optimize kinds *)
@@ -1833,8 +1827,8 @@ let publish_block t entry b =
   end
 
 (* Block-table probe at the current pc. A missing or stale entry is
-   translated there and then, at the machine's top tier: no entry is ever
-   interpreted while it warms up. *)
+   translated there and then: no entry is ever interpreted while it warms
+   up. *)
 let translate_at t =
   let b = translate_block t t.pc in
   publish_block t t.pc b;
@@ -1955,7 +1949,7 @@ let run_step ~handlers ~fuel t =
   match !result with Some s -> s | None -> Fuel_exhausted
 
 (* Block-cached fast path: execute whole straight-line bodies between
-   handler-visible events. Accounting (retired, cycles, icache) is done per
+   handler-visible events. Accounting (retired, cycles) is done per
    instruction with the same ordering as [step], so both engines are
    observably identical — including mid-block faults, where the faulting
    instruction has consumed its fuel but not retired, and fuel exhaustion
@@ -2080,7 +2074,6 @@ let run_blocks ~handlers ~fuel t =
       let c0 = if prow == None then 0 else cycles t in
       let mem0 = t.cur.vmem in
       let tlb0 = if prow == None then 0 else Memory.tlb_misses_live mem0 in
-      let ic0 = if prow == None then 0 else icache_misses t in
       let ops = b.Tblock.ops in
       let nunits = Array.length ops in
       let starts = b.Tblock.starts in
@@ -2107,31 +2100,10 @@ let run_blocks ~handlers ~fuel t =
       let u = ref 0 in
       let fault =
         try
-          (match t.icache with
-          | None ->
-              while !u < ulimit do
-                (Array.unsafe_get ops !u) t;
-                incr u
-              done
-          | Some ic ->
-              let pcs = b.Tblock.pcs and sizes = b.Tblock.sizes in
-              let miss = t.costs.Costs.icache_miss in
-              while !u < ulimit do
-                let i = !u in
-                let s = Array.unsafe_get starts i in
-                (* fused units interleave their own fetch touches with the
-                   pair's effects; single-instruction units are touched
-                   here, in step-engine order *)
-                if Array.unsafe_get starts (i + 1) = s + 1 then begin
-                  let ipc = Array.unsafe_get pcs s
-                  and sz = Bytes.get_uint8 sizes s in
-                  if not (Icache.access ic ipc) then t.cycles_extra <- t.cycles_extra + miss;
-                  if not (Icache.access ic (ipc + sz - 1)) then
-                    t.cycles_extra <- t.cycles_extra + miss
-                end;
-                (Array.unsafe_get ops i) t;
-                incr u
-              done);
+          while !u < ulimit do
+            (Array.unsafe_get ops !u) t;
+            incr u
+          done;
           None
         with
         | Side_exit ->
@@ -2176,10 +2148,9 @@ let run_blocks ~handlers ~fuel t =
             match b.Tblock.term with
             | Some (inst, size) when !remaining > 0 -> (
                 match b.Tblock.term_fn with
-                | Some f when t.icache = None ->
+                | Some f ->
                     (* event-free terminator: the closure sets the final pc
-                       and retires — no interpreter round trip (with the
-                       icache on, fall through so fetch charges apply) *)
+                       and retires — no interpreter round trip *)
                     f t;
                     decr remaining;
                     prev := bo
@@ -2212,7 +2183,7 @@ let run_blocks ~handlers ~fuel t =
           Profile.block_dispatch p row ~executed:body_retired ~retired:dretired
             ~cycles:(cycles t - c0)
             ~tlb:(Memory.tlb_misses_live mem0 - tlb0)
-            ~icache:(icache_misses t - ic0) ~fault:faulted ~target:t.pc
+            ~fault:faulted ~target:t.pc
       | _ -> ());
       (* A multi-instruction unit split by the fuel limit leaves up to
          [width - 1] units of fuel unspent on this block; burn them through
@@ -2278,15 +2249,10 @@ let run ?(handlers = default_handlers) ~fuel t =
   s
 
 (* ------------------------------------------------------------------ *)
-(* Tier / inline-cache introspection (profile report, CLI)             *)
+(* Block / inline-cache introspection (CLI profile report, tests)      *)
 (* ------------------------------------------------------------------ *)
 
-type block_info = { bi_entry : int; bi_tier : int }
-
-let block_infos t =
-  Hashtbl.fold
-    (fun entry b acc -> { bi_entry = entry; bi_tier = b.Tblock.tier } :: acc)
-    t.cur.blocks []
+let block_entries t = Hashtbl.fold (fun entry _ acc -> entry :: acc) t.cur.blocks []
 
 type ic_info = {
   ici_site : int;
@@ -2326,14 +2292,9 @@ let ic_infos t =
    its guest bytes, which is sound because the cache layer only offers a
    plan to a machine whose guest code bytes hash to the digest the plan
    was stored under. *)
-type config = Engine.t * Icache.geometry option
-
-let config t : config = (t.engine, Option.map Icache.geometry t.icache)
-
 type plan = {
-  pl_config : config;
-      (** the engine and the icache model fix every block's shape and tier:
-          a plan seeds only a machine created with the same configuration *)
+  pl_engine : Engine.t;
+      (** a plan seeds only a machine created with the same engine *)
   pl_blocks : plan_block array;
   pl_ics : (int * int list) array;
 }
@@ -2377,7 +2338,7 @@ let export_plan t =
           if targets = [] then acc else (site, targets) :: acc)
       t.cur.ics []
   in
-  { pl_config = config t;
+  { pl_engine = t.engine;
     pl_blocks = Array.of_list blocks;
     pl_ics = Array.of_list ics }
 
@@ -2418,7 +2379,7 @@ let rebuild_block t (pb : plan_block) log =
    of small records, which the major GC would walk every cycle. It is never executed or mutated, so one template serves
    machines on any domain. *)
 type template = {
-  tp_config : config;
+  tp_engine : Engine.t;
   tp_isa : Ext.t;
   tp_blocks : (t Tblock.t * (int * string) list) array;
       (** block, fused units (pc, kind) in replay order *)
@@ -2453,14 +2414,14 @@ let seed_finish t ~ics =
   flush_run_stats t
 
 let template t p kept =
-  { tp_config = p.pl_config;
+  { tp_engine = p.pl_engine;
     tp_isa = t.isa;
     tp_blocks = Array.map (fun (_, b, log) -> (b, log)) kept;
     tp_skels = Marshal.to_bytes (Array.map (fun (pb, _, _) -> pb.pb_skel) kept) [];
     tp_ics = p.pl_ics }
 
 let seed_plan t (p : plan) =
-  if p.pl_config <> config t then Error "flags"
+  if p.pl_engine <> t.engine then Error "flags"
   else begin
     let kept = ref [] and complete = ref true in
     Array.iter
@@ -2494,7 +2455,7 @@ let rebind_term t b =
       | _ -> None)
 
 let seed_template t tp =
-  if tp.tp_config <> config t then Error "flags"
+  if tp.tp_engine <> t.engine then Error "flags"
   else if not (Ext.equal t.isa tp.tp_isa) then Error "isa"
   else begin
     Array.iteri

@@ -55,7 +55,6 @@ val default_handlers : handlers
 val create :
   ?engine:Engine.t ->
   ?icache:Icache.geometry ->
-  ?vlen:int ->
   ?costs:Costs.t ->
   mem:Memory.t ->
   isa:Ext.t ->
@@ -64,14 +63,18 @@ val create :
 (** [engine] is the execution engine for the machine's whole life
     (default {!Engine.default}). [icache] attaches an {!Icache} model of
     that geometry, also for life: every fetch checks it and misses charge
-    {!Costs.t.icache_miss} cycles. Translation is then at tier 2 (no IR),
-    because multi-instruction IR units bypass the per-fetch accounting.
-    The model is off by default — the headline numbers in EXPERIMENTS.md
-    are produced without it; the ablation harness turns it on to show the
-    microarchitectural side of trampoline overhead. [vlen] is the vector
-    register width in bytes (default 32 = 256 bits). *)
+    {!Costs.t.icache_miss} cycles. The model is a [Step]-engine feature:
+    [create] raises [Invalid_argument] when [icache] is given with a
+    [Translated] engine, whose multi-instruction units have no per-fetch
+    accounting. The model is off by default — the headline numbers in
+    EXPERIMENTS.md are produced without it; the ablation harness turns it
+    on to show the microarchitectural side of trampoline overhead. *)
 
 val engine : t -> Engine.t
+
+val vlen_bytes : int
+(** The vector register width in bytes: 32 (256 bits), on every hart.
+    CHBP lays out its simulated vector registers ([Vregs]) with it. *)
 
 (** {1 State access} *)
 
@@ -79,7 +82,6 @@ val mem : t -> Memory.t
 val isa : t -> Ext.t
 val set_isa : t -> Ext.t -> unit
 val costs : t -> Costs.t
-val vlen : t -> int
 
 val pc : t -> int
 val set_pc : t -> int -> unit
@@ -142,7 +144,7 @@ val run : ?handlers:handlers -> fuel:int -> t -> stop
     events and chains each block to its successors (the fall-through, the
     terminator's other target and every side exit keep a link of their
     own; register-indirect jumps go through per-site inline caches). It
-    translates an entry at the top tier on first touch.
+    translates an entry on first touch.
     Counters, faults and handler interactions are observably identical to
     the single-step path (the differential property tests assert this).
 
@@ -171,18 +173,13 @@ val profile : t -> Profile.t option
     [Fault_recovered]/[Trap_taken] to the enclosing block
     ([Profile.note_recovered]/[note_trap]). *)
 
-(** {1 Tier / inline-cache introspection}
+(** {1 Block / inline-cache introspection}
 
     Snapshots of the current view's block table and inline-cache sites, for
-    the profile report and the CLI ("why is this block still cold"). *)
+    the CLI's profile report (inline caches) and for tests. *)
 
-type block_info = {
-  bi_entry : int;
-  bi_tier : int;  (** 2 = superblock, 3 = IR-optimized superblock *)
-}
-
-val block_infos : t -> block_info list
-(** One entry per cached block in the current view, unordered. *)
+val block_entries : t -> int list
+(** The entry pc of every cached block in the current view, unordered. *)
 
 type ic_info = {
   ici_site : int;
@@ -241,7 +238,7 @@ val seed_plan : t -> plan -> (int * template option, string) result
     leaves the decode cache empty. Returns [Ok (n, template)] with the
     number of blocks seeded and, when every block replayed, a {!template}
     of them taken before any run; [Error "flags"] if the plan was exported
-    under a different {!Engine.t} or icache geometry — nothing is seeded
+    under a different {!Engine.t} — nothing is seeded
     and the caller should fall back cold. A block whose replay diverges
     (which the content-digest contract makes unexpected) is skipped, not
     published; execution then translates it on demand. *)
@@ -255,7 +252,7 @@ val seed_template : t -> template -> (int, string) result
     the machine as an argument), and its terminator is recompiled for this
     machine, because an indirect terminator captures its machine's
     inline-cache site. [Error "flags"] or [Error "isa"], with nothing
-    seeded, when the machine's configuration or ISA differs from that of
+    seeded, when the machine's engine or ISA differs from that of
     the machine the template was taken on. *)
 
 val plan_stats : plan -> int

@@ -12,8 +12,8 @@
    buffered; at the first control-flow, non-lowerable or terminating
    instruction the buffered run is handed to the machine's [emit] callback,
    which optimizes it as a whole and returns execution units (each covering
-   one or more instructions). The per-instruction metadata (pcs, sizes,
-   classes) stays exact regardless of how the emitter groups instructions
+   one or more instructions). The per-instruction metadata (pcs, classes)
+   stays exact regardless of how the emitter groups instructions
    into units, so fuel accounting, fault attribution and the profiler's
    prefix walks are unaffected by IR optimization.
 
@@ -132,15 +132,13 @@ type 'm t = {
           [0, u): straight-line units whose closures do not bump the
           retired counter themselves, credited in one add per dispatch;
           same length as [starts] *)
-  pcs : int array;  (** pc of each body instruction (icache model, faults) *)
-  sizes : Bytes.t;  (** byte size of each body instruction (2 or 4) *)
+  pcs : int array;  (** pc of each body instruction (fuel resume, faults) *)
   term : (Inst.t * int) option;
       (** decoded terminator, executed through the machine's event path *)
   term_fn : ('m -> unit) option;
       (** event-free terminator compiled to a closure; when present the
-          dispatch loop may execute it instead of routing [term] through
-          the interpreter (kept [None] when the machine needs per-fetch
-          accounting, e.g. the icache model) *)
+          dispatch loop executes it instead of routing [term] through the
+          interpreter *)
   fall : int;
       (** pc where decoding stopped: the fall-through of the last decoded
           instruction (or, after an inlined jump, its target) *)
@@ -171,10 +169,6 @@ type 'm t = {
       (** [Some] of the block itself, made once at translation or
           {!clone}: links, inline caches and the dispatch loop store and
           return this cell, so no dispatch allocates an option *)
-  tier : int;
-      (** execution tier this block was translated at: 2 = superblock,
-          3 = IR-optimized superblock. Every machine translates at the top
-          tier its configuration allows. *)
 }
 
 (* One byte per element of a list built in reverse. *)
@@ -200,11 +194,11 @@ let default_max_pages = 8
    terminator) still covers the entry bytes so that patching them
    invalidates it. *)
 let translate ?(max_insts = default_max_insts) ?(max_pages = default_max_pages)
-    ~gens ~epoch ~isa ~tier ~decode ~lower ~compile ~emit entry =
+    ~gens ~epoch ~isa ~decode ~lower ~compile ~emit entry =
   (* Units and per-instruction metadata accumulate separately: the emitter
      groups instructions into units, never metadata. *)
   let units = ref [] and widths = ref [] and selfs = ref [] and nunits = ref 0 in
-  let pcs = ref [] and sizes = ref [] and classes = ref [] in
+  let pcs = ref [] and classes = ref [] in
   let n_insts = ref 0 in
   let pages = ref [] and n_pages = ref 0 in
   let n_jumps = ref 0 and n_branches = ref 0 and n_fused = ref 0 in
@@ -237,9 +231,8 @@ let translate ?(max_insts = default_max_insts) ?(max_pages = default_max_pages)
     selfs := self :: !selfs;
     incr nunits
   in
-  let push_inst ipc size cls =
+  let push_inst ipc cls =
     pcs := ipc :: !pcs;
-    sizes := size :: !sizes;
     classes := cls :: !classes;
     incr n_insts
   in
@@ -281,7 +274,7 @@ let translate ?(max_insts = default_max_insts) ?(max_pages = default_max_pages)
             match lower ~pc:!pc inst size with
             | Some iop ->
                 add_pages !pc size;
-                push_inst !pc size (Profile.class_code inst);
+                push_inst !pc (Profile.class_code inst);
                 run := iop :: !run;
                 incr nrun;
                 pc := !pc + size
@@ -310,24 +303,24 @@ let translate ?(max_insts = default_max_insts) ?(max_pages = default_max_pages)
                     stop := true
                 | Op f ->
                     add_pages !pc size;
-                    push_inst !pc size (Profile.class_code inst);
+                    push_inst !pc (Profile.class_code inst);
                     push_unit f 1 ~self:false;
                     pc := !pc + size
                 | Op_self f ->
                     (* carries its own retire accounting *)
                     add_pages !pc size;
-                    push_inst !pc size (Profile.class_code inst);
+                    push_inst !pc (Profile.class_code inst);
                     push_unit f 1 ~self:true;
                     pc := !pc + size
                 | Jump (f, target) ->
                     add_pages !pc size;
-                    push_inst !pc size (Profile.class_code inst);
+                    push_inst !pc (Profile.class_code inst);
                     push_unit f 1 ~self:true;
                     incr n_jumps;
                     pc := target
                 | Brcond f ->
                     add_pages !pc size;
-                    push_inst !pc size (Profile.class_code inst);
+                    push_inst !pc (Profile.class_code inst);
                     push_unit f 1 ~self:true;
                     incr n_branches;
                     pc := !pc + size))
@@ -353,7 +346,6 @@ let translate ?(max_insts = default_max_insts) ?(max_pages = default_max_pages)
     starts;
     auto;
     pcs = Array.of_list (List.rev !pcs);
-    sizes = bytes_of_rev !sizes;
     term = !term;
     term_fn = !term_fn;
     fall = !pc;
@@ -367,8 +359,7 @@ let translate ?(max_insts = default_max_insts) ?(max_pages = default_max_pages)
     link_taken = None;
     link_exits = [||];
     prow = None;
-    cell = None;
-    tier }
+    cell = None }
 
 (* Fast validity: a block checked under the current code epoch is valid by
    construction (the epoch advances on every generation bump). On an epoch

@@ -15,7 +15,7 @@
     machine's [emit] callback, which optimizes it whole (constant
     propagation, dead-write elimination) and returns execution units, each
     covering one or more instructions. The per-instruction metadata
-    ([pcs]/[sizes]/[classes]) is kept exact per instruction regardless of
+    ([pcs]/[classes]) is kept exact per instruction regardless of
     how the emitter groups — [starts] maps units back to instruction
     indices so fuel, faults and profiler prefix walks stay bit-exact.
 
@@ -98,12 +98,10 @@ type 'm t = private {
           straight-line units whose closures leave the retired counter to
           the dispatch loop; same length as [starts] *)
   pcs : int array;
-  sizes : Bytes.t;  (** byte size of each body instruction (2 or 4) *)
   term : (Inst.t * int) option;
   term_fn : ('m -> unit) option;
       (** compiled event-free terminator (see {!Term_fn}); [term] still
-          holds the decoded pair for paths that must go through the
-          interpreter (icache accounting, the step oracle) *)
+          holds the decoded pair for the interpreter's event path *)
   fall : int;
       (** pc where decoding stopped (fall-through of the last decoded
           instruction, or an inlined trailing jump's target) *)
@@ -137,9 +135,6 @@ type 'm t = private {
           {!clone} and never changed after: links, inline caches and the
           dispatch loop store and return this cell, so a dispatch that
           misses its link allocates no option *)
-  tier : int;
-      (** execution tier the block was translated at (2 = superblock,
-          3 = IR-optimized superblock) *)
 }
 
 val translate :
@@ -148,15 +143,14 @@ val translate :
   gens:Gen.t ->
   epoch:int ->
   isa:Ext.t ->
-  tier:int ->
   decode:(int -> (Inst.t * int) option) ->
   lower:(pc:int -> Inst.t -> int -> Tir.op option) ->
   compile:(pc:int -> Inst.t -> int -> 'm compiled) ->
   emit:(Tir.op array -> 'm emitted list) ->
   int ->
   'm t
-(** [translate ~gens ~epoch ~isa ~tier ~decode ~lower ~compile ~emit entry]
-    decodes the superblock at [entry] and records [tier] as its tier.
+(** [translate ~gens ~epoch ~isa ~decode ~lower ~compile ~emit entry]
+    decodes the superblock at [entry].
     [decode pc] returns [None] when the bytes at [pc] cannot be decoded or
     fetched (the block ends there; the slow path will raise the precise
     fault when execution reaches it).
@@ -180,8 +174,7 @@ val clone : Gen.t -> epoch:int -> term_fn:('m -> unit) option -> 'm t -> 'm t
 (** [clone gens ~epoch ~term_fn b] is a new block sharing [b]'s immutable
     parts (units, per-instruction metadata, page set, decoded terminator)
     with [term_fn] as its compiled terminator, stamped against [gens] and
-    validated at [epoch]. Links and the profiler row start empty; the
-    tier is copied from [b]. A persisted
+    validated at [epoch]. Links and the profiler row start empty. A persisted
     plan's blocks are cloned this way into every machine the plan seeds. *)
 
 val epoch_current : 'm t -> int -> bool

@@ -256,8 +256,7 @@ let transition t ~cls ~target =
 
 let begin_dispatch t o = t.cur_row <- o
 
-let block_dispatch t row ~executed ~retired ~cycles ~tlb ~icache ~fault
-    ~target =
+let block_dispatch t row ~executed ~retired ~cycles ~tlb ~fault ~target =
   row.r_hits <- row.r_hits + 1;
   let body = Bytes.length row.r_classes in
   let term_retired = retired > executed in
@@ -277,7 +276,6 @@ let block_dispatch t row ~executed ~retired ~cycles ~tlb ~icache ~fault
   row.r_retired <- row.r_retired + retired;
   row.r_penalty <- row.r_penalty + (cycles - retired);
   row.r_tlb <- row.r_tlb + tlb;
-  row.r_icache <- row.r_icache + icache;
   if fault then row.r_faults <- row.r_faults + 1;
   frame_weight t retired;
   if term_retired && row.r_term >= 0 then

@@ -99,7 +99,6 @@ val block_dispatch :
   retired:int ->
   cycles:int ->
   tlb:int ->
-  icache:int ->
   fault:bool ->
   target:int ->
   unit
@@ -108,14 +107,15 @@ val block_dispatch :
     cut it short — partial dispatches are counted per prefix length and
     resolved against the static mix at snapshot time, so hot side exits stay
     O(1) per dispatch),
-    [retired]/[cycles]/[tlb]/[icache] the machine-counter deltas over the
+    [retired]/[cycles]/[tlb] the machine-counter deltas over the
     whole dispatch window (terminator and handlers included), [fault]
     whether the window raised a machine fault, [target] the pc after the
     dispatch (the callee entry when the terminator was a call). The
     terminator's retirement is inferred from [retired - executed]. Penalty
     cycles are [cycles - retired]: everything charged beyond one cycle per
-    retired instruction (icache misses, vector surcharge, trap/recovery
-    costs). *)
+    retired instruction (vector surcharge, trap/recovery costs). A block
+    dispatch charges no icache misses: the L1i model runs on the step
+    engine only ({!step_end}). *)
 
 val step_begin : t -> pc:int -> cls:int -> unit
 (** Single-step engine: called before executing the instruction at [pc]

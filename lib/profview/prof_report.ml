@@ -28,7 +28,7 @@ type ic_note = {
   icn_misses : int;
 }
 
-let render ?(top = 20) ?disasm ?tiers ?ics ?totals oc snaps =
+let render ?(top = 20) ?disasm ?ics ?totals oc snaps =
   Report.with_output oc (fun () ->
       let retired = sum (fun s -> s.Profile.s_retired) snaps in
       let hits = sum (fun s -> s.Profile.s_hits) snaps in
@@ -65,18 +65,11 @@ let render ?(top = 20) ?disasm ?tiers ?ics ?totals oc snaps =
           snaps
       in
       let hot = List.filteri (fun i _ -> i < top) hot in
-      let tier_of entry =
-        match tiers with
-        | None -> []
-        | Some l -> (
-            match List.assoc_opt entry l with Some s -> [ s ] | None -> [ "-" ])
-      in
       Report.table
         ~title:(Printf.sprintf "Hot blocks (top %d by retired)" (List.length hot))
         ~header:
-          ([ "entry"; "body"; "hits"; "retired"; "%"; "penalty"; "tlb"; "ic";
-             "flt"; "rec"; "trap" ]
-          @ (if tiers = None then [] else [ "tier" ]))
+          [ "entry"; "body"; "hits"; "retired"; "%"; "penalty"; "tlb"; "ic";
+            "flt"; "rec"; "trap" ]
         ~rows:
           (List.map
              (fun s ->
@@ -90,8 +83,7 @@ let render ?(top = 20) ?disasm ?tiers ?ics ?totals oc snaps =
                  string_of_int s.Profile.s_icache;
                  string_of_int s.Profile.s_faults;
                  string_of_int s.Profile.s_recovered;
-                 string_of_int s.Profile.s_traps ]
-               @ tier_of s.Profile.s_entry)
+                 string_of_int s.Profile.s_traps ])
              hot);
       (match ics with
       | None | Some [] -> ()

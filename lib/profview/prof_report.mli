@@ -23,7 +23,6 @@ type ic_note = {
 val render :
   ?top:int ->
   ?disasm:Disasm.t ->
-  ?tiers:(int * string) list ->
   ?ics:ic_note list ->
   ?totals:Obs.Agg.totals ->
   out_channel ->
@@ -34,10 +33,6 @@ val render :
     histogram, and — when [disasm] is available — annotated disassembly of
     the hottest blocks.
 
-    [tiers] maps block entry pcs to a tier label (["t1"], ["t2"], ["t3"],
-    with a ["*"] suffix when the layout came from an observed exit
-    profile); when given, the hot-block table gains a [tier] column
-    (["-"] for blocks with no live translation). [ics] adds an
-    inline-cache table (hottest sites first). [totals] adds the trace's
-    aggregate tiering/IC counters to the summary — the offline
-    [chimera profile] passes the v5 event totals here. *)
+    [ics] adds an inline-cache table (hottest sites first). [totals] adds
+    the trace's aggregate inline-cache counters to the summary — the
+    offline [chimera profile] passes the v5 event totals here. *)

@@ -1,7 +1,7 @@
 let base = 0x0F00_0000
 let vl_off = 0
 let vsew_off = 8
-let vlen_bytes = 32
+let vlen_bytes = Machine.vlen_bytes
 let vreg_off v = 16 + (Reg.v_to_int v * vlen_bytes)
 let section_size = 16 + (32 * vlen_bytes)
 

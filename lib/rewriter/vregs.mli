@@ -20,7 +20,7 @@ val vreg_off : Reg.v -> int
 (** Byte offset of a simulated 256-bit vector register. *)
 
 val vlen_bytes : int
-(** 32 (256 bits). *)
+(** {!Machine.vlen_bytes}: the hart's vector register width. *)
 
 val section_size : int
 

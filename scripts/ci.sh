@@ -32,12 +32,12 @@ else
   echo "ci: odoc not installed, skipping dune build @doc"
 fi
 
-# Engine correctness smoke: the translating engine (the default: top tier
-# on first touch and jalr inline caches) and the single-step reference
-# must retire bit-identical instruction counts across every rewriting
-# experiment (the fault-determinism contract, end to end). The ablation
-# experiment's L1i model also runs the translating engine at IR-less
-# superblocks.
+# Engine correctness smoke: the translating engine (the default:
+# translation on first touch and jalr inline caches) and the single-step
+# reference must retire bit-identical instruction counts across every
+# rewriting experiment (the fault-determinism contract, end to end). The
+# ablation experiment's L1i table runs on the step engine under either
+# engine.
 # micro includes the branch-dense workload (interp-branchy), the worst case
 # for side-exit dispatch, and the indirect-call workload that stresses the
 # inline caches. Each line of engine_configs is one configuration: its
@@ -294,9 +294,9 @@ PY
 # the interpret-and-climb warm-up the tiered engine used to run on every
 # cold-plan request read 151, and one tuple per dispatch in the dispatch
 # loop alone reads 354. Translations are exact at 820: every entry the
-# cold request touches is translated once, at the top tier, and nothing
-# else is; the hot-block relayout this engine once had added 24, and the
-# climb read 2664. Batch fast paths moved retired from 65659068 and
+# cold request touches is translated once, and nothing else is; the
+# hot-block relayout this engine once had added 24, and the climb read
+# 2664. Batch fast paths moved retired from 65659068 and
 # translations from 824 (fewer, shorter downgraded blocks); the
 # allocation now reads 59.9 over 6% fewer retired instructions. A
 # recovered fault that lands behind a fast path runs templates that

@@ -1,10 +1,8 @@
 (* Persistent translation cache, checked three ways:
 
    - a cold/warm property test: random branch- and jalr-dense programs run
-     cold (recording, plan stored) then warm (plan seeded) under every
-     engine — step, translated with an icache model (its blocks stop at
-     tier 2), translated — and must retire
-     bit-identically: same stop, registers, pc, retired and cycle counts.
+     cold (recording, plan stored) then warm (plan seeded) under both
+     engines — step and translated — and must retire bit-identically: same stop, registers, pc, retired and cycle counts.
      The cache may only change how fast translations appear, never what
      executes. The first warm machine replays the plan and leaves an
      in-process template; a second one is seeded from that template and
@@ -116,11 +114,7 @@ let cache_program rng =
 (* the translating engine records, so its runs can be exported *)
 let translated = Engine.Translated { record = true }
 
-(* (engine, icache) pairs: the icache machine pins superblocks without
-   the IR, the shape the tier cap gives it *)
-let engines =
-  [ (Engine.Step, None); (translated, Some Icache.default_geometry);
-    (translated, None) ]
+let engines = [ Engine.Step; translated ]
 
 (* fresh per-test cache directory under the system temp dir, removed at
    exit so manual runs outside the dune sandbox don't litter the cwd *)
@@ -146,9 +140,9 @@ let temp_cache =
     created := dir :: !created;
     Cache.open_dir dir
 
-let machine_for ?icache bin engine =
+let machine_for bin engine =
   let mem = Loader.load bin in
-  let m = Machine.create ~engine ?icache ~mem ~isa:base_isa () in
+  let m = Machine.create ~engine ~mem ~isa:base_isa () in
   Loader.init_machine m bin;
   m
 
@@ -164,7 +158,7 @@ let with_captured_events f =
 (* --- cold/warm property ------------------------------------------------- *)
 
 let infos m =
-  (List.sort compare (Machine.block_infos m), List.sort compare (Machine.ic_infos m))
+  (List.sort compare (Machine.block_entries m), List.sort compare (Machine.ic_infos m))
 
 let shared_seeds () =
   Metrics.Snapshot.counter_value (Metrics.Snapshot.take ())
@@ -172,7 +166,7 @@ let shared_seeds () =
 
 let prop_cold_warm =
   QCheck.Test.make
-    ~name:"cache: cold-then-warm bit-identical across step/translated/icache"
+    ~name:"cache: cold-then-warm bit-identical across step/translated"
     ~count:8
     QCheck.(make Gen.(int_bound 100_000))
     (fun seed ->
@@ -180,18 +174,16 @@ let prop_cold_warm =
       let bin, _ = cache_program (Random.State.make [| seed |]) in
       let c = temp_cache () in
       List.for_all
-        (fun (engine, icache) ->
-          let extra =
-            Engine.tag engine ^ if icache = None then "" else ";icache"
-          in
+        (fun engine ->
+          let extra = Engine.tag engine in
           let cold =
-            let m = machine_for ?icache bin engine in
+            let m = machine_for bin engine in
             let stop = Machine.run ~fuel:5_000_000 m in
             let key = Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra in
             Cache.store_plan c ~key m;
             snapshot m stop
           in
-          let m = machine_for ?icache bin engine in
+          let m = machine_for bin engine in
           let key = Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra in
           let replayed, replay_events =
             with_captured_events (fun () -> Cache.seed_plan c ~key m)
@@ -204,7 +196,7 @@ let prop_cold_warm =
           | Error r ->
               QCheck.Test.fail_reportf "%s: warm lookup missed (%s)" extra r);
           (* a second warm machine is seeded from the replay's template *)
-          let mt = machine_for ?icache bin engine in
+          let mt = machine_for bin engine in
           let shared0 = shared_seeds () in
           let cloned, clone_events =
             with_captured_events (fun () -> Cache.seed_plan c ~key mt)
@@ -482,26 +474,15 @@ let test_engine_mismatch_falls_back_cold () =
   | Error "flags" -> ()
   | Error r -> Alcotest.failf "expected an engine mismatch, got %s" r
   | Ok n -> Alcotest.failf "mismatched plan seeded %d blocks" n);
-  Alcotest.(check int) "no block seeded" 0 (List.length (Machine.block_infos m));
+  Alcotest.(check int) "no block seeded" 0 (List.length (Machine.block_entries m));
   let fallback = snapshot m (Machine.run ~fuel:5_000_000 m) in
   Alcotest.(check bool)
     (Printf.sprintf "cold { %s } = fallback { %s }" (pp_snap cold) (pp_snap fallback))
     true (cold = fallback);
   (* the same entry still serves the engine it was made under *)
-  (match Cache.seed_plan c ~key (machine_for bin translated) with
+  match Cache.seed_plan c ~key (machine_for bin translated) with
   | Ok n -> Alcotest.(check bool) "matching engine seeds blocks" true (n > 0)
-  | Error r -> Alcotest.failf "matching engine rejected: %s" r);
-  (* the icache geometry is part of the configuration too *)
-  let extra = "icache-mismatch" in
-  (let m = machine_for bin translated in
-   ignore (Machine.run ~fuel:5_000_000 m);
-   Cache.store_plan c ~key:(Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra) m);
-  let m = machine_for ~icache:Icache.default_geometry bin translated in
-  let key = Cache.digest_mem (Machine.mem m) ~isa:base_isa ~extra in
-  match Cache.seed_plan c ~key m with
-  | Error "flags" -> ()
-  | Error r -> Alcotest.failf "expected an icache mismatch, got %s" r
-  | Ok n -> Alcotest.failf "plan without icache seeded %d blocks" n
+  | Error r -> Alcotest.failf "matching engine rejected: %s" r
 
 (* --- digests ------------------------------------------------------------- *)
 
@@ -511,11 +492,11 @@ let test_engine_mismatch_falls_back_cold () =
    bytes: a mismatch means the digest changed, not the test. *)
 let golden_inputs () =
   [ ("fibonacci", Programs.fibonacci ~rounds:1000 (),
-     ("65fca927ef85d9ad18575f39f10d1de1", "6e1c78c3c52d5d1186a8f2a4ffa73488",
-      "1594a30884f1512c5f8cb11664741aea"));
+     ("c939ba85c99cec9f270f8802e78fcd46", "7f6942df692cfa7b5644e835a25c9a1a",
+      "b1ae4ea9a5a605ec4528f58b735a902e"));
     ("perlbench_r", Specgen.build (Specgen.find "perlbench_r"),
-     ("14777a4c2a2c85fb4a1ec167d80844f4", "f62dc153e5942dbfce77d6cde9c053f5",
-      "79f9879e302f6abed2d0541cde4c6f2e")) ]
+     ("96ece1e89603adc003f45c1910efe953", "db1450363b2ef7dff5801f5d170c95df",
+      "dadf0c893b134a50aa92551a968e1c9f")) ]
 
 let rewritten_image bin =
   let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in

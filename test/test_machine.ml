@@ -6,7 +6,8 @@ let text_base = 0x10000
 let data_base = 0x40000
 
 (* Assemble a list of instructions at [text_base], map a data page, and
-   return a machine ready to run. *)
+   return a machine ready to run: a step machine when it has an icache
+   model, the default engine otherwise. *)
 let setup ?(isa = Ext.all) ?icache insts =
   let mem = Memory.create () in
   Memory.map mem ~addr:text_base ~len:4096 Memory.perm_rx;
@@ -21,7 +22,8 @@ let setup ?(isa = Ext.all) ?icache insts =
       done;
       addr := !addr + n)
     insts;
-  let m = Machine.create ?icache ~mem ~isa () in
+  let engine = if icache = None then Engine.default else Engine.Step in
+  let m = Machine.create ~engine ?icache ~mem ~isa () in
   Machine.set_pc m text_base;
   m
 
@@ -826,7 +828,8 @@ let test_icache_thrash_charges_cycles () =
   emit (text_base + 16) Inst.Ecall;
   emit (text_base + 0x8000) (Inst.Jal (Reg.x0, -0x8000));
   let m =
-    Machine.create ~icache:{ Icache.sets = 1; line = 64 } ~mem ~isa:Ext.rv64gc ()
+    Machine.create ~engine:Engine.Step ~icache:{ Icache.sets = 1; line = 64 } ~mem
+      ~isa:Ext.rv64gc ()
   in
   Machine.set_pc m text_base;
   Machine.set_reg m Reg.t0 64L;
@@ -838,6 +841,16 @@ let test_icache_thrash_charges_cycles () =
   Alcotest.(check bool) "misses charged" true
     (Machine.cycles m
      >= Machine.retired m + (Machine.icache_misses m * Costs.default.Costs.icache_miss))
+
+(* the L1i model charges every fetch, so only a step machine takes one *)
+let test_icache_needs_step () =
+  let mem = Memory.create () in
+  let icache = Icache.default_geometry in
+  Alcotest.check_raises "translated machine refuses an icache"
+    (Invalid_argument "Machine.create: the icache model needs the Step engine")
+    (fun () -> ignore (Machine.create ~engine:Engine.default ~icache ~mem ~isa:Ext.all ()));
+  let m = Machine.create ~engine:Engine.Step ~icache ~mem ~isa:Ext.all () in
+  Alcotest.(check int) "step machine takes one" 0 (Machine.icache_misses m)
 
 (* --- packed SIMD (draft-P) --------------------------------------------- *)
 
@@ -918,7 +931,8 @@ let () =
        [ Alcotest.test_case "unit behaviour" `Quick test_icache_unit;
          Alcotest.test_case "loop locality" `Quick test_icache_loop_locality;
          Alcotest.test_case "thrash charges cycles" `Quick
-           test_icache_thrash_charges_cycles ]);
+           test_icache_thrash_charges_cycles;
+         Alcotest.test_case "needs the step engine" `Quick test_icache_needs_step ]);
       ("loader",
        [ Alcotest.test_case "section permissions" `Quick
            test_loader_enforces_section_permissions ]);

@@ -61,7 +61,7 @@ let fuzz_profile seed =
 (* The totals both engines must agree on exactly. Per-block rows are not
    compared: the step engine keys rows by dynamically detected leaders,
    which legitimately differ from static block entries around mid-block
-   re-entry. TLB/icache attribution is engine-specific by design (the block
+   re-entry. TLB attribution is engine-specific by design (the block
    engine fetches each instruction once, at compile time). *)
 type totals = {
   t_retired : int;
@@ -305,8 +305,8 @@ let test_stack_depth_cap () =
     Profile.begin_dispatch p (Some row);
     (* retired 1 > executed 0: the call terminator itself retired, so the
        dispatch ends in a push to a callee that never returns *)
-    Profile.block_dispatch p row ~executed:0 ~retired:1 ~cycles:1 ~tlb:0
-      ~icache:0 ~fault:false ~target:(0x1000 + (8 * (i + 1)))
+    Profile.block_dispatch p row ~executed:0 ~retired:1 ~cycles:1 ~tlb:0 ~fault:false
+      ~target:(0x1000 + (8 * (i + 1)))
   done;
   let f = Filename.temp_file "prof" ".folded" in
   Fun.protect

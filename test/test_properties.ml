@@ -633,8 +633,7 @@ let prop_differential_greg =
 (* The translation-block engine must be observably identical to the
    single-step interpreter: same stop condition, registers, pc and counters
    on random programs, at arbitrary fuel limits (so fuel can run out in the
-   middle of a block), with and without the icache model, and across
-   runtime code patching (CHBP lazy rewriting rewrites code a cached block
+   middle of a block), and across runtime code patching (CHBP lazy rewriting rewrites code a cached block
    already covers). *)
 
 type snap = {
@@ -645,7 +644,6 @@ type snap = {
   sn_cycles : int;
   sn_vector : int;
   sn_indirect : int;
-  sn_imisses : int;
 }
 
 let snapshot m stop =
@@ -655,8 +653,7 @@ let snapshot m stop =
     sn_retired = Machine.retired m;
     sn_cycles = Machine.cycles m;
     sn_vector = Machine.vector_retired m;
-    sn_indirect = Machine.indirect_retired m;
-    sn_imisses = Machine.icache_misses m }
+    sn_indirect = Machine.indirect_retired m }
 
 let pp_snap s =
   let stop =
@@ -665,8 +662,8 @@ let pp_snap s =
     | Machine.Faulted f -> Printf.sprintf "fault %s" (Fault.to_string f)
     | Machine.Fuel_exhausted -> "fuel"
   in
-  Printf.sprintf "%s pc=%#x retired=%d cycles=%d vec=%d ind=%d imiss=%d" stop
-    s.sn_pc s.sn_retired s.sn_cycles s.sn_vector s.sn_indirect s.sn_imisses
+  Printf.sprintf "%s pc=%#x retired=%d cycles=%d vec=%d ind=%d" stop s.sn_pc
+    s.sn_retired s.sn_cycles s.sn_vector s.sn_indirect
 
 let check_snaps ~what step block =
   if step <> block then
@@ -674,10 +671,9 @@ let check_snaps ~what step block =
       (pp_snap step) (pp_snap block)
   else true
 
-let run_native engine ~icache ~fuel bin isa =
+let run_native engine ~fuel bin isa =
   let mem = Loader.load bin in
-  let icache = if icache then Some Icache.default_geometry else None in
-  let m = Machine.create ~engine ?icache ~mem ~isa () in
+  let m = Machine.create ~engine ~mem ~isa () in
   Loader.init_machine m bin;
   snapshot m (Machine.run ~fuel m)
 
@@ -690,13 +686,12 @@ let prop_block_engine_native =
         Gen.(
           let* seed = int_bound 100_000 in
           let* fuel = int_range 1_000 400_000 in
-          let* icache = bool in
-          return (seed, fuel, icache)))
-    (fun (seed, fuel, icache) ->
+          return (seed, fuel)))
+    (fun (seed, fuel) ->
       let bin = Specgen.build (fuzz_profile seed) in
       let what = Printf.sprintf "native seed=%d fuel=%d" seed fuel in
-      let step = run_native Engine.Step ~icache ~fuel bin ext_isa in
-      let chained = run_native Engine.default ~icache ~fuel bin ext_isa in
+      let step = run_native Engine.Step ~fuel bin ext_isa in
+      let chained = run_native Engine.default ~fuel bin ext_isa in
       check_snaps ~what:(what ^ " (chained)") step chained)
 
 (* Lazy rewriting: the runtime patches code on the first fault at each site,
@@ -811,9 +806,9 @@ let ir_program rng =
   let bin = Asm.assemble a in
   (bin, (Binfile.symbol bin "_start").Binfile.sym_addr + patch_off)
 
-let run_ir_phases ?icache engine bin ~patch_addr ~f1 ~f2 =
+let run_ir_phases engine bin ~patch_addr ~f1 ~f2 =
   let mem = Loader.load bin in
-  let m = Machine.create ~engine ?icache ~mem ~isa:base_isa () in
+  let m = Machine.create ~engine ~mem ~isa:base_isa () in
   Loader.init_machine m bin;
   let s1 = snapshot m (Machine.run ~fuel:f1 m) in
   (* SMC: flip the xori's immediate under a cached, already-executed block;
@@ -838,8 +833,7 @@ let run_ir_phases ?icache engine bin ~patch_addr ~f1 ~f2 =
 
 let prop_ir_pipeline_differential =
   QCheck.Test.make
-    ~name:
-      "ir: step/block/super/no-ir bit-identical across SMC patch and TLB downgrade"
+    ~name:"ir: step/super bit-identical across SMC patch and TLB downgrade"
     ~count:12
     QCheck.(
       make
@@ -850,21 +844,12 @@ let prop_ir_pipeline_differential =
           return (seed, f1, f2)))
     (fun (seed, f1, f2) ->
       let bin, patch_addr = ir_program (Random.State.make [| seed |]) in
-      List.for_all
-        (fun (label, engine, icache) ->
-          (* the oracle runs under the same icache model, which charges
-             cycles *)
-          let r1, r2, r3 = run_ir_phases ?icache Engine.Step bin ~patch_addr ~f1 ~f2 in
-          let b1, b2, b3 = run_ir_phases ?icache engine bin ~patch_addr ~f1 ~f2 in
-          let what p =
-            Printf.sprintf "ir seed=%d f1=%d f2=%d %s phase%d" seed f1 f2 label p
-          in
-          check_snaps ~what:(what 1) r1 b1
-          && check_snaps ~what:(what 2) r2 b2
-          && check_snaps ~what:(what 3) r3 b3)
-        [ ("super", Engine.default, None);
-          (* the icache model caps translation at IR-less superblocks *)
-          ("super-noir", Engine.default, Some Icache.default_geometry) ])
+      let r1, r2, r3 = run_ir_phases Engine.Step bin ~patch_addr ~f1 ~f2 in
+      let b1, b2, b3 = run_ir_phases Engine.default bin ~patch_addr ~f1 ~f2 in
+      let what p = Printf.sprintf "ir seed=%d f1=%d f2=%d super phase%d" seed f1 f2 p in
+      check_snaps ~what:(what 1) r1 b1
+      && check_snaps ~what:(what 2) r2 b2
+      && check_snaps ~what:(what 3) r3 b3)
 
 let prop_block_engine_self_modifying =
   QCheck.Test.make

@@ -314,7 +314,7 @@ let test_shared_templates () =
         ( rt,
           m,
           shared,
-          ( List.sort compare (Machine.block_infos m),
+          ( List.sort compare (Machine.block_entries m),
             List.sort compare (Machine.ic_infos m),
             (tlb_hits, tlb_misses) ) )
     | _ -> assert false

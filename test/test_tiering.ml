@@ -1,25 +1,20 @@
 (* Translated execution and jalr inline caches, checked several ways:
 
-   - a tier-differential property test: random branch- and jalr-dense
+   - a differential property test: random branch- and jalr-dense
      programs run through three phases — a warm run cut by exact fuel, a
      continuation across an in-place SMC patch (which retires hot blocks and
      forces every epoch-guarded inline cache to re-resolve), and a
      continuation across a warm-TLB permission downgrade that makes the next
-     store fault. Step, translated and translated-with-icache machines
-     must agree bit-for-bit on stop state, registers, pc and counters at
-     every phase boundary; the translated machine must dispatch its blocks
-     at tier 3 only, and the one with an icache model at tier 2, so both
-     translation shapes stay checked against the oracle;
-
-   - a shape cap: a machine with an icache model never translates above
-     tier 2;
+     store fault. Step and translated machines must agree bit-for-bit on
+     stop state, registers, pc and counters at every phase boundary;
 
    - a golden test pinning the inline-cache state machine: one call site
      driven through one, then three, then nine distinct targets must be
      observed Mono, then Poly, then Mega — the same site pc across all three
      checkpoints;
 
-   - first touch: a translated machine translates every block at tier 3;
+   - first touch: a translated machine translates every entry exactly
+     once;
 
    - a page-boundary property: 64- and 32-bit loads and stores (single,
      paired and read-modify-write) at every offset of a page's last 16
@@ -131,22 +126,12 @@ let tier_program rng =
   let bin = Asm.assemble a in
   (bin, (Binfile.symbol bin "_start").Binfile.sym_addr + patch_off)
 
-(* Runs the three phases and reports, per tier, whether the machine
-   holds a block translated at it after some phase: a block enters the
-   table only when it is first dispatched, so every tier found there was
-   dispatched at. The step engine translates nothing and reports none. *)
-let run_tier_phases ?icache engine bin ~patch_addr ~f1 ~f2 =
-  let dispatched = Array.make 4 false in
-  let note_blocks m =
-    List.iter
-      (fun b -> dispatched.(b.Machine.bi_tier) <- true)
-      (Machine.block_infos m)
-  in
+(* Runs the three phases and returns the state after each. *)
+let run_phases engine bin ~patch_addr ~f1 ~f2 =
   let mem = Loader.load bin in
-  let m = Machine.create ~engine ?icache ~mem ~isa:base_isa () in
+  let m = Machine.create ~engine ~mem ~isa:base_isa () in
   Loader.init_machine m bin;
   let s1 = snapshot m (Machine.run ~fuel:f1 m) in
-  note_blocks m;
   (* SMC: flip the xori's immediate under cached blocks; the invalidation
      retires them and severs every IC and chain link into them —
      re-resolution must be transparent *)
@@ -155,10 +140,9 @@ let run_tier_phases ?icache engine bin ~patch_addr ~f1 ~f2 =
   Memory.poke_bytes mem patch_addr buf;
   Machine.invalidate_code m ~addr:patch_addr ~len:4;
   let s2 = snapshot m (Machine.run ~fuel:f2 m) in
-  note_blocks m;
   (* warm-TLB permission downgrade: writable pages turn read-only mid-loop;
      the next store must fault at the same pc in every engine, through any
-     tier, side-exit link or inline-cached dispatch *)
+     block, side-exit link or inline-cached dispatch *)
   List.iter
     (fun (s : Binfile.section) ->
       if s.Binfile.sec_perm.Memory.w then
@@ -166,18 +150,11 @@ let run_tier_phases ?icache engine bin ~patch_addr ~f1 ~f2 =
           ~len:(Bytes.length s.Binfile.sec_data) Memory.perm_r)
     bin.Binfile.sections;
   let s3 = snapshot m (Machine.run ~fuel:50_000 m) in
-  note_blocks m;
-  ((s1, s2, s3), dispatched)
+  (s1, s2, s3)
 
-(* per tier, the cases in which the translated arm (without and with the
-   icache model) dispatched a block there *)
-let translated_cases_at = Array.make 4 0
-let icache_cases_at = Array.make 4 0
-
-let prop_tier_differential =
+let prop_differential =
   QCheck.Test.make
-    ~name:
-      "tiering: step/translated/icache bit-identical across SMC and TLB downgrade"
+    ~name:"tiering: step/translated bit-identical across SMC and TLB downgrade"
     ~count:12
     QCheck.(
       make
@@ -188,55 +165,12 @@ let prop_tier_differential =
           return (seed, f1, f2)))
     (fun (seed, f1, f2) ->
       let bin, patch_addr = tier_program (Random.State.make [| seed |]) in
-      List.for_all
-        (fun (label, engine, icache) ->
-          (* the oracle runs under the same icache model, which charges
-             cycles *)
-          let (r1, r2, r3), _ =
-            run_tier_phases ?icache Engine.Step bin ~patch_addr ~f1 ~f2
-          in
-          let (b1, b2, b3), dispatched =
-            run_tier_phases ?icache engine bin ~patch_addr ~f1 ~f2
-          in
-          let what p =
-            Printf.sprintf "tier seed=%d f1=%d f2=%d %s phase%d" seed f1 f2 label p
-          in
-          let note cases =
-            Array.iteri (fun k d -> if d then cases.(k) <- cases.(k) + 1) dispatched
-          in
-          if label = "translated" then note translated_cases_at
-          else note icache_cases_at;
-          check_snaps ~what:(what 1) r1 b1
-          && check_snaps ~what:(what 2) r2 b2
-          && check_snaps ~what:(what 3) r3 b3)
-        [ ("translated", Engine.default, None);
-          (* the icache model keeps translation at tier 2 *)
-          ("translated-icache", Engine.default, Some Icache.default_geometry) ])
-
-(* The property, then a shape-coverage check over its cases: the translated
-   arm must have run blocks at tier 3 and nowhere else (no entry climbs
-   through a lower tier), and the icache arm at tier 2, so the IR and the
-   IR-less superblock shapes both stay differential-tested against the
-   oracle. *)
-let test_tier_differential =
-  let name, speed, run = QCheck_alcotest.to_alcotest prop_tier_differential in
-  ( name,
-    speed,
-    fun () ->
-      Array.fill translated_cases_at 0 4 0;
-      Array.fill icache_cases_at 0 4 0;
-      run ();
-      let counts a = String.concat "/" (List.map string_of_int (Array.to_list a)) in
-      if translated_cases_at.(3) = 0
-         || translated_cases_at.(1) + translated_cases_at.(2) > 0
-      then
-        Alcotest.failf
-          "translated arm dispatched at tiers 0/1/2/3 in %s cases (want tier 3 only)"
-          (counts translated_cases_at);
-      if icache_cases_at.(2) = 0 || icache_cases_at.(1) + icache_cases_at.(3) > 0 then
-        Alcotest.failf
-          "translated-icache arm dispatched at tiers 0/1/2/3 in %s cases (want tier 2 only)"
-          (counts icache_cases_at) )
+      let r1, r2, r3 = run_phases Engine.Step bin ~patch_addr ~f1 ~f2 in
+      let b1, b2, b3 = run_phases Engine.default bin ~patch_addr ~f1 ~f2 in
+      let what p = Printf.sprintf "tier seed=%d f1=%d f2=%d phase%d" seed f1 f2 p in
+      check_snaps ~what:(what 1) r1 b1
+      && check_snaps ~what:(what 2) r2 b2
+      && check_snaps ~what:(what 3) r3 b3)
 
 (* --- IC state machine golden ------------------------------------------- *)
 
@@ -376,42 +310,30 @@ let test_ic_transitions () =
   Alcotest.(check bool) "return sites stayed monomorphic" true
     (List.exists (fun i -> i.Machine.ici_state = `Mono) (Machine.ic_infos m))
 
-(* a machine translates at the top tier on first touch: every block it
-   holds is at tier 3 *)
-let test_top_tier_first_touch () =
+(* a fresh machine translates each entry on first touch and never again:
+   with no code patched, the translation count equals the blocks it
+   holds *)
+let test_first_touch_once () =
   let bin = Programs.branchy ~rounds:20_000 () in
   let mem = Loader.load bin in
   let m = Machine.create ~mem ~isa:Ext.rv64gcv () in
   Loader.init_machine m bin;
-  (match Machine.run ~fuel:2_000_000 m with
-  | Machine.Exited _ -> ()
-  | _ -> Alcotest.fail "branchy did not exit");
-  let infos = Machine.block_infos m in
-  Alcotest.(check bool) "blocks were translated" true (infos <> []);
-  Alcotest.(check (list int)) "no block below tier 3" []
-    (List.filter_map
-       (fun b -> if b.Machine.bi_tier <> 3 then Some b.Machine.bi_entry else None)
-       infos)
-
-(* an icache model caps translation at tier 2: a machine with one
-   translates superblocks, never IR-optimized blocks *)
-let test_icache_caps () =
-  let bin = Programs.branchy ~rounds:20_000 () in
-  let mem = Loader.load bin in
-  let m =
-    Machine.create ~icache:Icache.default_geometry ~mem ~isa:Ext.rv64gcv ()
+  Metrics.enable ();
+  let translations () =
+    Metrics.Snapshot.counter_value (Metrics.Snapshot.take ())
+      "chimera_translations_total"
   in
-  Loader.init_machine m bin;
-  (match Machine.run ~fuel:2_000_000 m with
+  let t0 = translations () in
+  let stop = Machine.run ~fuel:2_000_000 m in
+  let translated = translations () - t0 in
+  Metrics.disable ();
+  (match stop with
   | Machine.Exited _ -> ()
   | _ -> Alcotest.fail "branchy did not exit");
-  let infos = Machine.block_infos m in
-  Alcotest.(check bool) "superblocks at tier 2" true
-    (List.exists (fun b -> b.Machine.bi_tier = 2) infos);
-  Alcotest.(check (list int)) "no block above tier 2" []
-    (List.filter_map
-       (fun b -> if b.Machine.bi_tier > 2 then Some b.Machine.bi_entry else None)
-       infos)
+  let entries = Machine.block_entries m in
+  Alcotest.(check bool) "blocks were translated" true (entries <> []);
+  Alcotest.(check int) "one translation per entry" (List.length entries)
+    translated
 
 (* --- page-boundary fault equivalence ------------------------------------ *)
 
@@ -604,21 +526,18 @@ let test_block_table_dispatch_allocates_nothing () =
 
 let () =
   Alcotest.run "chimera_tiering"
-    [ ("differential", [ test_tier_differential ]);
+    [ ("differential", [ QCheck_alcotest.to_alcotest prop_differential ]);
       ("inline-caches",
        [ Alcotest.test_case "mono -> poly -> mega transition" `Quick
            test_ic_transitions ]);
       ("first-touch",
-       [ Alcotest.test_case "top-tier first touch observable" `Quick
-           test_top_tier_first_touch ]);
+       [ Alcotest.test_case "each entry translated once" `Quick
+           test_first_touch_once ]);
       ("allocation",
        [ Alcotest.test_case "warm tiered run allocation budget" `Quick
            test_alloc_budget;
          Alcotest.test_case "block-table dispatch allocates nothing" `Quick
            test_block_table_dispatch_allocates_nothing ]);
-      ("shapes",
-       [ Alcotest.test_case "icache machine stays at tier 2" `Quick
-           test_icache_caps ]);
       ("page-boundary",
        [ QCheck_alcotest.to_alcotest
            ~rand:(Random.State.make [| pb_qcheck_seed |])
