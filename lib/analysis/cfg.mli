@@ -61,8 +61,22 @@ val position : t -> int -> int
 (** Position of the instruction at the address, or [-1]. *)
 
 val block_of_position : t -> int -> int
+
 val insn_at : t -> int -> Disasm.insn
+(** Decoded again from the binary's bytes on every call. *)
+
 val flow_at : t -> int -> Disasm.flow
+(** Rebuilt from the stored kind and target. *)
+
+val kind_at : t -> int -> Disasm.kind
+
+val uses_at : t -> int -> Regmask.t
+val defs_at : t -> int -> Regmask.t
+(** [Inst.uses_mask] and [Inst.defs_mask] of the instruction, stored when
+    the graph was cut: no decoding, and no call convention applied. *)
+
+val ext_at : t -> int -> Ext.ext option
+(** The extension the instruction requires. *)
 
 val succ : t -> int -> int -> int
 (** [succ t b j] is block [b]'s successor [j] ([0] or [1]): a block index,

@@ -46,3 +46,8 @@ val dead_regs_at : t -> ?avoid:Reg.t list -> int -> Reg.t list
 val insn_uses : Disasm.insn -> Regmask.t
 val insn_defs : Disasm.insn -> Regmask.t
 (** Per-instruction transfer masks, including the ABI call convention. *)
+
+val uses_at : Cfg.t -> int -> Regmask.t
+val defs_at : Cfg.t -> int -> Regmask.t
+(** The same masks for the instruction at a CFG position, from the facts
+    the CFG stores: nothing is decoded. The solver folds these. *)

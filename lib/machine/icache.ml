@@ -7,7 +7,6 @@ type t = {
   line : int;
   tags : int array;  (* -1 = invalid *)
   mutable misses : int;
-  mutable accesses : int;
   mutable streak : int;  (* consecutive misses, for burst events *)
 }
 
@@ -21,11 +20,9 @@ let burst_threshold = 8
 let create ({ sets; line } : geometry) =
   if not (pow2 sets && pow2 line) then
     invalid_arg "Icache.create: sets and line must be powers of two";
-  { sets; line; tags = Array.make sets (-1); misses = 0; accesses = 0;
-    streak = 0 }
+  { sets; line; tags = Array.make sets (-1); misses = 0; streak = 0 }
 
 let access t addr =
-  t.accesses <- t.accesses + 1;
   let lineno = addr / t.line in
   let set = lineno land (t.sets - 1) in
   if t.tags.(set) = lineno then begin
@@ -42,7 +39,6 @@ let access t addr =
   end
 
 let misses t = t.misses
-let accesses t = t.accesses
 
 let flush t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);

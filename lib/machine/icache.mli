@@ -24,5 +24,4 @@ val access : t -> int -> bool
     {!Obs.Icache_burst} event at the access that ends it. *)
 
 val misses : t -> int
-val accesses : t -> int
 val flush : t -> unit

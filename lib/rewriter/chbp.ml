@@ -91,17 +91,20 @@ let write_code t addr src len =
 (* Source classification                                               *)
 (* ------------------------------------------------------------------ *)
 
-let is_source t (i : Disasm.insn) =
+(* Whether an instruction that requires [ext] is a source *)
+let source_ext t ext =
   match t.opts.mode with
   | Downgrade -> (
-      match Ext.required i.inst with
+      match ext with
       | Some Ext.V | Some Ext.B | Some Ext.P -> true
       | Some Ext.C | Some Ext.X | None -> false)
   | Empty -> (
-      match Ext.required i.inst with
+      match ext with
       | Some Ext.V -> true
       | Some Ext.C | Some Ext.B | Some Ext.P | Some Ext.X | None -> false)
   | Upgrade -> false
+
+let is_source t (i : Disasm.insn) = source_ext t (Ext.required i.inst)
 
 (* ------------------------------------------------------------------ *)
 (* Emission helpers                                                    *)
@@ -397,6 +400,16 @@ let join a b =
   | Agreed s, Agreed s' when s = s' -> a
   | (Agreed _ | Mixed), (Agreed _ | Mixed) -> Mixed
 
+(* The SEW the instruction at CFG position [p] sets, if it is a vsetvli.
+   Only vector instructions are decoded. *)
+let vsetvli_sew cfg p =
+  match Cfg.ext_at cfg p with
+  | Some Ext.V -> (
+      match (Cfg.insn_at cfg p).Disasm.inst with
+      | Inst.Vsetvli (_, _, sew) -> Some sew
+      | _ -> None)
+  | Some (Ext.C | Ext.B | Ext.P | Ext.X) | None -> None
+
 (* The SEW of the vsetvlis that reach each block entry, by a forward pass
    over the CFG: a block passes on the SEW of its last vsetvli, else the
    SEW it was entered with; roots are entered with none. Call edges fall
@@ -407,9 +420,7 @@ let reaching_sews cfg =
   let last = Array.make nb Unreached in
   for b = 0 to nb - 1 do
     for p = Cfg.block_first cfg b to Cfg.block_first cfg (b + 1) - 1 do
-      match (Cfg.insn_at cfg p).Disasm.inst with
-      | Inst.Vsetvli (_, _, sew) -> last.(b) <- Agreed sew
-      | _ -> ()
+      match vsetvli_sew cfg p with Some sew -> last.(b) <- Agreed sew | None -> ()
     done
   done;
   let entry = Array.make nb Unreached in
@@ -441,10 +452,7 @@ let predict_sew cfg sews addr =
   let rec back p =
     if p < Cfg.block_first cfg b then
       match (Lazy.force sews).(b) with Agreed sew -> Some sew | Unreached | Mixed -> None
-    else
-      match (Cfg.insn_at cfg p).Disasm.inst with
-      | Inst.Vsetvli (_, _, sew) -> Some sew
-      | _ -> back (p - 1)
+    else match vsetvli_sew cfg p with Some _ as sew -> sew | None -> back (p - 1)
   in
   back (pos - 1)
 
@@ -1136,10 +1144,12 @@ let process t dis =
       |> List.filter (fun c -> not (Hashtbl.mem t.processed c.Upgrade.c_addr))
       |> List.iter (fun c -> process_upgrade t dis live c)
   | Downgrade | Empty ->
+      (* only sources are decoded *)
       let sources = ref [] in
-      Disasm.iter dis (fun i ->
-          if is_source t i && not (Hashtbl.mem t.processed i.Disasm.addr) then
-            sources := i :: !sources);
+      Disasm.iter_facts dis
+        (fun ~addr ~size:_ ~kind:_ ~target:_ ~ext ~uses:_ ~defs:_ ->
+          if source_ext t ext && not (Hashtbl.mem t.processed addr) then
+            sources := Disasm.at dis addr :: !sources);
       let sources = List.rev !sources in
       if not t.opts.use_gp then
         List.iter (process_greg_site t env) (group_by_block cfg sources)

@@ -431,31 +431,6 @@ let prop_sched_work_conservation =
       && r.Sched.latency * (nb + ne) >= r.Sched.cpu_time
       && r.Sched.latency <= r.Sched.cpu_time)
 
-(* --- dense address index ------------------------------------------------------ *)
-
-(* [Slots] maps every indexed address to its position and everything else
-   to -1, whatever the gaps: small and large, even and odd. *)
-let prop_slots_index =
-  QCheck.Test.make ~name:"slots: find = position in the sorted array" ~count:300
-    QCheck.(list_of_size Gen.(int_range 0 200) (oneofl [ 1; 2; 4; 6; 100; 5000; 70_000 ]))
-    (fun gaps ->
-      let next = ref 0x10000 in
-      (* List.map applies its function in order, so [addrs] ascends *)
-      let addrs =
-        Array.of_list
-          (List.map
-             (fun g ->
-               next := !next + g;
-               !next)
-             gaps)
-      in
-      let index = Slots.of_sorted addrs in
-      let is_member a = Array.exists (( = ) a) addrs in
-      let misses a = is_member a || Slots.find index a = -1 in
-      Array.for_all Fun.id (Array.mapi (fun k a -> Slots.find index a = k) addrs)
-      && Array.for_all (fun a -> misses (a - 1) && misses (a + 1) && misses (a + 2)) addrs
-      && misses 0)
-
 (* --- liveness soundness ------------------------------------------------------ *)
 
 (* Clobbering a register that liveness reports dead at a dynamically reached
@@ -875,7 +850,6 @@ let () =
       ("redirects",
        [ QCheck_alcotest.to_alcotest prop_redirects_land_in_executable_code ]);
       ("sched", [ QCheck_alcotest.to_alcotest prop_sched_work_conservation ]);
-      ("slots", [ QCheck_alcotest.to_alcotest prop_slots_index ]);
       ("liveness", [ QCheck_alcotest.to_alcotest prop_liveness_soundness ]);
       ("differential",
        List.map QCheck_alcotest.to_alcotest
