@@ -276,7 +276,7 @@ let write_json file (stats : stat list) =
              \"ic_hit_rate\": %.4f, \"ic_hits\": %d, \"ic_misses\": %d, \
              \"ic_mega_dispatches\": %d, \
              \"ir_units\": %d, \"ir_folded\": %d, \"ir_dead\": %d, \
-             \"pc_writes_elided\": %d, \"tlb_checks_elided\": %d, \
+             \"pc_writes_elided\": %d, \
              \"regs_cached_avg\": %.2f, \"translate_s\": %.4f, \"translations\": %d, \
              \"translate_p50_ns\": %.0f, \"translate_p99_ns\": %.0f"
             (tlb_hit_rate s) (chain_hit_rate s) dispatches
@@ -287,7 +287,7 @@ let write_json file (stats : stat list) =
             (c "chimera_ic_mega_dispatches_total")
             (c "chimera_ir_units_total")
             (c "chimera_ir_folded_total") (c "chimera_ir_dead_total")
-            (c "chimera_ir_pc_elided_total") (c "chimera_ir_tlb_elided_total")
+            (c "chimera_ir_pc_elided_total")
             (rate (c "chimera_ir_cached_total") (c "chimera_ir_blocks_total"))
             (translate_s s.st_m)
             (c "chimera_translations_total")

@@ -29,7 +29,7 @@
    observation), never an exception — the caller falls back to the cold
    path. *)
 
-let schema_version = 10
+let schema_version = 11
 let magic = "CHIMCAC1"
 
 (* Artifacts memoized in process, keyed by file path: a plan's

@@ -112,7 +112,6 @@ and t = {
   mutable ir_folded : int;  (** ops folded to constants *)
   mutable ir_dead : int;  (** ops killed by dead-write elimination *)
   mutable ir_pc_elided : int;  (** ops emitted without a pc write *)
-  mutable ir_tlb_elided : int;  (** paired accesses sharing one TLB check *)
   mutable ir_cached : int;  (** operand reads served from known constants *)
   ir_state : Tir.state;
       (** translation-time known-register state, reset per translation and
@@ -223,10 +222,6 @@ let m_ir_pc_elided =
   Metrics.counter "chimera_ir_pc_elided_total"
     ~help:"IR ops emitted without a pc write"
 
-let m_ir_tlb_elided =
-  Metrics.counter "chimera_ir_tlb_elided_total"
-    ~help:"Paired IR accesses sharing one TLB check"
-
 let m_ir_cached =
   Metrics.counter "chimera_ir_cached_total"
     ~help:"IR operand reads served from translation-time constants"
@@ -287,7 +282,6 @@ let create ?(engine = Engine.default) ?icache ?(costs = Costs.default) ~mem ~isa
     ir_folded = 0;
     ir_dead = 0;
     ir_pc_elided = 0;
-    ir_tlb_elided = 0;
     ir_cached = 0;
     ir_state = Tir.state_create ();
     rec_on = Engine.record engine;
@@ -1159,36 +1153,6 @@ let emit_effect (o : Tir.op) : t -> unit =
             t.pc <- pc;
             let addr = Int64.to_int (get_reg t base) + off in
             set_reg t rd (Int64.of_int (Memory.load_u8 t.cur.vmem addr)))
-  | Tir.Kloadc { width; unsigned; rd; addr } -> (
-      match (width, unsigned) with
-      | Inst.D, _ ->
-          fun t ->
-            t.pc <- pc;
-            load64 t rd addr
-      | Inst.W, false ->
-          fun t ->
-            t.pc <- pc;
-            set_reg t rd (Int64.of_int (sext32_int (Memory.load_u32 t.cur.vmem addr)))
-      | Inst.W, true ->
-          fun t ->
-            t.pc <- pc;
-            set_reg t rd (Int64.of_int (Memory.load_u32 t.cur.vmem addr))
-      | Inst.H, false ->
-          fun t ->
-            t.pc <- pc;
-            set_reg t rd (Int64.of_int (Encode.sext (Memory.load_u16 t.cur.vmem addr) 16))
-      | Inst.H, true ->
-          fun t ->
-            t.pc <- pc;
-            set_reg t rd (Int64.of_int (Memory.load_u16 t.cur.vmem addr))
-      | Inst.B, false ->
-          fun t ->
-            t.pc <- pc;
-            set_reg t rd (Int64.of_int (Encode.sext (Memory.load_u8 t.cur.vmem addr) 8))
-      | Inst.B, true ->
-          fun t ->
-            t.pc <- pc;
-            set_reg t rd (Int64.of_int (Memory.load_u8 t.cur.vmem addr)))
   | Tir.Kstore { width; rs2; base; off } -> (
       match width with
       | Inst.D ->
@@ -1210,66 +1174,6 @@ let emit_effect (o : Tir.op) : t -> unit =
             t.pc <- pc;
             let addr = Int64.to_int (get_reg t base) + off in
             Memory.store_u8 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFF))
-  | Tir.Kstorec { width; rs2; addr } -> (
-      match width with
-      | Inst.D ->
-          fun t ->
-            t.pc <- pc;
-            store64 t addr (get_reg t rs2)
-      | Inst.W ->
-          fun t ->
-            t.pc <- pc;
-            Memory.store_u32 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFFFFFFFF)
-      | Inst.H ->
-          fun t ->
-            t.pc <- pc;
-            Memory.store_u16 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFFFF)
-      | Inst.B ->
-          fun t ->
-            t.pc <- pc;
-            Memory.store_u8 t.cur.vmem addr (Int64.to_int (get_reg t rs2) land 0xFF))
-  | Tir.Kstorev { width; v; base; off } -> (
-      match width with
-      | Inst.D ->
-          fun t ->
-            t.pc <- pc;
-            store64 t (Int64.to_int (get_reg t base) + off) v
-      | Inst.W ->
-          let vi = Int64.to_int v land 0xFFFFFFFF in
-          fun t ->
-            t.pc <- pc;
-            Memory.store_u32 t.cur.vmem (Int64.to_int (get_reg t base) + off) vi
-      | Inst.H ->
-          let vi = Int64.to_int v land 0xFFFF in
-          fun t ->
-            t.pc <- pc;
-            Memory.store_u16 t.cur.vmem (Int64.to_int (get_reg t base) + off) vi
-      | Inst.B ->
-          let vi = Int64.to_int v land 0xFF in
-          fun t ->
-            t.pc <- pc;
-            Memory.store_u8 t.cur.vmem (Int64.to_int (get_reg t base) + off) vi)
-  | Tir.Kstorecv { width; v; addr } -> (
-      match width with
-      | Inst.D ->
-          fun t ->
-            t.pc <- pc;
-            store64 t addr v
-      | Inst.W ->
-          let vi = Int64.to_int v land 0xFFFFFFFF in
-          fun t ->
-            t.pc <- pc;
-            Memory.store_u32 t.cur.vmem addr vi
-      | Inst.H ->
-          let vi = Int64.to_int v land 0xFFFF in
-          fun t ->
-            t.pc <- pc;
-            Memory.store_u16 t.cur.vmem addr vi
-      | Inst.B ->
-          let vi = Int64.to_int v land 0xFF in
-          fun t ->
-            t.pc <- pc;
-            Memory.store_u8 t.cur.vmem addr vi)
 
 (* Compile one instruction for the fast path. Event instructions and
    indirect/linking control flow terminate the block (they stay decoded and
@@ -1481,15 +1385,6 @@ let compile_op t ~pc inst size =
 (* IR emission                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Whether the op after a load into [x] is a read-modify-write middle: a
-   pure ALU op of the form [x <- x op _] (or [x <- _ op x]). *)
-let rmw_middle (k : Tir.kind) x =
-  match k with
-  | Tir.Kalu (_, rd, r1, r2) -> Reg.equal rd x && (Reg.equal r1 x || Reg.equal r2 x)
-  | Tir.Kaluc (_, rd, r1, _) | Tir.Kalui (_, rd, r1, _) ->
-      Reg.equal rd x && Reg.equal r1 x
-  | _ -> false
-
 (* Emit one optimized straight-line run as execution units:
 
    - a maximal run of pure (non-fault-capable) ops becomes ONE unit —
@@ -1499,35 +1394,24 @@ let rmw_middle (k : Tir.kind) x =
      dead-write kills inside it invisible. Dead ops cost nothing at run
      time (no closure at all), and runs of folded constants collapse into
      single multi-register writes;
-   - [load; alu; store] to one address (the classic in-memory
-     read-modify-write) becomes one self-retiring unit computing the
-     address once in native arithmetic;
-   - adjacent 8-byte loads (or stores) off the same base register become
-     one unit performing a single TLB check when both land on one page —
-     the second access reuses the first one's page bytes (see
-     Memory.read_data), with a guarded fallback for page-crossing pairs.
+   - every load and store is a unit of its own, its {!emit_effect}
+     closure.
 
-   Retirement: pure-segment units leave crediting to the dispatch loop
-   ([eself = false]); memory-pattern units retire internally at the same
-   points the step engine would, so partial progress at a fault is
-   bit-identical. *)
-(* The unit builder below is deliberately split from the optimizer pass: a
+   Every unit leaves retirement to the dispatch loop's bulk credit: a
+   fault raised by an access credits exactly the instructions before it,
+   as the step engine does.
+
+   The unit builder is deliberately split from the optimizer pass: a
    fresh translation runs [Tir.optimize] first ({!emit_run}), while plan
    replay ({!seed_plan}) feeds persisted post-optimize ops straight into
    [emit_units] — the builder reads only the op kinds, so re-emitting a
    recorded run reconstructs the original execution units without paying
    for the passes again. *)
-let emit_units ?(on_fuse = fun _ _ -> ()) ir_units tlb_elided (ops : Tir.op array) =
+let emit_units ir_units push (ops : Tir.op array) =
   let n = Array.length ops in
-  let out = ref [] and nout = ref 0 in
-  let push ?fuse efn ewidth eself =
-    out := { Tblock.efn; ewidth; eself } :: !out;
-    incr nout;
-    match fuse with
-    | Some (pc, kind) ->
-        on_fuse pc kind;
-        if !Obs.enabled then Obs.emit (Obs.Tb_fuse { pc; kind })
-    | None -> ()
+  let push efn width =
+    push efn width;
+    incr ir_units
   in
   let i = ref 0 in
   while !i < n do
@@ -1607,127 +1491,18 @@ let emit_units ?(on_fuse = fun _ _ -> ()) ir_units tlb_elided (ops : Tir.op arra
                 (Array.unsafe_get fs x) t
               done
       in
-      push ?fuse:(if width > 1 then Some (o.Tir.opc, "pure_run") else None) efn width false;
+      push efn width;
       i := !j
     end
     else begin
-      (* fault-capable op: try the memory patterns *)
-      let consumed = ref 0 in
-      (match o.Tir.k with
-      | Tir.Kload { width = (Inst.D | Inst.W) as w; unsigned = false; rd = x; base = b; off }
-        when !i + 2 < n && Reg.to_int x <> 0 && not (Reg.equal x b)
-             && rmw_middle ops.(!i + 1).Tir.k x -> (
-          match ops.(!i + 2).Tir.k with
-          | Tir.Kstore { width = w2; rs2; base = b2; off = off2 }
-            when w2 = w && Reg.equal rs2 x && Reg.equal b2 b && off2 = off ->
-              (* the middle op runs as its own effect closure between the
-                 load into [x] and the store of [x]: the value stays in
-                 the register file throughout *)
-              let pc1 = o.Tir.opc and pc3 = ops.(!i + 2).Tir.opc in
-              let mid = emit_effect ops.(!i + 1) in
-              let efn =
-                match w with
-                | Inst.D ->
-                    fun t ->
-                      t.pc <- pc1;
-                      let a = Int64.to_int (get_reg t b) + off in
-                      load64 t x a;
-                      mid t;
-                      t.retired <- t.retired + 2;
-                      t.pc <- pc3;
-                      store64 t a (get_reg t x);
-                      t.retired <- t.retired + 1
-                | _ ->
-                    fun t ->
-                      t.pc <- pc1;
-                      let m = t.cur.vmem in
-                      let a = Int64.to_int (get_reg t b) + off in
-                      set_reg t x (Int64.of_int (sext32_int (Memory.load_u32 m a)));
-                      mid t;
-                      t.retired <- t.retired + 2;
-                      t.pc <- pc3;
-                      Memory.store_u32 m a (Int64.to_int (get_reg t x) land 0xFFFFFFFF);
-                      t.retired <- t.retired + 1
-              in
-              push ~fuse:(pc1, "rmw") efn 3 true;
-              consumed := 3
-          | _ -> ())
-      | _ -> ());
-      if !consumed = 0 then begin
-        match (o.Tir.k, if !i + 1 < n then Some ops.(!i + 1).Tir.k else None) with
-        | ( Tir.Kload { width = Inst.D; rd = r1; base = b; off = o1; _ },
-            Some (Tir.Kload { width = Inst.D; rd = r2; base = b2; off = o2; _ }) )
-          when Reg.equal b b2 && not (Reg.equal r1 b) ->
-            (* paired 8-byte loads off one base: one TLB check when both
-               land on the same page *)
-            let pc1 = o.Tir.opc and pc2 = ops.(!i + 1).Tir.opc in
-            let d = o2 - o1 in
-            let efn t =
-              t.pc <- pc1;
-              let m = t.cur.vmem in
-              let a1 = Int64.to_int (get_reg t b) + o1 in
-              let off1 = a1 land page_mask in
-              let off2 = off1 + d in
-              if off1 + 8 <= Memory.page_size && off2 >= 0 && off2 + 8 <= Memory.page_size
-              then begin
-                let pg = Memory.read_data m a1 in
-                set_reg t r1 (page_get64 pg off1);
-                set_reg t r2 (page_get64 pg off2);
-                t.retired <- t.retired + 2
-              end
-              else begin
-                load64 t r1 a1;
-                t.retired <- t.retired + 1;
-                t.pc <- pc2;
-                load64 t r2 (Int64.to_int (get_reg t b) + o2);
-                t.retired <- t.retired + 1
-              end
-            in
-            push ~fuse:(pc1, "ld_pair") efn 2 true;
-            incr tlb_elided;
-            consumed := 2
-        | ( Tir.Kstore { width = Inst.D; rs2 = r1; base = b; off = o1 },
-            Some (Tir.Kstore { width = Inst.D; rs2 = r2; base = b2; off = o2 }) )
-          when Reg.equal b b2 ->
-            let pc1 = o.Tir.opc and pc2 = ops.(!i + 1).Tir.opc in
-            let d = o2 - o1 in
-            let efn t =
-              t.pc <- pc1;
-              let m = t.cur.vmem in
-              let a1 = Int64.to_int (get_reg t b) + o1 in
-              let off1 = a1 land page_mask in
-              let off2 = off1 + d in
-              if off1 + 8 <= Memory.page_size && off2 >= 0 && off2 + 8 <= Memory.page_size
-              then begin
-                let pg = Memory.write_data m a1 in
-                page_set64 pg off1 (get_reg t r1);
-                page_set64 pg off2 (get_reg t r2);
-                t.retired <- t.retired + 2
-              end
-              else begin
-                store64 t a1 (get_reg t r1);
-                t.retired <- t.retired + 1;
-                t.pc <- pc2;
-                store64 t (Int64.to_int (get_reg t b) + o2) (get_reg t r2);
-                t.retired <- t.retired + 1
-              end
-            in
-            push ~fuse:(pc1, "st_pair") efn 2 true;
-            incr tlb_elided;
-            consumed := 2
-        | _ ->
-            push (emit_effect o) 1 false;
-            consumed := 1
-      end;
-      i := !i + !consumed
+      push (emit_effect o) 1;
+      incr i
     end
-  done;
-  ir_units := !ir_units + !nout;
-  List.rev !out
+  done
 
-let emit_run t stats ir_units tlb_elided (ops : Tir.op array) =
+let emit_run t stats ir_units push (ops : Tir.op array) =
   Tir.optimize t.ir_state stats ops;
-  emit_units ir_units tlb_elided ops
+  emit_units ir_units push ops
 
 (* One [Tblock.translate] of [entry], the one translation shape: a
    superblock whose straight-line runs go through the IR pipeline.
@@ -1752,7 +1527,7 @@ let translate_with t ~decode ~lower ~on_compile ~emit entry =
 let translate_block t entry =
   let t0 = Unix.gettimeofday () in
   let stats = Tir.stats_create () in
-  let ir_units = ref 0 and tlb_elided = ref 0 in
+  let ir_units = ref 0 in
   let steps = ref [] in
   Tir.state_reset t.ir_state;
   let b =
@@ -1781,7 +1556,7 @@ let translate_block t entry =
             | _ -> ())
         | Tblock.Op _ | Tblock.Op_self _ -> Tir.state_clobber t.ir_state
         | Tblock.Brcond _ | Tblock.Term | Tblock.Term_fn _ | Tblock.Stop -> ())
-      ~emit:(fun ops -> emit_run t stats ir_units tlb_elided ops)
+      ~emit:(emit_run t stats ir_units)
       entry
   in
   if t.rec_on then
@@ -1793,7 +1568,6 @@ let translate_block t entry =
     t.ir_folded <- t.ir_folded + stats.Tir.s_folded;
     t.ir_dead <- t.ir_dead + stats.Tir.s_dead;
     t.ir_pc_elided <- t.ir_pc_elided + stats.Tir.s_pc_elided;
-    t.ir_tlb_elided <- t.ir_tlb_elided + !tlb_elided;
     t.ir_cached <- t.ir_cached + stats.Tir.s_cached;
     if !Obs.enabled then
       Obs.emit
@@ -1803,7 +1577,6 @@ let translate_block t entry =
              folded = stats.Tir.s_folded;
              dead = stats.Tir.s_dead;
              pc_elided = stats.Tir.s_pc_elided;
-             tlb_elided = !tlb_elided;
              cached = stats.Tir.s_cached })
   end;
   t.translations <- t.translations + 1;
@@ -2216,7 +1989,6 @@ let flush_run_stats t =
     Metrics.add m_ir_folded t.ir_folded;
     Metrics.add m_ir_dead t.ir_dead;
     Metrics.add m_ir_pc_elided t.ir_pc_elided;
-    Metrics.add m_ir_tlb_elided t.ir_tlb_elided;
     Metrics.add m_ir_cached t.ir_cached
   end;
   t.tb_dispatches <- 0;
@@ -2232,7 +2004,6 @@ let flush_run_stats t =
   t.ir_folded <- 0;
   t.ir_dead <- 0;
   t.ir_pc_elided <- 0;
-  t.ir_tlb_elided <- 0;
   t.ir_cached <- 0;
   List.iter (fun v -> Memory.flush_tlb_stats v.vmem) t.views
 
@@ -2350,13 +2121,11 @@ let plan_stats p = Array.length p.pl_blocks
    IR runs, a deterministic recompile via [compile_op] for everything else
    — and the emitter skips [Tir.optimize]. Any divergence (a consumed-out
    skeleton, an unexpected fault) raises and the caller skips the entry,
-   leaving it to the normal cold path. The replay's fused units, the one
-   side effect a template clone repeats (a [Tb_fuse] event under tracing),
-   go to [log] as (pc, kind), newest first. *)
-let rebuild_block t (pb : plan_block) log =
+   leaving it to the normal cold path. *)
+let rebuild_block t (pb : plan_block) =
   let sk = pb.pb_skel in
   let cursor = ref 0 in
-  let ir_units = ref 0 and tlb_elided = ref 0 in
+  let ir_units = ref 0 in
   translate_with t ~decode:decode_direct
       ~lower:(fun ~pc:_ _inst _size ->
         if !cursor >= Array.length sk then raise Exit;
@@ -2364,25 +2133,20 @@ let rebuild_block t (pb : plan_block) log =
         incr cursor;
         match s with Slower op -> Some op | Scompile -> None)
       ~on_compile:(fun ~pc:_ _ _ _ -> ())
-      ~emit:(fun ops ->
-        emit_units
-          ~on_fuse:(fun pc kind -> log := (pc, kind) :: !log)
-          ir_units tlb_elided ops)
+      ~emit:(emit_units ir_units)
       pb.pb_entry
 
 (* A template is what one replay seeded, kept to seed later machines with
    the same plan without replaying it: every block as a clone with cleared
-   links, run state and terminator closure, next to the units its replay
-   fused; the blocks' skeletons, marshaled; and the
-   inline-cache seeds. A template lives as long as its cache entry, so it
+   links, run state and terminator closure; the blocks' skeletons,
+   marshaled; and the inline-cache seeds. A template lives as long as its cache entry, so it
    keeps the plan's bulk in flat arrays and bytes rather than as a graph
    of small records, which the major GC would walk every cycle. It is never executed or mutated, so one template serves
    machines on any domain. *)
 type template = {
   tp_engine : Engine.t;
   tp_isa : Ext.t;
-  tp_blocks : (t Tblock.t * (int * string) list) array;
-      (** block, fused units (pc, kind) in replay order *)
+  tp_blocks : t Tblock.t array;
   tp_skels : bytes;  (** a [skel array] in [tp_blocks] order *)
   tp_ics : (int * int list) array;
 }
@@ -2416,8 +2180,8 @@ let seed_finish t ~ics =
 let template t p kept =
   { tp_engine = p.pl_engine;
     tp_isa = t.isa;
-    tp_blocks = Array.map (fun (_, b, log) -> (b, log)) kept;
-    tp_skels = Marshal.to_bytes (Array.map (fun (pb, _, _) -> pb.pb_skel) kept) [];
+    tp_blocks = Array.map snd kept;
+    tp_skels = Marshal.to_bytes (Array.map (fun (pb, _) -> pb.pb_skel) kept) [];
     tp_ics = p.pl_ics }
 
 let seed_plan t (p : plan) =
@@ -2426,13 +2190,10 @@ let seed_plan t (p : plan) =
     let kept = ref [] and complete = ref true in
     Array.iter
       (fun pb ->
-        let log = ref [] in
-        match rebuild_block t pb log with
+        match rebuild_block t pb with
         | b ->
             seed_block t b (Recorded pb.pb_skel);
-            kept :=
-              (pb, Tblock.clone t.gens ~epoch:t.code_epoch ~term_fn:None b, List.rev !log)
-              :: !kept
+            kept := (pb, Tblock.clone t.gens ~epoch:t.code_epoch ~term_fn:None b) :: !kept
         | exception _ -> complete := false)
       p.pl_blocks;
     seed_finish t ~ics:p.pl_ics;
@@ -2459,9 +2220,7 @@ let seed_template t tp =
   else if not (Ext.equal t.isa tp.tp_isa) then Error "isa"
   else begin
     Array.iteri
-      (fun i (b, fused) ->
-        if !Obs.enabled then
-          List.iter (fun (pc, kind) -> Obs.emit (Obs.Tb_fuse { pc; kind })) fused;
+      (fun i b ->
         seed_block t
           (Tblock.clone t.gens ~epoch:t.code_epoch
              ~term_fn:(rebind_term t b) b)

@@ -227,9 +227,8 @@ val export_plan : t -> plan
 type template
 (** What one {!seed_plan} seeded, taken before the machine ran: its blocks
     (without links, run state or terminator closures), their replay
-    skeletons and inline-cache seeds, and the units the replay fused (for
-    their [Obs] events). Never executed or mutated: one template may seed
-    machines on several domains at once. *)
+    skeletons and inline-cache seeds. Never executed or mutated: one
+    template may seed machines on several domains at once. *)
 
 val seed_plan : t -> plan -> (int * template option, string) result
 (** Replay a plan into this machine: rebuild and publish every block,

@@ -88,21 +88,16 @@ val fetch_u16_direct : t -> int -> int
     zeros). A plan replay decodes through it, so seeding a machine leaves
     its TLB as it was. *)
 
-(** {1 Check-elision-safe page access}
+(** {1 Direct page access}
 
     [read_data]/[write_data] perform one full TLB-checked translation of
     the page containing the address and return its payload bytes. The
     block engine's 64-bit accesses go through them, so an in-page value
     moves between the page and the register file without an [Int64] box
-    (a page-crossing access falls back to [load_u64]/[store_u64]). Its
-    fused memory units also use them to elide redundant checks:
-    a second access of the {e same kind} whose address provably lands on
-    the {e same page} within one execution unit may reuse the returned
-    bytes directly. This is sound because permissions can only change from
-    host-side code (handlers, loaders) — never from guest instructions —
-    and an execution unit never spans a handler-visible point, so the
-    permission check the first access performed still covers the second.
-    Offsets into the returned bytes must stay within [page_size]. *)
+    (a page-crossing access falls back to [load_u64]/[store_u64]). Each
+    access makes its own call: the returned bytes are used for that one
+    access only. Offsets into the returned bytes must stay within
+    [page_size]. *)
 
 val read_data : t -> int -> bytes
 (** Page payload for a read access to the page containing the address.

@@ -106,22 +106,14 @@ type 'm compiled =
           decoded pair for the interpreter paths. *)
   | Stop  (** Not executable on the fast path (e.g. unsupported extension). *)
 
-(* One execution unit produced by the machine's [emit] callback from a
-   lowered IR run: a closure covering [ewidth] consecutive body
-   instructions. [eself = true] units retire internally (they contain
-   fault-capable accesses and must credit partial progress themselves);
-   [eself = false] units leave retirement to the dispatch loop's bulk
-   credit. *)
-type 'm emitted = { efn : 'm -> unit; ewidth : int; eself : bool }
-
 type 'm t = {
   entry : int;
   pages : int array;  (** deduplicated page indices the block's bytes span *)
   isa : Ext.t;  (** capability set the block was compiled against *)
   stamp : int;
   ops : ('m -> unit) array;
-      (** execution units; a unit may cover several instructions (merged
-          constant runs, fused memory patterns) *)
+      (** execution units; a unit may cover several instructions (a run
+          of pure ops) *)
   starts : int array;
       (** [starts.(u)] is the body-instruction index of unit [u]'s first
           instruction; length [Array.length ops + 1], with the last entry
@@ -231,6 +223,8 @@ let translate ?(max_insts = default_max_insts) ?(max_pages = default_max_pages)
     selfs := self :: !selfs;
     incr nunits
   in
+  (* an IR unit leaves retirement to the dispatch loop's bulk credit *)
+  let push_ir f w = push_unit f w ~self:false in
   let push_inst ipc cls =
     pcs := ipc :: !pcs;
     classes := cls :: !classes;
@@ -248,11 +242,10 @@ let translate ?(max_insts = default_max_insts) ?(max_pages = default_max_pages)
       let ninsts = !nrun in
       run := [];
       nrun := 0;
-      let us = emit ops in
-      let nu = List.length us in
-      List.iter (fun e -> push_unit e.efn e.ewidth ~self:e.eself) us;
+      let nu = !nunits in
+      emit push_ir ops;
       (* instructions beyond one-per-unit were merged *)
-      n_fused := !n_fused + (ninsts - nu)
+      n_fused := !n_fused + (ninsts - (!nunits - nu))
     end
   in
   while not !stop do

@@ -76,13 +76,6 @@ type 'm compiled =
           still recorded in [term] as the slow-path/oracle fallback. *)
   | Stop  (** Not executable on the fast path (e.g. unsupported extension). *)
 
-type 'm emitted = { efn : 'm -> unit; ewidth : int; eself : bool }
-(** One execution unit produced by the machine's [emit] callback from a
-    lowered IR run: [efn] covers [ewidth] consecutive body instructions.
-    [eself = true] units retire internally (fault-capable multi-instruction
-    patterns crediting partial progress themselves); [eself = false] units
-    leave retirement to the dispatch loop's bulk credit through [auto]. *)
-
 type 'm t = private {
   entry : int;
   pages : int array;  (** deduplicated page indices the block's bytes span *)
@@ -94,7 +87,7 @@ type 'm t = private {
       (** unit [u]'s first body-instruction index; length
           [Array.length ops + 1], last entry = body instruction count *)
   auto : int array;
-      (** number of auto-retired instructions in units [0, u) — single
+      (** number of auto-retired instructions in units [0, u) —
           straight-line units whose closures leave the retired counter to
           the dispatch loop; same length as [starts] *)
   pcs : int array;
@@ -146,7 +139,7 @@ val translate :
   decode:(int -> (Inst.t * int) option) ->
   lower:(pc:int -> Inst.t -> int -> Tir.op option) ->
   compile:(pc:int -> Inst.t -> int -> 'm compiled) ->
-  emit:(Tir.op array -> 'm emitted list) ->
+  emit:((('m -> unit) -> int -> unit) -> Tir.op array -> unit) ->
   int ->
   'm t
 (** [translate ~gens ~epoch ~isa ~decode ~lower ~compile ~emit entry]
@@ -157,9 +150,10 @@ val translate :
     [lower] turns a straight-line instruction into an IR op ([None] routes
     it to [compile] instead — control flow, terminators, instructions the
     machine keeps on its legacy path). Buffered IR runs are flushed
-    through [emit] at every block event; [emit] returns the run's
-    execution units in order, whose widths must sum to the run's
-    instruction count. [epoch] is the machine's current code epoch,
+    through [emit push ops] at every block event; [emit] hands the run's
+    execution units to [push f width] in order, and their widths must sum
+    to the run's instruction count. An IR unit leaves retirement to the
+    dispatch loop's bulk credit through [auto]. [epoch] is the machine's current code epoch,
     recorded as the block's initial [echeck]. *)
 
 val revalidate : Gen.t -> isa:Ext.t -> epoch:int -> 'm t -> bool

@@ -10,11 +10,7 @@ type kind =
   | Kalui of Inst.alui_op * Reg.t * Reg.t * int
   | Kload of
       { width : Inst.mem_width; unsigned : bool; rd : Reg.t; base : Reg.t; off : int }
-  | Kloadc of { width : Inst.mem_width; unsigned : bool; rd : Reg.t; addr : int }
   | Kstore of { width : Inst.mem_width; rs2 : Reg.t; base : Reg.t; off : int }
-  | Kstorec of { width : Inst.mem_width; rs2 : Reg.t; addr : int }
-  | Kstorev of { width : Inst.mem_width; v : int64; base : Reg.t; off : int }
-  | Kstorecv of { width : Inst.mem_width; v : int64; addr : int }
   | Kdead
 
 type op = { opc : int; osize : int; mutable k : kind }
@@ -167,7 +163,7 @@ let lower ~pc inst size =
 let bit r = 1 lsl Reg.to_int r
 
 let faultable = function
-  | Kload _ | Kloadc _ | Kstore _ | Kstorec _ | Kstorev _ | Kstorecv _ -> true
+  | Kload _ | Kstore _ -> true
   | Kconst _ | Kmv _ | Kalu _ | Kaluc _ | Kalui _ | Kdead -> false
 
 let writes = function
@@ -176,20 +172,17 @@ let writes = function
   | Kalu (_, rd, _, _)
   | Kaluc (_, rd, _, _)
   | Kalui (_, rd, _, _)
-  | Kload { rd; _ }
-  | Kloadc { rd; _ } ->
+  | Kload { rd; _ } ->
       bit rd land lnot 1
-  | Kstore _ | Kstorec _ | Kstorev _ | Kstorecv _ | Kdead -> 0
+  | Kstore _ | Kdead -> 0
 
 let reads = function
-  | Kconst _ | Kloadc _ | Kstorecv _ | Kdead -> 0
+  | Kconst _ | Kdead -> 0
   | Kmv (_, rs) -> bit rs
   | Kalu (_, _, r1, r2) -> bit r1 lor bit r2
   | Kaluc (_, _, r1, _) | Kalui (_, _, r1, _) -> bit r1
   | Kload { base; _ } -> bit base
   | Kstore { rs2; base; _ } -> bit rs2 lor bit base
-  | Kstorec { rs2; _ } -> bit rs2
-  | Kstorev { base; _ } -> bit base
 
 (* ------------------------------------------------------------------ *)
 (* Translation-time register state                                     *)
@@ -306,47 +299,9 @@ let optimize st stats ops =
         end
         else state_forget st rd
     | Kload l ->
-        if known st l.base then begin
-          stats.s_cached <- stats.s_cached + 1;
-          o.k <-
-            Kloadc
-              { width = l.width;
-                unsigned = l.unsigned;
-                rd = l.rd;
-                addr = Int64.to_int (value st l.base) + l.off }
-        end;
         (* the loaded value is unknown at translation time *)
         state_forget st l.rd
-    | Kloadc l -> state_forget st l.rd
-    | Kstore s -> (
-        let kb = known st s.base and kv = known st s.rs2 in
-        match (kb, kv) with
-        | true, true ->
-            stats.s_cached <- stats.s_cached + 2;
-            o.k <-
-              Kstorecv
-                { width = s.width;
-                  v = value st s.rs2;
-                  addr = Int64.to_int (value st s.base) + s.off }
-        | true, false ->
-            stats.s_cached <- stats.s_cached + 1;
-            o.k <-
-              Kstorec
-                { width = s.width;
-                  rs2 = s.rs2;
-                  addr = Int64.to_int (value st s.base) + s.off }
-        | false, true ->
-            stats.s_cached <- stats.s_cached + 1;
-            o.k <-
-              Kstorev
-                { width = s.width; v = value st s.rs2; base = s.base; off = s.off }
-        | false, false -> ())
-    | Kstorec s ->
-        if known st s.rs2 then begin
-          stats.s_cached <- stats.s_cached + 1;
-          o.k <- Kstorecv { width = s.width; v = value st s.rs2; addr = s.addr }
-        end
-    | Kstorev _ | Kstorecv _ -> ()
+    | Kstore _ -> ()
   done;
   (* Backward: dead-write elimination. [live] is the register set that may
      still be read; fault-capable ops are barriers (a fault handler

@@ -17,10 +17,8 @@
       overwritten before any read, fault-capable op, or observable point
       is rewritten to {!Kdead} (its retirement is still credited — only
       the effect disappears);
-    - {b pc-write and TLB-check elision} are decided over the same
-      representation by the machine's emitter: ops proven unable to fault
-      never write [t.pc], and paired same-page accesses of the same kind
-      reuse one permission check.
+    - {b pc-write elision} is decided over the same representation by the
+      machine's emitter: ops proven unable to fault never write [t.pc].
 
     The IR is deliberately tiny: only instructions the block engine
     executes as straight-line units are lowered ({!lower} returns [None]
@@ -31,9 +29,10 @@
     observable point (fault, side exit, fuel split, terminator) either
     ends the dispatch or falls on a unit boundary. *)
 
-(** One lowered operation. Constant-propagation rewrites ops toward the
-    [..c] forms (operands replaced by translation-time values) and
-    ultimately {!Kconst}/{!Kdead}. *)
+(** One lowered operation. Constant propagation rewrites pure ops toward
+    {!Kaluc} (one operand replaced by a translation-time value) and
+    ultimately {!Kconst}/{!Kdead}; loads and stores keep their register
+    operands. *)
 type kind =
   | Kconst of Reg.t * int64  (** [rd <- v]: fully folded. *)
   | Kmv of Reg.t * Reg.t  (** [rd <- rs]. *)
@@ -44,13 +43,7 @@ type kind =
   | Kalui of Inst.alui_op * Reg.t * Reg.t * int  (** [rd <- rs1 op imm]. *)
   | Kload of
       { width : Inst.mem_width; unsigned : bool; rd : Reg.t; base : Reg.t; off : int }
-  | Kloadc of { width : Inst.mem_width; unsigned : bool; rd : Reg.t; addr : int }
-      (** Load from a translation-time address (base register known). *)
   | Kstore of { width : Inst.mem_width; rs2 : Reg.t; base : Reg.t; off : int }
-  | Kstorec of { width : Inst.mem_width; rs2 : Reg.t; addr : int }
-  | Kstorev of { width : Inst.mem_width; v : int64; base : Reg.t; off : int }
-      (** Store of a translation-time value (data register known). *)
-  | Kstorecv of { width : Inst.mem_width; v : int64; addr : int }
   | Kdead
       (** No effect (canonical nops, x0-destination ops, eliminated dead
           writes). Still occupies its instruction slot: retirement, fuel

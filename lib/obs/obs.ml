@@ -15,14 +15,12 @@ type event =
       fused : int;
     }
   | Tb_side_exit of { entry : int; target : int }
-  | Tb_fuse of { pc : int; kind : string }
   | Tb_ir of {
       entry : int;
       units : int;
       folded : int;
       dead : int;
       pc_elided : int;
-      tlb_elided : int;
       cached : int;
     }
   | Ic_hit of { site : int; target : int }
@@ -69,7 +67,7 @@ type event =
   | Serve_done of { tenant : string; id : int; retired : int }
   | Serve_reject of { tenant : string; id : int; reason : string }
 
-let schema_version = 10
+let schema_version = 11
 
 (* Ring sink: a fixed array filled front-to-back; when full it is handed to
    the sink and refilled from index 0. "Ring" in the double-buffer-less
@@ -233,8 +231,7 @@ module Json = struct
           ]
     | Tb_side_exit { entry; target } ->
         obj "tb_side_exit" [ ("entry", i entry); ("target", i target) ]
-    | Tb_fuse { pc; kind } -> obj "tb_fuse" [ ("pc", i pc); ("kind", s kind) ]
-    | Tb_ir { entry; units; folded; dead; pc_elided; tlb_elided; cached } ->
+    | Tb_ir { entry; units; folded; dead; pc_elided; cached } ->
         obj "tb_ir"
           [
             ("entry", i entry);
@@ -242,7 +239,6 @@ module Json = struct
             ("folded", i folded);
             ("dead", i dead);
             ("pc_elided", i pc_elided);
-            ("tlb_elided", i tlb_elided);
             ("cached", i cached);
           ]
     | Ic_hit { site; target } ->
@@ -486,9 +482,8 @@ module Json = struct
           | "tb_side_exit" ->
               arity 2;
               Tb_side_exit { entry = geti "entry"; target = geti "target" }
-          | "tb_fuse" -> arity 2; Tb_fuse { pc = geti "pc"; kind = gets "kind" }
           | "tb_ir" ->
-              arity 7;
+              arity 6;
               Tb_ir
                 {
                   entry = geti "entry";
@@ -496,7 +491,6 @@ module Json = struct
                   folded = geti "folded";
                   dead = geti "dead";
                   pc_elided = geti "pc_elided";
-                  tlb_elided = geti "tlb_elided";
                   cached = geti "cached";
                 }
           | "ic_hit" ->
@@ -717,7 +711,7 @@ module Agg = struct
     let g = t.tot in
     match ev with
     | Meta _ | Phase_begin _ | Phase_end _ | Rw_site _ | Rw_exit _
-    | Smile_write _ | Table_add _ | Tb_fuse _ | Tb_superblock _ | Tb_side_exit _
+    | Smile_write _ | Table_add _ | Tb_superblock _ | Tb_side_exit _
     | Tb_ir _ | Tb_chain _ | Tlb_flush _ | Cache_load _ | Cache_store _
     | Cache_reject _ | Health_ok _ | Health_degraded _ | Serve_admit _
     | Serve_done _ | Serve_reject _ ->

@@ -74,27 +74,20 @@ type event =
   | Tb_side_exit of { entry : int; target : int }
       (** A dispatch of the block at [entry] left through a taken inlined
           branch to [target] instead of completing its body. *)
-  | Tb_fuse of { pc : int; kind : string }
-      (** The IR emitter grouped several instructions starting at [pc] into
-          one execution unit; [kind] is ["pure_run"] (a straight-line run of
-          non-faulting ops), ["rmw"] (load/alu/store to one address),
-          ["ld_pair"] or ["st_pair"] (adjacent 8-byte accesses off one base
-          sharing a TLB check). *)
   | Tb_ir of {
       entry : int;
       units : int;
       folded : int;
       dead : int;
       pc_elided : int;
-      tlb_elided : int;
       cached : int;
     }
       (** IR pass statistics for the translation at [entry] (paired with
           its [Tb_compile]): the lowered runs were emitted as [units]
           execution units after [folded] ops were folded to constants
           (substituting [cached] operand reads), [dead] ops were killed by
-          dead-write elimination, [pc_elided] ops were emitted without a pc
-          write, and [tlb_elided] paired accesses shared one TLB check. *)
+          dead-write elimination, and [pc_elided] ops were emitted without
+          a pc write. *)
   | Ic_hit of { site : int; target : int }
       (** The inline cache at indirect-jump site [site] predicted [target]
           and its cached block passed the epoch guard — the dispatch skipped

@@ -492,11 +492,11 @@ let test_engine_mismatch_falls_back_cold () =
    bytes: a mismatch means the digest changed, not the test. *)
 let golden_inputs () =
   [ ("fibonacci", Programs.fibonacci ~rounds:1000 (),
-     ("c939ba85c99cec9f270f8802e78fcd46", "7f6942df692cfa7b5644e835a25c9a1a",
-      "b1ae4ea9a5a605ec4528f58b735a902e"));
+     ("0a89589870b23a815b27e7eacc2c6d47", "41024607ccc027e2e77b8658b8dc8788",
+      "120b1628cdbd77da734d8275bd440d69"));
     ("perlbench_r", Specgen.build (Specgen.find "perlbench_r"),
-     ("96ece1e89603adc003f45c1910efe953", "db1450363b2ef7dff5801f5d170c95df",
-      "dadf0c893b134a50aa92551a968e1c9f")) ]
+     ("8efd63060de9f315e2dde5abab345aee", "669668af84737d0873cca558f035014d",
+      "4f624cdec83a24086f11f334086cd5fd")) ]
 
 let rewritten_image bin =
   let ctx = Chbp.rewrite ~options:(Chbp.default_options Chbp.Downgrade) bin in

@@ -176,8 +176,7 @@ let engine_counters =
     (fun n -> "chimera_" ^ n ^ "_total")
     [ "retired"; "dispatches"; "chain_hits"; "side_exits"; "fused"; "ic_hits";
       "ic_misses"; "translations"; "ir_blocks";
-      "ir_units"; "ir_folded"; "ir_dead"; "ir_pc_elided"; "ir_tlb_elided";
-      "ir_cached" ]
+      "ir_units"; "ir_folded"; "ir_dead"; "ir_pc_elided"; "ir_cached" ]
 
 (* Each guest builds a fresh translating machine with inline caches, and a
    runtime when it runs rewritten code: native Programs kernels, and

@@ -78,10 +78,6 @@ let event_gen =
          let* exits = int_range 0 32 and* fused = int_range 0 128 in
          return (Obs.Tb_superblock { entry; insts; pages; jumps; exits; fused }));
         map2 (fun entry target -> Obs.Tb_side_exit { entry; target }) addr addr;
-        map2
-          (fun pc kind -> Obs.Tb_fuse { pc; kind })
-          addr
-          (oneofl [ "pure_run"; "rmw"; "ld_pair"; "st_pair" ]);
         map2 (fun a len -> Obs.Tlb_flush { addr = a; len }) addr (int_range 1 4096);
         map2 (fun a misses -> Obs.Icache_burst { addr = a; misses }) addr (int_range 8 512);
         map2 (fun pc cause -> Obs.Fault_raised { pc; cause }) addr cause;

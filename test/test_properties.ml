@@ -683,9 +683,10 @@ let run_chimera engine seed =
 
 (* --- IR translation pipeline differential ------------------------------------ *)
 
-(* Random loop bodies over a register pool, salted with the exact patterns
-   the IR passes fold, kill and fuse: W-type arithmetic (native-int emitter
-   arms), RMW triples, adjacent-pair loads, mixed-width stores. Each program
+(* Random loop bodies over a register pool, salted with the patterns the IR
+   passes fold and kill and the emitter's memory units: W-type arithmetic
+   (native-int emitter arms), load/add/store to one address, adjacent
+   8-byte loads, mixed-width loads and stores. Each program
    runs in three phases — a warm run cut off mid-block by exact fuel, a
    continuation across an in-place code patch (SMC invalidation of a cached,
    already-hot block), and a continuation across a warm-TLB permission
@@ -734,14 +735,14 @@ let ir_program rng =
         Asm.inst a
           (Inst.Opi (ops.(Random.State.int rng 3), reg (), reg (), Random.State.int rng 63))
     | 8 ->
-        (* adjacent 8-byte loads off one base: ld_pair fusion *)
+        (* adjacent 8-byte loads off one base *)
         let r1 = reg () and r2 = reg () in
         Asm.inst a
           (Inst.Load { width = Inst.D; unsigned = false; rd = r1; rs1 = Reg.a0; imm = 0 });
         Asm.inst a
           (Inst.Load { width = Inst.D; unsigned = false; rd = r2; rs1 = Reg.a0; imm = 8 })
     | 9 ->
-        (* RMW triple: load/alu/store to one address *)
+        (* read-modify-write: load/alu/store to one address *)
         let r = reg () in
         Asm.inst a
           (Inst.Load { width = Inst.D; unsigned = false; rd = r; rs1 = Reg.a0; imm = 16 });
@@ -796,7 +797,7 @@ let run_ir_phases engine bin ~patch_addr ~f1 ~f2 =
   let s2 = snapshot m (Machine.run ~fuel:f2 m) in
   (* warm-TLB permission downgrade: the data pages turn read-only mid-loop;
      the next store must fault at the same pc in every engine, through any
-     cached translation, chain link or elided-check fused unit *)
+     cached translation, chain link or warm TLB entry *)
   List.iter
     (fun (s : Binfile.section) ->
       if s.Binfile.sec_perm.Memory.w then
